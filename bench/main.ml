@@ -1,15 +1,12 @@
 (* Benchmark harness.
 
-   Part 1 — Bechamel micro-benchmarks: one Test.make per paper table or
-   figure, measuring the pipeline stage that dominates that experiment
-   (logging for Table I, BBV profiling for Fig. 9, ...).
+   Part 1 — subsystem microbenchmarks (machine core, SimPoint front end,
+   snapshots, farm store), each written to its BENCH_*.json file.
 
    Part 2 — regenerates every table and figure via the experiment
    registry and prints them, so `dune exec bench/main.exe` reproduces
-   the paper's whole evaluation. *)
-
-open Bechamel
-open Toolkit
+   the paper's whole evaluation. Per-layer pipeline timings live in
+   bench/e2e. *)
 
 (* --- machine-core microbenchmark (BENCH_core.json) ---------------------
 
@@ -339,291 +336,11 @@ let farm_bench () =
   close_out oc;
   print_endline "wrote BENCH_farm.json\n"
 
-(* --- Farm daemon microbenchmark (BENCH_daemon.json) --------------------
-
-   The farm manifest run three times against a two-shard daemon fleet:
-
-   - cold: a fresh local store and both daemons empty — every stage
-     computes, and write-through populates the shards;
-   - warm-through-daemon: a FRESH local store, so every artifact can
-     only come from the daemons — zero program executions;
-   - warm-one-shard-down: another fresh local store with one daemon
-     stopped — keys owned by the dead shard degrade to recompute, the
-     run completes, and the result is still correct.
-
-   Wall time, hit/miss/run counters and the client's fallback-recompute
-   counter are written to BENCH_daemon.json. *)
-
-let farm_daemon_bench () =
-  print_endline
-    "=== Farm daemon microbenchmark (cold vs warm vs degraded) ===";
-  let module Metrics = Elfie_obs.Metrics in
-  let module Store = Elfie_farm.Store in
-  let module Daemon = Elfie_farm.Daemon in
-  let module Shard = Elfie_farm.Shard in
-  let m_hits = Metrics.counter "elfie_store_hits_total" in
-  let m_misses = Metrics.counter "elfie_store_misses_total" in
-  let m_loader = Metrics.counter "elfie_loader_runs_total" in
-  let m_fallbacks =
-    Metrics.counter "elfie_daemon_fallback_recomputes_total"
-  in
-  let root =
-    Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "elfie_bench_daemon.%d" (Unix.getpid ()))
-  in
-  Unix.mkdir root 0o755;
-  let jobs =
-    match Elfie_farm.Driver.manifest_of_string ~artifact:"bench" farm_manifest
-    with
-    | Ok jobs -> jobs
-    | Error d -> Fmt.failwith "daemon bench manifest: %a" Elfie_util.Diag.pp d
-  in
-  let shard_daemon name =
-    let store = Store.open_store (Filename.concat root name) in
-    Daemon.start ~store
-      ~socket_path:(Filename.concat root (name ^ ".sock"))
-      ()
-  in
-  let da = shard_daemon "shard_a" and db = shard_daemon "shard_b" in
-  let endpoints = [ Daemon.socket_path da; Daemon.socket_path db ] in
-  let pass name local =
-    let local = Store.open_store (Filename.concat root local) in
-    let shard = Shard.connect ~local ~endpoints () in
-    let h0 = Metrics.total m_hits
-    and m0 = Metrics.total m_misses
-    and r0 = Metrics.total m_loader
-    and f0 = Metrics.total m_fallbacks in
-    let t0 = Unix.gettimeofday () in
-    let batch =
-      Fun.protect
-        ~finally:(fun () -> Shard.close shard)
-        (fun () -> Elfie_farm.Driver.run ~store:local ~shard jobs)
-    in
-    let wall = Unix.gettimeofday () -. t0 in
-    let hits = int_of_float (Metrics.total m_hits -. h0)
-    and misses = int_of_float (Metrics.total m_misses -. m0)
-    and runs = int_of_float (Metrics.total m_loader -. r0)
-    and fallbacks = int_of_float (Metrics.total m_fallbacks -. f0) in
-    Printf.printf
-      "%-26s %8.3f s  %4d hit(s) %4d miss(es) %4d program run(s) %4d \
-       fallback(s)\n%!"
-      name wall hits misses runs fallbacks;
-    if batch.Elfie_farm.Driver.b_quarantined > 0 then
-      Printf.printf "WARNING: %d job(s) quarantined\n%!"
-        batch.Elfie_farm.Driver.b_quarantined;
-    ( runs,
-      Printf.sprintf
-        "    { \"name\": \"%s\", \"wall_s\": %.6f, \"hits\": %d, \
-         \"misses\": %d, \"program_runs\": %d, \"fallback_recomputes\": %d }"
-        (json_escape name) wall hits misses runs fallbacks )
-  in
-  let _, cold = pass "daemon/cold" "local_cold" in
-  (* Fresh local store: every artifact must come over the wire. *)
-  let warm_runs, warm = pass "daemon/warm-through-daemon" "local_warm" in
-  if warm_runs > 0 then
-    Printf.printf
-      "WARNING: warm-through-daemon executed %d program run(s), expected 0\n%!"
-      warm_runs;
-  (* One shard down: completion over purity — the run must finish, keys
-     owned by the dead shard recompute locally. *)
-  Daemon.stop db;
-  let _, degraded = pass "daemon/warm-one-shard-down" "local_degraded" in
-  (* Telemetry scrape overhead: what one `elfied top` refresh costs the
-     surviving shard — full Prometheus exposition over the wire through
-     a monitor router, measured per scrape. *)
-  let scrape =
-    let ep = Daemon.socket_path da in
-    let monitor = Shard.monitor ~endpoints:[ ep ] () in
-    Fun.protect
-      ~finally:(fun () -> Shard.close monitor)
-      (fun () ->
-        let n = 50 in
-        let lat = Array.make n 0.0 in
-        let bytes = ref 0 in
-        for i = 0 to n - 1 do
-          let t0 = Unix.gettimeofday () in
-          (match Shard.scrape_metrics monitor ep with
-          | Ok exposition -> bytes := String.length exposition
-          | Error e -> Fmt.failwith "metrics scrape failed: %s" e);
-          lat.(i) <- Unix.gettimeofday () -. t0
-        done;
-        Array.sort compare lat;
-        let avg_ms = Array.fold_left ( +. ) 0.0 lat /. float_of_int n *. 1e3 in
-        let min_ms = lat.(0) *. 1e3 and max_ms = lat.(n - 1) *. 1e3 in
-        Printf.printf
-          "%-26s %8.3f ms avg  %8.3f ms max  (%d scrapes, %d exposition \
-           bytes)\n\
-           %!"
-          "daemon/metrics-scrape" avg_ms max_ms n !bytes;
-        Printf.sprintf
-          "    { \"name\": \"daemon/metrics-scrape\", \"scrapes\": %d, \
-           \"exposition_bytes\": %d, \"avg_ms\": %.6f, \"min_ms\": %.6f, \
-           \"max_ms\": %.6f }"
-          n !bytes avg_ms min_ms max_ms)
-  in
-  Daemon.stop da;
-  let oc = open_out "BENCH_daemon.json" in
-  Printf.fprintf oc "{\n  \"benchmarks\": [\n%s\n  ]\n}\n"
-    (String.concat ",\n" [ cold; warm; degraded; scrape ]);
-  close_out oc;
-  print_endline "wrote BENCH_daemon.json\n"
-
-let tiny_spec ?(threads = 1) name =
-  Elfie_workloads.Programs.spec
-    ~phases:
-      [ { kernel = Elfie_workloads.Kernels.Stream; reps = 1500 };
-        { kernel = Elfie_workloads.Kernels.Branchy; reps = 1200 } ]
-    ~outer_reps:6 ~threads ~ws_bytes:32768 name
-
-let tiny_rs ?threads name =
-  Elfie_workloads.Programs.run_spec (tiny_spec ?threads name)
-
-(* Shared inputs, built once. *)
-let pinball =
-  lazy
-    ((Elfie_pin.Logger.capture (tiny_rs "bench") ~name:"bench"
-        { Elfie_pin.Logger.start = 20_000L; length = 20_000L })
-       .Elfie_pin.Logger.pinball)
-
-let elfie_image =
-  lazy
-    (let pb = Lazy.force pinball in
-     Elfie_core.Pinball2elf.convert
-       ~options:
-         { Elfie_core.Pinball2elf.default_options with
-           marker = Some (Elfie_core.Pinball2elf.Ssc 1L) }
-       pb)
-
-let profile_points =
-  lazy
-    (let profile = Elfie_pin.Bbv.profile (tiny_rs "bench_bbv") ~slice_size:5_000L in
-     Array.of_list
-       (List.map
-          (Elfie_simpoint.Simpoint.project ~dims:15)
-          profile.Elfie_pin.Bbv.slices))
-
-(* table1: PinPlay logging (the overhead being measured in Table I). *)
-let bench_table1 =
-  Test.make ~name:"table1/pinplay-log-20k-region"
-    (Staged.stage (fun () ->
-         ignore
-           (Elfie_pin.Logger.capture (tiny_rs "t1") ~name:"t1"
-              { Elfie_pin.Logger.start = 5_000L; length = 20_000L })))
-
-(* fig9: native hardware measurement of a region ELFie. *)
-let bench_fig9 =
-  Test.make ~name:"fig9/native-elfie-run"
-    (Staged.stage (fun () ->
-         ignore (Elfie_core.Elfie_runner.run (Lazy.force elfie_image))))
-
-(* table2: whole-program native run (the validation baseline). *)
-let bench_table2 =
-  Test.make ~name:"table2/native-whole-program"
-    (Staged.stage (fun () -> ignore (Elfie_pin.Run.native (tiny_rs "t2"))))
-
-(* table3 & fig10: SimPoint clustering. *)
-let bench_fig10 =
-  Test.make ~name:"fig10/kmeans-phase-clustering"
-    (Staged.stage (fun () ->
-         let rng = Elfie_util.Rng.create 7L in
-         ignore
-           (Elfie_simpoint.Kmeans.best ~rng ~max_k:10 (Lazy.force profile_points))))
-
-(* fig11: constrained pinball simulation under Sniper. *)
-let bench_fig11 =
-  Test.make ~name:"fig11/sniper-pinball-sim"
-    (Staged.stage (fun () ->
-         ignore
-           (Elfie_sniper.Sniper.simulate_pinball
-              (Elfie_sniper.Sniper.gainestown ~cores:8)
-              (Lazy.force pinball))))
-
-(* table4: full-system CoreSim simulation of an ELFie. *)
-let bench_table4 =
-  Test.make ~name:"table4/coresim-full-system"
-    (Staged.stage (fun () ->
-         ignore
-           (Elfie_coresim.Coresim.simulate ~mode:Elfie_coresim.Coresim.Full_system
-              Elfie_coresim.Coresim.skylake (Lazy.force elfie_image))))
-
-(* table5: gem5 SE-mode simulation of an ELFie. *)
-let bench_table5 =
-  Test.make ~name:"table5/gem5-se-sim"
-    (Staged.stage (fun () ->
-         ignore
-           (Elfie_gem5.Gem5.simulate_se Elfie_gem5.Gem5.nehalem
-              (Lazy.force elfie_image))))
-
-(* Cross-cutting: the supervised native-run path (watchdog pintool +
-   classification on top of fig9's raw run — the supervision overhead). *)
-let bench_supervised =
-  Test.make ~name:"supervise/native-elfie-run"
-    (Staged.stage (fun () ->
-         ignore
-           (Elfie_supervise.Supervisor.run_elfie ~job:"bench"
-              ~budget:
-                { Elfie_supervise.Supervisor.ins = Some 100_000_000L;
-                  wall_s = Some 30.0 }
-              (Lazy.force elfie_image))))
-
-(* Cross-cutting: pinball -> ELF conversion and ELF codec. *)
-let bench_convert =
-  Test.make ~name:"core/pinball2elf-convert"
-    (Staged.stage (fun () ->
-         ignore (Elfie_core.Pinball2elf.convert (Lazy.force pinball))))
-
-let bench_elf_codec =
-  Test.make ~name:"core/elf-write-read"
-    (Staged.stage (fun () ->
-         let img = Lazy.force elfie_image in
-         ignore (Elfie_elf.Image.read (Elfie_elf.Image.write img))))
-
-let tests =
-  Test.make_grouped ~name:"elfie"
-    [ bench_table1; bench_fig9; bench_table2; bench_fig10; bench_fig11;
-      bench_table4; bench_table5; bench_supervised; bench_convert;
-      bench_elf_codec ]
-
-let run_benchmarks () =
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
-  in
-  let instances = Instance.[ monotonic_clock ] in
-  let cfg =
-    Benchmark.cfg ~limit:200 ~quota:(Time.second 0.5) ~stabilize:false ()
-  in
-  let raw_results = Benchmark.all cfg instances tests in
-  let results =
-    List.map (fun instance -> Analyze.all ols instance raw_results) instances
-  in
-  let results = Analyze.merge ols instances results in
-  Printf.printf "%-38s %16s\n" "micro-benchmark" "time/run";
-  Printf.printf "%s\n" (String.make 56 '-');
-  Hashtbl.iter
-    (fun measure tbl ->
-      if measure = Measure.label Instance.monotonic_clock then
-        Hashtbl.iter
-          (fun name ols_result ->
-            match Analyze.OLS.estimates ols_result with
-            | Some [ est ] ->
-                let human =
-                  if est > 1e9 then Printf.sprintf "%.2f s" (est /. 1e9)
-                  else if est > 1e6 then Printf.sprintf "%.2f ms" (est /. 1e6)
-                  else if est > 1e3 then Printf.sprintf "%.2f us" (est /. 1e3)
-                  else Printf.sprintf "%.0f ns" est
-                in
-                Printf.printf "%-38s %16s\n" name human
-            | _ -> ())
-          tbl)
-    results;
-  print_newline ()
-
 let () =
   let jobs = ref 0 in
   let core_only = ref false in
   let simpoint_only = ref false in
   let farm_only = ref false in
-  let daemon_only = ref false in
   let snapshot_only = ref false in
   let rec parse = function
     | "--jobs" :: n :: rest ->
@@ -637,9 +354,6 @@ let () =
         parse rest
     | "--farm" :: rest | "--farm-only" :: rest ->
         farm_only := true;
-        parse rest
-    | "--daemon" :: rest | "--daemon-only" :: rest ->
-        daemon_only := true;
         parse rest
     | "--snapshot" :: rest | "--snapshot-only" :: rest ->
         snapshot_only := true;
@@ -677,10 +391,6 @@ let () =
     farm_bench ();
     exit 0
   end;
-  if !daemon_only then begin
-    farm_daemon_bench ();
-    exit 0
-  end;
   if !snapshot_only then begin
     snapshot_bench ();
     exit 0
@@ -690,9 +400,6 @@ let () =
   simpoint_bench ();
   snapshot_bench ();
   farm_bench ();
-  farm_daemon_bench ();
-  print_endline "=== Bechamel micro-benchmarks (one per table/figure) ===";
-  run_benchmarks ();
   print_endline "=== Paper evaluation: every table and figure ===\n";
   (* Each phase runs as a supervised job: a crashing experiment is
      classified and quarantined instead of aborting the run, and the

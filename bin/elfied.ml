@@ -4,21 +4,13 @@
    domains: every pipeline stage goes through the content-addressed
    artifact store (duplicate submissions hit cache), every job runs
    under the supervisor, and completions are journaled so `--resume`
-   restarts only unfinished jobs. `elfied serve` exposes a store over a
-   Unix-domain socket (one daemon per shard); `elfied run --shard`
-   routes store keys across daemons by consistent hashing, degrading to
-   local recompute when a shard is down. `elfied stats` inspects a
-   store; `elfied gc` evicts oldest artifacts down to a size budget. *)
+   restarts only unfinished jobs. `elfied stats` inspects a store;
+   `elfied gc` evicts oldest artifacts down to a size budget. *)
 
 open Cmdliner
 module Store = Elfie_farm.Store
 module Driver = Elfie_farm.Driver
-module Daemon = Elfie_farm.Daemon
-module Shard = Elfie_farm.Shard
-module Fleet = Elfie_farm.Fleet
 module Journal = Elfie_supervise.Journal
-module Log = Elfie_obs.Log
-module Trace = Elfie_obs.Trace
 
 let with_obs (trace, metrics, profile, jobs) f =
   Elfie_util.Pool.set_default_jobs
@@ -74,7 +66,7 @@ let store_arg =
 
 (* --- run ------------------------------------------------------------------- *)
 
-let run_cmd manifest store_root journal_path resume shards obs =
+let run_cmd manifest store_root journal_path resume obs =
   with_obs obs @@ fun () ->
   match Driver.load_manifest manifest with
   | Error d ->
@@ -82,24 +74,10 @@ let run_cmd manifest store_root journal_path resume shards obs =
       1
   | Ok jobs_list -> (
       let store = Store.open_store store_root in
-      let shard =
-        match shards with
-        | [] -> None
-        | endpoints ->
-            (* With remote shards in play, arm the flight recorder: any
-               degrade-to-recompute dumps the recent event ring next to
-               the store. *)
-            Log.set_flight_path
-              (Some (Filename.concat store_root "flight.jsonl"));
-            Some (Shard.connect ~local:store ~endpoints ())
-      in
       let journal = Option.map Journal.open_file journal_path in
-      let finally () =
-        Option.iter Journal.close journal;
-        Option.iter Shard.close shard
-      in
-      Fun.protect ~finally @@ fun () ->
-      match Driver.run ~store ?shard ?journal ~resume jobs_list with
+      Fun.protect ~finally:(fun () -> Option.iter Journal.close journal)
+      @@ fun () ->
+      match Driver.run ~store ?journal ~resume jobs_list with
       | batch ->
           Format.printf "%a@." Driver.pp_batch batch;
           if batch.Driver.b_quarantined > 0 then 2 else 0
@@ -133,22 +111,10 @@ let run_t =
             "Skip jobs whose latest journal record is graceful with \
              unchanged inputs; only unfinished jobs run.")
   in
-  let shards =
-    Arg.(
-      value
-      & opt_all string []
-      & info [ "shard" ] ~docv:"SOCKET"
-          ~doc:
-            "Route store keys across farm daemons (repeatable; each a \
-             `elfied serve` socket path) by consistent hashing. A down \
-             shard degrades to local recompute — the run still \
-             completes.")
-  in
   Cmd.v
     (Cmd.info "run" ~doc:"run a job manifest through the farm")
     Term.(
-      const run_cmd $ manifest $ store_arg $ journal $ resume $ shards
-      $ obs_flags)
+      const run_cmd $ manifest $ store_arg $ journal $ resume $ obs_flags)
 
 (* --- stats ----------------------------------------------------------------- *)
 
@@ -234,224 +200,10 @@ let gc_t =
     (Cmd.info "gc" ~doc:"evict oldest artifacts down to a size budget")
     Term.(const gc_cmd $ store_arg $ max_bytes $ dry_run)
 
-(* --- serve ------------------------------------------------------------------- *)
-
-let serve_cmd store_root socket flight obs =
-  with_obs obs @@ fun () ->
-  (* Name this process's track in merged traces after its socket. *)
-  Trace.set_process_label
-    (Printf.sprintf "elfied-serve:%s" (Filename.basename socket));
-  let store = Store.open_store store_root in
-  (match flight with
-  | Some "none" -> ()
-  | Some path -> Log.set_flight_path (Some path)
-  | None ->
-      Log.set_flight_path (Some (Filename.concat store_root "flight.jsonl")));
-  match Daemon.start ~store ~socket_path:socket () with
-  | exception Failure msg ->
-      Format.eprintf "elfied: %s@." msg;
-      1
-  | daemon ->
-      let stop = Atomic.make false in
-      let on_signal _ = Atomic.set stop true in
-      Sys.set_signal Sys.sigint (Sys.Signal_handle on_signal);
-      Sys.set_signal Sys.sigterm (Sys.Signal_handle on_signal);
-      (* Installed after the stop handlers so a fatal signal dumps the
-         flight recorder first, then chains into the orderly shutdown. *)
-      Log.install_dump_on_signal [ Sys.sigint; Sys.sigterm ];
-      Printf.printf "elfied: serving %s on %s (pid %d)\n%!"
-        (Store.root store) socket (Unix.getpid ());
-      while not (Atomic.get stop) do
-        Unix.sleepf 0.2
-      done;
-      Daemon.stop daemon;
-      Printf.printf "elfied: stopped\n%!";
-      0
-
-let serve_t =
-  let socket =
-    Arg.(
-      required
-      & opt (some string) None
-      & info [ "socket" ] ~docv:"PATH"
-          ~doc:
-            "Unix-domain socket to listen on. A stale socket file left \
-             by a crashed daemon is recovered; a live daemon on the \
-             same path is an error.")
-  in
-  let flight =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "flight" ] ~docv:"FILE"
-          ~doc:
-            "Flight-recorder dump file: the recent structured-event \
-             ring is written there on SIGINT/SIGTERM (after which \
-             shutdown proceeds). Defaults to flight.jsonl under the \
-             store root; `none` disables.")
-  in
-  Cmd.v
-    (Cmd.info "serve"
-       ~doc:"serve a store over a Unix-domain socket (one daemon per shard)")
-    Term.(const serve_cmd $ store_arg $ socket $ flight $ obs_flags)
-
-(* --- ping -------------------------------------------------------------------- *)
-
-let ping_cmd count sockets =
-  List.fold_left
-    (fun rc socket ->
-      let rtts = ref [] in
-      let last_health = ref None in
-      let last_error = ref None in
-      for _ = 1 to max 1 count do
-        let t0 = Unix.gettimeofday () in
-        match Shard.ping socket with
-        | Ok health ->
-            rtts := (Unix.gettimeofday () -. t0) :: !rtts;
-            last_health := Some health
-        | Error reason -> last_error := Some reason
-      done;
-      match (!last_health, !rtts) with
-      | Some health, (_ :: _ as rtts) ->
-          let n = List.length rtts in
-          let mn = List.fold_left min infinity rtts *. 1e3 in
-          let mx = List.fold_left max 0.0 rtts *. 1e3 in
-          let avg = List.fold_left ( +. ) 0.0 rtts *. 1e3 /. float_of_int n in
-          Printf.printf "%s: %s\n" socket health;
-          Printf.printf
-            "  %d/%d ok, rtt min/avg/max = %.3f/%.3f/%.3f ms\n" n
-            (max 1 count) mn avg mx;
-          if n < max 1 count then 1 else rc
-      | _ ->
-          Printf.printf "%s: DOWN (%s)\n" socket
-            (Option.value ~default:"no-response" !last_error);
-          1)
-    0 sockets
-
-let ping_t =
-  let sockets =
-    Arg.(
-      non_empty
-      & pos_all string []
-      & info [] ~docv:"SOCKET" ~doc:"Daemon socket path(s) to probe.")
-  in
-  let count =
-    Arg.(
-      value & opt int 1
-      & info [ "n"; "count" ] ~docv:"COUNT"
-          ~doc:
-            "Send COUNT health probes per daemon and report round-trip \
-             min/avg/max.")
-  in
-  Cmd.v
-    (Cmd.info "ping" ~doc:"health-check farm daemons, measuring RTT")
-    Term.(const ping_cmd $ count $ sockets)
-
-(* --- trace-merge -------------------------------------------------------------- *)
-
-let trace_merge_cmd out inputs =
-  match Elfie_obs.Chrome.merge_paths inputs with
-  | Error msg ->
-      Format.eprintf "elfied: trace-merge: %s@." msg;
-      1
-  | Ok merged ->
-      if out = "-" then print_string merged
-      else begin
-        let oc = open_out_bin out in
-        output_string oc merged;
-        output_char oc '\n';
-        close_out oc;
-        Printf.printf "merged %d trace file(s) into %s\n"
-          (List.length inputs) out
-      end;
-      0
-
-let trace_merge_t =
-  let inputs =
-    Arg.(
-      non_empty
-      & pos_all file []
-      & info [] ~docv:"TRACE"
-          ~doc:
-            "Chrome trace_event JSON files, as written by --trace (one \
-             per process: client and daemons).")
-  in
-  let out =
-    Arg.(
-      value
-      & opt string "merged.trace.json"
-      & info [ "o"; "out" ] ~docv:"FILE"
-          ~doc:"Merged output file; `-` for stdout.")
-  in
-  Cmd.v
-    (Cmd.info "trace-merge"
-       ~doc:
-         "merge per-process trace files into one Perfetto timeline \
-          (aligned on the wall clock, correlated by trace ID)")
-    Term.(const trace_merge_cmd $ out $ inputs)
-
-(* --- top ---------------------------------------------------------------------- *)
-
-let top_cmd interval count sockets =
-  let router = Shard.monitor ~endpoints:sockets () in
-  Fun.protect ~finally:(fun () -> Shard.close router) @@ fun () ->
-  let iterations =
-    match (count, interval) with
-    | Some c, _ -> max 1 c
-    | None, Some _ -> max_int
-    | None, None -> 1
-  in
-  let delay = Option.value ~default:2.0 interval in
-  let rec go i =
-    let rows = Fleet.scrape_all router in
-    if i > 0 then print_newline ();
-    Printf.printf "elfied top — %d shard(s), scrape #%d\n%s" (List.length rows)
-      (i + 1) (Fleet.render rows);
-    flush stdout;
-    if i + 1 < iterations then begin
-      Unix.sleepf delay;
-      go (i + 1)
-    end
-    else rows
-  in
-  let rows = go 0 in
-  if List.for_all (fun r -> match r.Fleet.r_state with Fleet.Down _ -> true | _ -> false) rows
-  then 1
-  else 0
-
-let top_t =
-  let sockets =
-    Arg.(
-      non_empty
-      & pos_all string []
-      & info [] ~docv:"SOCKET" ~doc:"Daemon socket path(s) to scrape.")
-  in
-  let interval =
-    Arg.(
-      value
-      & opt (some float) None
-      & info [ "interval"; "i" ] ~docv:"SECONDS"
-          ~doc:
-            "Rescrape every SECONDS (until --count scrapes, or forever); \
-             without it, scrape once and exit.")
-  in
-  let count =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "count"; "c" ] ~docv:"N" ~doc:"Stop after N scrapes.")
-  in
-  Cmd.v
-    (Cmd.info "top"
-       ~doc:
-         "aggregated live telemetry of a daemon fleet: requests, \
-          hit/miss, latency by opcode, breaker state, quarantine, uptime")
-    Term.(const top_cmd $ interval $ count $ sockets)
-
 let cmd =
   Cmd.group
     (Cmd.info "elfied"
        ~doc:"crash-safe ELFie farm: cache-backed resumable batch driver")
-    [ run_t; serve_t; ping_t; top_t; trace_merge_t; stats_t; gc_t ]
+    [ run_t; stats_t; gc_t ]
 
 let () = exit (Cmd.eval' cmd)

@@ -486,376 +486,3 @@ let pp_report fmt r =
       | _ -> ())
     r.cases;
   Format.fprintf fmt "@]"
-
-(* --- Farm-daemon fault sweep ------------------------------------------------ *)
-
-module Daemon = Elfie_farm.Daemon
-module Shard = Elfie_farm.Shard
-module Log = Elfie_obs.Log
-
-type daemon_fault =
-  | Shard_killed
-  | Torn_frame
-  | Frame_bit_flip
-  | Hung_peer
-  | Stale_socket
-  | Wire_version_skew
-
-let all_daemon_faults =
-  [
-    Shard_killed; Torn_frame; Frame_bit_flip; Hung_peer; Stale_socket;
-    Wire_version_skew;
-  ]
-
-let daemon_fault_name = function
-  | Shard_killed -> "shard-killed"
-  | Torn_frame -> "torn-frame"
-  | Frame_bit_flip -> "frame-bit-flip"
-  | Hung_peer -> "hung-peer"
-  | Stale_socket -> "stale-socket"
-  | Wire_version_skew -> "wire-version-skew"
-
-(* Verdict on the flight-recorder dump a degraded case must leave
-   behind: a parseable JSONL file whose events name the in-flight
-   request (the key the shard client gave up on). *)
-type flight_status =
-  | Flight_ok of int  (** parseable dump with this many events *)
-  | Flight_not_expected  (** the case did not degrade; no dump owed *)
-  | Flight_missing
-  | Flight_bad of string
-
-let flight_status_name = function
-  | Flight_ok n -> Printf.sprintf "flight-ok(%d)" n
-  | Flight_not_expected -> "flight-not-expected"
-  | Flight_missing -> "flight-missing"
-  | Flight_bad msg -> "flight-bad: " ^ msg
-
-type daemon_case = {
-  dfault : daemon_fault;
-  ddetail : string;
-  doutcome : store_outcome;
-  dflight : flight_status;
-}
-
-type daemon_report = {
-  d_total : int;
-  d_recovered : int;
-  d_benign : int;
-  d_cases : daemon_case list;
-}
-
-let daemon_failures r =
-  List.filter
-    (fun c ->
-      match (c.doutcome, c.dflight) with
-      | (Store_served_corrupt _ | Store_crashed _), _ -> true
-      | _, (Flight_missing | Flight_bad _) -> true
-      | (Store_recovered | Store_benign), (Flight_ok _ | Flight_not_expected)
-        ->
-          false)
-    r.d_cases
-
-(* Tight client budget so the sweep stays fast: ~0.3 s deadlines, one
-   retry, millisecond backoff, no jitter (fully deterministic). *)
-let sweep_config =
-  {
-    Shard.default_config with
-    deadline_s = 0.3;
-    retries = 1;
-    backoff =
-      { Elfie_util.Backoff.base_s = 0.005; factor = 2.0; max_s = 0.02;
-        jitter = 0.0 };
-    breaker_threshold = 2;
-    breaker_cooldown_s = 0.2;
-  }
-
-let rec mkdir_p dir =
-  if not (Sys.file_exists dir) then begin
-    mkdir_p (Filename.dirname dir);
-    try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
-  end
-
-let read_lines file =
-  let ic = open_in_bin file in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () ->
-      let rec go acc =
-        match input_line ic with
-        | line -> go (line :: acc)
-        | exception End_of_file -> List.rev acc
-      in
-      go [])
-
-(* Judge the flight-recorder dump a degraded case left behind: every
-   line must parse back as a structured event, one of them must be the
-   client's fallback event naming the key it gave up on, and the
-   [flight.dump] trailer must close the file. *)
-let assess_flight ~key file =
-  if not (Sys.file_exists file) then Flight_missing
-  else
-    let lines =
-      List.filter (fun l -> String.trim l <> "") (read_lines file)
-    in
-    let parsed = List.map (fun l -> (l, Log.parse_line l)) lines in
-    match List.find_opt (fun (_, p) -> p = None) parsed with
-    | Some (line, _) ->
-        Flight_bad
-          (Printf.sprintf "unparseable line %S"
-             (String.sub line 0 (min 48 (String.length line))))
-    | None ->
-        let evs = List.filter_map snd parsed in
-        let names_request =
-          List.exists
-            (fun ev ->
-              ev.Log.ev_name = "daemon.client.fallback_recompute"
-              && List.assoc_opt "key" ev.Log.ev_attrs
-                 = Some (Elfie_obs.Trace.S (Store.digest key)))
-            evs
-        in
-        if evs = [] then Flight_bad "empty dump"
-        else if not names_request then
-          Flight_bad "dump does not name the failing request"
-        else if
-          not (List.exists (fun ev -> ev.Log.ev_name = "flight.dump") evs)
-        then Flight_bad "missing flight.dump trailer"
-        else Flight_ok (List.length evs)
-
-let run_daemon ?(seed = 0x600DF00DL) ~root () =
-  mkdir_p root;
-  let rng = Rng.create seed in
-  let case_id = ref 0 in
-  (* One isolated shard (store + daemon + socket) and two local stores
-     per case: [seed_and_exercise] populates local A + the shard, then
-     re-reads through a FRESH local store B, so the artifact can only
-     come from the shard or from the fallback recompute. The served
-     value must always equal the seeded payload — under any injection,
-     degrade-to-recompute, never corrupt, never crash. *)
-  let with_case dfault ddetail ?tamper ~inject () =
-    incr case_id;
-    let dir name = Filename.concat root (Printf.sprintf "%s%d" name !case_id) in
-    let payload = String.init 96 (fun _ -> Char.chr (Rng.int rng 256)) in
-    let key =
-      Store.key Store.Measurement ~program:"daemon-fault-program"
-        [ ("case", string_of_int !case_id) ]
-    in
-    let socket = Filename.concat root (Printf.sprintf "s%d.sock" !case_id) in
-    (* Arm the flight recorder per case: a fresh ring and a per-case
-       dump file, so every degrade must leave its own evidence. *)
-    let flight_file =
-      Filename.concat root (Printf.sprintf "flight%d.jsonl" !case_id)
-    in
-    Log.reset ();
-    Log.set_flight_path (Some flight_file);
-    let shard_store = Store.open_store ~producer:"daemon-sweep" (dir "shard") in
-    let daemon = Daemon.start ?tamper ~store:shard_store ~socket_path:socket () in
-    let stopped = ref false in
-    let stop_daemon () =
-      if not !stopped then begin
-        stopped := true;
-        Daemon.stop daemon
-      end
-    in
-    Fun.protect
-      ~finally:(fun () ->
-        stop_daemon ();
-        Log.set_flight_path None)
-    @@ fun () ->
-    let fetch local_root recomputed =
-      let local = Store.open_store ~producer:"daemon-sweep" (dir local_root) in
-      let router =
-        Shard.connect ~config:sweep_config ~local ~endpoints:[ socket ] ()
-      in
-      Fun.protect
-        ~finally:(fun () -> Shard.close router)
-        (fun () ->
-          Shard.get_or_compute_v router key ~format:1 ~encode:Fun.id
-            ~decode:(fun s -> Ok s)
-            (fun () ->
-              recomputed := true;
-              payload))
-    in
-    let seeded = ref false in
-    let (_ : string) = fetch "seed_local" seeded in
-    inject ~stop_daemon;
-    let recomputed = ref false in
-    let result =
-      match fetch "fresh_local" recomputed with
-      | v -> Ok v
-      | exception e -> Error (Printexc.to_string e)
-    in
-    let doutcome =
-      match result with
-      | Error msg -> Store_crashed msg
-      | Ok v when v <> payload ->
-          Store_served_corrupt "served bytes differ from a fresh computation"
-      | Ok _ when !recomputed -> Store_recovered
-      | Ok _ -> Store_benign
-    in
-    let dflight =
-      match doutcome with
-      | Store_recovered -> assess_flight ~key flight_file
-      | Store_benign | Store_served_corrupt _ | Store_crashed _ ->
-          Flight_not_expected
-    in
-    { dfault; ddetail; doutcome; dflight }
-  in
-  let tamper_cell = ref Daemon.Pass in
-  let tampered () = !tamper_cell in
-  let arm t ~stop_daemon:_ = tamper_cell := t in
-  (* Flip one payload bit inside an encoded response frame; header-only
-     frames get their digest flipped instead. Either way the client's
-     frame checksum (or header parse) must catch it. *)
-  let flip_frame frame =
-    let b = Bytes.of_string frame in
-    let off =
-      if Bytes.length b > Daemon.Wire.header_bytes then
-        Daemon.Wire.header_bytes
-      else Bytes.length b - 1
-    in
-    Bytes.set b off (Char.chr (Char.code (Bytes.get b off) lxor 0x01));
-    Bytes.to_string b
-  in
-  let skew_frame frame =
-    let b = Bytes.of_string frame in
-    Bytes.set b 4 (Char.chr ((Char.code (Bytes.get b 4) + 1) land 0xff));
-    Bytes.to_string b
-  in
-  let d_cases =
-    [
-      with_case Shard_killed "daemon stopped between requests"
-        ~inject:(fun ~stop_daemon -> stop_daemon ())
-        ();
-      with_case Torn_frame "response frame truncated mid-header"
-        ~tamper:tampered
-        ~inject:(arm (Daemon.Truncate 9))
-        ();
-      with_case Torn_frame "response frame truncated mid-payload"
-        ~tamper:tampered
-        ~inject:(arm (Daemon.Truncate (Daemon.Wire.header_bytes + 5)))
-        ();
-      with_case Frame_bit_flip "one bit flipped in the response frame"
-        ~tamper:tampered
-        ~inject:(arm (Daemon.Rewrite flip_frame))
-        ();
-      with_case Hung_peer "daemon accepts but never responds"
-        ~tamper:tampered
-        ~inject:(arm Daemon.Hang_response)
-        ();
-      with_case Hung_peer "daemon drops the connection without responding"
-        ~tamper:tampered
-        ~inject:(arm Daemon.Drop_connection)
-        ();
-      with_case Wire_version_skew "daemon answers a different wire version"
-        ~tamper:tampered
-        ~inject:(arm (Daemon.Rewrite skew_frame))
-        ();
-      (* Stale socket file: a crashed daemon's leftover path must be
-         recovered at bind time, after which service is normal — the
-         fresh-local read is served remotely, no recompute. *)
-      (incr case_id;
-       let socket =
-         Filename.concat root (Printf.sprintf "s%d.sock" !case_id)
-       in
-       let leftover = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-       Unix.bind leftover (Unix.ADDR_UNIX socket);
-       Unix.close leftover;
-       (* no listen(): connects now fail ECONNREFUSED, like a dead pid *)
-       let shard_store =
-         Store.open_store ~producer:"daemon-sweep"
-           (Filename.concat root (Printf.sprintf "shard%d" !case_id))
-       in
-       match Daemon.start ~store:shard_store ~socket_path:socket () with
-       | exception e ->
-           {
-             dfault = Stale_socket;
-             ddetail = "bind over a dead daemon's socket file";
-             doutcome = Store_crashed (Printexc.to_string e);
-             dflight = Flight_not_expected;
-           }
-       | daemon ->
-           Fun.protect
-             ~finally:(fun () -> Daemon.stop daemon)
-             (fun () ->
-               let payload =
-                 String.init 96 (fun _ -> Char.chr (Rng.int rng 256))
-               in
-               let key =
-                 Store.key Store.Measurement ~program:"daemon-fault-program"
-                   [ ("case", string_of_int !case_id) ]
-               in
-               let fetch local recomputed =
-                 let local =
-                   Store.open_store ~producer:"daemon-sweep"
-                     (Filename.concat root
-                        (Printf.sprintf "%s%d" local !case_id))
-                 in
-                 let router =
-                   Shard.connect ~config:sweep_config ~local
-                     ~endpoints:[ socket ] ()
-                 in
-                 Fun.protect
-                   ~finally:(fun () -> Shard.close router)
-                   (fun () ->
-                     Shard.get_or_compute_v router key ~format:1
-                       ~encode:Fun.id
-                       ~decode:(fun s -> Ok s)
-                       (fun () ->
-                         recomputed := true;
-                         payload))
-               in
-               let seeded = ref false in
-               let (_ : string) = fetch "seed_local" seeded in
-               let recomputed = ref false in
-               let doutcome =
-                 match fetch "fresh_local" recomputed with
-                 | v when v <> payload ->
-                     Store_served_corrupt
-                       "served bytes differ from a fresh computation"
-                 | _ when !recomputed ->
-                     Store_crashed
-                       "recomputed although the recovered daemon held the \
-                        artifact"
-                 | _ -> Store_benign
-                 | exception e -> Store_crashed (Printexc.to_string e)
-               in
-               {
-                 dfault = Stale_socket;
-                 ddetail = "bind over a dead daemon's socket file";
-                 doutcome;
-                 dflight = Flight_not_expected;
-               }));
-    ]
-  in
-  let count p = List.length (List.filter p d_cases) in
-  {
-    d_total = List.length d_cases;
-    d_recovered = count (fun c -> c.doutcome = Store_recovered);
-    d_benign = count (fun c -> c.doutcome = Store_benign);
-    d_cases;
-  }
-
-let pp_daemon_report fmt r =
-  Format.fprintf fmt
-    "@[<v>%d daemon fault(s): %d degraded to recompute, %d served through, \
-     %d failed@,"
-    r.d_total r.d_recovered r.d_benign
-    (List.length (daemon_failures r));
-  List.iter
-    (fun c ->
-      (match c.doutcome with
-      | Store_served_corrupt msg ->
-          Format.fprintf fmt "  CORRUPT %-18s %s: %s@,"
-            (daemon_fault_name c.dfault) c.ddetail msg
-      | Store_crashed msg ->
-          Format.fprintf fmt "  CRASH %-18s %s: %s@,"
-            (daemon_fault_name c.dfault) c.ddetail msg
-      | _ -> ());
-      match c.dflight with
-      | Flight_missing | Flight_bad _ ->
-          Format.fprintf fmt "  FLIGHT %-18s %s: %s@,"
-            (daemon_fault_name c.dfault) c.ddetail
-            (flight_status_name c.dflight)
-      | Flight_ok _ | Flight_not_expected -> ())
-    r.d_cases;
-  Format.fprintf fmt "@]"

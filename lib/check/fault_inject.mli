@@ -121,68 +121,3 @@ val hang_elfie :
   Elfie_elf.Image.t
 
 val pp_report : Format.formatter -> report -> unit
-
-(** {1 Farm-daemon fault sweep}
-
-    The same bargain as {!run_store}, one network layer up: inject
-    faults into the daemon/shard path ({!Elfie_farm.Daemon},
-    {!Elfie_farm.Shard}) and demand that every read still returns the
-    correct bytes — degrading to local recompute at worst, never
-    crashing the client, never serving a corrupt frame. *)
-
-type daemon_fault =
-  | Shard_killed  (** the owning daemon is stopped between requests *)
-  | Torn_frame  (** the response frame is truncated mid-header/payload *)
-  | Frame_bit_flip  (** one bit flipped in the response frame *)
-  | Hung_peer
-      (** the daemon accepts but never (or incompletely) responds; the
-          client deadline must fire *)
-  | Stale_socket
-      (** a crashed daemon's leftover socket file; the next
-          {!Elfie_farm.Daemon.start} must recover it *)
-  | Wire_version_skew  (** the daemon answers a different wire version *)
-
-val all_daemon_faults : daemon_fault list
-val daemon_fault_name : daemon_fault -> string
-
-(** Verdict on the flight-recorder dump a degraded case must leave
-    behind ({!Elfie_obs.Log.dump} fires on every degrade-to-recompute):
-    the file must exist, every line must parse back as a structured
-    event, one event must name the in-flight request (the key the shard
-    client gave up on), and the [flight.dump] trailer must close it. *)
-type flight_status =
-  | Flight_ok of int  (** parseable dump with this many events *)
-  | Flight_not_expected  (** the case did not degrade; no dump owed *)
-  | Flight_missing
-  | Flight_bad of string
-
-val flight_status_name : flight_status -> string
-
-type daemon_case = {
-  dfault : daemon_fault;
-  ddetail : string;
-  doutcome : store_outcome;  (** same verdict lattice as the store sweep *)
-  dflight : flight_status;
-}
-
-type daemon_report = {
-  d_total : int;
-  d_recovered : int;  (** degraded to a local recompute, value correct *)
-  d_benign : int;  (** served through despite the fault, value correct *)
-  d_cases : daemon_case list;
-}
-
-(** Cases that crashed, served corrupt data, or degraded without
-    leaving a parseable flight dump naming the failing request; a
-    robust farm yields []. *)
-val daemon_failures : daemon_report -> daemon_case list
-
-(** Run the sweep under [root] (created if needed): each case starts a
-    private in-process daemon on its own socket, seeds an artifact
-    through the shard router, arms the injection, and re-reads through a
-    fresh local store so the read {e must} traverse the faulty remote
-    tier. Deterministic for a given [seed] (the sweep's client backoff
-    carries no jitter). *)
-val run_daemon : ?seed:int64 -> root:string -> unit -> daemon_report
-
-val pp_daemon_report : Format.formatter -> daemon_report -> unit

@@ -171,14 +171,14 @@ let workdir = "/work"
    whole chain without executing the program once, and a [max_k] change
    recomputes only the selection and downstream stages (the cached BBV
    profile is reused). *)
-let compute_job ~backend ~count j =
+let compute_job ~store ~count j =
   let p = j.j_params in
   let program =
     Bytes.to_string (Elfie_elf.Image.write (Programs.image j.j_spec))
   in
   let run_spec () = Programs.run_spec ~seed:p.base_seed j.j_spec in
   let profile =
-    Codec.fetch_bbv ~on_result:count backend
+    Codec.cached_bbv ~on_result:count store
       (Codec.bbv_key ~program ~slice_size:p.slice_size ~seed:p.base_seed ())
       (fun () ->
         Trace.with_span "farm.profile"
@@ -196,7 +196,7 @@ let compute_job ~backend ~count j =
     }
   in
   let sel =
-    Codec.fetch_selection ~on_result:count backend
+    Codec.cached_selection ~on_result:count store
       (Codec.selection_key ~program ~params:sp_params ~seed:p.base_seed ())
       (fun () ->
         Trace.with_span "farm.select"
@@ -225,7 +225,7 @@ let compute_job ~backend ~count j =
     @@ fun _ ->
     let pb_name = Printf.sprintf "%s_c%d" j.j_name r.cluster in
     let pinball =
-      Codec.fetch_pinball ~on_result:count backend
+      Codec.cached_pinball ~on_result:count store
         (Codec.pinball_key ~program ~start:r.start ~length:r.length
            ~seed:p.base_seed ())
         ~name:pb_name
@@ -240,7 +240,7 @@ let compute_job ~backend ~count j =
           cap.Elfie_pin.Logger.pinball)
     in
     let image, sysstate =
-      Codec.fetch_elfie ~on_result:count backend
+      Codec.cached_elfie ~on_result:count store
         (Codec.elfie_key ~program ~start:r.start ~length:r.length
            ~warmup:r.warmup_actual ~seed:p.base_seed ())
         (fun () ->
@@ -257,7 +257,7 @@ let compute_job ~backend ~count j =
           (Elfie_core.Pinball2elf.convert ~options pinball, sysstate))
     in
     let m =
-      Codec.fetch_measurement ~on_result:count backend
+      Codec.cached_measurement ~on_result:count store
         (Codec.measurement_key ~program ~start:r.start ~length:r.length
            ~warmup:r.warmup_actual ~trials:p.trials ~base_seed:p.base_seed)
         (fun () ->
@@ -304,21 +304,7 @@ let compute_job ~backend ~count j =
     (if den > 0.0 then Some (num /. den) else None),
     profile.Elfie_pin.Bbv.total_instructions )
 
-let run_job ~store ?shard ?journal ?(resume = true) j =
-  Elfie_obs.Log.info "farm.job"
-    ~attrs:
-      [
-        ("job", Trace.S j.j_name);
-        ("tier", Trace.S (match shard with Some _ -> "sharded" | None -> "local"));
-      ];
-  (* With a shard router, every stage fetch tiers local-store-first,
-     then the key's owning daemon, then compute — shard trouble degrades
-     to the plain local path. *)
-  let backend =
-    match shard with
-    | Some sh -> Shard.backend sh
-    | None -> Codec.store_backend store
-  in
+let run_job ~store ?journal ?(resume = true) j =
   let hits = ref 0 and misses = ref 0 in
   let count = function `Hit -> incr hits | `Miss -> incr misses in
   let report, value =
@@ -327,7 +313,7 @@ let run_job ~store ?shard ?journal ?(resume = true) j =
     Supervisor.supervise ~job:j.j_name ?journal ~resume
       ~inputs:(job_inputs j)
       (fun ~attempt_no:_ ~seed:_ ~budget:_ ->
-        let sel, regions, pred, total_ins = compute_job ~backend ~count j in
+        let sel, regions, pred, total_ins = compute_job ~store ~count j in
         ( Some
             {
               jr_name = j.j_name;
@@ -363,7 +349,7 @@ type batch = {
   b_store_quarantines : Store.quarantine list;
 }
 
-let run ?jobs ~store ?shard ?journal ?resume specs =
+let run ?jobs ~store ?journal ?resume specs =
   let names = List.map (fun j -> j.j_name) specs in
   if List.length (List.sort_uniq compare names) <> List.length names then
     invalid_arg "Elfie_farm.Driver.run: duplicate job names in manifest";
@@ -372,7 +358,7 @@ let run ?jobs ~store ?shard ?journal ?resume specs =
   let outcomes =
     Elfie_util.Pool.map ?jobs
       ~label:(fun i -> labels.(i))
-      (fun j -> run_job ~store ?shard ?journal ?resume j)
+      (fun j -> run_job ~store ?journal ?resume j)
       specs
   in
   let count f = List.length (List.filter f outcomes) in

@@ -93,12 +93,9 @@ type batch = {
 
 (** Run one job (supervised, cache-backed). With [resume] and a
     [journal], a job whose latest record is graceful for the same
-    inputs is skipped without running. With [shard], every stage fetch
-    tiers local store → owning daemon → compute ({!Shard}); a shard
-    outage degrades to the local path. *)
+    inputs is skipped without running. *)
 val run_job :
   store:Store.t ->
-  ?shard:Shard.t ->
   ?journal:Elfie_supervise.Journal.t ->
   ?resume:bool ->
   job ->
@@ -111,7 +108,6 @@ val run_job :
 val run :
   ?jobs:int ->
   store:Store.t ->
-  ?shard:Shard.t ->
   ?journal:Elfie_supervise.Journal.t ->
   ?resume:bool ->
   job list ->

@@ -1,6 +1,5 @@
 module Metrics = Elfie_obs.Metrics
 module Trace = Elfie_obs.Trace
-module Log = Elfie_obs.Log
 
 type kind = Pinball | Bbv | Simpoint | Elfie | Measurement
 
@@ -12,9 +11,6 @@ let kind_name = function
   | Simpoint -> "simpoint"
   | Elfie -> "elfie"
   | Measurement -> "measurement"
-
-let kind_of_name name =
-  List.find_opt (fun k -> kind_name k = name) all_kinds
 
 type key = { kind : kind; key_digest : string }
 
@@ -49,9 +45,7 @@ let key kind ~program params =
   in
   { kind; key_digest = Digest.to_hex (Digest.string material) }
 
-let kind_of_key k = k.kind
 let digest k = k.key_digest
-let key_of_digest kind key_digest = { kind; key_digest }
 
 let pp_key fmt k =
   Format.fprintf fmt "%s/%s" (kind_name k.kind) k.key_digest
@@ -332,11 +326,7 @@ let quarantine t k ~reason =
   Trace.instant "farm.store.quarantine"
     ~attrs:
       [ ("kind", Trace.S (kind_name k.kind)); ("reason", Trace.S reason);
-        ("key", Trace.S k.key_digest) ];
-  Log.warn "farm.store.quarantine"
-    ~attrs:
-      [ ("kind", Trace.S (kind_name k.kind)); ("reason", Trace.S reason);
-        ("key", Trace.S k.key_digest); ("moved_to", Trace.S dest) ]
+        ("key", Trace.S k.key_digest) ]
 
 (* --- read / write ----------------------------------------------------------- *)
 
@@ -372,9 +362,9 @@ let mem t k = Sys.file_exists (path_of t k)
 
 (* --- advisory per-key locks ------------------------------------------------- *)
 
-let stale_s = Atomic.make 60.0
-let lock_stale_s () = Atomic.get stale_s
-let set_lock_stale_s v = Atomic.set stale_s (Float.max 0.0 v)
+(* Seconds after which a lock held by a live process is presumed
+   abandoned (hung owner) and may be broken. *)
+let lock_stale_s = 60.0
 
 (* Tokens of locks currently held by this process: a lock file naming
    our own pid but an unknown token is a leftover from a previous
@@ -422,7 +412,7 @@ let judge path content =
                  (Mutex.protect tokens_lock (fun () ->
                       Hashtbl.mem live_tokens token))
           then Stale (* recycled pid or dead domain *)
-          else if age () > Atomic.get stale_s then Stale
+          else if age () > lock_stale_s then Stale
           else Held_live)
   | _ ->
       (* Torn or foreign lock content: treat as stale once it has any

@@ -4,7 +4,7 @@
     Every pipeline artifact (pinball, BBV profile, SimPoint selection,
     ELFie, measurement record) is keyed by a stable digest of the
     {e program bytes} plus its {e normalized parameters}, so duplicate
-    submissions across a fleet hit cache instead of re-executing, and a
+    submissions across batches hit cache instead of re-executing, and a
     changed parameter (say [max_k]) re-keys only the artifacts it
     actually affects (incremental SimPoint reuse).
 
@@ -30,8 +30,8 @@
       next to the artifact so concurrent drivers (processes or domains)
       racing on one key perform exactly one computation; losers wait and
       then serve the winner's commit. Locks held by dead processes are
-      detected (the owner pid no longer exists, or the lock outlived
-      {!lock_stale_s}) and broken.
+      detected (the owner pid no longer exists, or a live owner has
+      held the lock for over 60 s) and broken.
 
     All store operations are safe to call from {!Elfie_util.Pool}
     worker domains. *)
@@ -43,9 +43,6 @@ val all_kinds : kind list
 (** Stable directory/label name: ["pinball"], ["bbv"], ... *)
 val kind_name : kind -> string
 
-(** Inverse of {!kind_name}; [None] for an unknown label. *)
-val kind_of_name : string -> kind option
-
 (** A content address: artifact kind + digest of program bytes and
     normalized parameters. *)
 type key
@@ -55,15 +52,8 @@ type key
     the address; [program] is hashed, not stored. *)
 val key : kind -> program:string -> (string * string) list -> key
 
-val kind_of_key : key -> kind
 val digest : key -> string
 val pp_key : Format.formatter -> key -> unit
-
-(** Rehydrate a key from its kind and digest — the wire form used by
-    the farm daemon protocol, where only the content address travels.
-    The digest is not re-derivable from anything, so a mistyped digest
-    simply addresses an absent artifact. *)
-val key_of_digest : kind -> string -> key
 
 type t
 
@@ -111,18 +101,11 @@ val get : t -> key -> format:int -> string option
 
 val mem : t -> key -> bool
 
-(** Seconds after which a lock file held by a {e live} process is
-    presumed abandoned (hung owner) and may be broken. Mutable process
-    default, initially 60. *)
-val lock_stale_s : unit -> float
-
-val set_lock_stale_s : float -> unit
-
 (** [get_or_compute t key ~format f] returns the cached payload or runs
     [f] under the key's advisory lock, commits its result, and returns
     it. Exactly one racing caller computes; others serve the commit.
-    Stale locks (dead owner pid, or older than {!lock_stale_s}) are
-    broken. [on_result] observes whether the value came from cache. *)
+    Stale locks (dead owner pid, or older than 60 s) are broken.
+    [on_result] observes whether the value came from cache. *)
 val get_or_compute :
   ?on_result:([ `Hit | `Miss ] -> unit) ->
   t ->

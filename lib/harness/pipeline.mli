@@ -101,10 +101,7 @@ val measure_elfie :
     SimPoint selection are then served from the content-addressed cache
     (keyed by the program's serialized image bytes plus the clustering
     parameters) instead of being recomputed, with corrupt cache entries
-    quarantined and recomputed transparently. [shard] layers a farm
-    daemon tier on top ({!Elfie_farm.Shard}): local store first, then
-    the key's owning daemon, then compute — a shard outage degrades to
-    the local path, never fails the validation.
+    quarantined and recomputed transparently.
 
     [jobs] caps how many region measurements of one rank run
     concurrently on {!Elfie_util.Pool} domains (default: the pool's
@@ -123,7 +120,6 @@ val validate :
   ?max_seed_retries:int ->
   ?journal:Elfie_supervise.Journal.t ->
   ?store:Elfie_farm.Store.t ->
-  ?shard:Elfie_farm.Shard.t ->
   ?elfie_options:
     (Elfie_simpoint.Simpoint.region ->
      Elfie_core.Pinball2elf.options ->

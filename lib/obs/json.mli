@@ -1,11 +1,10 @@
 (** A minimal JSON value type, parser and printer.
 
-    Just enough JSON for the observability layer's own formats: the
-    Chrome [trace_event] files {!Trace.to_chrome} writes (parsed back by
-    [elfied trace-merge]), and the one-object-per-line event log
-    {!Log} emits. Numbers are floats, [\u] escapes above U+00FF decode
-    to ['?']; this is not a general-purpose JSON library and is not
-    meant to be one. *)
+    Just enough JSON for the observability layer's own formats, such as
+    the Chrome [trace_event] files {!Trace.to_chrome} writes, and for the
+    benchmark reports that read them back. Numbers are floats, [\u]
+    escapes above U+00FF decode to ['?']; this is not a general-purpose
+    JSON library and is not meant to be one. *)
 
 type t =
   | Null

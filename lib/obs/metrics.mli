@@ -66,26 +66,6 @@ val families : unit -> string list
     headers, escaped label values, cumulative histogram buckets). *)
 val exposition : unit -> string
 
-(** One parsed exposition sample: metric name (including any
-    [_bucket] / [_sum] / [_count] suffix), labels in source order, and
-    the value. *)
-type sample = {
-  s_name : string;
-  s_labels : (string * string) list;
-  s_value : float;
-}
-
-(** Parse a Prometheus text exposition (the format {!exposition}
-    produces) back into samples, as the fleet scraper does with bytes
-    that crossed the wire. Comment, blank and malformed lines are
-    skipped. [+Inf] / [-Inf] values parse as OCaml infinities. *)
-val parse_exposition : string -> sample list
-
-(** Find one sample's value by name and exact label set (order
-    insensitive). *)
-val sample_value :
-  ?labels:(string * string) list -> string -> sample list -> float option
-
 (** Human-readable end-of-run table: one row per family with its series
     count and total. *)
 val summary : unit -> string

@@ -48,13 +48,10 @@ let[@inline] locked f = Mutex.protect lock f
 
 (* --- correlation identifiers ------------------------------------------ *)
 
-(* The process trace ID correlates spans across the processes of one
-   fleet request: a shard client stamps it (plus a fresh span ID) into
-   every wire frame, the daemon tags its handler span with both, and
-   `elfied trace-merge` joins them back up. Derived lazily from pid and
-   wall clock so concurrent processes draw distinct IDs. *)
+(* The process trace ID, recorded in every Chrome export so files from
+   one run can be told apart. Derived lazily from pid and wall clock so
+   concurrent processes draw distinct IDs. *)
 let trace_id_cell = ref 0L
-let span_id_counter = ref 0L
 
 let mix64 z =
   let z =
@@ -79,26 +76,12 @@ let fresh_trace_id () =
 
 let set_trace_id id = trace_id_cell := id
 
-let trace_id_unlocked () =
-  if !trace_id_cell = 0L then trace_id_cell := fresh_trace_id ();
-  !trace_id_cell
-
-let trace_id () = locked trace_id_unlocked
-
-let fresh_span_id () =
+let trace_id () =
   locked (fun () ->
-      span_id_counter := Int64.add !span_id_counter 1L;
-      mix64 (Int64.logxor (trace_id_unlocked ()) !span_id_counter))
+      if !trace_id_cell = 0L then trace_id_cell := fresh_trace_id ();
+      !trace_id_cell)
 
 let hex_id id = Printf.sprintf "%016Lx" id
-
-(* Perfetto labels the merged per-process tracks with this name. *)
-let process_label_cell = ref ""
-let set_process_label name = process_label_cell := name
-
-let process_label () =
-  if !process_label_cell <> "" then !process_label_cell
-  else Filename.basename Sys.executable_name
 
 let set_enabled b = enabled_flag := b
 let enabled () = !enabled_flag
@@ -216,9 +199,9 @@ let chrome_event ~pid = function
         "{\"name\":\"%s\",\"ph\":\"i\",\"ts\":%.3f,\"s\":\"t\",\"pid\":%d,\"tid\":1,\"args\":%s}"
         (json_escape name) ts pid (json_args attrs)
 
-(* "ph":"M" metadata names the per-process and per-thread tracks, so a
-   merged multi-process trace reads as named lanes in Perfetto instead
-   of bare numeric pids. *)
+(* "ph":"M" metadata names the per-process and per-thread tracks, so the
+   trace reads as named lanes in Perfetto instead of bare numeric
+   pids. *)
 let chrome_metadata ~pid ~label =
   [
     Printf.sprintf
@@ -231,7 +214,11 @@ let chrome_metadata ~pid ~label =
 
 let to_chrome ?pid ?label () =
   let pid = match pid with Some p -> p | None -> Unix.getpid () in
-  let label = match label with Some l -> l | None -> process_label () in
+  let label =
+    match label with
+    | Some l -> l
+    | None -> Filename.basename Sys.executable_name
+  in
   let b = Buffer.create 4096 in
   Buffer.add_string b "{\"traceEvents\":[";
   List.iter
@@ -244,7 +231,7 @@ let to_chrome ?pid ?label () =
       if i > 0 then Buffer.add_char b ',';
       Buffer.add_string b (chrome_event ~pid ev))
     (events ());
-  (* The absolute epoch (us since the Unix epoch) lets trace-merge align
+  (* The absolute epoch (us since the Unix epoch) lets a reader align
      files whose ts fields are each relative to their own process
      start. *)
   Buffer.add_string b

@@ -1,6 +1,5 @@
 module Trace = Elfie_obs.Trace
 module Metrics = Elfie_obs.Metrics
-module Log = Elfie_obs.Log
 
 type budget = { ins : int64 option; wall_s : float option }
 
@@ -196,16 +195,6 @@ let supervise ~job ?(policy = default_policy) ?(budget = unlimited) ?journal
       in
       Trace.end_span asp
         ~attrs:[ ("class", Trace.S (Classify.to_string cls)) ];
-      (match cls with
-      | Classify.Graceful -> ()
-      | cls ->
-          Log.warn "supervisor.attempt_failed"
-            ~attrs:
-              [
-                ("job", Trace.S job);
-                ("attempt", Trace.I (Int64.of_int attempt_no));
-                ("class", Trace.S (Classify.to_string cls));
-              ]);
       let value = match value with None -> last_value | some -> some in
       push
         {
@@ -226,14 +215,7 @@ let supervise ~job ?(policy = default_policy) ?(budget = unlimited) ?journal
       | Escalate ->
           run_escalation cls;
           (cls, true, value)
-      | Quarantine ->
-          Log.error "supervisor.quarantine"
-            ~attrs:
-              [
-                ("job", Trace.S job);
-                ("class", Trace.S (Classify.to_string cls));
-              ];
-          (cls, true, value)
+      | Quarantine -> (cls, true, value)
     in
     let final, quarantined, value = go ~attempt_no:0 ~budget ~raised:false None in
     let total_wall_s = Unix.gettimeofday () -. t_start in
