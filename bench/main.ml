@@ -10,7 +10,7 @@
 
 (* --- machine-core microbenchmark (BENCH_core.json) ---------------------
 
-   Interpreted instructions/second on a stream+branchy kernel, hook-free
+   Retired instructions/second on a stream+branchy kernel, hook-free
    (the translated-block fast path) and with an instruction-counting
    pintool attached. Written to BENCH_core.json so future PRs have a
    perf trajectory to compare against. *)

@@ -1,14 +1,20 @@
 (* Chain-tier smoke test, run from `dune runtest` via the @bench-smoke
-   alias: a tiny deterministic loop kernel executed both with the
-   superblock chain tier and with plain block dispatch. Guards against
-   silent chain-tier regressions — the chained run must actually build
-   superblocks, retire the identical instruction stream, and not be
-   slower than block-only dispatch. The workload is small enough for CI
-   (a few hundred thousand instructions per leg) and the expected gap is
-   large (≥1.3x in BENCH_core.json), so best-of-N wall-clock comparison
-   at margin 1.0 is robust against scheduler noise. *)
+   alias: a tiny deterministic loop kernel executed with the superblock
+   chain tier, with plain block dispatch, and once more under a pintool
+   counting every instruction, memory and branch hook (the
+   per-instruction path). Guards against silent chain-tier regressions —
+   the chained run must actually build superblocks, retire the identical
+   instruction stream, and not be slower than block-only dispatch — and
+   against the hooked path drifting from the hook-free ones: it must
+   retire the same stream in the same cycles, fire [on_ins] once per
+   retired instruction and fire the memory hooks. The workload is small
+   enough for CI (a few hundred thousand instructions per leg) and the
+   expected chain gap is large (≥1.3x in BENCH_core.json), so best-of-N
+   wall-clock comparison at margin 1.0 is robust against scheduler
+   noise. *)
 
 module Machine = Elfie_machine.Machine
+module Pintool = Elfie_pin.Pintool
 
 let max_ins = 400_000L
 let trials = 5
@@ -20,30 +26,49 @@ let spec =
           reps = 4000 } ]
     ~outer_reps:50 ~threads:1 ~ws_bytes:65536 "bench-smoke"
 
-let run ~chain =
+type leg = { retired : int64; cycles : int64; built : int; wall : float }
+
+let run ?(tools = []) ~chain () =
   let rs = Elfie_workloads.Programs.run_spec ~seed:7L spec in
   let machine, _kernel = Elfie_pin.Run.instantiate rs in
   Machine.set_chain_enabled machine chain;
+  let detach = Pintool.attach machine tools in
   let t0 = Unix.gettimeofday () in
   Machine.run ~max_ins machine;
   let wall = Unix.gettimeofday () -. t0 in
-  (Machine.total_retired machine, (Machine.chain_stats machine).Machine.superblocks_built, wall)
+  detach ();
+  {
+    retired = Machine.total_retired machine;
+    cycles = Machine.elapsed_cycles machine;
+    built = (Machine.chain_stats machine).Machine.superblocks_built;
+    wall;
+  }
 
 let () =
   let best_chain = ref infinity and best_block = ref infinity in
-  let retired_chain = ref 0L and retired_block = ref 0L in
-  let built = ref 0 in
+  let chained = ref None and block = ref None in
   (* Interleaved trials, as in the full core bench, so neither leg
      systematically benefits from warm-up. *)
   for _ = 1 to trials do
-    let r, _, w = run ~chain:false in
-    retired_block := r;
-    if w < !best_block then best_block := w;
-    let r, b, w = run ~chain:true in
-    retired_chain := r;
-    built := b;
-    if w < !best_chain then best_chain := w
+    let b = run ~chain:false () in
+    block := Some b;
+    if b.wall < !best_block then best_block := b.wall;
+    let c = run ~chain:true () in
+    chained := Some c;
+    if c.wall < !best_chain then best_chain := c.wall
   done;
+  let chained = Option.get !chained and block = Option.get !block in
+  let ins = ref 0 and reads = ref 0 and writes = ref 0 and branches = ref 0 in
+  let counter =
+    {
+      (Pintool.empty ~name:"smoke-counter") with
+      on_ins = Some (fun _ _ _ -> incr ins);
+      on_mem_read = Some (fun _ _ _ -> incr reads);
+      on_mem_write = Some (fun _ _ _ -> incr writes);
+      on_branch = Some (fun _ _ _ _ -> incr branches);
+    }
+  in
+  let hooked = run ~tools:[ counter ] ~chain:true () in
   let fail = ref false in
   let check name ok =
     Printf.printf "%-44s %s\n" name (if ok then "ok" else "FAIL");
@@ -51,8 +76,19 @@ let () =
   in
   Printf.printf "bench-smoke: block-only %.1f ms, chained %.1f ms (best of %d)\n"
     (1000. *. !best_block) (1000. *. !best_chain) trials;
+  Printf.printf
+    "bench-smoke: hooked %.1f ms; hooks fired: %d ins, %d reads, %d writes, \
+     %d branches\n"
+    (1000. *. hooked.wall) !ins !reads !writes !branches;
   check "chained and block-only retire the same stream"
-    (Int64.equal !retired_chain !retired_block && Int64.compare !retired_chain 0L > 0);
-  check "chained run built superblocks" (!built > 0);
+    (Int64.equal chained.retired block.retired
+    && Int64.compare chained.retired 0L > 0);
+  check "chained run built superblocks" (chained.built > 0);
   check "chained throughput >= block-only" (!best_chain <= !best_block);
+  check "hooked leg retires the chained stream"
+    (Int64.equal hooked.retired chained.retired
+    && Int64.equal hooked.cycles chained.cycles);
+  check "on_ins fired once per retired instruction"
+    (Int64.equal (Int64.of_int !ins) hooked.retired);
+  check "memory hooks fired" (!reads > 0 && !writes > 0);
   if !fail then exit 1

@@ -248,7 +248,6 @@ let run ?(seed = 11L) ?(fs_init = fun (_ : Fs.t) -> ()) ?(cwd = "/")
 type warmed = { w_snapshot : Machine.snapshot; w_kernel : Vkernel.t }
 
 let warmed_pages w = Machine.snapshot_page_count w.w_snapshot
-let warmed_snapshot w = w.w_snapshot
 
 let warm ?(seed = 11L) ?(fs_init = fun (_ : Fs.t) -> ()) ?(cwd = "/")
     ?(max_ins = 100_000_000L) ?timing ?(kernel_cost = true)

@@ -125,5 +125,3 @@ val resume :
 
 (** Mapped pages frozen in the warmed capture (fork cost reporting). *)
 val warmed_pages : warmed -> int
-
-val warmed_snapshot : warmed -> Elfie_machine.Machine.snapshot

@@ -73,6 +73,8 @@ type model = {
   l2 : Cache.t;
   llc : Cache.t;
   dtlb : Cache.t;
+  llc_lines : (int, unit) Hashtbl.t;
+      (* distinct lines looked up in the LLC: the data footprint *)
   predictor : Bytes.t;
   rng : Elfie_util.Rng.t;
   mutable enabled : bool;
@@ -99,6 +101,7 @@ let fresh_model cfg mode ~enabled =
         (Cache.config
            ~size_bytes:(cfg.dtlb_entries * Addr_space.page_size)
            ~ways:cfg.dtlb_entries ~line_bytes:Addr_space.page_size);
+    llc_lines = Hashtbl.create 1024;
     predictor = Bytes.make predictor_entries '\002';
     rng = Elfie_util.Rng.create 0x5ca1ab1eL;
     enabled;
@@ -113,8 +116,14 @@ let fresh_model cfg mode ~enabled =
 let cache_walk model addr =
   if Cache.access model.l1 addr then 0
   else if Cache.access model.l2 addr then model.cfg.l1_miss_cycles
-  else if Cache.access model.llc addr then model.cfg.l2_miss_cycles
-  else model.cfg.llc_miss_cycles
+  else begin
+    Hashtbl.replace model.llc_lines
+      (Int64.to_int
+         (Int64.unsigned_div addr (Int64.of_int model.cfg.llc.line_bytes)))
+      ();
+    if Cache.access model.llc addr then model.cfg.l2_miss_cycles
+    else model.cfg.llc_miss_cycles
+  end
 
 let mem_access model addr =
   let tlb_penalty =
@@ -232,7 +241,8 @@ let simulate ?(mode = User_level) ?(from_marker = true) ?measure_after
         (let ins = Int64.sub model.user_ins model.window_start_ins in
          let cyc = model.cycles -. model.window_start_cycles in
          if ins <= 0L then 0.0 else cyc /. Int64.to_float ins);
-      data_footprint_bytes = Int64.of_int (Cache.footprint_lines model.llc * 64);
+      data_footprint_bytes =
+        Int64.of_int (Hashtbl.length model.llc_lines * cfg.llc.line_bytes);
       dtlb_misses = Int64.of_int (Cache.misses model.dtlb);
       llc_misses = Int64.of_int (Cache.misses model.llc);
       syscalls = model.syscalls;

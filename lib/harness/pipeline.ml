@@ -68,6 +68,22 @@ type validation = {
 
 let workdir = "/work"
 
+(* Convert a captured region pinball to its ELFie: sysstate
+   reconstruction, the region marker and the warmup mark, with the
+   conversion options then passed through [options]. *)
+let region_elfie ~options pinball ~warmup =
+  let sysstate = Elfie_pin.Sysstate.analyze pinball in
+  let options =
+    options
+      {
+        Elfie_core.Pinball2elf.default_options with
+        sysstate = Some sysstate;
+        marker = Some (Elfie_core.Pinball2elf.Ssc 0x4649L);
+        warmup_mark = (if warmup > 0L then Some warmup else None);
+      }
+  in
+  (Elfie_core.Pinball2elf.convert ~options pinball, sysstate)
+
 let make_region_elfie run_spec ~name ~warmup ~start ~length =
   match
     Elfie_pin.Logger.capture run_spec ~name
@@ -75,19 +91,8 @@ let make_region_elfie run_spec ~name ~warmup ~start ~length =
   with
   | exception Elfie_pin.Logger.Unsupported _ -> None
   | { pinball; reached_end } ->
-      if not reached_end then None
-      else begin
-        let sysstate = Elfie_pin.Sysstate.analyze pinball in
-        let options =
-          {
-            Elfie_core.Pinball2elf.default_options with
-            sysstate = Some sysstate;
-            marker = Some (Elfie_core.Pinball2elf.Ssc 0x4649L);
-            warmup_mark = (if warmup > 0L then Some warmup else None);
-          }
-        in
-        Some (Elfie_core.Pinball2elf.convert ~options pinball, sysstate)
-      end
+      if reached_end then Some (region_elfie ~options:Fun.id pinball ~warmup)
+      else None
 
 (* Region measurement (both entry points below) warms each ELFie once
    per attempt and forks the copy-on-write capture per trial — see
@@ -105,12 +110,12 @@ let measure_elfie ?(trials = 3) ?(base_seed = 2000L) (image, sysstate) =
    failures reseed up to [max_seed_retries] times, runaways get one
    raised instruction budget, anything else quarantines immediately.
    Returns the supervisor's report plus the accepted sample. *)
-let measure_supervised ~trials ~base_seed ~max_seed_retries ?journal ~job
+let measure_supervised ~trials ~base_seed ~max_seed_retries ~job
     (image, sysstate) =
   let policy =
     { Supervisor.default_policy with retries = max_seed_retries; base_seed }
   in
-  Supervisor.supervise ~job ~policy ?journal ~resume:false
+  Supervisor.supervise ~job ~policy ~resume:false
     ~inputs:[ job; Int64.to_string base_seed; string_of_int trials ]
     (fun ~attempt_no:_ ~seed ~budget:_ ->
       let sample, outcomes =
@@ -135,9 +140,9 @@ let measure_supervised ~trials ~base_seed ~max_seed_retries ?journal ~job
    past the warmup prefix only (the traditional validation path). A
    simulation that the instruction cap had to stop classifies as a
    runaway and is quarantined after one raised-budget retry. *)
-let simulate_region ?journal ~job (image, sysstate) ~warmup =
+let simulate_region ~job (image, sysstate) ~warmup =
   let budget = { Supervisor.unlimited with ins = Some 100_000_000L } in
-  Supervisor.run_backend ~job ~budget ?journal ~resume:false ~inputs:[ job ]
+  Supervisor.run_backend ~job ~budget ~resume:false ~inputs:[ job ]
     (fun ~seed:_ ~max_ins ->
       let r =
         Elfie_coresim.Coresim.simulate ~mode:Elfie_coresim.Coresim.User_level
@@ -167,7 +172,7 @@ type req_result =
 
 let validate ?jobs ?(params = Simpoint.default_params) ?(trials = 3)
     ?(base_seed = 2000L) ?second_base_seed ?(with_simulation = false)
-    ?(max_alternates = 3) ?(max_seed_retries = 2) ?journal ?store
+    ?(max_alternates = 3) ?(max_seed_retries = 2) ?store
     ?(elfie_options = fun (_ : Simpoint.region) o -> o)
     (b : Elfie_workloads.Suite.benchmark) =
   let run_spec = Elfie_workloads.Programs.run_spec b.spec in
@@ -261,25 +266,13 @@ let validate ?jobs ?(params = Simpoint.default_params) ?(trials = 3)
     let process (name, (r, _)) =
       match List.assoc_opt name captured with
       | Some { Elfie_pin.Logger.pinball; reached_end = true } -> (
-          let sysstate = Elfie_pin.Sysstate.analyze pinball in
-          let options =
-            elfie_options r
-              {
-                Elfie_core.Pinball2elf.default_options with
-                sysstate = Some sysstate;
-                marker = Some (Elfie_core.Pinball2elf.Ssc 0x4649L);
-                warmup_mark =
-                  (if r.Simpoint.warmup_actual > 0L then
-                     Some r.Simpoint.warmup_actual
-                   else None);
-              }
-          in
           let elfie =
-            (Elfie_core.Pinball2elf.convert ~options pinball, sysstate)
+            region_elfie ~options:(elfie_options r) pinball
+              ~warmup:r.Simpoint.warmup_actual
           in
           let report, sample =
-            measure_supervised ~trials ~base_seed ~max_seed_retries ?journal
-              ~job:name elfie
+            measure_supervised ~trials ~base_seed ~max_seed_retries ~job:name
+              elfie
           in
           match sample with
           | Some sample when not report.Supervisor.quarantined ->
@@ -304,7 +297,7 @@ let validate ?jobs ?(params = Simpoint.default_params) ?(trials = 3)
                 if with_simulation then begin
                   let sim_job = name ^ "_sim" in
                   let sim_report, cpi =
-                    simulate_region ?journal ~job:sim_job elfie
+                    simulate_region ~job:sim_job elfie
                       ~warmup:r.Simpoint.warmup_actual
                   in
                   ( cpi,

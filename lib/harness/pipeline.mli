@@ -90,9 +90,7 @@ val measure_elfie :
     runaway executions get one raised instruction budget, and
     unretryable classes are quarantined before the pipeline falls back
     to the cluster's next ranked alternate region. Every recovery action
-    — including quarantines — is recorded in [degradations], and, when
-    [journal] is given, every supervised job appends a record to it
-    (write-through only; the pipeline never skips from the journal).
+    — including quarantines — is recorded in [degradations].
 
     [elfie_options] post-processes the conversion options per region —
     primarily a hook for fault-injection tests.
@@ -118,7 +116,6 @@ val validate :
   ?with_simulation:bool ->
   ?max_alternates:int ->
   ?max_seed_retries:int ->
-  ?journal:Elfie_supervise.Journal.t ->
   ?store:Elfie_farm.Store.t ->
   ?elfie_options:
     (Elfie_simpoint.Simpoint.region ->

@@ -1,5 +1,4 @@
 let pct v = Printf.sprintf "%.1f%%" (100.0 *. v)
-let f2 v = Printf.sprintf "%.2f" v
 let f3 v = Printf.sprintf "%.3f" v
 
 let table ~header rows =

@@ -10,5 +10,4 @@ val table : header:string list -> string list list -> string
 val bars : ?unit_label:string -> title:string -> (string * (string * float) list) list -> string
 
 val pct : float -> string
-val f2 : float -> string
 val f3 : float -> string

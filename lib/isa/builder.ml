@@ -53,7 +53,6 @@ let push b item =
   b.item_count <- b.item_count + 1
 
 let ins b i = push b (Fixed i)
-let inss b is = List.iter (ins b) is
 let jmp b l = push b (Jump (`Jmp, l))
 let call b l = push b (Jump (`Call, l))
 let jcc b c l = push b (Branch (c, l))

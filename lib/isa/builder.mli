@@ -27,9 +27,6 @@ val here : ?name:string -> t -> label
     taken as already computed). *)
 val ins : t -> Insn.t -> unit
 
-(** Append several instructions. *)
-val inss : t -> Insn.t list -> unit
-
 val jmp : t -> label -> unit
 val jcc : t -> Insn.cond -> label -> unit
 val call : t -> label -> unit

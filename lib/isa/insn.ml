@@ -58,8 +58,6 @@ type t =
   | Hlt
   | Ud2
 
-let is_marker = function Cpuid | Ssc_marker _ | Magic _ -> true | _ -> false
-
 type klass = K_alu | K_load | K_store | K_branch | K_call | K_syscall | K_vector | K_other
 
 let classify = function

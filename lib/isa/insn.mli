@@ -77,9 +77,6 @@ type t =
   | Hlt
   | Ud2  (** guaranteed-invalid instruction *)
 
-(** [is_marker t] is true for the three ROI-marker instructions. *)
-val is_marker : t -> bool
-
 (** Instruction class used by timing models. *)
 type klass = K_alu | K_load | K_store | K_branch | K_call | K_syscall | K_vector | K_other
 

@@ -67,11 +67,9 @@ let create ?(config = default_config) fs =
 let config t = t.cfg
 let fs t = t.fs
 let cwd t = t.cwd
-let set_cwd t d = t.cwd <- d
 let stdout_contents t = Buffer.contents t.stdout_buf
 let brk t = t.brk
 let force_brk t v = t.brk <- v
-let open_fd_count t = Hashtbl.length t.fds
 
 type fd_state = Fd_console | Fd_file of { path : string; pos : int }
 

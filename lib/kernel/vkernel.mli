@@ -43,7 +43,6 @@ val install : t -> Elfie_machine.Machine.t -> unit
 val fork : t -> t
 
 val cwd : t -> string
-val set_cwd : t -> string -> unit
 
 (** Everything the process wrote to stdout/stderr. *)
 val stdout_contents : t -> string
@@ -57,9 +56,6 @@ val force_brk : t -> int64 -> unit
 (** Pre-open a file at a specific descriptor — the Vkernel half of the
     SYSSTATE [FD_n] mechanism. Returns [false] if the path is absent. *)
 val preopen_fd : t -> fd:int -> path:string -> bool
-
-(** Number of open descriptors (for tests). *)
-val open_fd_count : t -> int
 
 (** Descriptor-table introspection and reconstruction, used by
     whole-process checkpointing (the CRIU-style baseline). *)

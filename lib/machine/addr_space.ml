@@ -120,9 +120,6 @@ let unmap t ~addr ~len =
   List.iter (Hashtbl.remove t.pages) (range_pages addr len);
   tlb_flush t
 
-let any_mapped t ~addr ~len =
-  List.exists (Hashtbl.mem t.pages) (range_pages addr len)
-
 let note_code t ~addr ~len =
   List.iter
     (fun n ->

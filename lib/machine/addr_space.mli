@@ -29,9 +29,6 @@ val unmap : t -> addr:int64 -> len:int -> unit
 
 val is_mapped : t -> int64 -> bool
 
-(** True if any page overlapping [addr, addr+len) is mapped. *)
-val any_mapped : t -> addr:int64 -> len:int -> bool
-
 val read_u8 : t -> int64 -> int
 val write_u8 : t -> int64 -> int -> unit
 

@@ -32,15 +32,9 @@ type t = {
      else in that set moved, so the line already holds the strictly
      largest stamp and every future victim choice is unchanged. *)
   mutable mru_line : int;
-  (* First-touch filter: streams hit the same line many times in a row,
-     so remembering the last line skips the footprint-set probe on the
-     common path without changing the set's contents. *)
-  mutable last_line : int;
-  track : bool;
-  touched : (int, unit) Hashtbl.t;
 }
 
-let create ?(track_footprint = true) cfg =
+let create cfg =
   let sets = cfg.size_bytes / (cfg.ways * cfg.line_bytes) in
   let line_bits =
     let rec go n b = if n = 1 then b else go (n lsr 1) (b + 1) in
@@ -57,25 +51,18 @@ let create ?(track_footprint = true) cfg =
     hits = 0;
     misses = 0;
     mru_line = -1;
-    last_line = -1;
-    track = track_footprint;
-    touched = Hashtbl.create (if track_footprint then 1024 else 1);
   }
 
 let access t addr =
   let line = Int64.to_int (Int64.shift_right_logical addr t.line_bits) in
   if line = t.mru_line then begin
-    (* Repeat of the last access: resident by construction, already the
-       most recent in its set, already in the footprint set. *)
+    (* Repeat of the last access: resident by construction and already
+       the most recent in its set. *)
     t.hits <- t.hits + 1;
     true
   end
   else begin
     t.mru_line <- line;
-    if t.track && line <> t.last_line then begin
-      t.last_line <- line;
-      if not (Hashtbl.mem t.touched line) then Hashtbl.replace t.touched line ()
-    end;
     let set =
       (* Lines are non-negative, so masking equals [mod] for power-of-two
          set counts (every default geometry). *)
@@ -122,18 +109,10 @@ let copy t =
     tags = Array.copy t.tags;
     lru = Array.copy t.lru;
     stamp = Array.copy t.stamp;
-    touched = Hashtbl.copy t.touched;
   }
 
 let hits t = t.hits
 let misses t = t.misses
-let footprint_lines t = Hashtbl.length t.touched
-
-let reset_stats t =
-  t.hits <- 0;
-  t.misses <- 0;
-  t.last_line <- -1;
-  Hashtbl.reset t.touched
 
 let flush t =
   t.mru_line <- -1;

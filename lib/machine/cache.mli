@@ -14,11 +14,8 @@ val config : size_bytes:int -> ways:int -> line_bytes:int -> config
 
 type t
 
-(** [create cfg] builds an empty cache. [track_footprint] (default
-    [true]) controls whether every touched line is recorded for
-    {!footprint_lines}; levels whose footprint is never read (the timing
-    model's L1/L2) disable it to keep the per-access cost flat. *)
-val create : ?track_footprint:bool -> config -> t
+(** [create cfg] builds an empty cache. *)
+val create : config -> t
 
 (** [access t addr] returns [true] on hit and updates LRU state;
     on miss the line is filled. *)
@@ -30,12 +27,6 @@ val copy : t -> t
 
 val hits : t -> int
 val misses : t -> int
-
-(** Distinct lines ever touched — a data-footprint proxy. Always 0 when
-    the cache was created with [~track_footprint:false]. *)
-val footprint_lines : t -> int
-
-val reset_stats : t -> unit
 
 (** Drop all lines (e.g. a TLB flush perturbation), keeping stats. *)
 val flush : t -> unit

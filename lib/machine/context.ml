@@ -4,7 +4,7 @@ open Elfie_isa
    [int64 array]: int64 array elements are boxed, so every register
    write would allocate (the boxed result) and run the write barrier.
    Bytes accessors move unboxed int64 values directly — a register
-   write from the interpreter's hot loop is a plain 8-byte store.
+   write from a micro-op is a plain 8-byte store.
    In-memory order is host-native (the accessor pair is internally
    consistent on any host); serialization fixes little-endian. *)
 external unsafe_get_64 : Bytes.t -> int -> int64 = "%caml_bytes_get64u"

@@ -12,7 +12,7 @@ type t = {
       (** 16 × 8-byte host-endian register slots, indexed by
           [8 * Reg.gpr_index]. A byte buffer rather than an
           [int64 array] so register reads/writes move unboxed values
-          (no allocation, no write barrier on the interpreter's hot
+          (no allocation, no write barrier on the micro-ops' hot
           path); access it through {!get}/{!set}/{!geti}/{!seti} or the
           raw-buffer pair {!bget}/{!bset}. *)
   mutable rip : int64;

@@ -66,12 +66,12 @@ type sched_state =
 
 (* A translated basic block: a straight-line run of decoded instructions
    ending at the first branch/call/syscall/marker (or the translation
-   window). Executing one replays the per-instruction interpreter
-   exactly, but pays fetch, decode, static cost classification and
-   micro-op specialisation once per block instead of once per
+   window). Translation pays fetch, decode, static cost classification
+   and micro-op specialisation once per block instead of once per
    instruction. [bb_uops] holds each instruction compiled to a closure
-   with operands pre-resolved (register indices, addressing mode); it is
-   only entered on the hook-free batch path. *)
+   with operands pre-resolved (register indices, addressing mode); every
+   execution path runs them — one at a time under instrumentation, in
+   batches or composed chains without. *)
 type bb = {
   bb_pc : int64 array;  (* pc of each instruction *)
   bb_ins : Insn.t array;
@@ -89,10 +89,9 @@ type bb = {
      so predicted edges hop block-to-block without touching the
      dispatch loop. *)
   bb_writes_mem : bool;
-      (* some instruction may write memory (stores, pushes, calls, or
-         any [execute]-fallback form): only such a block can dirty a
-         code page mid-block, so only such a block needs the
-         per-instruction generation re-check. *)
+      (* some instruction may write memory (see [may_write_mem]): only
+         such a block can dirty a code page mid-block, so only such a
+         block needs the per-instruction generation re-check. *)
   bb_succ_taken : int64;  (* direct taken-edge target pc, or -1L *)
   bb_succ_fall : int64;  (* fall-through pc of a [Jcc] tail, or -1L *)
   bb_kill_prefix : int;
@@ -162,15 +161,11 @@ and t = {
   mutable decode_generation : int;
   mutable timer : (int * int * Elfie_util.Rng.t) option;
   mutable group_exit_status : int option;
-  (* Cycle cost accumulator for the instruction currently in [execute];
-     a field rather than a per-call ref so the interpreter allocates
-     nothing per instruction. Not reentrant — syscall handlers run
-     inside [execute] but never recurse into it. *)
-  mutable exec_cost : int;
   (* Dynamic (cache, branch, pause) cycle cost accumulated by micro-ops
-     across one hook-free batch; static class costs come from
-     [bb_prefix]. Zeroed at batch start and flushed into the thread's
-     cycle count at batch end. *)
+     across one batch, chain run or single instruction; static class
+     costs come from [bb_cost]/[bb_prefix]. Zeroed at the start and
+     flushed into the thread's cycle count at the end. Not reentrant —
+     syscall handlers run inside a micro-op but never run the machine. *)
   mutable dyn_cost : int;
   (* Direct-mapped front memo for the block cache: hot loops (whose
      bodies typically span a handful of blocks) fetch translations with
@@ -283,7 +278,6 @@ let create ?(timing = Timing.default) scheduler =
     decode_generation = -1;
     timer = None;
     group_exit_status = None;
-    exec_cost = 0;
     dyn_cost = 0;
     block_memo_pc = Array.make block_memo_size (-1L);
     block_memo = Array.make block_memo_size dummy_bb;
@@ -339,11 +333,6 @@ let thread t tid =
   t.thread_arr.(tid)
 
 let threads t = Array.to_list t.thread_arr
-
-let live_thread_count t =
-  Array.fold_left
-    (fun n th -> match th.state with Runnable -> n + 1 | _ -> n)
-    0 t.thread_arr
 
 let exit_thread t tid ~status =
   let th = thread t tid in
@@ -403,7 +392,6 @@ let all_exited_cleanly t =
 let set_block_observer t f = t.block_observer <- f
 let translated_blocks t = Hashtbl.length t.block_cache
 let set_chain_enabled t b = t.chain_enabled <- b
-let translated_superblocks t = t.live_links
 
 type chain_stats = {
   memo_hits : int;
@@ -502,15 +490,6 @@ let flush_core_metrics t =
 
 (* --- Instruction semantics --------------------------------------------- *)
 
-let effective_address ctx (m : Insn.mem) =
-  let base = match m.base with Some r -> Context.get ctx r | None -> 0L in
-  let index =
-    match m.index with
-    | Some r -> Int64.mul (Context.get ctx r) (Int64.of_int m.scale)
-    | None -> 0L
-  in
-  Int64.add (Int64.add base index) m.disp
-
 let truncate_width width v =
   match width with
   | Insn.W8 -> Int64.logand v 0xffL
@@ -597,16 +576,6 @@ let exec_shift (flags : Reg.flags) op v n =
     r
   end
 
-let eval_cond (flags : Reg.flags) = function
-  | Insn.Eq -> flags.zf
-  | Ne -> not flags.zf
-  | Lt -> flags.sf <> flags.ovf
-  | Ge -> flags.sf = flags.ovf
-  | Le -> flags.zf || flags.sf <> flags.ovf
-  | Gt -> (not flags.zf) && flags.sf = flags.ovf
-  | Ult -> flags.cf
-  | Uge -> not flags.cf
-
 let float_lane_op op a b =
   let fa = Int64.float_of_bits a and fb = Int64.float_of_bits b in
   let r =
@@ -614,171 +583,11 @@ let float_lane_op op a b =
   in
   Int64.bits_of_float r
 
-(* Memory helpers for [execute]: the hook dispatch, the stateful cache
-   cost and the access itself, with quadword variants hitting the
-   [Addr_space] fast paths. Top-level functions accumulating into
-   [t.exec_cost] so the interpreter allocates no closures. *)
-let[@inline] mem_read t tid addr width =
-  (match t.hooks.on_mem_read with Some f -> f tid addr width | None -> ());
-  t.exec_cost <- t.exec_cost + Timing.mem_cost t.timing addr;
-  Addr_space.read t.mem addr width
-
-let[@inline] mem_read64 t tid addr =
-  (match t.hooks.on_mem_read with Some f -> f tid addr 8 | None -> ());
-  t.exec_cost <- t.exec_cost + Timing.mem_cost t.timing addr;
-  Addr_space.read_u64 t.mem addr
-
-let[@inline] mem_write t tid addr width v =
-  (match t.hooks.on_mem_write with Some f -> f tid addr width | None -> ());
-  t.exec_cost <- t.exec_cost + Timing.mem_cost t.timing addr;
-  Addr_space.write t.mem addr width v
-
-let[@inline] mem_write64 t tid addr v =
-  (match t.hooks.on_mem_write with Some f -> f tid addr 8 | None -> ());
-  t.exec_cost <- t.exec_cost + Timing.mem_cost t.timing addr;
-  Addr_space.write_u64 t.mem addr v
-
-let[@inline] push t tid ctx v =
-  let sp = Int64.sub (Context.get ctx RSP) 8L in
-  Context.set ctx RSP sp;
-  mem_write64 t tid sp v
-
-let[@inline] pop t tid ctx =
-  let sp = Context.get ctx RSP in
-  let v = mem_read64 t tid sp in
-  Context.set ctx RSP (Int64.add sp 8L);
-  v
-
-let[@inline] branch_to t tid ctx pc target taken =
-  t.exec_cost <- t.exec_cost + Timing.branch_cost t.timing ~pc ~taken;
-  (match t.hooks.on_branch with Some f -> f tid pc target taken | None -> ());
-  if taken then ctx.Context.rip <- target
-
-(* Execute [ins] for thread [th]; RIP already points past it.
-   [base_cost] is the instruction's static class cost, precomputed at
-   translation time. *)
-let execute t th pc ins base_cost =
-  let ctx = th.ctx in
-  let flags = ctx.Context.flags in
-  let tid = th.tid in
-  t.exec_cost <- base_cost;
-  (match ins with
-  | Insn.Mov_ri (r, v) -> Context.set ctx r v
-  | Mov_rr (d, s) -> Context.set ctx d (Context.get ctx s)
-  | Load (w, r, m) ->
-      let addr = effective_address ctx m in
-      let v =
-        match w with
-        | Insn.W64 -> mem_read64 t tid addr
-        | w -> mem_read t tid addr (Insn.width_bytes w)
-      in
-      Context.set ctx r v
-  | Store (w, m, r) ->
-      let v = truncate_width w (Context.get ctx r) in
-      let addr = effective_address ctx m in
-      (match w with
-      | Insn.W64 -> mem_write64 t tid addr v
-      | w -> mem_write t tid addr (Insn.width_bytes w) v)
-  | Lea (r, m) -> Context.set ctx r (effective_address ctx m)
-  | Alu_rr (op, d, s) ->
-      let r = (alu_fn op) flags (Context.get ctx d) (Context.get ctx s) in
-      if alu_writes op then Context.set ctx d r
-  | Alu_ri (op, d, imm) ->
-      let r = (alu_fn op) flags (Context.get ctx d) imm in
-      if alu_writes op then Context.set ctx d r
-  | Shift_ri (op, d, n) -> Context.set ctx d (exec_shift flags op (Context.get ctx d) n)
-  | Neg d -> Context.set ctx d (alu_sub flags 0L (Context.get ctx d))
-  | Push r -> push t tid ctx (Context.get ctx r)
-  | Pop r -> Context.set ctx r (pop t tid ctx)
-  | Jmp rel ->
-      branch_to t tid ctx pc (Int64.add ctx.Context.rip (Int64.of_int rel)) true
-  | Jcc (c, rel) ->
-      let taken = eval_cond flags c in
-      branch_to t tid ctx pc (Int64.add ctx.Context.rip (Int64.of_int rel)) taken
-  | Jmp_r r -> branch_to t tid ctx pc (Context.get ctx r) true
-  | Jmp_m m ->
-      let target = mem_read64 t tid (effective_address ctx m) in
-      branch_to t tid ctx pc target true
-  | Call rel ->
-      push t tid ctx ctx.Context.rip;
-      branch_to t tid ctx pc (Int64.add ctx.Context.rip (Int64.of_int rel)) true
-  | Call_r r ->
-      push t tid ctx ctx.Context.rip;
-      branch_to t tid ctx pc (Context.get ctx r) true
-  | Ret -> branch_to t tid ctx pc (pop t tid ctx) true
-  | Syscall ->
-      let action =
-        match t.syscall_filter with
-        | Some f -> f t tid
-        | None -> Run_syscall
-      in
-      (match action with
-      | Run_syscall -> t.syscall_handler t tid
-      | Skip_syscall -> ())
-  | Cpuid ->
-      (* Vendor string "VX86" in RBX; leaves a recognisable marker. *)
-      (match t.hooks.on_marker with Some f -> f tid ins | None -> ());
-      Context.set ctx RAX 1L;
-      Context.set ctx RBX 0x36385856L;
-      Context.set ctx RCX 0L;
-      Context.set ctx RDX 0L
-  | Nop -> ()
-  | Ssc_marker _ | Magic _ -> (
-      match t.hooks.on_marker with Some f -> f tid ins | None -> ())
-  | Pause -> t.exec_cost <- t.exec_cost + 10
-  | Xchg (r, m) ->
-      let addr = effective_address ctx m in
-      let old = mem_read64 t tid addr in
-      mem_write64 t tid addr (Context.get ctx r);
-      Context.set ctx r old
-  | Cmpxchg (m, r) ->
-      let addr = effective_address ctx m in
-      let old = mem_read64 t tid addr in
-      if old = Context.get ctx RAX then begin
-        mem_write64 t tid addr (Context.get ctx r);
-        flags.zf <- true
-      end
-      else begin
-        Context.set ctx RAX old;
-        flags.zf <- false
-      end
-  | Ldctx r ->
-      let img = Addr_space.read_bytes t.mem (Context.get ctx r) Context.xsave_size in
-      Context.xrstor ctx img
-  | Stctx r -> Addr_space.write_bytes t.mem (Context.get ctx r) (Context.xsave ctx)
-  | Wrfsbase r -> ctx.Context.fs_base <- Context.get ctx r
-  | Wrgsbase r -> ctx.Context.gs_base <- Context.get ctx r
-  | Rdfsbase r -> Context.set ctx r ctx.Context.fs_base
-  | Rdgsbase r -> Context.set ctx r ctx.Context.gs_base
-  | Popf ->
-      let fl = Reg.flags_of_word (pop t tid ctx) in
-      flags.zf <- fl.zf;
-      flags.sf <- fl.sf;
-      flags.cf <- fl.cf;
-      flags.ovf <- fl.ovf
-  | Pushf -> push t tid ctx (Reg.flags_to_word flags)
-  | Vload (x, m) ->
-      let addr = effective_address ctx m in
-      Context.set_xmm_lane ctx x 0 (mem_read64 t tid addr);
-      Context.set_xmm_lane ctx x 1 (mem_read64 t tid (Int64.add addr 8L))
-  | Vstore (m, x) ->
-      let addr = effective_address ctx m in
-      mem_write64 t tid addr (Context.xmm_lane ctx x 0);
-      mem_write64 t tid (Int64.add addr 8L) (Context.xmm_lane ctx x 1)
-  | Vop_rr (op, d, s) ->
-      Context.set_xmm_lane ctx d 0
-        (float_lane_op op (Context.xmm_lane ctx d 0) (Context.xmm_lane ctx s 0));
-      Context.set_xmm_lane ctx d 1
-        (float_lane_op op (Context.xmm_lane ctx d 1) (Context.xmm_lane ctx s 1))
-  | Hlt -> raise (Addr_space.Fault { addr = pc; access = Exec })
-  | Ud2 -> raise (Addr_space.Fault { addr = pc; access = Exec }));
-  th.cycles <- Int64.add th.cycles (Int64.of_int t.exec_cost)
-
 (* --- Micro-op compilation ---------------------------------------------- *)
 
 (* Addressing mode resolved at translation time: base/index register
-   indices and the scale multiply are baked into the closure. Matches
-   [effective_address] exactly (scale only applies to the index). *)
+   indices and the scale multiply are baked into the closure (scale only
+   applies to the index). *)
 let compile_addr (m : Insn.mem) : Bytes.t -> int64 =
   let disp = m.disp in
   match (m.base, m.index) with
@@ -808,6 +617,7 @@ let compile_addr (m : Insn.mem) : Bytes.t -> int64 =
             disp
 
 let rsp_index = Reg.gpr_index Reg.RSP
+let rax_index = Reg.gpr_index Reg.RAX
 
 let cond_fn = function
   | Insn.Eq -> fun (f : Reg.flags) -> f.zf
@@ -865,30 +675,79 @@ let test_cond_fn = function
   | Ult -> fun _ -> false
   | Uge -> fun _ -> true
 
-(* Compile one instruction to its hook-free batch form. Contract: the
-   closure performs exactly what [execute] does when every hook is
-   absent, except that (a) static class cost is accounted by the caller
-   through [bb_prefix] and (b) dynamic cost (cache misses, branch
-   prediction, [Pause]) is accumulated into [t.dyn_cost]. Cache and
-   predictor state are touched in the same order as [execute], and a
-   faulting micro-op leaves the faulting access's cost out of
-   [dyn_cost], mirroring [execute] discarding [exec_cost] when the
-   fault unwinds it.
+(* Memory and branch steps shared by the micro-ops, in the order every
+   form follows: the hook fires, then the cache or predictor is
+   charged, then the access happens or RIP moves. [read_cost] and
+   [write_cost] return the access's cache cost for the caller to add to
+   [dyn_cost] once nothing else in the instruction can fault. *)
+let[@inline] read_cost t tid addr width =
+  (match t.hooks.on_mem_read with Some f -> f tid addr width | None -> ());
+  Timing.mem_cost t.timing addr
+
+let[@inline] write_cost t tid addr width =
+  (match t.hooks.on_mem_write with Some f -> f tid addr width | None -> ());
+  Timing.mem_cost t.timing addr
+
+let[@inline] load64 t tid addr =
+  let c = read_cost t tid addr 8 in
+  let v = Addr_space.read_u64 t.mem addr in
+  t.dyn_cost <- t.dyn_cost + c;
+  v
+
+let[@inline] store64 t tid addr v =
+  let c = write_cost t tid addr 8 in
+  Addr_space.write_u64 t.mem addr v;
+  t.dyn_cost <- t.dyn_cost + c
+
+(* A faulting push leaves RSP decremented. *)
+let[@inline] push64 t th v =
+  let g = th.ctx.Context.gprs in
+  let sp = Int64.sub (Context.bget g rsp_index) 8L in
+  Context.bset g rsp_index sp;
+  store64 t th.tid sp v
+
+let[@inline] pop64 t th =
+  let g = th.ctx.Context.gprs in
+  let sp = Context.bget g rsp_index in
+  let v = load64 t th.tid sp in
+  Context.bset g rsp_index (Int64.add sp 8L);
+  v
+
+(* Predictor cost and [on_branch] of a control transfer at [pc]; the
+   caller moves RIP afterwards. [target] is the taken target even when
+   a [Jcc] falls through. *)
+let[@inline] note_branch t th pc target taken =
+  t.dyn_cost <- t.dyn_cost + Timing.branch_cost t.timing ~pc ~taken;
+  match t.hooks.on_branch with
+  | Some f -> f th.tid pc target taken
+  | None -> ()
+
+(* Compile one instruction to its micro-op — the one definition of
+   VX86 semantics. Every execution path runs these closures: the
+   per-instruction loop under instrumentation, hook-free batches, and
+   the chain tier's composed blocks. Micro-ops fire the memory, branch
+   and marker hooks themselves ([on_ins] stays in the per-instruction
+   loop), so hook presence only decides how many instructions run
+   between dispatch decisions.
+
+   Cost contract: the static class cost is charged by the caller
+   (through [bb_cost] or [bb_prefix]); dynamic cost (cache misses,
+   branch prediction, [Pause]) is added to [t.dyn_cost] only after the
+   instruction's last possible fault, so a faulting instruction charges
+   no cycles on any path. Cache and predictor state are touched in
+   program order, and partial effects of a faulting instruction stay
+   architectural (a faulting push leaves RSP decremented; a [Vload]
+   faulting on its second lane leaves the first written).
 
    [pc] is the instruction's address and [next] the address just past
-   it — both block-translation constants, so a branch's relative target
-   is resolved here, at compile time ([execute] sees RIP already
-   advanced to [next], hence target = next + rel). Branches only ever
-   terminate a block; they are compiled so a hook-free batch can retire
-   the terminator too. Syscalls, markers and traps always run through
-   [execute].
-
-   Unlike [execute], a micro-op does NOT expect RIP to be advanced
-   beforehand — the caller skips that per-instruction store, and the
-   batch loop repairs RIP once on exit. The forms that observe RIP bake
-   in the [next] constant instead: every branch sets RIP
-   unconditionally (a non-taken [Jcc] writes [next]), calls push
-   [next], and the [execute] fallback advances RIP itself.
+   it — both translation constants, so a branch's relative target is
+   resolved here (target = next + rel). A micro-op does NOT expect RIP
+   to be advanced beforehand: batches skip that per-instruction store
+   and repair RIP once on exit. The forms that observe RIP bake in
+   [next] instead: every branch sets RIP unconditionally (a non-taken
+   [Jcc] writes [next]), calls push [next], and syscalls and markers
+   set RIP to [next] before they call out, as {!set_syscall_handler}
+   promises.
 
    [flags_dead] comes from the chain tier's liveness pass: when true,
    every flag this instruction would write is overwritten before any
@@ -927,8 +786,7 @@ let compile_ins ~pc ~next ?(flags_dead = false) (ins : Insn.t) :
   | Insn.Jmp rel ->
       let target = Int64.add next (Int64.of_int rel) in
       fun t th ->
-        t.dyn_cost <-
-          t.dyn_cost + Timing.branch_cost t.timing ~pc ~taken:true;
+        note_branch t th pc target true;
         t.took <- 1;
         th.ctx.Context.rip <- target
   | Jcc (c, rel) ->
@@ -941,7 +799,7 @@ let compile_ins ~pc ~next ?(flags_dead = false) (ins : Insn.t) :
       fun t th ->
         let ctx = th.ctx in
         let taken = cond ctx.Context.flags in
-        t.dyn_cost <- t.dyn_cost + Timing.branch_cost t.timing ~pc ~taken;
+        note_branch t th pc target taken;
         let ti = Bool.to_int taken in
         t.took <- ti;
         ctx.Context.rip <- Array.unsafe_get tgts ti
@@ -950,59 +808,37 @@ let compile_ins ~pc ~next ?(flags_dead = false) (ins : Insn.t) :
       fun t th ->
         let ctx = th.ctx in
         let target = Context.bget ctx.Context.gprs ri in
-        t.dyn_cost <-
-          t.dyn_cost + Timing.branch_cost t.timing ~pc ~taken:true;
+        note_branch t th pc target true;
         ctx.Context.rip <- target
   | Jmp_m m ->
       let a = compile_addr m in
       fun t th ->
         let ctx = th.ctx in
-        let addr = a ctx.Context.gprs in
-        let c = Timing.mem_cost t.timing addr in
-        let target = Addr_space.read_u64 t.mem addr in
-        t.dyn_cost <-
-          t.dyn_cost + c + Timing.branch_cost t.timing ~pc ~taken:true;
+        let target = load64 t th.tid (a ctx.Context.gprs) in
+        note_branch t th pc target true;
         ctx.Context.rip <- target
   | Call rel ->
       let target = Int64.add next (Int64.of_int rel) in
       fun t th ->
-        let ctx = th.ctx in
-        let g = ctx.Context.gprs in
-        let sp = Int64.sub (Context.bget g rsp_index) 8L in
-        Context.bset g rsp_index sp;
-        let c = Timing.mem_cost t.timing sp in
-        Addr_space.write_u64 t.mem sp next;
-        t.dyn_cost <-
-          t.dyn_cost + c + Timing.branch_cost t.timing ~pc ~taken:true;
+        push64 t th next;
+        note_branch t th pc target true;
         t.took <- 1;
-        ctx.Context.rip <- target
+        th.ctx.Context.rip <- target
   | Call_r r ->
       let ri = Reg.gpr_index r in
       fun t th ->
+        push64 t th next;
+        (* Target read after the push: a call through RSP sees the
+           decremented stack pointer. *)
         let ctx = th.ctx in
-        let g = ctx.Context.gprs in
-        let sp = Int64.sub (Context.bget g rsp_index) 8L in
-        Context.bset g rsp_index sp;
-        let c = Timing.mem_cost t.timing sp in
-        Addr_space.write_u64 t.mem sp next;
-        (* Target read after the push, as [execute] does (a call through
-           RSP sees the decremented stack pointer). *)
-        let target = Context.bget g ri in
-        t.dyn_cost <-
-          t.dyn_cost + c + Timing.branch_cost t.timing ~pc ~taken:true;
+        let target = Context.bget ctx.Context.gprs ri in
+        note_branch t th pc target true;
         ctx.Context.rip <- target
   | Ret ->
       fun t th ->
-        let ctx = th.ctx in
-        let g = ctx.Context.gprs in
-        let sp = Context.bget g rsp_index in
-        let c = Timing.mem_cost t.timing sp in
-        let target = Addr_space.read_u64 t.mem sp in
-        t.dyn_cost <- t.dyn_cost + c;
-        Context.bset g rsp_index (Int64.add sp 8L);
-        t.dyn_cost <-
-          t.dyn_cost + Timing.branch_cost t.timing ~pc ~taken:true;
-        ctx.Context.rip <- target
+        let target = pop64 t th in
+        note_branch t th pc target true;
+        th.ctx.Context.rip <- target
   | Insn.Mov_ri (r, v) ->
       let ri = Reg.gpr_index r in
       fun _t th -> Context.bset th.ctx.Context.gprs ri v
@@ -1015,11 +851,7 @@ let compile_ins ~pc ~next ?(flags_dead = false) (ins : Insn.t) :
       let a = compile_addr m and ri = Reg.gpr_index r in
       fun t th ->
         let g = th.ctx.Context.gprs in
-        let addr = a g in
-        let c = Timing.mem_cost t.timing addr in
-        let v = Addr_space.read_u64 t.mem addr in
-        t.dyn_cost <- t.dyn_cost + c;
-        Context.bset g ri v
+        Context.bset g ri (load64 t th.tid (a g))
   | Load (w, r, m) ->
       let a = compile_addr m
       and ri = Reg.gpr_index r
@@ -1027,7 +859,7 @@ let compile_ins ~pc ~next ?(flags_dead = false) (ins : Insn.t) :
       fun t th ->
         let g = th.ctx.Context.gprs in
         let addr = a g in
-        let c = Timing.mem_cost t.timing addr in
+        let c = read_cost t th.tid addr wb in
         let v = Addr_space.read t.mem addr wb in
         t.dyn_cost <- t.dyn_cost + c;
         Context.bset g ri v
@@ -1035,11 +867,7 @@ let compile_ins ~pc ~next ?(flags_dead = false) (ins : Insn.t) :
       let a = compile_addr m and ri = Reg.gpr_index r in
       fun t th ->
         let g = th.ctx.Context.gprs in
-        let v = Context.bget g ri in
-        let addr = a g in
-        let c = Timing.mem_cost t.timing addr in
-        Addr_space.write_u64 t.mem addr v;
-        t.dyn_cost <- t.dyn_cost + c
+        store64 t th.tid (a g) (Context.bget g ri)
   | Store (w, m, r) ->
       let a = compile_addr m
       and ri = Reg.gpr_index r
@@ -1048,7 +876,7 @@ let compile_ins ~pc ~next ?(flags_dead = false) (ins : Insn.t) :
         let g = th.ctx.Context.gprs in
         let v = truncate_width w (Context.bget g ri) in
         let addr = a g in
-        let c = Timing.mem_cost t.timing addr in
+        let c = write_cost t th.tid addr wb in
         Addr_space.write t.mem addr wb v;
         t.dyn_cost <- t.dyn_cost + c
   | Lea (r, m) ->
@@ -1096,30 +924,146 @@ let compile_ins ~pc ~next ?(flags_dead = false) (ins : Insn.t) :
           (alu_sub ctx.Context.flags 0L (Context.bget g di))
   | Push r ->
       let ri = Reg.gpr_index r in
-      fun t th ->
-        let g = th.ctx.Context.gprs in
-        let v = Context.bget g ri in
-        let sp = Int64.sub (Context.bget g rsp_index) 8L in
-        Context.bset g rsp_index sp;
-        let c = Timing.mem_cost t.timing sp in
-        Addr_space.write_u64 t.mem sp v;
-        t.dyn_cost <- t.dyn_cost + c
+      fun t th -> push64 t th (Context.bget th.ctx.Context.gprs ri)
   | Pop r ->
       let ri = Reg.gpr_index r in
       fun t th ->
+        let v = pop64 t th in
+        Context.bset th.ctx.Context.gprs ri v
+  | Pushf -> fun t th -> push64 t th (Reg.flags_to_word th.ctx.Context.flags)
+  | Popf ->
+      fun t th ->
+        let fl = Reg.flags_of_word (pop64 t th) in
+        let flags = th.ctx.Context.flags in
+        flags.zf <- fl.zf;
+        flags.sf <- fl.sf;
+        flags.cf <- fl.cf;
+        flags.ovf <- fl.ovf
+  | Xchg (r, m) ->
+      let a = compile_addr m and ri = Reg.gpr_index r in
+      fun t th ->
         let g = th.ctx.Context.gprs in
-        let sp = Context.bget g rsp_index in
-        let c = Timing.mem_cost t.timing sp in
-        let v = Addr_space.read_u64 t.mem sp in
+        let addr = a g in
+        let c = read_cost t th.tid addr 8 in
+        let old = Addr_space.read_u64 t.mem addr in
+        let c = c + write_cost t th.tid addr 8 in
+        Addr_space.write_u64 t.mem addr (Context.bget g ri);
         t.dyn_cost <- t.dyn_cost + c;
-        Context.bset g rsp_index (Int64.add sp 8L);
-        Context.bset g ri v
-  | Nop -> fun _t _th -> ()
-  | Pause -> fun t _th -> t.dyn_cost <- t.dyn_cost + 10
-  | ins ->
+        Context.bset g ri old
+  | Cmpxchg (m, r) ->
+      let a = compile_addr m and ri = Reg.gpr_index r in
+      fun t th ->
+        let ctx = th.ctx in
+        let g = ctx.Context.gprs in
+        let addr = a g in
+        let c = read_cost t th.tid addr 8 in
+        let old = Addr_space.read_u64 t.mem addr in
+        if Int64.equal old (Context.bget g rax_index) then begin
+          let c = c + write_cost t th.tid addr 8 in
+          Addr_space.write_u64 t.mem addr (Context.bget g ri);
+          t.dyn_cost <- t.dyn_cost + c;
+          ctx.Context.flags.zf <- true
+        end
+        else begin
+          t.dyn_cost <- t.dyn_cost + c;
+          Context.bset g rax_index old;
+          ctx.Context.flags.zf <- false
+        end
+  | Vload (x, m) ->
+      let a = compile_addr m in
+      fun t th ->
+        let ctx = th.ctx in
+        let addr = a ctx.Context.gprs in
+        let c = read_cost t th.tid addr 8 in
+        Context.set_xmm_lane ctx x 0 (Addr_space.read_u64 t.mem addr);
+        let addr = Int64.add addr 8L in
+        let c = c + read_cost t th.tid addr 8 in
+        Context.set_xmm_lane ctx x 1 (Addr_space.read_u64 t.mem addr);
+        t.dyn_cost <- t.dyn_cost + c
+  | Vstore (m, x) ->
+      let a = compile_addr m in
+      fun t th ->
+        let ctx = th.ctx in
+        let addr = a ctx.Context.gprs in
+        let c = write_cost t th.tid addr 8 in
+        Addr_space.write_u64 t.mem addr (Context.xmm_lane ctx x 0);
+        let addr = Int64.add addr 8L in
+        let c = c + write_cost t th.tid addr 8 in
+        Addr_space.write_u64 t.mem addr (Context.xmm_lane ctx x 1);
+        t.dyn_cost <- t.dyn_cost + c
+  | Vop_rr (op, d, s) ->
+      fun _t th ->
+        let ctx = th.ctx in
+        Context.set_xmm_lane ctx d 0
+          (float_lane_op op (Context.xmm_lane ctx d 0) (Context.xmm_lane ctx s 0));
+        Context.set_xmm_lane ctx d 1
+          (float_lane_op op (Context.xmm_lane ctx d 1) (Context.xmm_lane ctx s 1))
+  | Ldctx r ->
+      let ri = Reg.gpr_index r in
+      fun t th ->
+        let ctx = th.ctx in
+        Context.xrstor ctx
+          (Addr_space.read_bytes t.mem
+             (Context.bget ctx.Context.gprs ri)
+             Context.xsave_size)
+  | Stctx r ->
+      let ri = Reg.gpr_index r in
+      fun t th ->
+        let ctx = th.ctx in
+        Addr_space.write_bytes t.mem
+          (Context.bget ctx.Context.gprs ri)
+          (Context.xsave ctx)
+  | Wrfsbase r ->
+      let ri = Reg.gpr_index r in
+      fun _t th ->
+        let ctx = th.ctx in
+        ctx.Context.fs_base <- Context.bget ctx.Context.gprs ri
+  | Wrgsbase r ->
+      let ri = Reg.gpr_index r in
+      fun _t th ->
+        let ctx = th.ctx in
+        ctx.Context.gs_base <- Context.bget ctx.Context.gprs ri
+  | Rdfsbase r ->
+      let ri = Reg.gpr_index r in
+      fun _t th ->
+        let ctx = th.ctx in
+        Context.bset ctx.Context.gprs ri ctx.Context.fs_base
+  | Rdgsbase r ->
+      let ri = Reg.gpr_index r in
+      fun _t th ->
+        let ctx = th.ctx in
+        Context.bset ctx.Context.gprs ri ctx.Context.gs_base
+  | Syscall ->
       fun t th ->
         th.ctx.Context.rip <- next;
-        execute t th pc ins 0
+        let action =
+          match t.syscall_filter with
+          | Some f -> f t th.tid
+          | None -> Run_syscall
+        in
+        (match action with
+        | Run_syscall -> t.syscall_handler t th.tid
+        | Skip_syscall -> ())
+  | Cpuid ->
+      fun t th ->
+        let ctx = th.ctx in
+        ctx.Context.rip <- next;
+        (match t.hooks.on_marker with Some f -> f th.tid ins | None -> ());
+        (* Vendor string "VX86" in RBX; leaves a recognisable marker. *)
+        Context.set ctx RAX 1L;
+        Context.set ctx RBX 0x36385856L;
+        Context.set ctx RCX 0L;
+        Context.set ctx RDX 0L
+  | Ssc_marker _ | Magic _ -> (
+      fun t th ->
+        th.ctx.Context.rip <- next;
+        match t.hooks.on_marker with Some f -> f th.tid ins | None -> ())
+  | Nop -> uop_nop
+  | Pause -> fun t _th -> t.dyn_cost <- t.dyn_cost + 10
+  | Hlt | Ud2 ->
+      (* [record_fault] turns this into [Privileged]/[Invalid_opcode]. *)
+      let fault = Addr_space.Fault { addr = pc; access = Exec } in
+      fun _t _th -> raise fault
 
 (* --- Flag liveness ------------------------------------------------------ *)
 
@@ -1127,12 +1071,13 @@ let compile_ins ~pc ~next ?(flags_dead = false) (ins : Insn.t) :
    (ZF/SF/CF/OVF), as seen by the backward liveness pass.
 
    [F_observe] is deliberately broad: it covers true readers ([Jcc],
-   [Pushf]) and every instruction that can fault or falls back to
-   [execute] (memory forms, syscalls, markers, traps). Treating a
-   potential fault point as a reader forces all earlier flag writes to
-   materialise, which makes the flags architecturally exact at every
-   fault — so elision never needs fault-time re-materialisation
-   machinery: exactness holds by construction. *)
+   [Pushf]), every instruction that can fault or call out (memory forms,
+   syscalls, markers, traps) and, conservatively, every other form not
+   listed. Treating a potential fault point as a reader forces all
+   earlier flag writes to materialise, which makes the flags
+   architecturally exact at every fault — so elision never needs
+   fault-time re-materialisation machinery: exactness holds by
+   construction. *)
 type flag_class = F_kill | F_neutral | F_observe
 
 let flag_class (ins : Insn.t) =
@@ -1143,9 +1088,10 @@ let flag_class (ins : Insn.t) =
   | _ -> F_observe
 
 (* Conservative may-write-memory predicate: listed forms are provably
-   store-free, anything else (including every [execute] fallback) is
-   assumed to write. Only a writing instruction can dirty a code page,
-   i.e. move the decode generation mid-block. *)
+   store-free, anything else (stores, pushes, calls, [Stctx], and the
+   syscall and marker forms whose callbacks may write) is assumed to
+   write. Only a writing instruction can dirty a code page, i.e. move
+   the decode generation mid-block. *)
 let may_write_mem (ins : Insn.t) =
   match ins with
   | Insn.Mov_ri _ | Mov_rr _ | Load _ | Lea _ | Alu_rr _ | Alu_ri _
@@ -1156,8 +1102,7 @@ let may_write_mem (ins : Insn.t) =
   | _ -> true
 
 (* Provably non-faulting forms (register/immediate only, no memory
-   access, not routed through the [execute] fallback). Anything else may
-   raise {!Addr_space.Fault}. *)
+   access, no call-out). Anything else may raise {!Addr_space.Fault}. *)
 let may_fault (ins : Insn.t) =
   match ins with
   | Insn.Mov_ri _ | Mov_rr _ | Lea _ | Alu_rr _ | Alu_ri _ | Shift_ri _
@@ -1178,7 +1123,7 @@ exception Smc_break
    only move at a store). Fault attribution survives composition through
    [t.mega_idx]: each fault-capable slot records its index before
    running, so the handler can repair RIP and report the precise slot
-   exactly as the interpreted loop does. *)
+   exactly as the per-instruction loop does. *)
 let compose_mega (bb_ins : Insn.t array) (uops : (t -> thread -> unit) array) =
   let n = Array.length uops in
   (* Per-slot wrapper carrying the attribution/re-check obligations. *)
@@ -1298,7 +1243,7 @@ let compose_mega (bb_ins : Insn.t array) (uops : (t -> thread -> unit) array) =
    terminating [Jcc] into one micro-op that evaluates the condition
    directly on the operand values (held in OCaml locals) — no flag
    round-trip through the context. Only the chain tier runs this (the
-   pair must execute atomically, so only whole-block runs qualify). The
+   pair must run atomically, so only whole-block runs qualify). The
    fused op occupies the compare's slot; the [Jcc] slot becomes a no-op,
    keeping the 1:1 slot/instruction mapping (neither can fault).
 
@@ -1683,7 +1628,7 @@ let record_fault th pc ins addr access =
   | Hlt -> th.state <- Faulted (Privileged pc)
   | _ -> th.state <- Faulted (Page_fault { addr; access; pc })
 
-(* Shared hook-free batch inner loop: execute [uops.(0 .. fuel-1)] for
+(* Shared hook-free batch inner loop: run [uops.(0 .. fuel-1)] for
    [b]. Returns the count of completed micro-ops, or [-(idx+1)] when
    micro-op [idx] faulted (RIP and the thread's fault state are already
    recorded). A store-free block provably cannot dirty a code page, so
@@ -1890,8 +1835,13 @@ let exec_block_classic t th (bb : bb) limit =
       (match t.hooks.on_ins with Some f -> f th.tid pc ins | None -> ());
     th.ctx.Context.rip <- Array.unsafe_get bb.bb_next idx;
     incr attempted;
-    (match execute t th pc ins (Array.unsafe_get bb.bb_cost idx) with
-    | () -> retire t th
+    t.dyn_cost <- 0;
+    (match (Array.unsafe_get bb.bb_uops idx) t th with
+    | () ->
+        th.cycles <-
+          Int64.add th.cycles
+            (Int64.of_int (Array.unsafe_get bb.bb_cost idx + t.dyn_cost));
+        retire t th
     | exception Addr_space.Fault { addr; access } ->
         record_fault th pc ins addr access);
     (match th.state with
@@ -2322,7 +2272,6 @@ let snapshot t =
     snap_chain_enabled = t.chain_enabled;
   }
 
-let snapshot_pages snap = Addr_space.frozen_pages snap.snap_mem
 let snapshot_page_count snap = Addr_space.frozen_page_count snap.snap_mem
 
 (* Re-derive the machine's nondeterminism sources from [seed] at the
@@ -2404,7 +2353,6 @@ let fork ?reseed:seed snap =
           (fun (i, c, rng) -> (i, c, Elfie_util.Rng.copy rng))
           snap.snap_timer;
       group_exit_status = snap.snap_group_exit;
-      exec_cost = 0;
       dyn_cost = 0;
       block_memo_pc = Array.make block_memo_size (-1L);
       block_memo = Array.make block_memo_size dummy_bb;

@@ -1,4 +1,5 @@
-(** The VX86 machine: threads, interpreter, scheduler, instrumentation.
+(** The VX86 machine: threads, instruction execution, scheduler,
+    instrumentation.
 
     This is the substrate everything runs on: native program execution
     (the paper's "real hardware"), Pin-style instrumented execution (the
@@ -52,11 +53,15 @@ type hooks = {
   mutable on_ins : (int -> int64 -> Elfie_isa.Insn.t -> unit) option;
       (** tid, pc, instruction — before execution *)
   mutable on_mem_read : (int -> int64 -> int -> unit) option;
-      (** tid, address, width *)
+      (** tid, address, width — just before each access *)
   mutable on_mem_write : (int -> int64 -> int -> unit) option;
   mutable on_branch : (int -> int64 -> int64 -> bool -> unit) option;
-      (** tid, pc, target, taken — conditional branches only *)
+      (** tid, pc, target, taken — every branch, call and return, after
+          the predictor update and before RIP moves; [target] is the
+          taken target even when a conditional branch falls through *)
   mutable on_marker : (int -> Elfie_isa.Insn.t -> unit) option;
+      (** tid, [Cpuid]/[Ssc_marker]/[Magic] instruction — with RIP
+          already past it, before it retires *)
   mutable on_thread_start : (int -> unit) option;
   mutable on_thread_exit : (int -> int -> unit) option;  (** tid, status *)
 }
@@ -85,7 +90,6 @@ val add_thread : t -> Context.t -> int
 
 val thread : t -> int -> thread
 val threads : t -> thread list
-val live_thread_count : t -> int
 
 (** Terminate one thread (used by [exit]) or the whole process. *)
 val exit_thread : t -> int -> status:int -> unit
@@ -164,10 +168,6 @@ val translated_blocks : t -> int
     tests). *)
 val set_chain_enabled : t -> bool -> unit
 
-(** Number of chain links currently installed between translated blocks
-    (superblock edges of the live generation; invalidation resets it). *)
-val translated_superblocks : t -> int
-
 (** Monotone per-machine core-execution counters: block-memo efficacy,
     superblock link churn, and chain exits by reason. Mirrored into the
     [elfie_core_*] metric families at the end of every {!run}. *)
@@ -232,11 +232,6 @@ type snapshot
 
 val snapshot : t -> snapshot
 val fork : ?reseed:int64 -> snapshot -> t
-
-(** The frozen memory image as [(page_base, contents)], sorted,
-    aliasing the frozen bytes (zero-copy; treat as read-only). Used by
-    the Vcriu checkpointer. *)
-val snapshot_pages : snapshot -> (int64 * bytes) list
 
 val snapshot_page_count : snapshot -> int
 

@@ -46,10 +46,8 @@ let predictor_entries = 4096
 let create cfg =
   {
     cfg;
-    (* Only the LLC's footprint is ever read (working-set reporting), so
-       the inner levels skip touched-line tracking on the hot path. *)
-    l1 = Cache.create ~track_footprint:false cfg.l1;
-    l2 = Cache.create ~track_footprint:false cfg.l2;
+    l1 = Cache.create cfg.l1;
+    l2 = Cache.create cfg.l2;
     llc = Cache.create cfg.llc;
     predictor = Bytes.make predictor_entries '\002';
   }
@@ -92,12 +90,3 @@ let branch_cost t ~pc ~taken =
   (* Prediction is the counter's high bit; mispredicted iff it differs
      from the actual direction. *)
   ((counter lsr 1) lxor ti) * t.cfg.mispredict_cycles
-
-let perturb t =
-  Cache.flush t.l1;
-  Cache.flush t.l2;
-  Bytes.fill t.predictor 0 predictor_entries '\002'
-
-let llc_footprint_lines t = Cache.footprint_lines t.llc
-let l1_misses t = Cache.misses t.l1
-let llc_misses t = Cache.misses t.llc

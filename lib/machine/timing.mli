@@ -36,14 +36,7 @@ val ins_cost : t -> Elfie_isa.Insn.klass -> int
 (** Penalty cycles for a data access at [addr]. *)
 val mem_cost : t -> int64 -> int
 
-(** Penalty cycles for a conditional branch at [pc] that was [taken],
-    updating the predictor. *)
+(** Penalty cycles for a branch, call or return at [pc] that was
+    [taken] (always [true] except for a falling-through conditional
+    branch), updating the predictor. *)
 val branch_cost : t -> pc:int64 -> taken:bool -> int
-
-(** Flush caches and predictor state (used to model OS interference in
-    full-system simulation). *)
-val perturb : t -> unit
-
-val llc_footprint_lines : t -> int
-val l1_misses : t -> int
-val llc_misses : t -> int

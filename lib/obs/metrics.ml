@@ -7,7 +7,6 @@ type family = {
   buckets : float array;  (* ascending upper bounds; empty unless histogram *)
 }
 
-let kind_of f = f.kind
 let name_of f = f.name
 
 type series =

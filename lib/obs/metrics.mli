@@ -15,13 +15,10 @@
     mutex, so series updated concurrently from {!Elfie_util.Pool}
     workers lose no increments. *)
 
-type kind = Counter | Gauge | Histogram
-
 (** A family descriptor. Descriptors stay valid across {!reset}: the
     next mutation re-registers the family. *)
 type family
 
-val kind_of : family -> kind
 val name_of : family -> string
 
 (** Get or create a counter family. *)

@@ -2,8 +2,7 @@
     instruction counts.
 
     The observability twin of the BBV machinery: a profiler fed one
-    call per retired instruction (wired into the machine through
-    {!Elfie_pin.Tools.profile_tool}) samples the program counter every
+    call per retired instruction ({!note}) samples the program counter every
     [interval] instructions into a hot-address histogram and charges
     every instruction to its basic block (a block ends at a branch,
     call or syscall). Sampling is count-driven, not timer-driven, so

@@ -14,7 +14,6 @@ type event =
       name : string; ts : float; depth : int; seq : int; attrs : attrs;
     }
 
-let event_name = function Span { name; _ } | Instant { name; _ } -> name
 let event_attrs = function Span { attrs; _ } | Instant { attrs; _ } -> attrs
 let attr ev key = List.assoc_opt key (event_attrs ev)
 

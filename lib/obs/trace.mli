@@ -35,7 +35,6 @@ type event =
       name : string; ts : float; depth : int; seq : int; attrs : attrs;
     }
 
-val event_name : event -> string
 val event_attrs : event -> attrs
 
 (** Attribute lookup by key. *)

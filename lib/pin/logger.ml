@@ -134,12 +134,15 @@ let capture_many ?(fat = true) ?scheduler spec requests =
   let tracker =
     {
       (Pintool.empty ~name:"pinplay-logger") with
-      on_ins = Some (fun _ pc _ -> if !active <> [] then touch pc 16);
-      on_mem_read = Some (fun _ addr w -> if !active <> [] then touch addr w);
-      on_mem_write = Some (fun _ addr w -> if !active <> [] then touch addr w);
+      on_ins = Some (fun _ pc _ -> touch pc 16);
+      on_mem_read = Some (fun _ addr w -> touch addr w);
+      on_mem_write = Some (fun _ addr w -> touch addr w);
     }
   in
-  let detach = Pintool.attach machine [ tracker ] in
+  (* Only lean regions read the touched pages, so the tracker is
+     attached while at least one lean region is recording: fat captures
+     and the fast-forward between regions run uninstrumented. *)
+  let detach = ref None in
   Vkernel.set_recorder kernel
     (Some
        (fun r ->
@@ -174,11 +177,19 @@ let capture_many ?(fat = true) ?scheduler spec requests =
       | `Start (name, region) ->
           if !ended_early then
             results := (name, None) :: !results
-          else active := activate machine kernel (name, region) :: !active
+          else begin
+            if (not fat) && Option.is_none !detach then
+              detach := Some (Pintool.attach machine [ tracker ]);
+            active := activate machine kernel (name, region) :: !active
+          end
       | `End (name, _) -> (
           match List.partition (fun a -> a.a_name = name) !active with
           | [ a ], rest ->
               active := rest;
+              if List.is_empty rest then begin
+                Option.iter (fun d -> d ()) !detach;
+                detach := None
+              end;
               results :=
                 (name, Some (finalize machine fat symbols a, not !ended_early))
                 :: !results
@@ -186,7 +197,7 @@ let capture_many ?(fat = true) ?scheduler spec requests =
     events;
   Machine.set_record_schedule machine false;
   Vkernel.set_recorder kernel None;
-  detach ();
+  Option.iter (fun d -> d ()) !detach;
   (* Regions the program never reached are dropped from the batch. *)
   List.rev !results
   |> List.filter_map (fun (name, outcome) ->

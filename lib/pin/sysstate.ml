@@ -173,8 +173,6 @@ let load_dir ~dir =
   in
   of_files ~artifact:dir files
 
-let load_dir_result ~dir = Elfie_util.Diag.protect (fun () -> load_dir ~dir)
-
 let pp fmt t =
   Format.fprintf fmt "@[<v>sysstate: brk 0x%Lx..0x%Lx@," t.brk_start t.brk_end;
   List.iter

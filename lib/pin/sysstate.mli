@@ -49,6 +49,4 @@ val save : t -> dir:string -> unit
 
 val load_dir : dir:string -> t
 
-(** Non-raising variant of {!load_dir}. *)
-val load_dir_result : dir:string -> (t, Elfie_util.Diag.t) result
 val pp : Format.formatter -> t -> unit

@@ -197,17 +197,6 @@ let block_profile ?(from_marker = false) ?limit () =
 
 (* --- hot-region profiler adapter -------------------------------------------- *)
 
-let profile_tool p =
-  let on_ins tid pc ins =
-    let block_end =
-      match Insn.classify ins with
-      | Insn.K_branch | K_call | K_syscall -> true
-      | K_alu | K_load | K_store | K_vector | K_other -> false
-    in
-    Elfie_obs.Profile.note p ~tid ~pc ~block_end
-  in
-  { (Pintool.empty ~name:"obs-profile") with on_ins = Some on_ins }
-
 (* Attach the global profiler, if one is installed. Every execution
    front-end (native runner, replayer, simulators' machines) calls this
    after building its machine so `--profile` observes any run.

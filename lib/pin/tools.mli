@@ -49,11 +49,6 @@ type block_profile = { bb_blocks : int; bb_hottest : (int64 * int) list }
 val block_profile :
   ?from_marker:bool -> ?limit:int64 -> unit -> block_profile analysis
 
-(** Wrap an {!Elfie_obs.Profile.t} as a Vpin tool: every retired
-    instruction is fed to the profiler, with branches/calls/syscalls
-    marked as basic-block ends. *)
-val profile_tool : Elfie_obs.Profile.t -> Pintool.t
-
 (** Attach the global profiler ({!Elfie_obs.Profile.global}) to a
     machine, when one is installed — the [--profile] hook used by the
     native runner and the replayer. *)

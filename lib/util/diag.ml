@@ -56,12 +56,8 @@ let to_string d =
 
 let pp fmt d = Format.pp_print_string fmt (to_string d)
 
-let is_error code d = d.code = code
-
 (* Run [fn], turning a raised [Error] into [Result.Error]. *)
 let protect fn = match fn () with v -> Ok v | exception Error d -> Result.Error d
-
-let get_ok = function Ok v -> v | Result.Error d -> raise (Error d)
 
 let () =
   Printexc.register_printer (function

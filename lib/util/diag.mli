@@ -52,11 +52,5 @@ val fail :
 val to_string : t -> string
 val pp : Format.formatter -> t -> unit
 
-(** [is_error code d] is true when [d.code = code]. *)
-val is_error : code -> t -> bool
-
 (** [protect fn] runs [fn ()], mapping a raised {!Error} to [Error]. *)
 val protect : (unit -> 'a) -> ('a, t) result
-
-(** Unwrap, re-raising {!Error} on [Error]. *)
-val get_ok : ('a, t) result -> 'a

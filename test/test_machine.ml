@@ -1,5 +1,5 @@
 (* Tests for the machine substrate: address space, contexts, caches,
-   timing, and the interpreter's instruction semantics. *)
+   timing, and the machine's instruction semantics. *)
 
 open Elfie_isa
 open Elfie_isa.Insn
@@ -174,7 +174,6 @@ let test_cache_footprint_and_flush () =
   ignore (Cache.access c 0L);
   ignore (Cache.access c 64L);
   ignore (Cache.access c 0L);
-  Alcotest.(check int) "distinct lines" 2 (Cache.footprint_lines c);
   Cache.flush c;
   Alcotest.(check bool) "flushed" false (Cache.access c 0L)
 
@@ -383,7 +382,7 @@ let test_vector_arith () =
     (Int64.float_of_bits (Context.get th.Machine.ctx Reg.RCX))
 
 (* Differential oracle: an independent, purely functional evaluator for
-   straight-line register programs, checked against the interpreter. *)
+   straight-line register programs, checked against the machine. *)
 module Oracle = struct
   type state = { regs : int64 array }
 
@@ -468,6 +467,307 @@ let prop_interpreter_matches_oracle =
           r = Reg.RSP
           || Context.get th.Machine.ctx r = Oracle.get expected r)
         Reg.all_gprs)
+
+(* --- micro-ops against the reference interpreter -------------------------- *)
+
+(* Straight-line programs drawn from every instruction form. Control
+   transfers either land on the next instruction (relative forms with
+   displacement 0, indirect forms through a label address held in R11)
+   or skip exactly one, so a program runs forward into its trailing
+   [Hlt] or [Ud2] unless an access faults first. Memory operands
+   address an 8 KiB data area through RBP (optionally indexed by
+   R10 = 3), its last bytes (page-crossing accesses that fault half-way
+   through) or an unmapped page; [Ldctx]/[Stctx] use R12 (inside the
+   area) or R13 (straddling its end), and a rare move of RSP makes the
+   stack forms fault too. Other generated instructions write only
+   RAX-RDX, RSI, RDI, R8 and R9, so the addressing registers keep their
+   values. *)
+type ref_item =
+  | Plain of Insn.t
+  | To_next of [ `Ret | `Jmp_r | `Call_r | `Jmp_m ]
+  | Skip of Insn.cond option * Insn.t  (* [Jmp] or [Jcc] over one instruction *)
+  | Cmpxchg_hit of Insn.mem * Reg.gpr  (* loads RAX from the operand first *)
+
+let ref_data = 0x8000L
+let ref_data_len = 0x2000
+
+(* Instruction cap for every run, so a semantics bug that loops fails
+   the property instead of hanging it. *)
+let ref_fuel = 1000L
+
+let ref_prog_gen =
+  let open QCheck.Gen in
+  let dst = oneofl Reg.[ RAX; RBX; RCX; RDX; RSI; RDI; R8; R9 ] in
+  let src = oneofl Reg.[ RAX; RBX; RCX; RDX; RSI; RDI; R8; RSP; RBP; R10 ] in
+  let imm32 = map Int64.of_int (int_range (-0x8000_0000) 0x7fff_ffff) in
+  let imm64 = oneof [ map Int64.of_int small_signed_int; ui64 ] in
+  let xmm = int_range 0 15 in
+  let mem =
+    frequency
+      [ ( 12,
+          map2
+            (fun disp indexed ->
+              { base = Some Reg.RBP;
+                index = (if indexed > 0 then Some Reg.R10 else None);
+                scale = (if indexed > 0 then indexed else 1);
+                disp = Int64.of_int disp })
+            (int_range 0 (ref_data_len - 32))
+            (oneofl [ 0; 0; 1; 2; 4; 8 ]) );
+        ( 1,
+          map
+            (fun d -> mem_abs (Int64.add ref_data (Int64.of_int (ref_data_len - 16 + d))))
+            (int_range 1 15) );
+        (1, map (fun d -> mem_abs (Int64.of_int (0x50000 + d))) (int_range 0 64)) ]
+  in
+  let plain =
+    oneof
+      [ map2 (fun r v -> Mov_ri (r, v)) dst imm64;
+        map2 (fun d s -> Mov_rr (d, s)) dst src;
+        map3 (fun w r m -> Load (w, r, m)) (oneofl [ W8; W16; W32; W64 ]) dst mem;
+        map3 (fun w m r -> Store (w, m, r)) (oneofl [ W8; W16; W32; W64 ]) mem src;
+        map2 (fun r m -> Lea (r, m)) dst mem;
+        map3
+          (fun o d s -> Alu_rr (o, d, s))
+          (oneofl [ Add; Sub; And; Or; Xor; Imul; Cmp; Test ])
+          dst src;
+        map3
+          (fun o d i -> Alu_ri (o, d, i))
+          (oneofl [ Add; Sub; And; Or; Xor; Imul; Cmp; Test ])
+          dst imm32;
+        map3
+          (fun o d n -> Shift_ri (o, d, n))
+          (oneofl [ Shl; Shr; Sar ]) dst (int_range 0 63);
+        map (fun d -> Neg d) dst;
+        map (fun r -> Push r) src;
+        map (fun r -> Pop r) dst;
+        return (Jmp 0);
+        map (fun c -> Jcc (c, 0)) (oneofl [ Eq; Ne; Lt; Ge; Le; Gt; Ult; Uge ]);
+        return (Call 0);
+        return Syscall;
+        return Cpuid;
+        return Nop;
+        map (fun v -> Ssc_marker (Int64.of_int v)) (int_range 0 0xffff);
+        map (fun v -> Magic v) (int_range 0 255);
+        return Pause;
+        map2 (fun r m -> Xchg (r, m)) dst mem;
+        map2 (fun m r -> Cmpxchg (m, r)) mem src;
+        map (fun r -> Ldctx r) (oneofl [ Reg.R12; Reg.R13 ]);
+        map (fun r -> Stctx r) (oneofl [ Reg.R12; Reg.R13 ]);
+        map (fun r -> Wrfsbase r) src;
+        map (fun r -> Wrgsbase r) src;
+        map (fun r -> Rdfsbase r) dst;
+        map (fun r -> Rdgsbase r) dst;
+        return Popf;
+        return Pushf;
+        map2 (fun x m -> Vload (x, m)) xmm mem;
+        map2 (fun m x -> Vstore (m, x)) mem xmm;
+        map3 (fun o d s -> Vop_rr (o, d, s)) (oneofl [ Vadd; Vmul; Vsub ]) xmm xmm ]
+  in
+  let cond = oneofl [ Eq; Ne; Lt; Ge; Le; Gt; Ult; Uge ] in
+  let item =
+    frequency
+      [ (32, map (fun i -> Plain i) plain);
+        (3, map (fun k -> To_next k) (oneofl [ `Ret; `Jmp_r; `Call_r; `Jmp_m ]));
+        (3, map2 (fun c i -> Skip (c, i)) (opt cond) plain);
+        (1, map2 (fun m r -> Cmpxchg_hit (m, r)) mem src);
+        (* unmapped, or a push straddling the stack's upper end *)
+        (1, map (fun v -> Plain (Mov_ri (Reg.RSP, v))) (oneofl [ 0x50008L; 0x22004L ])) ]
+  in
+  pair (list_size (int_range 1 40) item) (oneofl [ Hlt; Ud2 ])
+
+let show_ref_prog (items, trap) =
+  String.concat "; "
+    (List.map
+       (function
+         | Plain i -> Insn.to_string i
+         | To_next `Ret -> "push+ret to next"
+         | To_next `Jmp_r -> "jmp r11 to next"
+         | To_next `Call_r -> "call r11 to next"
+         | To_next `Jmp_m -> "jmp [slot] to next"
+         | Skip (c, i) ->
+             Printf.sprintf "%s over {%s}"
+               (match c with Some c -> "j" ^ Insn.cond_name c | None -> "jmp")
+               (Insn.to_string i)
+         | Cmpxchg_hit (m, r) ->
+             Insn.to_string (Load (W64, Reg.RAX, m))
+             ^ "; " ^ Insn.to_string (Cmpxchg (m, r)))
+       items
+    @ [ Insn.to_string trap ])
+
+let assemble_ref_prog (items, trap) =
+  let b = Builder.create () in
+  List.iter
+    (function
+      | Plain i -> Builder.ins b i
+      | Skip (c, i) ->
+          let over = Builder.new_label b in
+          (match c with Some c -> Builder.jcc b c over | None -> Builder.jmp b over);
+          Builder.ins b i;
+          Builder.bind b over
+      | Cmpxchg_hit (m, r) ->
+          Builder.ins b (Load (W64, Reg.RAX, m));
+          Builder.ins b (Cmpxchg (m, r))
+      | To_next kind ->
+          let next = Builder.new_label b in
+          Builder.mov_label b Reg.R11 next;
+          (match kind with
+          | `Ret ->
+              Builder.ins b (Push Reg.R11);
+              Builder.ins b Ret
+          | `Jmp_r -> Builder.ins b (Jmp_r Reg.R11)
+          | `Call_r -> Builder.ins b (Call_r Reg.R11)
+          | `Jmp_m ->
+              let slot = mem_abs (Int64.add ref_data 0x100L) in
+              Builder.ins b (Store (W64, slot, Reg.R11));
+              Builder.ins b (Jmp_m slot));
+          Builder.bind b next)
+    items;
+  Builder.ins b trap;
+  Builder.assemble b ~base:0x1000L
+
+let ref_init_mem mem prog =
+  Addr_space.store mem 0x1000L prog.Builder.code;
+  Addr_space.store mem ref_data
+    (Bytes.init ref_data_len (fun i -> Char.chr (((i * 131) + 7) land 0xff)));
+  Addr_space.map mem ~addr:0x20000L ~len:0x2000
+
+let ref_init_ctx () =
+  let ctx = Context.create () in
+  ctx.Context.rip <- 0x1000L;
+  Context.set ctx Reg.RSP 0x21000L;
+  Context.set ctx Reg.RBP ref_data;
+  Context.set ctx Reg.R10 3L;
+  Context.set ctx Reg.R12 (Int64.add ref_data 0x800L);
+  Context.set ctx Reg.R13 (Int64.add ref_data (Int64.of_int (ref_data_len - 0x80)));
+  ctx
+
+(* The stub kernel: mixes RDI into RAX and reports the RIP it saw, which
+   must already be past the [Syscall]. *)
+let ref_syscall ctx =
+  Context.set ctx Reg.RAX
+    (Int64.add (Int64.mul (Context.get ctx Reg.RAX) 31L) (Context.get ctx Reg.RDI));
+  Context.set ctx Reg.RDX ctx.Context.rip
+
+type ref_event =
+  | Ev_ins of int64
+  | Ev_read of int64 * int
+  | Ev_write of int64 * int
+  | Ev_branch of int64 * int64 * bool
+  | Ev_marker of Insn.t * int64  (* instruction, RIP when the hook ran *)
+
+type ref_outcome = {
+  ctx_bytes : bytes;
+  pages : (int64 * bytes) list;
+  cycles : int64;
+  retired : int64;
+  fault : Machine.fault option;
+  events : ref_event list;
+}
+
+let run_reference prog =
+  let mem = Addr_space.create () in
+  ref_init_mem mem prog;
+  let ctx = ref_init_ctx () in
+  let timing = Timing.create Timing.default in
+  let log = ref [] in
+  let note e = log := e :: !log in
+  let hooks =
+    {
+      Ref_exec.on_mem_read = (fun a w -> note (Ev_read (a, w)));
+      on_mem_write = (fun a w -> note (Ev_write (a, w)));
+      on_branch = (fun pc tgt taken -> note (Ev_branch (pc, tgt, taken)));
+      on_marker = (fun ins -> note (Ev_marker (ins, ctx.Context.rip)));
+    }
+  in
+  let cycles = ref 0L and retired = ref 0L in
+  let rec go () =
+    let pc = ctx.Context.rip in
+    let r = Elfie_util.Byteio.Reader.of_bytes (Addr_space.read_avail mem pc 16) in
+    let ins = Codec.decode r in
+    note (Ev_ins pc);
+    ctx.Context.rip <- Int64.add pc (Int64.of_int (Elfie_util.Byteio.Reader.pos r));
+    match Ref_exec.execute ~timing ~mem ~syscall:ref_syscall ~hooks ctx ~pc ins with
+    | cost ->
+        cycles := Int64.add !cycles (Int64.of_int cost);
+        retired := Int64.add !retired 1L;
+        if !retired < ref_fuel then go () else None
+    | exception Addr_space.Fault { addr; access } ->
+        Some
+          (match ins with
+          | Ud2 -> Machine.Invalid_opcode pc
+          | Hlt -> Machine.Privileged pc
+          | _ -> Machine.Page_fault { addr; access; pc })
+  in
+  let fault = go () in
+  {
+    ctx_bytes = Context.to_bytes ctx;
+    pages = Addr_space.pages mem;
+    cycles = !cycles;
+    retired = !retired;
+    fault;
+    events = List.rev !log;
+  }
+
+(* [hooked]: every recording hook installed and the thread driven by
+   [Machine.step], the per-instruction path; otherwise a hook-free
+   [Machine.run], which takes the batched and chained paths. *)
+let run_machine ~hooked prog =
+  let m =
+    Machine.create (Machine.Free { seed = 1L; quantum_min = 100; quantum_max = 100 })
+  in
+  ref_init_mem (Machine.mem m) prog;
+  let tid = Machine.add_thread m (ref_init_ctx ()) in
+  Machine.set_syscall_handler m (fun m tid ->
+      ref_syscall (Machine.thread m tid).Machine.ctx);
+  let log = ref [] in
+  let note e = log := e :: !log in
+  if hooked then begin
+    let h = Machine.hooks m in
+    h.Machine.on_ins <- Some (fun _ pc _ -> note (Ev_ins pc));
+    h.on_mem_read <- Some (fun _ a w -> note (Ev_read (a, w)));
+    h.on_mem_write <- Some (fun _ a w -> note (Ev_write (a, w)));
+    h.on_branch <- Some (fun _ pc tgt taken -> note (Ev_branch (pc, tgt, taken)));
+    h.on_marker <-
+      Some
+        (fun tid ins ->
+          note (Ev_marker (ins, (Machine.thread m tid).Machine.ctx.Context.rip)));
+    let th = Machine.thread m tid in
+    while th.Machine.state = Machine.Runnable && th.Machine.retired < ref_fuel do
+      Machine.step m tid
+    done
+  end
+  else Machine.run ~max_ins:ref_fuel m;
+  let th = Machine.thread m tid in
+  {
+    ctx_bytes = Context.to_bytes th.Machine.ctx;
+    pages = Addr_space.pages (Machine.mem m);
+    cycles = th.Machine.cycles;
+    retired = th.Machine.retired;
+    fault = (match th.Machine.state with Machine.Faulted f -> Some f | _ -> None);
+    events = List.rev !log;
+  }
+
+let prop_uops_match_reference =
+  QCheck.Test.make ~name:"micro-ops ≡ reference interpreter (hooked step, hook-free run)"
+    ~count:300
+    (QCheck.make ~print:show_ref_prog ref_prog_gen)
+    (fun p ->
+      let prog = assemble_ref_prog p in
+      let expected = run_reference prog in
+      let agree name (got : ref_outcome) ~events =
+        let fail what = QCheck.Test.fail_reportf "%s: %s differs" name what in
+        if not (Bytes.equal got.ctx_bytes expected.ctx_bytes) then fail "context";
+        if got.pages <> expected.pages then fail "memory";
+        if got.cycles <> expected.cycles then
+          QCheck.Test.fail_reportf "%s: cycles %Ld, reference %Ld" name got.cycles
+            expected.cycles;
+        if got.retired <> expected.retired then fail "retired count";
+        if got.fault <> expected.fault then fail "fault record";
+        if events && got.events <> expected.events then fail "hook event log"
+      in
+      agree "hooked step" (run_machine ~hooked:true prog) ~events:true;
+      agree "hook-free run" (run_machine ~hooked:false prog) ~events:false;
+      true)
 
 let test_faults () =
   let th = exec [ Mov_ri (Reg.RAX, 0xdead000L); Load (W64, Reg.RBX, mem_base Reg.RAX) ] in
@@ -633,6 +933,7 @@ let suite =
     Alcotest.test_case "addr_space generation" `Quick test_as_generation;
     QCheck_alcotest.to_alcotest prop_addr_space_model;
     QCheck_alcotest.to_alcotest prop_interpreter_matches_oracle;
+    QCheck_alcotest.to_alcotest prop_uops_match_reference;
     Alcotest.test_case "context serialize roundtrip" `Quick test_context_roundtrip;
     Alcotest.test_case "xsave/xrstor roundtrip" `Quick test_xsave_roundtrip;
     Alcotest.test_case "context copy isolation" `Quick test_context_copy_isolated;

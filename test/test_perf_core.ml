@@ -330,7 +330,7 @@ let test_block_run_matches_step () =
   let sched = Machine.recorded_schedule ma in
   (* Reference: replay the exact schedule one Machine.step at a time,
      profiler fed per instruction through the on_ins hook (which also
-     forces the interpreter off the batched path). *)
+     keeps execution on the per-instruction path). *)
   let pb = Profile.create ~interval:7 () in
   let mb = mk_branchy_machine prog (Machine.Recorded sched) in
   profile_note_hook pb mb;
@@ -397,8 +397,8 @@ let test_note_block_equivalence () =
 (* --- superblock chain tier ---------------------------------------------------- *)
 
 (* Chained execution (the default), chain-disabled block execution, and
-   per-instruction execution (an [on_ins] hook forces the interpreter
-   off every batched path) must be indistinguishable: same schedule,
+   per-instruction execution (an [on_ins] hook keeps execution off
+   every batched path) must be indistinguishable: same schedule,
    same retired/cycle counts, bit-identical contexts, and bit-identical
    BBV slice profiles. *)
 let bbv_profile_eq (a : Elfie_pin.Bbv.profile) (b : Elfie_pin.Bbv.profile) =
@@ -458,7 +458,7 @@ let test_chained_matches_disabled_and_per_ins () =
 (* A store in the middle of a chained superblock patches code a few
    instructions ahead of itself: the chain must break at exactly that
    point (counted as an invalidation exit), the stale translation must
-   be rebuilt, and the architectural result must match the interpreted
+   be rebuilt, and the architectural result must match the unchained
    one. The patch flips the immediate of the loop's `mov rbx, K` from 1
    to 2 when the countdown passes 6, so the accumulator tells us
    precisely which iterations saw which immediate. *)

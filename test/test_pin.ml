@@ -97,6 +97,43 @@ let test_capture_many_matches_single () =
       Alcotest.(check bool) (name ^ " replays") true rep.Replayer.matched_icounts)
     batch
 
+(* Lean mode records each region's touched pages while that region is
+   active, whatever else overlaps it. *)
+let test_lean_capture_many_matches_single () =
+  let rs = Tutil.tiny_run_spec "leanmany" in
+  let r1 = { Logger.start = 20_000L; length = 15_000L } in
+  let r2 = { Logger.start = 30_000L; length = 20_000L } (* overlaps r1 *) in
+  let batch = Logger.capture_many ~fat:false rs [ ("a", r1); ("b", r2) ] in
+  List.iter
+    (fun (name, r) ->
+      let single = (Logger.capture ~fat:false rs ~name r).Logger.pinball in
+      let batched = (List.assoc name batch).Logger.pinball in
+      Alcotest.(check bool) (name ^ " is lean") false batched.Elfie_pinball.Pinball.fat;
+      Alcotest.(check (list int64))
+        (name ^ " pages equal a single lean capture")
+        (List.map fst single.Elfie_pinball.Pinball.pages)
+        (List.map fst batched.Elfie_pinball.Pinball.pages);
+      Alcotest.(check bool)
+        (name ^ " equals single lean capture")
+        true
+        (Elfie_pinball.Pinball.equal batched single))
+    [ ("a", r1); ("b", r2) ]
+
+(* A fat capture reads no page tracking, so nothing instruments it and
+   the chain tier links superblocks. *)
+let test_fat_capture_runs_chained () =
+  let built =
+    Elfie_obs.Metrics.counter "elfie_core_superblocks_built"
+  in
+  let before = Elfie_obs.Metrics.value built in
+  let r =
+    Logger.capture ~fat:true (Tutil.tiny_run_spec "fatchain") ~name:"fc"
+      { Logger.start = 20_000L; length = 30_000L }
+  in
+  Alcotest.(check bool) "region captured" true r.Logger.reached_end;
+  Alcotest.(check bool) "superblocks built" true
+    (Elfie_obs.Metrics.value built > before)
+
 let test_capture_many_skips_unreachable () =
   let rs = Tutil.tiny_run_spec "manyskip" in
   let batch =
@@ -345,6 +382,10 @@ let suite =
       test_capture_many_matches_single;
     Alcotest.test_case "capture_many skips unreachable" `Quick
       test_capture_many_skips_unreachable;
+    Alcotest.test_case "lean capture_many matches single" `Quick
+      test_lean_capture_many_matches_single;
+    Alcotest.test_case "fat capture runs chained" `Quick
+      test_fat_capture_runs_chained;
     Alcotest.test_case "marker-delimited capture" `Quick test_marker_delimited_capture;
     Alcotest.test_case "constrained replay matches" `Quick
       test_constrained_replay_matches;

@@ -85,6 +85,18 @@ let test_coresim_measure_window () =
   in
   Alcotest.(check bool) "window changes cpi" true (all.Coresim.cpi <> windowed.Coresim.cpi)
 
+(* The data footprint is the set of distinct lines CoreSim looks up in
+   its LLC; full-system mode adds the kernel's lines. Pinned values for
+   a fixed program, so a change to what counts as a footprint line
+   shows up here. *)
+let test_coresim_data_footprint_pinned () =
+  let _, image, fs_init = elfie_with_sysstate ~marker:(Pinball2elf.Simics 4) "cs3" in
+  let run mode = Coresim.simulate ~mode ~fs_init ~cwd:"/work" Coresim.skylake image in
+  Alcotest.check Tutil.i64 "user-level footprint" 32832L
+    (run Coresim.User_level).Coresim.data_footprint_bytes;
+  Alcotest.check Tutil.i64 "full-system footprint" 63808L
+    (run Coresim.Full_system).Coresim.data_footprint_bytes
+
 (* --- gem5 ------------------------------------------------------------------- *)
 
 let test_gem5_haswell_beats_nehalem () =
@@ -153,6 +165,8 @@ let suite =
     Alcotest.test_case "coresim user vs full system" `Quick
       test_coresim_user_vs_full_system;
     Alcotest.test_case "coresim measure window" `Quick test_coresim_measure_window;
+    Alcotest.test_case "coresim data footprint pinned" `Quick
+      test_coresim_data_footprint_pinned;
     Alcotest.test_case "gem5 haswell beats nehalem" `Quick
       test_gem5_haswell_beats_nehalem;
     Alcotest.test_case "gem5 counts from marker" `Quick test_gem5_counts_from_marker;
