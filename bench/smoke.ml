@@ -1,15 +1,17 @@
 (* Chain-tier smoke test, run from `dune runtest` via the @bench-smoke
    alias: a tiny deterministic loop kernel executed with the superblock
-   chain tier, with plain block dispatch, and once more under a pintool
-   counting every instruction, memory and branch hook (the
-   per-instruction path). Guards against silent chain-tier regressions —
-   the chained run must actually build superblocks, retire the identical
-   instruction stream, and not be slower than block-only dispatch — and
-   against the hooked path drifting from the hook-free ones: it must
-   retire the same stream in the same cycles, fire [on_ins] once per
-   retired instruction and fire the memory hooks. The workload is small
-   enough for CI (a few hundred thousand instructions per leg) and the
-   expected chain gap is large (≥1.3x in BENCH_core.json), so best-of-N
+   chain tier, with plain block dispatch, and twice more under a pintool
+   counting every instruction, memory and branch hook (instrumented
+   translations), chained and with the chain tier disabled. Guards
+   against silent chain-tier regressions — the chained run must
+   actually build superblocks, retire the identical instruction stream,
+   and not be slower than block-only dispatch — and against the hooked
+   path drifting from the hook-free ones or falling off the chain tier:
+   both hooked legs must retire the same stream in the same cycles, fire
+   [on_ins] once per retired instruction and fire the memory hooks, and
+   the chained one must build superblocks. The workload is small enough
+   for CI (a few hundred thousand instructions per leg) and the expected
+   chain gap is large (≥1.3x in BENCH_core.json), so best-of-N
    wall-clock comparison at margin 1.0 is robust against scheduler
    noise. *)
 
@@ -58,37 +60,48 @@ let () =
     if c.wall < !best_chain then best_chain := c.wall
   done;
   let chained = Option.get !chained and block = Option.get !block in
-  let ins = ref 0 and reads = ref 0 and writes = ref 0 and branches = ref 0 in
-  let counter =
-    {
-      (Pintool.empty ~name:"smoke-counter") with
-      on_ins = Some (fun _ _ _ -> incr ins);
-      on_mem_read = Some (fun _ _ _ -> incr reads);
-      on_mem_write = Some (fun _ _ _ -> incr writes);
-      on_branch = Some (fun _ _ _ _ -> incr branches);
-    }
+  (* A hooked leg: one pintool counting every instruction, memory and
+     branch hook; returns the leg and the (ins, reads, writes, branches)
+     counts. *)
+  let hooked ~chain =
+    let ins = ref 0 and reads = ref 0 and writes = ref 0 and branches = ref 0 in
+    let counter =
+      {
+        (Pintool.empty ~name:"smoke-counter") with
+        on_ins = Some (fun _ _ _ -> incr ins);
+        on_mem_read = Some (fun _ _ _ -> incr reads);
+        on_mem_write = Some (fun _ _ _ -> incr writes);
+        on_branch = Some (fun _ _ _ _ -> incr branches);
+      }
+    in
+    let leg = run ~tools:[ counter ] ~chain () in
+    (leg, (!ins, !reads, !writes, !branches))
   in
-  let hooked = run ~tools:[ counter ] ~chain:true () in
   let fail = ref false in
   let check name ok =
-    Printf.printf "%-44s %s\n" name (if ok then "ok" else "FAIL");
+    Printf.printf "%-50s %s\n" name (if ok then "ok" else "FAIL");
     if not ok then fail := true
   in
   Printf.printf "bench-smoke: block-only %.1f ms, chained %.1f ms (best of %d)\n"
     (1000. *. !best_block) (1000. *. !best_chain) trials;
-  Printf.printf
-    "bench-smoke: hooked %.1f ms; hooks fired: %d ins, %d reads, %d writes, \
-     %d branches\n"
-    (1000. *. hooked.wall) !ins !reads !writes !branches;
   check "chained and block-only retire the same stream"
     (Int64.equal chained.retired block.retired
     && Int64.compare chained.retired 0L > 0);
   check "chained run built superblocks" (chained.built > 0);
   check "chained throughput >= block-only" (!best_chain <= !best_block);
-  check "hooked leg retires the chained stream"
-    (Int64.equal hooked.retired chained.retired
-    && Int64.equal hooked.cycles chained.cycles);
-  check "on_ins fired once per retired instruction"
-    (Int64.equal (Int64.of_int !ins) hooked.retired);
-  check "memory hooks fired" (!reads > 0 && !writes > 0);
+  List.iter
+    (fun (name, chain) ->
+      let leg, (ins, reads, writes, branches) = hooked ~chain in
+      Printf.printf
+        "bench-smoke: %s %.1f ms; hooks fired: %d ins, %d reads, %d writes, \
+         %d branches\n"
+        name (1000. *. leg.wall) ins reads writes branches;
+      check (name ^ " leg retires the chained stream")
+        (Int64.equal leg.retired chained.retired
+        && Int64.equal leg.cycles chained.cycles);
+      check (name ^ ": on_ins once per retired instruction")
+        (Int64.equal (Int64.of_int ins) leg.retired);
+      check (name ^ ": memory hooks fired") (reads > 0 && writes > 0);
+      if chain then check (name ^ " run built superblocks") (leg.built > 0))
+    [ ("hooked", true); ("hooked chain-off", false) ];
   if !fail then exit 1

@@ -66,6 +66,23 @@ type result = {
   completed : bool;
 }
 
+(* LLC line numbers, hashed without the generic [caml_hash] or
+   polymorphic compare: the multiply spreads low bits up, the fold brings
+   high bits down, so strided line numbers still fill every bucket. *)
+module Line_set = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+
+  let hash x =
+    let h = x * 0x9E3779B1 in
+    (h lxor (h lsr 32)) land max_int
+end)
+
+(* The model's cycle counts live in an all-float record, so the per-event
+   additions store unboxed. *)
+type clock = { mutable cycles : float; mutable window_start_cycles : float }
+
 type model = {
   cfg : config;
   mode : mode;
@@ -73,17 +90,16 @@ type model = {
   l2 : Cache.t;
   llc : Cache.t;
   dtlb : Cache.t;
-  llc_lines : (int, unit) Hashtbl.t;
+  llc_lines : unit Line_set.t;
       (* distinct lines looked up in the LLC: the data footprint *)
   predictor : Bytes.t;
   rng : Elfie_util.Rng.t;
   mutable enabled : bool;
-  mutable cycles : float;
-  mutable user_ins : int64;
+  clock : clock;
+  mutable user_ins : int;
   mutable kernel_ins : int64;
   mutable syscalls : int64;
-  mutable window_start_ins : int64;
-  mutable window_start_cycles : float;
+  mutable window_start_ins : int;
 }
 
 let predictor_entries = 4096
@@ -101,35 +117,38 @@ let fresh_model cfg mode ~enabled =
         (Cache.config
            ~size_bytes:(cfg.dtlb_entries * Addr_space.page_size)
            ~ways:cfg.dtlb_entries ~line_bytes:Addr_space.page_size);
-    llc_lines = Hashtbl.create 1024;
+    llc_lines = Line_set.create 1024;
     predictor = Bytes.make predictor_entries '\002';
     rng = Elfie_util.Rng.create 0x5ca1ab1eL;
     enabled;
-    cycles = 0.0;
-    user_ins = 0L;
+    clock = { cycles = 0.0; window_start_cycles = 0.0 };
+    user_ins = 0;
     kernel_ins = 0L;
     syscalls = 0L;
-    window_start_ins = 0L;
-    window_start_cycles = 0.0;
+    window_start_ins = 0;
   }
 
 let cache_walk model addr =
   if Cache.access model.l1 addr then 0
   else if Cache.access model.l2 addr then model.cfg.l1_miss_cycles
+  else if Cache.access model.llc addr then model.cfg.l2_miss_cycles
   else begin
-    Hashtbl.replace model.llc_lines
+    (* Lines enter the LLC only through a miss, so a line's first LLC
+       lookup always misses: the lines that missed are exactly the lines
+       looked up, and recording misses alone gives the same footprint. *)
+    Line_set.replace model.llc_lines
       (Int64.to_int
          (Int64.unsigned_div addr (Int64.of_int model.cfg.llc.line_bytes)))
       ();
-    if Cache.access model.llc addr then model.cfg.l2_miss_cycles
-    else model.cfg.llc_miss_cycles
+    model.cfg.llc_miss_cycles
   end
 
 let mem_access model addr =
   let tlb_penalty =
     if Cache.access model.dtlb addr then 0 else model.cfg.tlb_miss_cycles
   in
-  model.cycles <- model.cycles +. float_of_int (tlb_penalty + cache_walk model addr)
+  let c = model.clock in
+  c.cycles <- c.cycles +. float_of_int (tlb_penalty + cache_walk model addr)
 
 (* Kernel execution (full-system only): charge ring-0 instructions at
    the kernel's (stall-inclusive) CPI, walk kernel data through the
@@ -139,7 +158,8 @@ let mem_access model addr =
    distinct from the application's. *)
 let kernel_work model kinstr =
   model.kernel_ins <- Int64.add model.kernel_ins (Int64.of_int kinstr);
-  model.cycles <- model.cycles +. (float_of_int kinstr *. model.cfg.kernel_cpi);
+  let c = model.clock in
+  c.cycles <- c.cycles +. (float_of_int kinstr *. model.cfg.kernel_cpi);
   let lines = max 16 (kinstr / 4) in
   for _ = 1 to min lines model.cfg.kernel_lines_per_syscall do
     let addr =
@@ -159,8 +179,10 @@ let branch model pc taken =
   let predicted = counter >= 2 in
   Bytes.set model.predictor idx
     (Char.chr (if taken then min 3 (counter + 1) else max 0 (counter - 1)));
-  if predicted <> taken then
-    model.cycles <- model.cycles +. float_of_int model.cfg.mispredict_cycles
+  if predicted <> taken then begin
+    let c = model.clock in
+    c.cycles <- c.cycles +. float_of_int model.cfg.mispredict_cycles
+  end
 
 let simulate ?(mode = User_level) ?(from_marker = true) ?measure_after
     ?(seed = 13L) ?(fs_init = fun (_ : Fs.t) -> ()) ?(cwd = "/")
@@ -187,18 +209,24 @@ let simulate ?(mode = User_level) ?(from_marker = true) ?measure_after
   let _ = Loader.load kernel machine image ~argv:[ "elfie" ] ~env:[] in
   Elfie_pin.Tools.attach_global_profile machine;
   let model = fresh_model cfg mode ~enabled:(not from_marker) in
+  let clock = model.clock in
+  let ins_cycles = 1.0 /. float_of_int cfg.dispatch_width in
+  (* Instruction count at which the measured window opens (never, when
+     -1: counts start at 1). *)
+  let window_at =
+    match measure_after with Some w -> Int64.to_int w | None -> -1
+  in
   let on_ins tid _pc ins =
     if model.enabled then begin
-      model.user_ins <- Int64.add model.user_ins 1L;
-      model.cycles <- model.cycles +. (1.0 /. float_of_int model.cfg.dispatch_width);
-      (match measure_after with
-      | Some w when model.user_ins = w ->
-          model.window_start_ins <- model.user_ins;
-          model.window_start_cycles <- model.cycles
-      | Some _ | None -> ());
+      let n = model.user_ins + 1 in
+      model.user_ins <- n;
+      clock.cycles <- clock.cycles +. ins_cycles;
+      if n = window_at then begin
+        model.window_start_ins <- n;
+        clock.window_start_cycles <- clock.cycles
+      end;
       (match model.mode with
-      | Full_system
-        when Int64.rem model.user_ins (Int64.of_int cfg.timer_interval_ins) = 0L ->
+      | Full_system when n mod cfg.timer_interval_ins = 0 ->
           kernel_work model cfg.timer_kernel_ins
       | Full_system | User_level -> ());
       match Insn.classify ins with
@@ -234,15 +262,15 @@ let simulate ?(mode = User_level) ?(from_marker = true) ?measure_after
   in
   let r =
     {
-      user_instructions = model.user_ins;
+      user_instructions = Int64.of_int model.user_ins;
       kernel_instructions = model.kernel_ins;
-      runtime_cycles = Int64.of_float (Float.round model.cycles);
+      runtime_cycles = Int64.of_float (Float.round clock.cycles);
       cpi =
-        (let ins = Int64.sub model.user_ins model.window_start_ins in
-         let cyc = model.cycles -. model.window_start_cycles in
-         if ins <= 0L then 0.0 else cyc /. Int64.to_float ins);
+        (let ins = model.user_ins - model.window_start_ins in
+         let cyc = clock.cycles -. clock.window_start_cycles in
+         if ins <= 0 then 0.0 else cyc /. float_of_int ins);
       data_footprint_bytes =
-        Int64.of_int (Hashtbl.length model.llc_lines * cfg.llc.line_bytes);
+        Int64.of_int (Line_set.length model.llc_lines * cfg.llc.line_bytes);
       dtlb_misses = Int64.of_int (Cache.misses model.dtlb);
       llc_misses = Int64.of_int (Cache.misses model.llc);
       syscalls = model.syscalls;

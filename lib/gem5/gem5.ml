@@ -65,14 +65,18 @@ type result = {
   completed : bool;
 }
 
+(* The cycle count in an all-float record, so the per-event additions
+   store unboxed. *)
+type clock = { mutable cycles : float }
+
 type model = {
   cfg : cpu_config;
   l1 : Cache.t;
   l2 : Cache.t;
   predictor : Bytes.t;
   mutable enabled : bool;
-  mutable cycles : float;
-  mutable instructions : int64;
+  clock : clock;
+  mutable instructions : int;
   (* The overlap window hides part of each long-latency miss: a bigger
      ROB/LSQ keeps more independent work in flight. *)
   overlap_window : float;
@@ -87,8 +91,8 @@ let fresh cfg ~enabled =
     l2 = Cache.create cfg.l2;
     predictor = Bytes.make predictor_entries '\002';
     enabled;
-    cycles = 0.0;
-    instructions = 0L;
+    clock = { cycles = 0.0 };
+    instructions = 0;
     overlap_window =
       float_of_int (cfg.rob_entries / cfg.issue_width)
       +. (float_of_int cfg.lsq_entries /. 2.0)
@@ -104,7 +108,8 @@ let mem_access model addr =
          fills, so only the uncovered part of the latency stalls. *)
       Float.max 12.0 (float_of_int model.cfg.l2_miss_cycles -. model.overlap_window)
   in
-  model.cycles <- model.cycles +. penalty
+  let c = model.clock in
+  c.cycles <- c.cycles +. penalty
 
 let branch model pc taken =
   let idx =
@@ -115,8 +120,10 @@ let branch model pc taken =
   let predicted = counter >= 2 in
   Bytes.set model.predictor idx
     (Char.chr (if taken then min 3 (counter + 1) else max 0 (counter - 1)));
-  if predicted <> taken then
-    model.cycles <- model.cycles +. float_of_int model.cfg.mispredict_cycles
+  if predicted <> taken then begin
+    let c = model.clock in
+    c.cycles <- c.cycles +. float_of_int model.cfg.mispredict_cycles
+  end
 
 let simulate_se ?(from_marker = true) ?(seed = 13L) ?(fs_init = fun (_ : Fs.t) -> ())
     ?(cwd = "/") ?(max_ins = 100_000_000L) cfg image =
@@ -138,15 +145,17 @@ let simulate_se ?(from_marker = true) ?(seed = 13L) ?(fs_init = fun (_ : Fs.t) -
   let _ = Loader.load kernel machine image ~argv:[ "elfie" ] ~env:[] in
   Elfie_pin.Tools.attach_global_profile machine;
   let model = fresh cfg ~enabled:(not from_marker) in
+  let clock = model.clock in
+  let ins_cycles = 1.0 /. float_of_int cfg.issue_width in
   let on_ins _tid _pc ins =
     if model.enabled then begin
-      model.instructions <- Int64.add model.instructions 1L;
-      model.cycles <- model.cycles +. (1.0 /. float_of_int model.cfg.issue_width);
+      model.instructions <- model.instructions + 1;
+      clock.cycles <- clock.cycles +. ins_cycles;
       match Insn.classify ins with
       | Insn.K_vector ->
           (* SSE2-era vector support: half throughput. *)
-          model.cycles <- model.cycles +. (1.0 /. float_of_int model.cfg.issue_width)
-      | K_syscall -> model.cycles <- model.cycles +. 120.0
+          clock.cycles <- clock.cycles +. ins_cycles
+      | K_syscall -> clock.cycles <- clock.cycles +. 120.0
       | K_alu | K_load | K_store | K_branch | K_call | K_other -> ()
     end
   in
@@ -165,11 +174,11 @@ let simulate_se ?(from_marker = true) ?(seed = 13L) ?(fs_init = fun (_ : Fs.t) -
   detach ();
   let r =
     {
-      instructions = model.instructions;
-      cycles = Int64.of_float (Float.round model.cycles);
+      instructions = Int64.of_int model.instructions;
+      cycles = Int64.of_float (Float.round clock.cycles);
       ipc =
-        (if model.cycles = 0.0 then 0.0
-         else Int64.to_float model.instructions /. model.cycles);
+        (if clock.cycles = 0.0 then 0.0
+         else float_of_int model.instructions /. clock.cycles);
       l2_misses = Int64.of_int (Cache.misses model.l2);
       completed =
         List.for_all

@@ -69,9 +69,10 @@ type sched_state =
    window). Translation pays fetch, decode, static cost classification
    and micro-op specialisation once per block instead of once per
    instruction. [bb_uops] holds each instruction compiled to a closure
-   with operands pre-resolved (register indices, addressing mode); every
-   execution path runs them — one at a time under instrumentation, in
-   batches or composed chains without. *)
+   with operands pre-resolved (register indices, addressing mode) —
+   behind its [on_ins] call-out in an instrumented translation (see
+   {!instrument}); every execution path runs them, in batches, composed
+   chains or one at a time at retirement-event boundaries. *)
 type bb = {
   bb_pc : int64 array;  (* pc of each instruction *)
   bb_ins : Insn.t array;
@@ -81,7 +82,7 @@ type bb = {
   bb_uops : (t -> thread -> unit) array;
   bb_ends_block : bool;  (* last instruction is a branch/call/syscall *)
   (* The terminator is a plain branch/call/ret (no syscall, marker or
-     trap), so a hook-free batch may run the whole block including it. *)
+     trap), so a batch may run the whole block including it. *)
   bb_tail_batchable : bool;
   (* --- superblock tier -------------------------------------------------
      A block whose terminator is a direct branch/call knows its static
@@ -106,9 +107,10 @@ type bb = {
          store-capable slots): the chain executor's hop body. Built over
          the always-safe chain variant — in-block-dead ALU flag results
          elided, compare+Jcc tails fused with eager flag
-         materialisation — so it is exact for any whole-block run. Only
-         valid for full-block runs: a fault records its slot in
-         [t.mega_idx], a mid-block invalidation raises {!Smc_break}. *)
+         materialisation — so it is exact for any whole-block run; an
+         instrumented translation sequences its exact slots instead.
+         Only valid for full-block runs: a fault records its slot in
+         [t.mega_idx], a mid-block exit raises {!Break_after}. *)
   bb_mega_chain : t -> thread -> unit;
       (* same composition over the exit-dead variant: additionally skips
          flag results the block's static successors provably rewrite
@@ -159,6 +161,9 @@ and t = {
   mutable schedule_cut : bool;
   block_cache : (int64, bb) Hashtbl.t;
   mutable decode_generation : int;
+  (* Whether the cached translations are instrumented: the value of
+     [instrumented t.hooks] when the cache was last flushed. *)
+  mutable decode_instr : bool;
   mutable timer : (int * int * Elfie_util.Rng.t) option;
   mutable group_exit_status : int option;
   (* Dynamic (cache, branch, pause) cycle cost accumulated by micro-ops
@@ -180,7 +185,7 @@ and t = {
      Disabled for A/B measurement and differential tests. *)
   mutable chain_enabled : bool;
   (* Slot index a mega-op was executing when it raised: [Fault] leaves
-     the faulting slot here, [Smc_break] the count of completed slots. *)
+     the faulting slot here, [Break_after] the count of completed slots. *)
   mutable mega_idx : int;
   (* Direction the last direct branch/call terminator resolved to
      (1 = taken edge, 0 = fall-through), recorded branchlessly by the
@@ -276,6 +281,7 @@ let create ?(timing = Timing.default) scheduler =
     schedule_cut = false;
     block_cache = Hashtbl.create 1024;
     decode_generation = -1;
+    decode_instr = false;
     timer = None;
     group_exit_status = None;
     dyn_cost = 0;
@@ -723,12 +729,11 @@ let[@inline] note_branch t th pc target taken =
   | None -> ()
 
 (* Compile one instruction to its micro-op — the one definition of
-   VX86 semantics. Every execution path runs these closures: the
-   per-instruction loop under instrumentation, hook-free batches, and
-   the chain tier's composed blocks. Micro-ops fire the memory, branch
-   and marker hooks themselves ([on_ins] stays in the per-instruction
-   loop), so hook presence only decides how many instructions run
-   between dispatch decisions.
+   VX86 semantics. Every execution path runs these closures: batches,
+   the chain tier's composed blocks and the single-instruction step.
+   Micro-ops fire the memory, branch and marker hooks themselves; an
+   instrumented translation puts the [on_ins] call-out in front of each
+   ({!instrument}).
 
    Cost contract: the static class cost is charged by the caller
    (through [bb_cost] or [bb_prefix]); dynamic cost (cache misses,
@@ -742,8 +747,8 @@ let[@inline] note_branch t th pc target taken =
    [pc] is the instruction's address and [next] the address just past
    it — both translation constants, so a branch's relative target is
    resolved here (target = next + rel). A micro-op does NOT expect RIP
-   to be advanced beforehand: batches skip that per-instruction store
-   and repair RIP once on exit. The forms that observe RIP bake in
+   to be advanced beforehand: execution paths skip that per-instruction
+   store and repair RIP on exit. The forms that observe RIP bake in
    [next] instead: every branch sets RIP unconditionally (a non-taken
    [Jcc] writes [next]), calls push [next], and syscalls and markers
    set RIP to [next] before they call out, as {!set_syscall_handler}
@@ -1111,42 +1116,49 @@ let may_fault (ins : Insn.t) =
       false
   | _ -> true
 
-(* Raised by a mega-op when a store dirtied a code page mid-block:
-   [t.mega_idx] holds the number of completed slots, and — stores being
-   flag-observation barriers — the flags are exact at that point. *)
-exception Smc_break
+(* Raised by a slot that completed but must end the run right after
+   itself: a store dirtied a code page mid-block, or (instrumented
+   slots) a call-out requested a stop, ended the thread or moved the
+   decode generation. [t.mega_idx] holds the number of completed slots,
+   and — stores and call-outs being flag-observation barriers — the
+   flags are exact at that point. *)
+exception Break_after
 
-(* Compose a block's micro-op array into one straight-line closure for
-   whole-block runs: no per-slot array fetch, indirect-call dispatch or
-   bounds bookkeeping, and the self-modifying-code re-check collapses
-   from every slot to just the store-capable ones ([code_writes] can
-   only move at a store). Fault attribution survives composition through
-   [t.mega_idx]: each fault-capable slot records its index before
-   running, so the handler can repair RIP and report the precise slot
-   exactly as the per-instruction loop does. *)
-let compose_mega (bb_ins : Insn.t array) (uops : (t -> thread -> unit) array) =
-  let n = Array.length uops in
-  (* Per-slot wrapper carrying the attribution/re-check obligations. *)
-  let slot i =
-    let u = Array.unsafe_get uops i in
-    if may_write_mem bb_ins.(i) && i < n - 1 then (fun t th ->
-      (* A last-slot store needs no composed re-check: the hop loop
-         re-checks the generation after every completed block. *)
-      t.mega_idx <- i;
-      u t th;
-      if t.mega_cw <> Addr_space.code_writes t.mem then begin
-        t.mega_idx <- i + 1;
-        raise Smc_break
-      end)
-    else if may_fault bb_ins.(i) then (fun t th ->
-      t.mega_idx <- i;
-      u t th)
-    else u
-  in
-  (* Flatten into one arity-specialised sequencing closure: n + 1
-     indirect calls per run instead of the 2n - 1 a pairwise fold
-     costs. Longer blocks chunk by eight and fold the chunks. *)
-  let slots = Array.init n slot in
+let[@inline] running th =
+  match th.state with Runnable -> true | Exited _ | Faulted _ -> false
+
+(* Compiled instrumentation: slot [i] of an instrumented translation,
+   the instruction's exact micro-op [u] (no flag elision, no fusion)
+   behind its [on_ins] call-out. RIP is set to the instruction's own
+   [pc] first, so every call-out it makes — instruction, memory, branch
+   — sees the address of the instruction being executed. Callbacks are
+   looked up per call, so replacing or removing one takes effect at
+   once. The slot carries its own attribution and exit obligations: it
+   records its index for fault attribution, and after the micro-op it
+   polls for what a call-out may have done — a stop request, a thread
+   that is no longer runnable, a moved decode generation — and ends
+   the run right after this instruction through {!Break_after}, as the
+   single-instruction step would. *)
+let instrument i ~pc ins (u : t -> thread -> unit) : t -> thread -> unit =
+ fun t th ->
+  t.mega_idx <- i;
+  th.ctx.Context.rip <- pc;
+  (match t.hooks.on_ins with Some f -> f th.tid pc ins | None -> ());
+  u t th;
+  if
+    t.stop_requested || (not (running th))
+    || Addr_space.generation t.mem <> t.decode_generation
+  then begin
+    t.mega_idx <- i + 1;
+    raise Break_after
+  end
+
+(* Flatten a block's slots into one arity-specialised sequencing closure
+   for whole-block runs: no per-slot array fetch, indirect-call dispatch
+   or bounds bookkeeping — n + 1 indirect calls per run instead of the
+   2n - 1 a pairwise fold costs. Longer blocks chunk by eight and fold
+   the chunks. *)
+let sequence (slots : (t -> thread -> unit) array) =
   let rec seq lo n =
     match n with
     | 1 -> Array.unsafe_get slots lo
@@ -1237,7 +1249,35 @@ let compose_mega (bb_ins : Insn.t array) (uops : (t -> thread -> unit) array) =
           a t th;
           b t th
   in
-  seq 0 n
+  seq 0 (Array.length slots)
+
+(* Compose a plain block's micro-ops into its mega-op: the
+   self-modifying-code re-check collapses from every slot to just the
+   store-capable ones ([code_writes] can only move at a store). Fault
+   attribution survives composition through [t.mega_idx]: each
+   fault-capable slot records its index before running, so the handler
+   can repair RIP and report the precise slot exactly as the
+   single-instruction step does. Instrumented slots carry these
+   obligations themselves and are sequenced as they are. *)
+let compose_mega (bb_ins : Insn.t array) (uops : (t -> thread -> unit) array) =
+  let n = Array.length uops in
+  let slot i =
+    let u = Array.unsafe_get uops i in
+    if may_write_mem bb_ins.(i) && i < n - 1 then (fun t th ->
+      (* A last-slot store needs no composed re-check: the hop loop
+         re-checks the generation after every completed block. *)
+      t.mega_idx <- i;
+      u t th;
+      if t.mega_cw <> Addr_space.code_writes t.mem then begin
+        t.mega_idx <- i + 1;
+        raise Break_after
+      end)
+    else if may_fault bb_ins.(i) then (fun t th ->
+      t.mega_idx <- i;
+      u t th)
+    else u
+  in
+  sequence (Array.init n slot)
 
 (* Fuse a [Cmp]/[Test]/[Sub] immediately preceding the block's
    terminating [Jcc] into one micro-op that evaluates the condition
@@ -1429,9 +1469,12 @@ let build_block t pc =
   for i = 0 to n - 1 do
     bb_prefix.(i + 1) <- bb_prefix.(i) + bb_cost.(i)
   done;
+  let instr = t.decode_instr in
   let bb_uops =
     Array.init n (fun i ->
-        compile_ins ~pc:bb_pc.(i) ~next:bb_next.(i) bb_ins.(i))
+        let pc = bb_pc.(i) and ins = bb_ins.(i) in
+        let u = compile_ins ~pc ~next:bb_next.(i) ins in
+        if instr then instrument i ~pc ins u else u)
   in
   let bb_ends_block =
     match Insn.classify bb_ins.(n - 1) with
@@ -1522,18 +1565,26 @@ let build_block t pc =
                   bb_ins.(i)
               else bb_uops.(i))
   in
-  let bb_uops_safe = chain_variant ~exit_dead:false in
-  (* Exit-dead variant only when a direct taken edge exists — an
-     indirect or cut tail leaves an unknown successor, so its exit flags
-     must stay exact. *)
-  let bb_uops_chain =
-    if Int64.equal bb_succ_taken (-1L) then bb_uops_safe
-    else chain_variant ~exit_dead:true
-  in
-  let bb_mega_safe = compose_mega bb_ins bb_uops_safe in
-  let bb_mega_chain =
-    if bb_uops_chain == bb_uops_safe then bb_mega_safe
-    else compose_mega bb_ins bb_uops_chain
+  let bb_mega_safe, bb_mega_chain =
+    if instr then
+      (* Call-outs observe flags and branches, so an instrumented
+         translation has no elided or fused variant. *)
+      let mega = sequence bb_uops in
+      (mega, mega)
+    else begin
+      let bb_uops_safe = chain_variant ~exit_dead:false in
+      (* Exit-dead variant only when a direct taken edge exists — an
+         indirect or cut tail leaves an unknown successor, so its exit
+         flags must stay exact. *)
+      let bb_uops_chain =
+        if Int64.equal bb_succ_taken (-1L) then bb_uops_safe
+        else chain_variant ~exit_dead:true
+      in
+      let bb_mega_safe = compose_mega bb_ins bb_uops_safe in
+      ( bb_mega_safe,
+        if bb_uops_chain == bb_uops_safe then bb_mega_safe
+        else compose_mega bb_ins bb_uops_chain )
+    end
   in
   let _, _, span = items.(n - 1) in
   (* Writes into the decoded span must invalidate this translation. *)
@@ -1557,15 +1608,25 @@ let build_block t pc =
     bb_chain_extra = -2;
   }
 
+(* Whether translations must be instrumented: any hook that observes
+   straight-line code is installed. *)
+let instrumented (h : hooks) =
+  match (h.on_ins, h.on_mem_read, h.on_mem_write, h.on_branch) with
+  | None, None, None, None -> false
+  | _ -> true
+
 let fetch_block t pc =
   let gen = Addr_space.generation t.mem in
-  if gen <> t.decode_generation then begin
+  let instr = instrumented t.hooks in
+  if gen <> t.decode_generation || instr <> t.decode_instr then begin
     Hashtbl.reset t.block_cache;
     t.decode_generation <- gen;
+    t.decode_instr <- instr;
     Array.fill t.block_memo_pc 0 block_memo_size (-1L);
     (* Chain links are pointers between translations of the discarded
-       generation: the reset breaks every superblock wholesale, so a
-       chain crossing the dirtied page can never survive it. *)
+       generation or hook set: the reset breaks every superblock
+       wholesale, so a chain crossing the dirtied page can never
+       survive it. *)
     t.stats.st_sb_broken <- t.stats.st_sb_broken + t.live_links;
     t.live_links <- 0
   end;
@@ -1628,16 +1689,17 @@ let record_fault th pc ins addr access =
   | Hlt -> th.state <- Faulted (Privileged pc)
   | _ -> th.state <- Faulted (Page_fault { addr; access; pc })
 
-(* Shared hook-free batch inner loop: run [uops.(0 .. fuel-1)] for
-   [b]. Returns the count of completed micro-ops, or [-(idx+1)] when
-   micro-op [idx] faulted (RIP and the thread's fault state are already
-   recorded). A store-free block provably cannot dirty a code page, so
-   its loop runs with ZERO per-instruction invalidation re-checks; a
-   block with stores keeps the per-instruction check, polling the
-   address space's [code_writes] fast-path flag — between system calls
-   (and syscalls never run here: they terminate translation and are not
+(* Shared batch inner loop: run [uops.(0 .. fuel-1)] for [b]. Returns
+   the count of completed micro-ops, or [-(idx+1)] when micro-op [idx]
+   faulted (RIP and the thread's fault state are already recorded). A
+   store-free block provably cannot dirty a code page, so its loop runs
+   with ZERO per-instruction invalidation re-checks; a block with stores
+   keeps the per-instruction check, polling the address space's
+   [code_writes] fast-path flag — between system calls (and syscalls
+   never run here: they terminate translation and are not
    tail-batchable) a code-page write is the only way the decode
-   generation can move, so the two checks are equivalent. *)
+   generation can move, so the two checks are equivalent. Instrumented
+   slots poll for themselves and end the batch through {!Break_after}. *)
 let run_uops t th (b : bb) uops fuel =
   let i = ref 0 in
   let fault = ref 0 in
@@ -1649,9 +1711,12 @@ let run_uops t th (b : bb) uops fuel =
       | () ->
           incr i;
           if cw <> Addr_space.code_writes t.mem then brk := true
+      | exception Break_after ->
+          incr i;
+          brk := true
       | exception Addr_space.Fault { addr; access } ->
-          (* The per-step path advances RIP before executing; a fault
-             leaves it past the faulting instruction. *)
+          (* On every path a fault leaves RIP past the faulting
+             instruction. *)
           let idx = !i in
           th.ctx.Context.rip <- Array.unsafe_get b.bb_next idx;
           record_fault th
@@ -1667,6 +1732,9 @@ let run_uops t th (b : bb) uops fuel =
     while (not !brk) && !i < fuel do
       match (Array.unsafe_get uops !i) t th with
       | () -> incr i
+      | exception Break_after ->
+          incr i;
+          brk := true
       | exception Addr_space.Fault { addr; access } ->
           let idx = !i in
           th.ctx.Context.rip <- Array.unsafe_get b.bb_next idx;
@@ -1770,84 +1838,71 @@ let resolve_links t (b : bb) =
   in
   b.bb_chain_extra <- extra
 
-(* Classic single-block path: hook-free batch of the translation, then
-   the per-instruction remainder (terminator under an [on_branch] hook,
-   instrumented runs, retirement-event boundaries, the tail after a
-   mid-block invalidation).
-
-   Hooks can only appear or vanish mid-run from a syscall handler, and
-   syscalls terminate translation, so hook presence is loop-invariant
-   within a block: uninstrumented runs take the dispatch-free fast loop.
-   The block observer (count-driven profiler) is notified once per block
-   with the attempted prefix — equivalent to per-instruction feeding. *)
+(* Classic single-block path: a batch of the translation, then the
+   single-instruction step for what a batch may not run — the
+   instruction at a retirement-event boundary (timer tick, warmup mark,
+   armed counter) and everything after it, and a syscall, marker or
+   trap terminator. Instrumented translations take the same path: their
+   slots make the call-outs. The block observer (count-driven profiler)
+   is notified once per block with the attempted prefix — equivalent to
+   per-instruction feeding. *)
 let exec_block_classic t th (bb : bb) limit =
   let len = Array.length bb.bb_ins in
   let n = if limit < len then limit else len in
   let gen = t.decode_generation in
   let attempted = ref 0 in
   let continue_ = ref true in
-  (* The interior of a block is straight-line code, so only
-     memory/instruction hooks could observe it; a plain branch
-     terminator is additionally invisible to all but [on_branch], so
-     when that hook is also absent the batch may retire the terminator
-     too. *)
-  let batchable =
-    (match t.hooks.on_ins with Some _ -> false | None -> true)
-    && (match t.hooks.on_mem_read with Some _ -> false | None -> true)
-    && (match t.hooks.on_mem_write with Some _ -> false | None -> true)
+  let fuel =
+    event_fuel t th
+      (let m = if bb.bb_tail_batchable then len else len - 1 in
+       if n < m then n else m)
   in
-  if batchable then begin
-    let tail_ok =
-      bb.bb_tail_batchable
-      && match t.hooks.on_branch with Some _ -> false | None -> true
-    in
-    let fuel =
-      event_fuel t th
-        (let m = if tail_ok then len else len - 1 in
-         if n < m then n else m)
-    in
-    if fuel > 0 then begin
-      t.dyn_cost <- 0;
-      let r = run_uops t th bb bb.bb_uops fuel in
-      let faulted = r < 0 in
-      let ok = if faulted then -r - 1 else r in
-      (* Micro-ops skip the per-instruction RIP store; only a
-         terminating branch (always the block's last micro-op) and the
-         fault path write RIP themselves. Repair it here for every
-         other exit so the machine state matches per-step execution
-         exactly. *)
-      if ok > 0 && ok < len && not faulted then
-        th.ctx.Context.rip <- Array.unsafe_get bb.bb_next (ok - 1);
-      bulk_retire t th bb ok;
-      attempted := (if faulted then ok + 1 else ok);
-      if faulted || t.stop_requested || gen <> Addr_space.generation t.mem
-      then continue_ := false
-    end
+  if fuel > 0 then begin
+    t.dyn_cost <- 0;
+    let r = run_uops t th bb bb.bb_uops fuel in
+    let faulted = r < 0 in
+    let ok = if faulted then -r - 1 else r in
+    (* Slots never advance RIP; only a terminating branch (always
+       the block's last micro-op) and the fault path move it. Repair
+       it here for every other exit so the machine state matches
+       per-step execution exactly. *)
+    if ok > 0 && ok < len && not faulted then
+      th.ctx.Context.rip <- Array.unsafe_get bb.bb_next (ok - 1);
+    bulk_retire t th bb ok;
+    attempted := (if faulted then ok + 1 else ok);
+    if
+      faulted || t.stop_requested || (not (running th))
+      || gen <> Addr_space.generation t.mem
+    then continue_ := false
   end;
-  let hook_free =
-    match t.hooks.on_ins with Some _ -> false | None -> true
-  in
   while !continue_ && !attempted < n do
     let idx = !attempted in
-    let pc = Array.unsafe_get bb.bb_pc idx in
     let ins = Array.unsafe_get bb.bb_ins idx in
-    if not hook_free then
-      (match t.hooks.on_ins with Some f -> f th.tid pc ins | None -> ());
-    th.ctx.Context.rip <- Array.unsafe_get bb.bb_next idx;
     incr attempted;
     t.dyn_cost <- 0;
-    (match (Array.unsafe_get bb.bb_uops idx) t th with
-    | () ->
-        th.cycles <-
-          Int64.add th.cycles
-            (Int64.of_int (Array.unsafe_get bb.bb_cost idx + t.dyn_cost));
-        retire t th
-    | exception Addr_space.Fault { addr; access } ->
-        record_fault th pc ins addr access);
-    (match th.state with
-    | Runnable -> ()
-    | Exited _ | Faulted _ -> continue_ := false);
-    if t.stop_requested || gen <> Addr_space.generation t.mem then
+    let completed =
+      match (Array.unsafe_get bb.bb_uops idx) t th with
+      | () -> true
+      | exception Break_after -> true
+      | exception Addr_space.Fault { addr; access } ->
+          th.ctx.Context.rip <- Array.unsafe_get bb.bb_next idx;
+          record_fault th (Array.unsafe_get bb.bb_pc idx) ins addr access;
+          false
+    in
+    if completed then begin
+      (* Terminators move RIP themselves (a syscall handler may even
+         redirect it); every other instruction falls through. *)
+      if not (terminates_block ins) then
+        th.ctx.Context.rip <- Array.unsafe_get bb.bb_next idx;
+      th.cycles <-
+        Int64.add th.cycles
+          (Int64.of_int (Array.unsafe_get bb.bb_cost idx + t.dyn_cost));
+      retire t th
+    end;
+    if
+      (not (running th)) || t.stop_requested
+      || gen <> Addr_space.generation t.mem
+    then
       (* A write into a code page (or a map/unmap) invalidated the
          translation mid-block: fall back to the scheduler loop, which
          re-fetches from a fresh decode. *)
@@ -1861,16 +1916,17 @@ let exec_block_classic t th (bb : bb) limit =
   !attempted
 
 (* Execute up to [limit] instructions of [th]'s current translated
-   block — and, on the fully uninstrumented path, of its chained
-   successors: whole blocks hop translation-to-translation along
-   direct-branch links without returning to the dispatch loop, with
-   per-block bulk retirement and one block-observer call per hop
-   (identical granularity to dispatch-driven execution, so BBV slice
-   accounting is bit-for-bit unchanged). Indirect branches, faults,
-   event-fuel exhaustion, invalidations and stop requests break the
-   chain back to dispatch. Returns how many instructions were attempted
-   (a faulting fetch or instruction counts as one, matching the
-   per-step accounting). *)
+   block — and, with the chain tier enabled, of its chained successors:
+   whole blocks hop translation-to-translation along direct-branch
+   links without returning to the dispatch loop, with per-block bulk
+   retirement and one block-observer call per hop (identical
+   granularity to dispatch-driven execution, so BBV slice accounting is
+   bit-for-bit unchanged). Instrumented and plain translations chain
+   alike. Indirect branches, faults, event-fuel exhaustion,
+   invalidations (including a change of instrumentation) and stop
+   requests break the chain back to dispatch. Returns how many
+   instructions were attempted (a faulting fetch or instruction counts
+   as one, matching the per-step accounting). *)
 let exec_block t th limit =
   let pc0 = th.ctx.Context.rip in
   match fetch_block t pc0 with
@@ -1878,14 +1934,7 @@ let exec_block t th limit =
       th.state <- Faulted (Page_fault { addr; access = Exec; pc = pc0 });
       1
   | bb ->
-      let chainable =
-        t.chain_enabled
-        && (match t.hooks.on_ins with Some _ -> false | None -> true)
-        && (match t.hooks.on_mem_read with Some _ -> false | None -> true)
-        && (match t.hooks.on_mem_write with Some _ -> false | None -> true)
-        && (match t.hooks.on_branch with Some _ -> false | None -> true)
-      in
-      if not chainable then exec_block_classic t th bb limit
+      if not t.chain_enabled then exec_block_classic t th bb limit
       else begin
         let st = t.stats in
         let gen = t.decode_generation in
@@ -1902,6 +1951,9 @@ let exec_block t th limit =
         let observer_none =
           match t.block_observer with None -> true | Some _ -> false
         in
+        (* Call-outs (instrumented slots, the observer) may change the
+           hook set or the address space between hops. *)
+        let watch = t.decode_instr || not observer_none in
         (* Event fuel is computed once per call: every retirement target
            (timer, mark, counter) and the caller's limit shrink in
            lockstep with the instructions the chain executes, so a
@@ -1988,7 +2040,7 @@ let exec_block t th limit =
                   part := idx;
                   faulted := true;
                   cut := true
-              | Smc_break ->
+              | Break_after ->
                   part := t.mega_idx;
                   cut := true);
               let ok = (!iters * len) + !part in
@@ -2016,21 +2068,23 @@ let exec_block t th limit =
                 st.st_x_fault <- st.st_x_fault + 1
               end
               else if
-                !cut
                 (* Between chain hops the generation can only move from a
                    store (no syscalls run here — they are not
-                   tail-batchable) or, conceivably, an observer callback;
-                   hops with neither skip the re-check, and a
-                   store-bearing hop checks right after itself, so a
-                   moved generation is never outrun. *)
-                || (b.bb_writes_mem || not observer_none)
-                   && gen <> Addr_space.generation t.mem
+                   tail-batchable) or a call-out; hops with neither skip
+                   the re-check, and a store-bearing hop checks right
+                   after itself, so a moved generation is never
+                   outrun. *)
+                (!cut || b.bb_writes_mem || watch)
+                && gen <> Addr_space.generation t.mem
+                || watch && instrumented t.hooks <> t.decode_instr
               then begin
                 looping := false;
                 finished := true;
                 st.st_x_inval <- st.st_x_inval + 1
               end
-              else if t.stop_requested then begin
+              else if !cut || t.stop_requested then begin
+                (* A cut that moved nothing was a call-out's stop
+                   request or thread exit. *)
                 looping := false;
                 finished := true;
                 st.st_x_stop <- st.st_x_stop + 1
@@ -2348,6 +2402,7 @@ let fork ?reseed:seed snap =
       schedule_cut = snap.snap_schedule_cut;
       block_cache = Hashtbl.create 1024;
       decode_generation = -1;
+      decode_instr = false;
       timer =
         Option.map
           (fun (i, c, rng) -> (i, c, Elfie_util.Rng.copy rng))

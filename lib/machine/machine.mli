@@ -48,7 +48,34 @@ type scheduler =
   | Recorded of (int * int) list
 
 (** Instrumentation points. All default to [None]; the Pin layer and
-    simulators fill them in. *)
+    simulators fill them in.
+
+    Installing any of [on_ins], [on_mem_read], [on_mem_write] or
+    [on_branch] makes the machine run {e instrumented translations}:
+    the call-outs are compiled into each translated block, in front of
+    and inside each instruction's micro-op, and those blocks batch and
+    chain like hook-free ones. What a call-out observes:
+    - registers, flags and memory are exact: every earlier instruction
+      has completed, nothing later has started (no flag result is
+      elided or fused in an instrumented translation);
+    - RIP is the address of the instruction being executed in
+      [on_ins], [on_mem_read], [on_mem_write] and [on_branch], and the
+      address past it in [on_marker];
+    - a thread's [retired] and [cycles] (and {!total_retired},
+      {!elapsed_cycles}) advance per executed block, not per
+      instruction; they are exact in [on_marker] and in the syscall
+      handler, which run after the block's earlier instructions have
+      retired;
+    - callbacks are looked up at each call, so replacing one takes
+      effect at once, but installing the first of the four or removing
+      the last — a change between instrumented and hook-free
+      translations — applies at the next block fetch;
+    - {!request_stop} ends the run right after the current instruction
+      (which still retires), wherever it sits in its block, exactly as
+      {!step} would stop.
+
+    A call-out must return normally; an exception escaping one leaves
+    the running block's retired and cycle counts unflushed. *)
 type hooks = {
   mutable on_ins : (int -> int64 -> Elfie_isa.Insn.t -> unit) option;
       (** tid, pc, instruction — before execution *)
@@ -113,7 +140,8 @@ val arm_mark : t -> int -> target:int64 -> unit
     makes repeated native-hardware measurements differ run to run. *)
 val set_timer : t -> interval:int -> cycles:int -> seed:int64 -> unit
 
-(** Ask the run loop to stop at the next instruction boundary. *)
+(** Ask the run loop to stop at the next instruction boundary (from a
+    call-out: right after the current instruction). *)
 val request_stop : t -> unit
 
 (** Whether a stop has been requested (drivers running their own
@@ -149,7 +177,7 @@ val step : t -> int -> unit
     hook-free path the count-driven profiler rides: feeding
     [Elfie_obs.Profile.note_block] here is equivalent to one
     {!hooks.on_ins}-driven [note] per instruction, without any
-    per-instruction dispatch. *)
+    per-instruction call-out. *)
 val set_block_observer :
   t ->
   (tid:int -> pcs:int64 array -> n:int -> ends_block:bool -> unit) option ->
@@ -159,18 +187,23 @@ val set_block_observer :
     after generation flushes — an observability counter). *)
 val translated_blocks : t -> int
 
-(** Enable/disable the superblock chain tier (on by default): on the
-    fully uninstrumented path, blocks ending in a direct branch hop
-    straight to their successor's translation without returning to the
-    dispatch loop, with a cross-block flag-liveness pass eliding dead
-    ALU flag materialisation. Architecturally invisible — disabling it
-    only removes the speed tier (A/B benchmarking, differential
-    tests). *)
+(** Enable/disable the superblock chain tier (on by default): blocks
+    ending in a direct branch hop straight to their successor's
+    translation without returning to the dispatch loop, instrumented
+    translations included; hook-free translations additionally run a
+    cross-block flag-liveness pass eliding dead ALU flag
+    materialisation. Architecturally invisible — disabling it only
+    removes the speed tier (A/B benchmarking, differential tests). It is
+    the only execution-tier switch: installed hooks do not change the
+    tier. *)
 val set_chain_enabled : t -> bool -> unit
 
 (** Monotone per-machine core-execution counters: block-memo efficacy,
     superblock link churn, and chain exits by reason. Mirrored into the
-    [elfie_core_*] metric families at the end of every {!run}. *)
+    [elfie_core_*] metric families at the end of every {!run}. A stop
+    requested from a call-out inside a chained block counts in
+    [exits_stop]; a code-page write, or a switch between instrumented
+    and hook-free translations, in [exits_invalidation]. *)
 type chain_stats = {
   memo_hits : int;
   memo_misses : int;

@@ -23,42 +23,30 @@ let empty ~name =
     on_thread_exit = None;
   }
 
-(* Chain the non-[None] callbacks of [fs] after [prev]. *)
-let chain1 prev fs =
-  match (prev, fs) with
-  | None, [] -> None
-  | _ ->
-      Some
-        (fun a ->
-          (match prev with Some f -> f a | None -> ());
-          List.iter (fun f -> f a) fs)
+(* Chain the callbacks [fs] after [prev], in order. A lone callback is
+   installed as it is, and several are composed once here with [seq]
+   (run one, then the other), so firing a hook allocates nothing and
+   costs no list walk. *)
+let chain seq prev fs =
+  List.fold_left
+    (fun acc f -> Some (match acc with None -> f | Some g -> seq g f))
+    prev fs
 
-let chain2 prev fs =
-  match (prev, fs) with
-  | None, [] -> None
-  | _ ->
-      Some
-        (fun a b ->
-          (match prev with Some f -> f a b | None -> ());
-          List.iter (fun f -> f a b) fs)
+let seq1 g f a =
+  g a;
+  f a
 
-let chain3 prev fs =
-  match (prev, fs) with
-  | None, [] -> None
-  | _ ->
-      Some
-        (fun a b c ->
-          (match prev with Some f -> f a b c | None -> ());
-          List.iter (fun f -> f a b c) fs)
+let seq2 g f a b =
+  g a b;
+  f a b
 
-let chain4 prev fs =
-  match (prev, fs) with
-  | None, [] -> None
-  | _ ->
-      Some
-        (fun a b c d ->
-          (match prev with Some f -> f a b c d | None -> ());
-          List.iter (fun f -> f a b c d) fs)
+let seq3 g f a b c =
+  g a b c;
+  f a b c
+
+let seq4 g f a b c d =
+  g a b c d;
+  f a b c d
 
 let attach machine tools =
   let h = Machine.hooks machine in
@@ -70,13 +58,13 @@ let attach machine tools =
   and saved_ts = h.on_thread_start
   and saved_te = h.on_thread_exit in
   let pick f = List.filter_map f tools in
-  h.on_ins <- chain3 saved_ins (pick (fun t -> t.on_ins));
-  h.on_mem_read <- chain3 saved_mr (pick (fun t -> t.on_mem_read));
-  h.on_mem_write <- chain3 saved_mw (pick (fun t -> t.on_mem_write));
-  h.on_branch <- chain4 saved_br (pick (fun t -> t.on_branch));
-  h.on_marker <- chain2 saved_mk (pick (fun t -> t.on_marker));
-  h.on_thread_start <- chain1 saved_ts (pick (fun t -> t.on_thread_start));
-  h.on_thread_exit <- chain2 saved_te (pick (fun t -> t.on_thread_exit));
+  h.on_ins <- chain seq3 saved_ins (pick (fun t -> t.on_ins));
+  h.on_mem_read <- chain seq3 saved_mr (pick (fun t -> t.on_mem_read));
+  h.on_mem_write <- chain seq3 saved_mw (pick (fun t -> t.on_mem_write));
+  h.on_branch <- chain seq4 saved_br (pick (fun t -> t.on_branch));
+  h.on_marker <- chain seq2 saved_mk (pick (fun t -> t.on_marker));
+  h.on_thread_start <- chain seq1 saved_ts (pick (fun t -> t.on_thread_start));
+  h.on_thread_exit <- chain seq2 saved_te (pick (fun t -> t.on_thread_exit));
   fun () ->
     h.on_ins <- saved_ins;
     h.on_mem_read <- saved_mr;

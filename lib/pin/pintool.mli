@@ -5,7 +5,11 @@
     events) and [attach] multiplexes any number of tools onto one
     machine's single hook slots. The logger, the BBV profiler and
     user-written analysis tools are all Vpin tools and can run
-    simultaneously, like Pintools sharing one Pin process. *)
+    simultaneously, like Pintools sharing one Pin process. As in Pin,
+    the calls are built into the translated code: a tool with an
+    instruction, memory or branch callback runs on instrumented
+    translations that chain like uninstrumented ones (see
+    {!Elfie_machine.Machine.hooks} for what a callback observes). *)
 
 type t = {
   name : string;
@@ -22,7 +26,12 @@ type t = {
 val empty : name:string -> t
 
 (** Attach tools to a machine, chaining with any hooks already
-    installed. Returns a detach function restoring the previous hooks. *)
+    installed: per hook, the callbacks already installed fire first,
+    then the tools' in list order. A hook that ends up with a single
+    callback gets that callback as it is, and several are composed once
+    at attach time, so firing a hook allocates nothing. Hook-set
+    changes apply at the machine's next block fetch. Returns a detach
+    function restoring the previous hooks. *)
 val attach : Elfie_machine.Machine.t -> t list -> unit -> unit
 
 (** Count of instrumented instructions seen by an [on_ins]-only probe —

@@ -203,9 +203,10 @@ let block_profile ?(from_marker = false) ?limit () =
 
    Wired through the machine's block observer rather than an [on_ins]
    hook: the observer is fed whole straight-line runs on the hook-free
-   translated-block path, so profiling no longer forces the
-   per-instruction slow path, and [Profile.note_block] reproduces
-   per-instruction feeding state-for-state. *)
+   translated-block path, so profiling adds no per-instruction call-out
+   and keeps a run's translations uninstrumented, and
+   [Profile.note_block] reproduces per-instruction feeding
+   state-for-state. *)
 let attach_global_profile machine =
   match Elfie_obs.Profile.global () with
   | None -> ()

@@ -82,8 +82,12 @@ let profile_end_condition ?(exclude = (0L, 0L)) pb =
   detach ();
   { pc = !last_pc; count = Hashtbl.find hist !last_pc }
 
+(* A core's cycle count in an all-float record, so the per-event
+   additions store unboxed. *)
+type clock = { mutable cycles : float }
+
 type core_state = {
-  mutable cycles : float;
+  clock : clock;
   l1 : Cache.t;
   l2 : Cache.t;
   predictor : Bytes.t;
@@ -95,7 +99,7 @@ type model = {
   llc : Cache.t;
   rng : Elfie_util.Rng.t;
   mutable enabled : bool;
-  mutable per_thread : int64 array;
+  mutable per_thread : int array;
   mutable ec_count : int;
   mutable ec_met : bool;
 }
@@ -108,7 +112,7 @@ let fresh_model cfg ~enabled =
     cores =
       Array.init cfg.cores (fun _ ->
           {
-            cycles = 0.0;
+            clock = { cycles = 0.0 };
             l1 = Cache.create cfg.l1;
             l2 = Cache.create cfg.l2;
             predictor = Bytes.make predictor_entries '\002';
@@ -116,7 +120,7 @@ let fresh_model cfg ~enabled =
     llc = Cache.create cfg.llc;
     rng = Elfie_util.Rng.create 0xBADCAFEL;
     enabled;
-    per_thread = Array.make 16 0L;
+    per_thread = Array.make 16 0;
     ec_count = 0;
     ec_met = false;
   }
@@ -125,11 +129,11 @@ let core_of model tid = model.cores.(tid mod model.cfg.cores)
 
 let bump_thread model tid =
   if tid >= Array.length model.per_thread then begin
-    let bigger = Array.make (tid + 8) 0L in
+    let bigger = Array.make (tid + 8) 0 in
     Array.blit model.per_thread 0 bigger 0 (Array.length model.per_thread);
     model.per_thread <- bigger
   end;
-  model.per_thread.(tid) <- Int64.add model.per_thread.(tid) 1L
+  model.per_thread.(tid) <- model.per_thread.(tid) + 1
 
 let mem_access model tid addr =
   let core = core_of model tid in
@@ -139,7 +143,8 @@ let mem_access model tid addr =
     else if Cache.access model.llc addr then model.cfg.l2_miss_cycles
     else model.cfg.llc_miss_cycles
   in
-  core.cycles <- core.cycles +. float_of_int penalty
+  let c = core.clock in
+  c.cycles <- c.cycles +. float_of_int penalty
 
 let branch model tid pc taken =
   let core = core_of model tid in
@@ -151,10 +156,13 @@ let branch model tid pc taken =
   let predicted = counter >= 2 in
   Bytes.set core.predictor idx
     (Char.chr (if taken then min 3 (counter + 1) else max 0 (counter - 1)));
-  if predicted <> taken then
-    core.cycles <- core.cycles +. float_of_int model.cfg.mispredict_cycles
+  if predicted <> taken then begin
+    let c = core.clock in
+    c.cycles <- c.cycles +. float_of_int model.cfg.mispredict_cycles
+  end
 
 let tool model machine end_condition =
+  let ins_cycles = 1.0 /. float_of_int model.cfg.dispatch_width in
   let on_ins tid pc ins =
     (match end_condition with
     | Some ec when pc = ec.pc ->
@@ -165,14 +173,14 @@ let tool model machine end_condition =
         end
     | Some _ | None -> ());
     if model.enabled then begin
-      let core = core_of model tid in
-      core.cycles <- core.cycles +. (1.0 /. float_of_int model.cfg.dispatch_width);
+      let c = (core_of model tid).clock in
+      c.cycles <- c.cycles +. ins_cycles;
       if Elfie_util.Rng.int model.rng model.cfg.stall_interval_ins = 0 then
-        core.cycles <- core.cycles +. float_of_int model.cfg.stall_cycles;
+        c.cycles <- c.cycles +. float_of_int model.cfg.stall_cycles;
       bump_thread model tid;
       match Insn.classify ins with
       | Insn.K_syscall ->
-          core.cycles <- core.cycles +. float_of_int model.cfg.syscall_cycles
+          c.cycles <- c.cycles +. float_of_int model.cfg.syscall_cycles
       | K_alu | K_load | K_store | K_branch | K_call | K_vector | K_other -> ()
     end
   in
@@ -205,14 +213,16 @@ let end_sim_span sp r =
 
 let collect ?(completed = true) model =
   let per_core_cycles =
-    Array.map (fun c -> Int64.of_float (Float.round c.cycles)) model.cores
+    Array.map (fun c -> Int64.of_float (Float.round c.clock.cycles)) model.cores
   in
   let runtime_cycles = Array.fold_left max 0L per_core_cycles in
   let n_threads =
-    let rec last i = if i = 0 then 0 else if model.per_thread.(i - 1) > 0L then i else last (i - 1) in
+    let rec last i = if i = 0 then 0 else if model.per_thread.(i - 1) > 0 then i else last (i - 1) in
     last (Array.length model.per_thread)
   in
-  let per_thread_instructions = Array.sub model.per_thread 0 (max 1 n_threads) in
+  let per_thread_instructions =
+    Array.map Int64.of_int (Array.sub model.per_thread 0 (max 1 n_threads))
+  in
   let instructions = Array.fold_left Int64.add 0L per_thread_instructions in
   {
     instructions;
@@ -266,7 +276,7 @@ let simulate_elfie ?end_condition ?(from_marker = true) ?(seed = 13L)
       List.iter
         (fun th ->
           if th.Machine.state = Machine.Runnable then
-            let c = (core_of model th.Machine.tid).cycles in
+            let c = (core_of model th.Machine.tid).clock.cycles in
             match !best with
             | Some (_, bc) when bc <= c -> ()
             | Some _ | None -> best := Some (th.Machine.tid, c))

@@ -649,7 +649,7 @@ let ref_syscall ctx =
   Context.set ctx Reg.RDX ctx.Context.rip
 
 type ref_event =
-  | Ev_ins of int64
+  | Ev_ins of int64 * int64  (* pc, RIP when the hook ran *)
   | Ev_read of int64 * int
   | Ev_write of int64 * int
   | Ev_branch of int64 * int64 * bool
@@ -684,7 +684,7 @@ let run_reference prog =
     let pc = ctx.Context.rip in
     let r = Elfie_util.Byteio.Reader.of_bytes (Addr_space.read_avail mem pc 16) in
     let ins = Codec.decode r in
-    note (Ev_ins pc);
+    note (Ev_ins (pc, ctx.Context.rip));
     ctx.Context.rip <- Int64.add pc (Int64.of_int (Elfie_util.Byteio.Reader.pos r));
     match Ref_exec.execute ~timing ~mem ~syscall:ref_syscall ~hooks ctx ~pc ins with
     | cost ->
@@ -708,10 +708,12 @@ let run_reference prog =
     events = List.rev !log;
   }
 
-(* [hooked]: every recording hook installed and the thread driven by
-   [Machine.step], the per-instruction path; otherwise a hook-free
-   [Machine.run], which takes the batched and chained paths. *)
-let run_machine ~hooked prog =
+(* [`Hooked_step]: every recording hook installed and the thread driven
+   one instruction at a time by [Machine.step]; [`Hooked_run]: the same
+   hooks under [Machine.run], which chains the instrumented
+   translations; [`Plain_run]: a hook-free [Machine.run], which takes
+   the batched and chained paths with flag elision and fusion. *)
+let run_machine mode prog =
   let m =
     Machine.create (Machine.Free { seed = 1L; quantum_min = 100; quantum_max = 100 })
   in
@@ -721,22 +723,22 @@ let run_machine ~hooked prog =
       ref_syscall (Machine.thread m tid).Machine.ctx);
   let log = ref [] in
   let note e = log := e :: !log in
-  if hooked then begin
+  let rip () = (Machine.thread m tid).Machine.ctx.Context.rip in
+  if mode <> `Plain_run then begin
     let h = Machine.hooks m in
-    h.Machine.on_ins <- Some (fun _ pc _ -> note (Ev_ins pc));
+    h.Machine.on_ins <- Some (fun _ pc _ -> note (Ev_ins (pc, rip ())));
     h.on_mem_read <- Some (fun _ a w -> note (Ev_read (a, w)));
     h.on_mem_write <- Some (fun _ a w -> note (Ev_write (a, w)));
     h.on_branch <- Some (fun _ pc tgt taken -> note (Ev_branch (pc, tgt, taken)));
-    h.on_marker <-
-      Some
-        (fun tid ins ->
-          note (Ev_marker (ins, (Machine.thread m tid).Machine.ctx.Context.rip)));
-    let th = Machine.thread m tid in
-    while th.Machine.state = Machine.Runnable && th.Machine.retired < ref_fuel do
-      Machine.step m tid
-    done
-  end
-  else Machine.run ~max_ins:ref_fuel m;
+    h.on_marker <- Some (fun _ ins -> note (Ev_marker (ins, rip ())))
+  end;
+  (match mode with
+  | `Hooked_step ->
+      let th = Machine.thread m tid in
+      while th.Machine.state = Machine.Runnable && th.Machine.retired < ref_fuel do
+        Machine.step m tid
+      done
+  | `Hooked_run | `Plain_run -> Machine.run ~max_ins:ref_fuel m);
   let th = Machine.thread m tid in
   {
     ctx_bytes = Context.to_bytes th.Machine.ctx;
@@ -748,7 +750,8 @@ let run_machine ~hooked prog =
   }
 
 let prop_uops_match_reference =
-  QCheck.Test.make ~name:"micro-ops ≡ reference interpreter (hooked step, hook-free run)"
+  QCheck.Test.make
+    ~name:"micro-ops ≡ reference interpreter (hooked step, hooked run, hook-free run)"
     ~count:300
     (QCheck.make ~print:show_ref_prog ref_prog_gen)
     (fun p ->
@@ -765,8 +768,9 @@ let prop_uops_match_reference =
         if got.fault <> expected.fault then fail "fault record";
         if events && got.events <> expected.events then fail "hook event log"
       in
-      agree "hooked step" (run_machine ~hooked:true prog) ~events:true;
-      agree "hook-free run" (run_machine ~hooked:false prog) ~events:false;
+      agree "hooked step" (run_machine `Hooked_step prog) ~events:true;
+      agree "hooked run" (run_machine `Hooked_run prog) ~events:true;
+      agree "hook-free run" (run_machine `Plain_run prog) ~events:false;
       true)
 
 let test_faults () =

@@ -329,8 +329,7 @@ let test_block_run_matches_step () =
     (Machine.translated_blocks ma > 3);
   let sched = Machine.recorded_schedule ma in
   (* Reference: replay the exact schedule one Machine.step at a time,
-     profiler fed per instruction through the on_ins hook (which also
-     keeps execution on the per-instruction path). *)
+     profiler fed per instruction through the on_ins hook. *)
   let pb = Profile.create ~interval:7 () in
   let mb = mk_branchy_machine prog (Machine.Recorded sched) in
   profile_note_hook pb mb;
@@ -397,10 +396,10 @@ let test_note_block_equivalence () =
 (* --- superblock chain tier ---------------------------------------------------- *)
 
 (* Chained execution (the default), chain-disabled block execution, and
-   per-instruction execution (an [on_ins] hook keeps execution off
-   every batched path) must be indistinguishable: same schedule,
-   same retired/cycle counts, bit-identical contexts, and bit-identical
-   BBV slice profiles. *)
+   instrumented execution (an [on_ins] hook: a call-out before every
+   instruction, no flag elision or fusion) must be indistinguishable:
+   same schedule, same retired/cycle counts, bit-identical contexts,
+   and bit-identical BBV slice profiles. *)
 let bbv_profile_eq (a : Elfie_pin.Bbv.profile) (b : Elfie_pin.Bbv.profile) =
   a.Elfie_pin.Bbv.slice_size = b.Elfie_pin.Bbv.slice_size
   && a.Elfie_pin.Bbv.total_instructions = b.Elfie_pin.Bbv.total_instructions
@@ -570,6 +569,142 @@ let test_chain_fault_mid_chain_flags () =
     (Bytes.equal (Context.to_bytes tc.Machine.ctx) (Context.to_bytes tp.Machine.ctx));
   Alcotest.(check bool) "the fault was taken from a chained run" true
     ((Machine.chain_stats mc).Machine.exits_fault >= 1)
+
+(* --- compiled instrumentation --------------------------------------------------- *)
+
+(* A counted loop whose six-instruction body (one block: ALU, store,
+   load, ALU, decrement, backedge) chains into itself, then a Hlt. *)
+let hooked_loop_prog () =
+  let b = Builder.create () in
+  let loop = Builder.new_label b in
+  Builder.ins b (Mov_ri (Reg.RCX, 300L));
+  Builder.bind b loop;
+  Builder.ins b (Alu_ri (Add, Reg.RAX, 3L));
+  Builder.ins b (Store (W64, mem_abs 0x8100L, Reg.RAX));
+  Builder.ins b (Load (W64, Reg.RBX, mem_abs 0x8100L));
+  Builder.ins b (Alu_rr (Xor, Reg.RSI, Reg.RBX));
+  Builder.ins b (Alu_ri (Sub, Reg.RCX, 1L));
+  Builder.jcc b Ne loop;
+  Builder.ins b Hlt;
+  Builder.assemble b ~base:0x1000L
+
+let mk_hooked_loop_machine () =
+  let m =
+    Machine.create (Machine.Free { seed = 3L; quantum_min = 500; quantum_max = 500 })
+  in
+  Addr_space.store (Machine.mem m) 0x1000L (hooked_loop_prog ()).Builder.code;
+  Addr_space.map (Machine.mem m) ~addr:0x8000L ~len:4096;
+  let ctx = Context.create () in
+  ctx.Context.rip <- 0x1000L;
+  let tid = Machine.add_thread m ctx in
+  (m, Machine.thread m tid)
+
+(* An [on_ins] hook that requests a stop (or exits the thread) at its
+   [k]-th call ends the run right after that instruction — wherever it
+   sits in the block — with the retired count, cycles and context of
+   stepping the same hook one instruction at a time; the chained run
+   counts the exit as a stop, not as an invalidation. *)
+let test_hook_stop_mid_block () =
+  let end_at how m k =
+    let seen = ref 0 in
+    (Machine.hooks m).Machine.on_ins <-
+      Some
+        (fun tid _ _ ->
+          incr seen;
+          if !seen = k then
+            match how with
+            | `Stop -> Machine.request_stop m
+            | `Exit -> Machine.exit_thread m tid ~status:0)
+  in
+  let check (how, k) =
+    let mc, tc = mk_hooked_loop_machine () in
+    end_at how mc k;
+    Machine.run mc;
+    let ms, ts = mk_hooked_loop_machine () in
+    end_at how ms k;
+    while ts.Machine.state = Machine.Runnable && not (Machine.stop_requested ms) do
+      Machine.step ms ts.Machine.tid
+    done;
+    let what s =
+      Printf.sprintf "%s at %d: %s"
+        (match how with `Stop -> "stop" | `Exit -> "exit")
+        k s
+    in
+    Alcotest.check Tutil.i64 (what "retired") (Int64.of_int k) tc.Machine.retired;
+    Alcotest.check Tutil.i64 (what "retired = stepped") ts.Machine.retired
+      tc.Machine.retired;
+    Alcotest.check Tutil.i64 (what "cycles = stepped") ts.Machine.cycles
+      tc.Machine.cycles;
+    Alcotest.check Tutil.i64 (what "RIP = stepped") ts.Machine.ctx.Context.rip
+      tc.Machine.ctx.Context.rip;
+    Alcotest.(check bool) (what "context = stepped") true
+      (Bytes.equal (Context.to_bytes tc.Machine.ctx) (Context.to_bytes ts.Machine.ctx));
+    let st = Machine.chain_stats mc in
+    Alcotest.(check bool) (what "instrumented run chained") true
+      (st.Machine.superblocks_built > 0);
+    Alcotest.(check int) (what "counted as a stop") 1 st.Machine.exits_stop;
+    Alcotest.(check int) (what "not as an invalidation") 0
+      st.Machine.exits_invalidation
+  in
+  List.iter
+    (fun k ->
+      check (`Stop, k);
+      check (`Exit, k))
+    [ 600; 601; 602; 603; 604; 605 ]
+
+(* Hook sets change between runs: a tool attached after a hook-free warm
+   run sees every later instruction (the plain translations and their
+   chain links are discarded), and detaching it brings back hook-free
+   translations — the cache is rebuilt again, and the run ends exactly
+   as one that never had a tool. *)
+let test_attach_detach_between_runs () =
+  let pcs_of_run ~from ~upto =
+    (* Reference: the pcs a tool attached from the start sees. *)
+    let m, _ = mk_hooked_loop_machine () in
+    let log = ref [] in
+    let n = ref 0 in
+    (Machine.hooks m).Machine.on_ins <-
+      Some
+        (fun _ pc _ ->
+          incr n;
+          if !n > from && !n <= upto then log := pc :: !log);
+    Machine.run ~max_ins:(Int64.of_int upto) m;
+    List.rev !log
+  in
+  let m, th = mk_hooked_loop_machine () in
+  Machine.run ~max_ins:400L m;
+  let plain_links = (Machine.chain_stats m).Machine.superblocks_built in
+  Alcotest.(check bool) "warm run chained" true (plain_links > 0);
+  let log = ref [] in
+  let tool =
+    { (Elfie_pin.Pintool.empty ~name:"late") with
+      on_ins = Some (fun _ pc _ -> log := pc :: !log) }
+  in
+  let detach = Elfie_pin.Pintool.attach m [ tool ] in
+  Machine.run ~max_ins:1000L m;
+  Alcotest.(check (list Tutil.i64)) "late tool sees every later instruction"
+    (pcs_of_run ~from:400 ~upto:1000) (List.rev !log);
+  let st = Machine.chain_stats m in
+  Alcotest.(check bool) "plain links discarded on attach" true
+    (st.Machine.superblocks_broken >= plain_links);
+  detach ();
+  let seen = List.length !log in
+  Machine.run m;
+  Alcotest.(check int) "detached tool sees nothing" seen (List.length !log);
+  Alcotest.(check bool) "instrumented links discarded on detach" true
+    ((Machine.chain_stats m).Machine.superblocks_broken
+     > st.Machine.superblocks_broken);
+  let mp, tp = mk_hooked_loop_machine () in
+  Machine.run mp;
+  Alcotest.check Tutil.i64 "retired = never hooked" tp.Machine.retired
+    th.Machine.retired;
+  Alcotest.check Tutil.i64 "cycles = never hooked" tp.Machine.cycles
+    th.Machine.cycles;
+  Alcotest.(check bool) "context = never hooked" true
+    (Bytes.equal (Context.to_bytes tp.Machine.ctx) (Context.to_bytes th.Machine.ctx));
+  Alcotest.(check bool) "both end in the Hlt fault" true
+    (th.Machine.state = tp.Machine.state
+    && match th.Machine.state with Machine.Faulted _ -> true | _ -> false)
 
 (* Randomized branchy kernels: a register-initialisation prologue, a
    counted outer loop whose body is a web of short ALU blocks joined by
@@ -1028,6 +1163,9 @@ let suite =
     Alcotest.test_case "chain: SMC dirties mid-chain" `Quick test_chain_smc_mid_chain;
     Alcotest.test_case "chain: fault mid-chain re-materialises flags" `Quick
       test_chain_fault_mid_chain_flags;
+    Alcotest.test_case "hooks: stop mid-block ≡ stepping" `Quick test_hook_stop_mid_block;
+    Alcotest.test_case "hooks: attach/detach between runs" `Quick
+      test_attach_detach_between_runs;
     QCheck_alcotest.to_alcotest prop_chain_equiv;
     QCheck_alcotest.to_alcotest prop_fork_equals_fresh_warmup;
     Alcotest.test_case "SMC across fork" `Quick test_smc_across_fork;

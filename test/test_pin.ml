@@ -19,6 +19,44 @@ let test_tool_chaining_and_detach () =
   Elfie_machine.Machine.run ~max_ins:2_000L machine;
   Alcotest.check Tutil.i64 "detached" 1_000L (c1 ())
 
+(* A lone callback is installed as it is; callbacks attached later fire
+   after the ones already installed, in list order; each detach restores
+   exactly the hooks it found. *)
+let test_tool_order_and_detach () =
+  let machine, _ = Run.instantiate (Tutil.tiny_run_spec "order") in
+  let h = Elfie_machine.Machine.hooks machine in
+  let log = ref [] in
+  let tool name =
+    { (Pintool.empty ~name) with
+      on_ins = Some (fun _ _ _ -> log := (name, `Ins) :: !log);
+      on_branch = Some (fun _ _ _ _ -> log := (name, `Branch) :: !log) }
+  in
+  let a = tool "a" and b = tool "b" and c = tool "c" in
+  let same x y =
+    match (x, y) with Some f, Some g -> f == g | None, None -> true | _ -> false
+  in
+  let detach_a = Pintool.attach machine [ a ] in
+  Alcotest.(check bool) "lone on_ins installed as-is" true (same h.on_ins a.on_ins);
+  Alcotest.(check bool) "lone on_branch installed as-is" true
+    (same h.on_branch a.on_branch);
+  let detach_bc = Pintool.attach machine [ b; c ] in
+  Elfie_machine.Machine.run ~max_ins:200L machine;
+  let rec triples = function
+    | [] -> true
+    | ("a", k) :: ("b", k') :: ("c", k'') :: rest ->
+        k = k' && k' = k'' && triples rest
+    | _ -> false
+  in
+  let events = List.rev !log in
+  Alcotest.(check bool) "branches seen" true (List.mem ("a", `Branch) events);
+  Alcotest.(check bool) "every event fires a, b, c in order" true (triples events);
+  detach_bc ();
+  Alcotest.(check bool) "detach restores the lone tool" true
+    (same h.on_ins a.on_ins && same h.on_branch a.on_branch);
+  detach_a ();
+  Alcotest.(check bool) "detach restores no hooks" true
+    (h.on_ins = None && h.on_branch = None && h.on_mem_read = None)
+
 (* --- run -------------------------------------------------------------------- *)
 
 let test_native_run_clean () =
@@ -370,6 +408,8 @@ let test_sysstate_install () =
 let suite =
   [
     Alcotest.test_case "tool chaining and detach" `Quick test_tool_chaining_and_detach;
+    Alcotest.test_case "tool order, lone callback, detach" `Quick
+      test_tool_order_and_detach;
     Alcotest.test_case "native run clean" `Quick test_native_run_clean;
     Alcotest.test_case "ST retired count seed-independent" `Quick
       test_native_st_deterministic_retired;
