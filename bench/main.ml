@@ -8,12 +8,36 @@
    the paper's whole evaluation. Per-layer pipeline timings live in
    bench/e2e. *)
 
+module Json = Elfie_obs.Json
+
+(* Every BENCH_*.json file is {"benchmarks": [row, ...]}, one row object
+   per line so successive revisions diff row by row. *)
+let write_bench file rows =
+  let oc = open_out file in
+  Printf.fprintf oc "{\n  \"benchmarks\": [\n%s\n  ]\n}\n"
+    (String.concat ",\n"
+       (List.map (fun row -> "    " ^ Json.to_string (Json.Obj row)) rows));
+  close_out oc
+
+let int n = Json.Num (float_of_int n)
+
+(* Wall times at microsecond resolution. *)
+let secs s = Json.Num (Float.round (s *. 1e6) /. 1e6)
+
+(* A throughput row: instructions retired in the best of [trials]. *)
+let rate_row name ins wall trials =
+  [ ("name", Json.Str name);
+    ("ins_per_sec", Json.Num (Float.round (Int64.to_float ins /. wall)));
+    ("wall_s", secs wall);
+    ("instructions", Json.Num (Int64.to_float ins));
+    ("trials", int trials) ]
+
 (* --- machine-core microbenchmark (BENCH_core.json) ---------------------
 
    Retired instructions/second on a stream+branchy kernel, hook-free
-   (the translated-block fast path) and with an instruction-counting
-   pintool attached. Written to BENCH_core.json so future PRs have a
-   perf trajectory to compare against. *)
+   (the superblock chain tier) and with an instruction-counting pintool
+   attached (instrumented translations). Written to BENCH_core.json so
+   future PRs have a perf trajectory to compare against. *)
 
 let core_kernels =
   ref
@@ -27,10 +51,9 @@ let core_spec () =
 
 let core_max_ins = 4_000_000L
 
-let run_core ~hooks ~chain ~seed =
+let run_core ~hooks ~seed =
   let rs = Elfie_workloads.Programs.run_spec ~seed (core_spec ()) in
   let machine, _kernel = Elfie_pin.Run.instantiate rs in
-  Elfie_machine.Machine.set_chain_enabled machine chain;
   if hooks then begin
     let counted = ref 0L in
     let tool =
@@ -47,23 +70,17 @@ let run_core ~hooks ~chain ~seed =
   let wall = Unix.gettimeofday () -. t0 in
   (Elfie_machine.Machine.total_retired machine, wall)
 
-let json_escape s = String.concat "\\\"" (String.split_on_char '"' s)
-
 let core_bench () =
   let trials = 5 in
   (* All phases measured interleaved (phase A trial 1, phase B trial 1,
      ..., phase A trial 2, ...) so no phase systematically benefits from
      cache/frequency warm-up over another. *)
-  let phases =
-    [ ("core/hook-free", false, false);  (* block tier only (chain off) *)
-      ("core/chained", false, true);  (* superblock chain tier *)
-      ("core/with-ins-hook", true, true) ]
-  in
+  let phases = [ ("core/chained", false); ("core/with-ins-hook", true) ] in
   let best = Hashtbl.create 4 in
   for i = 0 to trials - 1 do
     List.iter
-      (fun (name, hooks, chain) ->
-        let ins, w = run_core ~hooks ~chain ~seed:(Int64.of_int (100 + i)) in
+      (fun (name, hooks) ->
+        let ins, w = run_core ~hooks ~seed:(Int64.of_int (100 + i)) in
         match Hashtbl.find_opt best name with
         | Some (_, bw) when bw <= w -> ()
         | _ -> Hashtbl.replace best name (ins, w))
@@ -72,21 +89,15 @@ let core_bench () =
   print_endline "=== Machine-core microbenchmark ===";
   let rows =
     List.map
-      (fun (name, _, _) ->
+      (fun (name, _) ->
         let ins, best_wall = Hashtbl.find best name in
         let ips = Int64.to_float ins /. best_wall in
         Printf.printf "%-28s %12.0f ins/s  (%Ld ins, best of %d, %.3f s)\n%!"
           name ips ins trials best_wall;
-        Printf.sprintf
-          "    { \"name\": \"%s\", \"ins_per_sec\": %.0f, \"wall_s\": %.6f, \
-           \"instructions\": %Ld, \"trials\": %d }"
-          (json_escape name) ips best_wall ins trials)
+        rate_row name ins best_wall trials)
       phases
   in
-  let oc = open_out "BENCH_core.json" in
-  Printf.fprintf oc "{\n  \"benchmarks\": [\n%s\n  ]\n}\n"
-    (String.concat ",\n" rows);
-  close_out oc;
+  write_bench "BENCH_core.json" rows;
   Printf.printf "wrote BENCH_core.json (jobs default: %d)\n\n%!"
     (Elfie_util.Pool.default_jobs ())
 
@@ -130,10 +141,7 @@ let simpoint_bench () =
     let ips = Int64.to_float ins /. best_wall in
     Printf.printf "%-32s %12.0f ins/s  (%Ld ins, best of %d, %.3f s)\n%!" name
       ips ins trials best_wall;
-    Printf.sprintf
-      "    { \"name\": \"%s\", \"ins_per_sec\": %.0f, \"wall_s\": %.6f, \
-       \"instructions\": %Ld, \"trials\": %d }"
-      (json_escape name) ips best_wall ins trials
+    rate_row name ins best_wall trials
   in
   let per_ins_row = bench_profile "simpoint/profile-per-ins" true in
   let block_row = bench_profile "simpoint/profile-block-driven" false in
@@ -156,18 +164,15 @@ let simpoint_bench () =
   let cluster_row name jobs (r : Elfie_simpoint.Kmeans.result) wall =
     Printf.printf "%-32s %10.4f s  (k=%d over %d points, jobs=%d)\n%!" name
       wall r.k (Array.length points) jobs;
-    Printf.sprintf
-      "    { \"name\": \"%s\", \"wall_s\": %.6f, \"k\": %d, \"points\": %d, \
-       \"jobs\": %d }"
-      (json_escape name) wall r.k (Array.length points) jobs
+    [ ("name", Json.Str name);
+      ("wall_s", secs wall);
+      ("k", int r.k);
+      ("points", int (Array.length points));
+      ("jobs", int jobs) ]
   in
   let c1_row = cluster_row "simpoint/cluster-jobs-1" 1 r1 w1 in
   let cn_row = cluster_row "simpoint/cluster-jobs-N" jobs_n rn wn in
-  let rows = [ per_ins_row; block_row; c1_row; cn_row ] in
-  let oc = open_out "BENCH_simpoint.json" in
-  Printf.fprintf oc "{\n  \"benchmarks\": [\n%s\n  ]\n}\n"
-    (String.concat ",\n" rows);
-  close_out oc;
+  write_bench "BENCH_simpoint.json" [ per_ins_row; block_row; c1_row; cn_row ];
   print_endline "wrote BENCH_simpoint.json\n"
 
 (* --- Snapshot microbenchmark (BENCH_snapshot.json) ---------------------
@@ -254,10 +259,10 @@ let snapshot_bench () =
       name wall
       (1000.0 *. wall /. float_of_int snapshot_trials)
       snapshot_rounds;
-    Printf.sprintf
-      "    { \"name\": \"%s\", \"wall_s\": %.6f, \"trials\": %d, \"rounds\": \
-       %d }"
-      (json_escape name) wall snapshot_trials snapshot_rounds
+    [ ("name", Json.Str name);
+      ("wall_s", secs wall);
+      ("trials", int snapshot_trials);
+      ("rounds", int snapshot_rounds) ]
   in
   let fork_row = row "snapshot/warm-and-fork" !best_fork in
   let rewarm_row = row "snapshot/re-warm-per-trial" !best_rewarm in
@@ -267,15 +272,11 @@ let snapshot_bench () =
     Printf.printf "WARNING: warm-once/fork-many speedup %.2fx below 3x\n%!"
       speedup;
   let speedup_row =
-    Printf.sprintf
-      "    { \"name\": \"snapshot/speedup\", \"speedup\": %.3f, \
-       \"snapshot_pages\": %d }"
-      speedup pages
+    [ ("name", Json.Str "snapshot/speedup");
+      ("speedup", Json.Num (Float.round (speedup *. 1e3) /. 1e3));
+      ("snapshot_pages", int pages) ]
   in
-  let oc = open_out "BENCH_snapshot.json" in
-  Printf.fprintf oc "{\n  \"benchmarks\": [\n%s\n  ]\n}\n"
-    (String.concat ",\n" [ fork_row; rewarm_row; speedup_row ]);
-  close_out oc;
+  write_bench "BENCH_snapshot.json" [ fork_row; rewarm_row; speedup_row ];
   print_endline "wrote BENCH_snapshot.json\n"
 
 (* --- Farm store microbenchmark (BENCH_farm.json) -----------------------
@@ -323,17 +324,15 @@ let farm_bench () =
     if batch.Elfie_farm.Driver.b_quarantined > 0 then
       Printf.printf "WARNING: %d job(s) quarantined\n%!"
         batch.Elfie_farm.Driver.b_quarantined;
-    Printf.sprintf
-      "    { \"name\": \"%s\", \"wall_s\": %.6f, \"hits\": %d, \"misses\": \
-       %d, \"program_runs\": %d }"
-      (json_escape name) wall hits misses runs
+    [ ("name", Json.Str name);
+      ("wall_s", secs wall);
+      ("hits", int hits);
+      ("misses", int misses);
+      ("program_runs", int runs) ]
   in
   let cold = pass "farm/cold-cache" in
   let warm = pass "farm/warm-cache" in
-  let oc = open_out "BENCH_farm.json" in
-  Printf.fprintf oc "{\n  \"benchmarks\": [\n%s\n  ]\n}\n"
-    (String.concat ",\n" [ cold; warm ]);
-  close_out oc;
+  write_bench "BENCH_farm.json" [ cold; warm ];
   print_endline "wrote BENCH_farm.json\n"
 
 let () =

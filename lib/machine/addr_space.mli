@@ -116,8 +116,8 @@ val generation : t -> int
 (** Count of writes that landed in {!note_code}-marked pages — the
     subset of {!generation} bumps caused by dirtying code rather than by
     mapping changes. Between system calls no page can be mapped or
-    unmapped, so a batch executor may poll this single field as its
-    "code dirtied since translation" fast-path flag: equality with the
-    value sampled at translation time proves the translation is still
-    valid mid-block. *)
+    unmapped, so the executor's composed blocks poll this single field
+    as their "code dirtied since the block started" fast-path flag:
+    equality with the value sampled at block entry proves the
+    translation is still valid mid-block. *)
 val code_writes : t -> int

@@ -71,8 +71,8 @@ type sched_state =
    instruction. [bb_uops] holds each instruction compiled to a closure
    with operands pre-resolved (register indices, addressing mode) —
    behind its [on_ins] call-out in an instrumented translation (see
-   {!instrument}); every execution path runs them, in batches, composed
-   chains or one at a time at retirement-event boundaries. *)
+   {!instrument}). A block runs either whole, as its mega-op in the
+   chain loop, or one [bb_uops] slot at a time in the step loop. *)
 type bb = {
   bb_pc : int64 array;  (* pc of each instruction *)
   bb_ins : Insn.t array;
@@ -82,8 +82,8 @@ type bb = {
   bb_uops : (t -> thread -> unit) array;
   bb_ends_block : bool;  (* last instruction is a branch/call/syscall *)
   (* The terminator is a plain branch/call/ret (no syscall, marker or
-     trap), so a batch may run the whole block including it. *)
-  bb_tail_batchable : bool;
+     trap, no translation-window cut), so the chain may run the block. *)
+  bb_chainable : bool;
   (* --- superblock tier -------------------------------------------------
      A block whose terminator is a direct branch/call knows its static
      successor pcs; the chain executor links the translations together
@@ -95,40 +95,21 @@ type bb = {
          block needs the per-instruction generation re-check. *)
   bb_succ_taken : int64;  (* direct taken-edge target pc, or -1L *)
   bb_succ_fall : int64;  (* fall-through pc of a [Jcc] tail, or -1L *)
-  bb_kill_prefix : int;
-      (* length of the leading run of pure (non-faulting, non-reading)
-         instructions ending at the first full flag writer, or -1: once
-         that prefix runs, all four flags are freshly written, so a
-         predecessor chained into this block may elide its own dead
-         trailing flag results. *)
-  bb_mega_safe : t -> thread -> unit;
+  bb_mega : t -> thread -> unit;
       (* the whole block as ONE composed closure (straight-line calls,
          no per-instruction dispatch, SMC re-checks only after
-         store-capable slots): the chain executor's hop body. Built over
-         the always-safe chain variant — in-block-dead ALU flag results
-         elided, compare+Jcc tails fused with eager flag
-         materialisation — so it is exact for any whole-block run; an
-         instrumented translation sequences its exact slots instead.
-         Only valid for full-block runs: a fault records its slot in
-         [t.mega_idx], a mid-block exit raises {!Break_after}. *)
-  bb_mega_chain : t -> thread -> unit;
-      (* same composition over the exit-dead variant: additionally skips
-         flag results the block's static successors provably rewrite
-         (lazy fusion, trailing elisions). Physically equal to
-         [bb_mega_safe] when the exit assumption buys nothing. Only run
-         under the [bb_chain_extra] fuel gate. *)
+         store-capable slots): the chain executor's hop body. In-block
+         dead ALU flag results are elided and a compare+Jcc tail is
+         fused with eager flag materialisation, so it is exact for any
+         whole-block run; an instrumented translation sequences its
+         exact slots instead. Only valid for full-block runs: a fault
+         records its slot in [t.mega_idx], a mid-block exit raises
+         {!Break_after}. *)
   mutable bb_links : bb array;
       (* [||] until {!resolve_links} runs; then [| fall; taken |]
          successor translations ([dummy_bb] for unresolvable edges),
          indexed by the direction the terminator recorded in [t.took] —
          the hop transition is an array load, not a RIP compare. *)
-  mutable bb_chain_extra : int;
-      (* -2: successors not yet resolved; -1: the elided variant is
-         unusable (no elisions, or some successor lacks a kill prefix);
-         >= 0: extra whole-chain fuel (the largest successor kill
-         prefix) that must be available beyond this block's length
-         before [bb_uops_chain] may run — the guarantee that the flags
-         it leaves stale are rewritten before anything observes them. *)
 }
 
 (* Live-counter block for the stats snapshot kept per machine. *)
@@ -142,6 +123,8 @@ and core_stats = {
   mutable st_x_fault : int;
   mutable st_x_inval : int;
   mutable st_x_stop : int;
+  mutable st_ret_chained : int;
+  mutable st_ret_stepped : int;
 }
 
 and t = {
@@ -167,7 +150,7 @@ and t = {
   mutable timer : (int * int * Elfie_util.Rng.t) option;
   mutable group_exit_status : int option;
   (* Dynamic (cache, branch, pause) cycle cost accumulated by micro-ops
-     across one batch, chain run or single instruction; static class
+     across one chain run or single instruction; static class
      costs come from [bb_cost]/[bb_prefix]. Zeroed at the start and
      flushed into the thread's cycle count at the end. Not reentrant —
      syscall handlers run inside a micro-op but never run the machine. *)
@@ -180,10 +163,6 @@ and t = {
   block_memo : bb array;
   mutable block_observer :
     (tid:int -> pcs:int64 array -> n:int -> ends_block:bool -> unit) option;
-  (* Superblock chaining: direct-branch terminators hop straight to the
-     successor's translation instead of returning to the dispatch loop.
-     Disabled for A/B measurement and differential tests. *)
-  mutable chain_enabled : bool;
   (* Slot index a mega-op was executing when it raised: [Fault] leaves
      the faulting slot here, [Break_after] the count of completed slots. *)
   mutable mega_idx : int;
@@ -220,15 +199,12 @@ let dummy_bb =
     bb_prefix = [| 0 |];
     bb_uops = [||];
     bb_ends_block = false;
-    bb_tail_batchable = false;
+    bb_chainable = false;
     bb_writes_mem = false;
     bb_succ_taken = -1L;
     bb_succ_fall = -1L;
-    bb_kill_prefix = -1;
-    bb_mega_safe = (fun _ _ -> ());
-    bb_mega_chain = (fun _ _ -> ());
+    bb_mega = (fun _ _ -> ());
     bb_links = [||];
-    bb_chain_extra = -1;
   }
 
 let fresh_stats () =
@@ -242,6 +218,8 @@ let fresh_stats () =
     st_x_fault = 0;
     st_x_inval = 0;
     st_x_stop = 0;
+    st_ret_chained = 0;
+    st_ret_stepped = 0;
   }
 
 let fresh_hooks () =
@@ -288,7 +266,6 @@ let create ?(timing = Timing.default) scheduler =
     block_memo_pc = Array.make block_memo_size (-1L);
     block_memo = Array.make block_memo_size dummy_bb;
     block_observer = None;
-    chain_enabled = true;
     mega_idx = 0;
     mega_cw = 0;
     took = 0;
@@ -397,7 +374,6 @@ let all_exited_cleanly t =
 
 let set_block_observer t f = t.block_observer <- f
 let translated_blocks t = Hashtbl.length t.block_cache
-let set_chain_enabled t b = t.chain_enabled <- b
 
 type chain_stats = {
   memo_hits : int;
@@ -409,6 +385,8 @@ type chain_stats = {
   exits_fault : int;
   exits_invalidation : int;
   exits_stop : int;
+  retired_chained : int;
+  retired_stepped : int;
 }
 
 let chain_stats t =
@@ -422,6 +400,8 @@ let chain_stats t =
     exits_fault = t.stats.st_x_fault;
     exits_invalidation = t.stats.st_x_inval;
     exits_stop = t.stats.st_x_stop;
+    retired_chained = t.stats.st_ret_chained;
+    retired_stepped = t.stats.st_ret_stepped;
   }
 
 (* Block-cache and superblock efficacy families. Counters are process
@@ -447,6 +427,10 @@ let m_sb_broken =
 let m_chain_exits =
   Metrics.counter "elfie_core_chain_exits"
     ~help:"Chained runs broken back to dispatch, by reason"
+
+let m_retired =
+  Metrics.counter "elfie_core_retired_total"
+    ~help:"User instructions retired, by execution tier"
 
 (* Copy-on-write snapshot efficacy: captures/forks are bumped at the
    call site; CoW page privatisations flush as per-machine deltas with
@@ -479,6 +463,9 @@ let flush_core_metrics t =
   reason "fault" s.st_x_fault f.st_x_fault;
   reason "invalidation" s.st_x_inval f.st_x_inval;
   reason "stop" s.st_x_stop f.st_x_stop;
+  let tier r = bump ~labels:[ ("tier", r) ] m_retired in
+  tier "chained" s.st_ret_chained f.st_ret_chained;
+  tier "stepped" s.st_ret_stepped f.st_ret_stepped;
   f.st_memo_hits <- s.st_memo_hits;
   f.st_memo_misses <- s.st_memo_misses;
   f.st_sb_built <- s.st_sb_built;
@@ -488,6 +475,8 @@ let flush_core_metrics t =
   f.st_x_fault <- s.st_x_fault;
   f.st_x_inval <- s.st_x_inval;
   f.st_x_stop <- s.st_x_stop;
+  f.st_ret_chained <- s.st_ret_chained;
+  f.st_ret_stepped <- s.st_ret_stepped;
   let cow = Addr_space.cow_copies t.mem in
   if cow > t.cow_flushed then begin
     Metrics.inc ~by:(float_of_int (cow - t.cow_flushed)) m_snap_cow_pages;
@@ -729,8 +718,8 @@ let[@inline] note_branch t th pc target taken =
   | None -> ()
 
 (* Compile one instruction to its micro-op — the one definition of
-   VX86 semantics. Every execution path runs these closures: batches,
-   the chain tier's composed blocks and the single-instruction step.
+   VX86 semantics. Both execution paths run these closures: the chain
+   tier's composed blocks and the single-instruction step.
    Micro-ops fire the memory, branch and marker hooks themselves; an
    instrumented translation puts the [on_ins] call-out in front of each
    ({!instrument}).
@@ -756,7 +745,7 @@ let[@inline] note_branch t th pc target taken =
 
    [flags_dead] comes from the chain tier's liveness pass: when true,
    every flag this instruction would write is overwritten before any
-   read, fault point or chain exit, so ALU/shift/neg forms skip flag
+   read, fault point or block exit, so ALU/shift/neg forms skip flag
    materialisation ([Cmp]/[Test] become complete no-ops). Exact
    semantics ([flags_dead = false]) remain the fallback everywhere. *)
 let compile_ins ~pc ~next ?(flags_dead = false) (ins : Insn.t) :
@@ -1285,15 +1274,10 @@ let compose_mega (bb_ins : Insn.t array) (uops : (t -> thread -> unit) array) =
    round-trip through the context. Only the chain tier runs this (the
    pair must run atomically, so only whole-block runs qualify). The
    fused op occupies the compare's slot; the [Jcc] slot becomes a no-op,
-   keeping the 1:1 slot/instruction mapping (neither can fault).
-
-   [eager]: materialise the compare's flags exactly as the unfused pair
-   would (the always-safe chain variant). When [eager] is false, flag
-   materialisation is skipped entirely — the exit-dead variant, legal
-   only under the cross-block liveness gate, which guarantees every
-   static successor rewrites all four flags before anything observes
-   them. *)
-let compile_fused_tail ~eager ~jcc_pc ~jcc_next (alu : Insn.t) c ~rel :
+   keeping the 1:1 slot/instruction mapping (neither can fault). The
+   compare's flags are still materialised exactly as the unfused pair
+   would leave them: whatever runs after the block may read them. *)
+let compile_fused_tail ~jcc_pc ~jcc_next (alu : Insn.t) c ~rel :
     (t -> thread -> unit) option =
   let target = Int64.add jcc_next (Int64.of_int rel) in
   (* Successor RIPs indexed by direction — host-branch-free select, as
@@ -1309,92 +1293,64 @@ let compile_fused_tail ~eager ~jcc_pc ~jcc_next (alu : Insn.t) c ~rel :
   | Insn.Alu_ri (Insn.Cmp, r, imm) ->
       let cond = cmp_cond_fn c and ri = Reg.gpr_index r in
       Some
-        (if eager then fun t th ->
-           let ctx = th.ctx in
-           let a = Context.bget ctx.Context.gprs ri in
-           ignore (alu_sub ctx.Context.flags a imm);
-           finish t ctx (cond a imm)
-         else fun t th ->
-           let ctx = th.ctx in
-           finish t ctx (cond (Context.bget ctx.Context.gprs ri) imm))
+        (fun t th ->
+          let ctx = th.ctx in
+          let a = Context.bget ctx.Context.gprs ri in
+          ignore (alu_sub ctx.Context.flags a imm);
+          finish t ctx (cond a imm))
   | Alu_rr (Cmp, d, s) ->
       let cond = cmp_cond_fn c
       and di = Reg.gpr_index d
       and si = Reg.gpr_index s in
       Some
-        (if eager then fun t th ->
-           let ctx = th.ctx in
-           let g = ctx.Context.gprs in
-           let a = Context.bget g di and b = Context.bget g si in
-           ignore (alu_sub ctx.Context.flags a b);
-           finish t ctx (cond a b)
-         else fun t th ->
-           let ctx = th.ctx in
-           let g = ctx.Context.gprs in
-           finish t ctx (cond (Context.bget g di) (Context.bget g si)))
+        (fun t th ->
+          let ctx = th.ctx in
+          let g = ctx.Context.gprs in
+          let a = Context.bget g di and b = Context.bget g si in
+          ignore (alu_sub ctx.Context.flags a b);
+          finish t ctx (cond a b))
   | Alu_ri (Test, r, imm) ->
       let cond = test_cond_fn c and ri = Reg.gpr_index r in
       Some
-        (if eager then fun t th ->
-           let ctx = th.ctx in
-           let a = Context.bget ctx.Context.gprs ri in
-           ignore (alu_and ctx.Context.flags a imm);
-           finish t ctx (cond (Int64.logand a imm))
-         else fun t th ->
-           let ctx = th.ctx in
-           finish t ctx
-             (cond (Int64.logand (Context.bget ctx.Context.gprs ri) imm)))
+        (fun t th ->
+          let ctx = th.ctx in
+          let a = Context.bget ctx.Context.gprs ri in
+          ignore (alu_and ctx.Context.flags a imm);
+          finish t ctx (cond (Int64.logand a imm)))
   | Alu_rr (Test, d, s) ->
       let cond = test_cond_fn c
       and di = Reg.gpr_index d
       and si = Reg.gpr_index s in
       Some
-        (if eager then fun t th ->
-           let ctx = th.ctx in
-           let g = ctx.Context.gprs in
-           let a = Context.bget g di and b = Context.bget g si in
-           ignore (alu_and ctx.Context.flags a b);
-           finish t ctx (cond (Int64.logand a b))
-         else fun t th ->
-           let ctx = th.ctx in
-           let g = ctx.Context.gprs in
-           finish t ctx
-             (cond (Int64.logand (Context.bget g di) (Context.bget g si))))
+        (fun t th ->
+          let ctx = th.ctx in
+          let g = ctx.Context.gprs in
+          let a = Context.bget g di and b = Context.bget g si in
+          ignore (alu_and ctx.Context.flags a b);
+          finish t ctx (cond (Int64.logand a b)))
   | Alu_ri (Sub, r, imm) ->
       (* The loop-backedge idiom (Sub RCX, 1; Jcc Ne head): decrement,
          then compare the PRE-decrement value against the immediate —
          [Sub]'s flags match [Cmp a imm] exactly. *)
       let cond = cmp_cond_fn c and ri = Reg.gpr_index r in
       Some
-        (if eager then fun t th ->
-           let ctx = th.ctx in
-           let g = ctx.Context.gprs in
-           let a = Context.bget g ri in
-           Context.bset g ri (alu_sub ctx.Context.flags a imm);
-           finish t ctx (cond a imm)
-         else fun t th ->
-           let ctx = th.ctx in
-           let g = ctx.Context.gprs in
-           let a = Context.bget g ri in
-           Context.bset g ri (Int64.sub a imm);
-           finish t ctx (cond a imm))
+        (fun t th ->
+          let ctx = th.ctx in
+          let g = ctx.Context.gprs in
+          let a = Context.bget g ri in
+          Context.bset g ri (alu_sub ctx.Context.flags a imm);
+          finish t ctx (cond a imm))
   | Alu_rr (Sub, d, s) ->
       let cond = cmp_cond_fn c
       and di = Reg.gpr_index d
       and si = Reg.gpr_index s in
       Some
-        (if eager then fun t th ->
-           let ctx = th.ctx in
-           let g = ctx.Context.gprs in
-           let a = Context.bget g di and b = Context.bget g si in
-           Context.bset g di (alu_sub ctx.Context.flags a b);
-           finish t ctx (cond a b)
-         else fun t th ->
-           let ctx = th.ctx in
-           let g = ctx.Context.gprs in
-           let a = Context.bget g di and b = Context.bget g si in
-           Context.bset g di (Int64.sub a b);
-           finish t ctx (cond a b))
+        (fun t th ->
+          let ctx = th.ctx in
+          let g = ctx.Context.gprs in
+          let a = Context.bget g di and b = Context.bget g si in
+          Context.bset g di (alu_sub ctx.Context.flags a b);
+          finish t ctx (cond a b))
   | _ -> None
 
 (* --- Block translation -------------------------------------------------- *)
@@ -1481,7 +1437,7 @@ let build_block t pc =
     | Insn.K_branch | K_call | K_syscall -> true
     | K_alu | K_load | K_store | K_vector | K_other -> false
   in
-  let bb_tail_batchable =
+  let bb_chainable =
     match bb_ins.(n - 1) with
     | Insn.Jmp _ | Jcc _ | Jmp_r _ | Jmp_m _ | Call _ | Call_r _ | Ret -> true
     | _ -> false
@@ -1490,7 +1446,7 @@ let build_block t pc =
   (* Static successor pcs: only a direct branch/call terminator yields
      chainable edges. *)
   let bb_succ_taken, bb_succ_fall =
-    if not bb_tail_batchable then (-1L, -1L)
+    if not bb_chainable then (-1L, -1L)
     else
       let next = bb_next.(n - 1) in
       match bb_ins.(n - 1) with
@@ -1499,91 +1455,46 @@ let build_block t pc =
       | Call rel -> (Int64.add next (Int64.of_int rel), -1L)
       | _ -> (-1L, -1L)
   in
-  let bb_kill_prefix =
-    let rec go i =
-      if i >= n then -1
-      else
-        match flag_class bb_ins.(i) with
-        | F_kill -> i + 1
-        | F_neutral -> go (i + 1)
-        | F_observe -> -1
-    in
-    go 0
-  in
-  (* Chain-variant micro-ops, parameterised on the exit-liveness
-     assumption. [exit_dead = false] builds the ALWAYS-SAFE variant:
-     flag results dead before any in-block observation point (reader or
-     fault-capable slot) are elided, and a compare+Jcc tail fuses with
-     eager flag materialisation — exact for any whole-block run, no
-     successor knowledge needed. [exit_dead = true] additionally assumes
-     the flags are dead at block exit (lazy fusion, trailing elisions):
-     legal only under the cross-block gate that every static successor
-     starts with a pure full-flag-killing prefix. *)
-  let chain_variant ~exit_dead =
-    let fused =
-      if n >= 2 then
-        match bb_ins.(n - 1) with
-        | Insn.Jcc (c, rel) ->
-            compile_fused_tail ~eager:(not exit_dead) ~jcc_pc:bb_pc.(n - 1)
-              ~jcc_next:bb_next.(n - 1) bb_ins.(n - 2) c ~rel
-        | _ -> None
-      else None
-    in
-    let fused_at = match fused with Some _ -> n - 2 | None -> n in
-    (* Backward pass: [dead] = all four flags overwritten before any
-       observation point. An eager fused pair writes the compare's flags
-       in full, so it kills like the unfused compare would. *)
-    let dead = Array.make n false in
-    let d = ref exit_dead in
-    for i = n - 1 downto 0 do
-      if i >= fused_at then begin
-        dead.(i) <- true;
-        if i = fused_at && not exit_dead then d := true
-      end
-      else begin
+  let bb_mega =
+    if instr then
+      (* Call-outs observe flags and branches, so an instrumented
+         translation composes its exact slots. *)
+      sequence bb_uops
+    else begin
+      let fused =
+        if n >= 2 then
+          match bb_ins.(n - 1) with
+          | Insn.Jcc (c, rel) ->
+              compile_fused_tail ~jcc_pc:bb_pc.(n - 1) ~jcc_next:bb_next.(n - 1)
+                bb_ins.(n - 2) c ~rel
+          | _ -> None
+        else None
+      in
+      let fused_at = match fused with Some _ -> n - 2 | None -> n in
+      (* Backward pass: [dead.(i)] = all four flags are overwritten after
+         slot [i] before any observation point (a reader or a
+         fault-capable slot) and before the block exits. The fused pair
+         writes the compare's flags in full, so it kills like the
+         unfused compare would. *)
+      let dead = Array.make n false in
+      let d = ref (fused <> None) in
+      for i = fused_at - 1 downto 0 do
         dead.(i) <- !d;
         match flag_class bb_ins.(i) with
         | F_kill -> d := true
         | F_neutral -> ()
         | F_observe -> d := false
-      end
-    done;
-    let elides i = dead.(i) && flag_class bb_ins.(i) = F_kill in
-    let any = ref (fused <> None) in
-    for i = 0 to fused_at - 1 do
-      if elides i then any := true
-    done;
-    if not !any then bb_uops
-    else
-      Array.init n (fun i ->
-          match fused with
-          | Some f when i = n - 2 -> f
-          | Some _ when i = n - 1 -> uop_nop
-          | _ ->
-              if elides i then
-                compile_ins ~pc:bb_pc.(i) ~next:bb_next.(i) ~flags_dead:true
-                  bb_ins.(i)
-              else bb_uops.(i))
-  in
-  let bb_mega_safe, bb_mega_chain =
-    if instr then
-      (* Call-outs observe flags and branches, so an instrumented
-         translation has no elided or fused variant. *)
-      let mega = sequence bb_uops in
-      (mega, mega)
-    else begin
-      let bb_uops_safe = chain_variant ~exit_dead:false in
-      (* Exit-dead variant only when a direct taken edge exists — an
-         indirect or cut tail leaves an unknown successor, so its exit
-         flags must stay exact. *)
-      let bb_uops_chain =
-        if Int64.equal bb_succ_taken (-1L) then bb_uops_safe
-        else chain_variant ~exit_dead:true
-      in
-      let bb_mega_safe = compose_mega bb_ins bb_uops_safe in
-      ( bb_mega_safe,
-        if bb_uops_chain == bb_uops_safe then bb_mega_safe
-        else compose_mega bb_ins bb_uops_chain )
+      done;
+      compose_mega bb_ins
+        (Array.init n (fun i ->
+             match fused with
+             | Some f when i = n - 2 -> f
+             | Some _ when i = n - 1 -> uop_nop
+             | _ ->
+                 if dead.(i) && flag_class bb_ins.(i) = F_kill then
+                   compile_ins ~pc:bb_pc.(i) ~next:bb_next.(i) ~flags_dead:true
+                     bb_ins.(i)
+                 else bb_uops.(i)))
     end
   in
   let _, _, span = items.(n - 1) in
@@ -1597,15 +1508,12 @@ let build_block t pc =
     bb_prefix;
     bb_uops;
     bb_ends_block;
-    bb_tail_batchable;
+    bb_chainable;
     bb_writes_mem;
     bb_succ_taken;
     bb_succ_fall;
-    bb_kill_prefix;
-    bb_mega_safe;
-    bb_mega_chain;
+    bb_mega;
     bb_links = [||];
-    bb_chain_extra = -2;
   }
 
 (* Whether translations must be instrumented: any hook that observes
@@ -1689,126 +1597,38 @@ let record_fault th pc ins addr access =
   | Hlt -> th.state <- Faulted (Privileged pc)
   | _ -> th.state <- Faulted (Page_fault { addr; access; pc })
 
-(* Shared batch inner loop: run [uops.(0 .. fuel-1)] for [b]. Returns
-   the count of completed micro-ops, or [-(idx+1)] when micro-op [idx]
-   faulted (RIP and the thread's fault state are already recorded). A
-   store-free block provably cannot dirty a code page, so its loop runs
-   with ZERO per-instruction invalidation re-checks; a block with stores
-   keeps the per-instruction check, polling the address space's
-   [code_writes] fast-path flag — between system calls (and syscalls
-   never run here: they terminate translation and are not
-   tail-batchable) a code-page write is the only way the decode
-   generation can move, so the two checks are equivalent. Instrumented
-   slots poll for themselves and end the batch through {!Break_after}. *)
-let run_uops t th (b : bb) uops fuel =
-  let i = ref 0 in
-  let fault = ref 0 in
-  if b.bb_writes_mem then begin
-    let cw = Addr_space.code_writes t.mem in
-    let brk = ref false in
-    while (not !brk) && !i < fuel do
-      match (Array.unsafe_get uops !i) t th with
-      | () ->
-          incr i;
-          if cw <> Addr_space.code_writes t.mem then brk := true
-      | exception Break_after ->
-          incr i;
-          brk := true
-      | exception Addr_space.Fault { addr; access } ->
-          (* On every path a fault leaves RIP past the faulting
-             instruction. *)
-          let idx = !i in
-          th.ctx.Context.rip <- Array.unsafe_get b.bb_next idx;
-          record_fault th
-            (Array.unsafe_get b.bb_pc idx)
-            (Array.unsafe_get b.bb_ins idx)
-            addr access;
-          fault := -(idx + 1);
-          brk := true
-    done
-  end
-  else begin
-    let brk = ref false in
-    while (not !brk) && !i < fuel do
-      match (Array.unsafe_get uops !i) t th with
-      | () -> incr i
-      | exception Break_after ->
-          incr i;
-          brk := true
-      | exception Addr_space.Fault { addr; access } ->
-          let idx = !i in
-          th.ctx.Context.rip <- Array.unsafe_get b.bb_next idx;
-          record_fault th
-            (Array.unsafe_get b.bb_pc idx)
-            (Array.unsafe_get b.bb_ins idx)
-            addr access;
-          fault := -(idx + 1);
-          brk := true
-    done
-  end;
-  if !fault <> 0 then !fault else !i
-
-(* Events fire when [retired] reaches the target: a batch must stop one
-   instruction short of it so the event runs on the per-step path. *)
+(* Events fire when [retired] reaches the target: the chain must stop
+   one instruction short of it, so the event's own instruction retires
+   in the step loop. *)
 let[@inline] cap_target fuel target retired =
   let room = Int64.sub target retired in
   if Int64.compare room (Int64.of_int fuel) <= 0 then
     if Int64.compare room 1L < 0 then 0 else Int64.to_int room - 1
   else fuel
 
-(* Largest batch budget that keeps every retirement event (timer tick,
-   warmup mark, armed counter) strictly outside the batch. [off] is the
-   count of instructions already executed this call but not yet flushed
-   into the thread's retirement counters (the chain executor defers the
-   boxed-int64 updates to its exit). *)
-let[@inline] event_fuel_off t th limit off =
-  let fuel = limit in
+(* Largest chain budget within [limit] that keeps every retirement
+   event (timer tick, warmup mark, armed counter) strictly outside the
+   chain. *)
+let[@inline] event_fuel t th limit =
   let fuel =
     match t.timer with
-    | Some _ ->
-        if th.timer_left - off - 1 < fuel then th.timer_left - off - 1
-        else fuel
-    | None -> fuel
+    | Some _ -> if th.timer_left - 1 < limit then th.timer_left - 1 else limit
+    | None -> limit
   in
   let fuel =
     match th.mark_target with
-    | Some tg -> cap_target fuel tg (Int64.add th.retired (Int64.of_int off))
+    | Some tg -> cap_target fuel tg th.retired
     | None -> fuel
   in
   match th.counter_target with
-  | Some tg -> cap_target fuel tg (Int64.add th.retired (Int64.of_int off))
+  | Some tg -> cap_target fuel tg th.retired
   | None -> fuel
 
-let[@inline] event_fuel t th limit = event_fuel_off t th limit 0
-
-(* Deferred bulk retirement of [ok] batched instructions: bit-identical
-   to per-instruction [retire] because the fuel cap kept every event
-   strictly outside the batch. Static class cost comes from the prefix
-   sums, dynamic cost from the accumulator the micro-ops fed. *)
-let[@inline] bulk_retire t th (b : bb) ok =
-  th.retired <- Int64.add th.retired (Int64.of_int ok);
-  t.retired_total <- Int64.add t.retired_total (Int64.of_int ok);
-  (match t.timer with
-  | Some _ -> th.timer_left <- th.timer_left - ok
-  | None -> ());
-  th.cycles <-
-    Int64.add th.cycles
-      (Int64.of_int (Array.unsafe_get b.bb_prefix ok + t.dyn_cost));
-  t.dyn_cost <- 0
-
 (* First chain visit of a direct-tail block: translate both static
-   successors eagerly and install the links (the superblock's edges).
-   Eager rather than on first traversal of each edge, so a hot backedge
-   does not wait for its rarely-taken sibling before the elided variant
-   can qualify. A successor that cannot be fetched (unmapped target)
-   leaves its link dummy; arriving there exits the chain and the
-   dispatch path reports the precise fault. Also decides the elision
-   gate [bb_chain_extra]: the flag-elided variant is usable only when
-   every static successor starts with a pure full-flag-killing prefix
-   (so whatever the branch decides, the flags the variant leaves stale
-   are rewritten before any observation point), and running it
-   additionally requires fuel for this block plus the largest such
-   prefix. *)
+   successors and install the links (the superblock's edges). A
+   successor that cannot be fetched (unmapped target) leaves its link
+   dummy; arriving there exits the chain and the dispatch path reports
+   the precise fault. *)
 let resolve_links t (b : bb) =
   let link pc =
     if Int64.equal pc (-1L) then dummy_bb
@@ -1822,59 +1642,25 @@ let resolve_links t (b : bb) =
   in
   let lf = link b.bb_succ_fall in
   let lt = link b.bb_succ_taken in
-  b.bb_links <- [| lf; lt |];
-  let extra =
-    if b.bb_mega_chain == b.bb_mega_safe then -1
-    else begin
-      let edge pc l =
-        if Int64.equal pc (-1L) then 0
-        else if l == dummy_bb || l.bb_kill_prefix < 0 then -1
-        else l.bb_kill_prefix
-      in
-      let a = edge b.bb_succ_taken lt in
-      let f = edge b.bb_succ_fall lf in
-      if a < 0 || f < 0 then -1 else if a > f then a else f
-    end
-  in
-  b.bb_chain_extra <- extra
+  b.bb_links <- [| lf; lt |]
 
-(* Classic single-block path: a batch of the translation, then the
-   single-instruction step for what a batch may not run — the
-   instruction at a retirement-event boundary (timer tick, warmup mark,
-   armed counter) and everything after it, and a syscall, marker or
-   trap terminator. Instrumented translations take the same path: their
+(* The step loop: up to [limit] instructions of [bb] from its head, one
+   micro-op at a time, each retiring through [retire]. It runs {!step}
+   and what the chain may not run whole: a block reached with less
+   event fuel than its length (a timer tick, warmup mark or armed
+   counter falls inside it, or the quantum or [max_ins] cuts it short)
+   and a syscall, marker or trap terminator with the instructions
+   before it. Instrumented translations take the same path: their
    slots make the call-outs. The block observer (count-driven profiler)
-   is notified once per block with the attempted prefix — equivalent to
+   is notified once with the attempted prefix — equivalent to
    per-instruction feeding. *)
-let exec_block_classic t th (bb : bb) limit =
+let step_block t th (bb : bb) limit =
   let len = Array.length bb.bb_ins in
   let n = if limit < len then limit else len in
   let gen = t.decode_generation in
+  let st = t.stats in
   let attempted = ref 0 in
   let continue_ = ref true in
-  let fuel =
-    event_fuel t th
-      (let m = if bb.bb_tail_batchable then len else len - 1 in
-       if n < m then n else m)
-  in
-  if fuel > 0 then begin
-    t.dyn_cost <- 0;
-    let r = run_uops t th bb bb.bb_uops fuel in
-    let faulted = r < 0 in
-    let ok = if faulted then -r - 1 else r in
-    (* Slots never advance RIP; only a terminating branch (always
-       the block's last micro-op) and the fault path move it. Repair
-       it here for every other exit so the machine state matches
-       per-step execution exactly. *)
-    if ok > 0 && ok < len && not faulted then
-      th.ctx.Context.rip <- Array.unsafe_get bb.bb_next (ok - 1);
-    bulk_retire t th bb ok;
-    attempted := (if faulted then ok + 1 else ok);
-    if
-      faulted || t.stop_requested || (not (running th))
-      || gen <> Addr_space.generation t.mem
-    then continue_ := false
-  end;
   while !continue_ && !attempted < n do
     let idx = !attempted in
     let ins = Array.unsafe_get bb.bb_ins idx in
@@ -1885,6 +1671,8 @@ let exec_block_classic t th (bb : bb) limit =
       | () -> true
       | exception Break_after -> true
       | exception Addr_space.Fault { addr; access } ->
+          (* On every path a fault leaves RIP past the faulting
+             instruction. *)
           th.ctx.Context.rip <- Array.unsafe_get bb.bb_next idx;
           record_fault th (Array.unsafe_get bb.bb_pc idx) ins addr access;
           false
@@ -1897,6 +1685,7 @@ let exec_block_classic t th (bb : bb) limit =
       th.cycles <-
         Int64.add th.cycles
           (Int64.of_int (Array.unsafe_get bb.bb_cost idx + t.dyn_cost));
+      st.st_ret_stepped <- st.st_ret_stepped + 1;
       retire t th
     end;
     if
@@ -1916,17 +1705,18 @@ let exec_block_classic t th (bb : bb) limit =
   !attempted
 
 (* Execute up to [limit] instructions of [th]'s current translated
-   block — and, with the chain tier enabled, of its chained successors:
-   whole blocks hop translation-to-translation along direct-branch
-   links without returning to the dispatch loop, with per-block bulk
-   retirement and one block-observer call per hop (identical
-   granularity to dispatch-driven execution, so BBV slice accounting is
-   bit-for-bit unchanged). Instrumented and plain translations chain
-   alike. Indirect branches, faults, event-fuel exhaustion,
-   invalidations (including a change of instrumentation) and stop
-   requests break the chain back to dispatch. Returns how many
-   instructions were attempted (a faulting fetch or instruction counts
-   as one, matching the per-step accounting). *)
+   block and of its chained successors: whole blocks hop
+   translation-to-translation along direct-branch links without
+   returning to the dispatch loop, with per-block bulk retirement and
+   one block-observer call per hop (identical granularity to
+   dispatch-driven execution, so BBV slice accounting is bit-for-bit
+   unchanged). Instrumented and plain translations chain alike.
+   Indirect branches, faults, event-fuel exhaustion, invalidations
+   (including a change of instrumentation) and stop requests break the
+   chain back to dispatch; a first block the chain cannot run whole
+   goes to the step loop. Returns how many instructions were attempted
+   (a faulting fetch or instruction counts as one, matching the
+   per-step accounting). *)
 let exec_block t th limit =
   let pc0 = th.ctx.Context.rip in
   match fetch_block t pc0 with
@@ -1934,194 +1724,188 @@ let exec_block t th limit =
       th.state <- Faulted (Page_fault { addr; access = Exec; pc = pc0 });
       1
   | bb ->
-      if not t.chain_enabled then exec_block_classic t th bb limit
-      else begin
-        let st = t.stats in
-        let gen = t.decode_generation in
-        let total = ref 0 in
-        (* Retirement is deferred: completed-instruction and cycle
-           counts accumulate in unboxed locals and flush into the boxed
-           int64 thread counters once per call, not once per hop.
-           [event_fuel_off] keeps event boundaries exact meanwhile. *)
-        let retired_acc = ref 0 in
-        let acc_cycles = ref 0 in
-        let finished = ref false in
-        let cur = ref bb in
-        let looping = ref true in
-        let observer_none =
-          match t.block_observer with None -> true | Some _ -> false
-        in
-        (* Call-outs (instrumented slots, the observer) may change the
-           hook set or the address space between hops. *)
-        let watch = t.decode_instr || not observer_none in
-        (* Event fuel is computed once per call: every retirement target
-           (timer, mark, counter) and the caller's limit shrink in
-           lockstep with the instructions the chain executes, so a
-           single budget decremented per hop gives the same bound as
-           recomputing the fuel every hop. *)
-        let budget = ref (event_fuel t th limit) in
-        let iters = ref 0 in
-        let part = ref 0 in
-        let faulted = ref false in
-        let cut = ref false in
-        t.dyn_cost <- 0;
-        while !looping do
-          let b = !cur in
-          let len = Array.length b.bb_uops in
-          if not b.bb_tail_batchable then begin
-            (* Syscall/marker/trap tail (or a translation-window cut):
-               only the dispatch path may run it. *)
+      let st = t.stats in
+      let gen = t.decode_generation in
+      let total = ref 0 in
+      (* Retirement is deferred: completed-instruction and cycle counts
+         accumulate in unboxed locals and flush into the boxed int64
+         thread counters once per call, not once per hop. *)
+      let retired_acc = ref 0 in
+      let acc_cycles = ref 0 in
+      let finished = ref false in
+      let cur = ref bb in
+      let looping = ref true in
+      let observer_none =
+        match t.block_observer with None -> true | Some _ -> false
+      in
+      (* Call-outs (instrumented slots, the observer) may change the hook
+         set or the address space between hops. *)
+      let watch = t.decode_instr || not observer_none in
+      (* Event fuel is computed once per call: every retirement target
+         (timer, mark, counter) and the caller's limit shrink in lockstep
+         with the instructions the chain executes, so a single budget
+         decremented per hop gives the same bound as recomputing the
+         fuel every hop — and keeps event boundaries exact while
+         retirement is deferred. *)
+      let budget = ref (event_fuel t th limit) in
+      let iters = ref 0 in
+      let part = ref 0 in
+      let faulted = ref false in
+      let cut = ref false in
+      t.dyn_cost <- 0;
+      while !looping do
+        let b = !cur in
+        let len = Array.length b.bb_uops in
+        if not b.bb_chainable then begin
+          (* Syscall/marker/trap tail (or a translation-window cut): only
+             the step loop may run it. *)
+          looping := false;
+          if !total > 0 then st.st_x_indirect <- st.st_x_indirect + 1
+        end
+        else begin
+          let fuel = !budget in
+          if fuel < len then begin
+            (* Not enough event fuel for a whole-block hop; the step loop
+               runs the partial block. *)
             looping := false;
-            if !total > 0 then st.st_x_indirect <- st.st_x_indirect + 1
+            if !total > 0 then st.st_x_fuel <- st.st_x_fuel + 1
           end
           else begin
-            let fuel = !budget in
-            if fuel < len then begin
-              (* Not enough event fuel for a whole-block hop; the
-                 dispatch path handles the partial block. *)
+            if
+              Array.length b.bb_links = 0
+              && not (Int64.equal b.bb_succ_taken (-1L))
+            then resolve_links t b;
+            let links = b.bb_links in
+            let linked = Array.length links = 2 in
+            let mega = b.bb_mega in
+            if b.bb_writes_mem then t.mega_cw <- Addr_space.code_writes t.mem;
+            (* Self-loop turbo: an unobserved block whose hot edge is its
+               own head re-runs the mega back to back, paying the per-hop
+               bookkeeping once per burst. The iteration budget keeps the
+               burst inside the event fuel. Blocks that do not link to
+               themselves skip the budget division: their burst is a
+               single iteration by construction. *)
+            let max_iters =
+              if
+                observer_none && linked
+                && (Array.unsafe_get links 0 == b
+                   || Array.unsafe_get links 1 == b)
+              then fuel / len
+              else 1
+            in
+            iters := 0;
+            part := 0;
+            faulted := false;
+            cut := false;
+            (try
+               let go = ref true in
+               while !go do
+                 mega t th;
+                 incr iters;
+                 (* [t.took] was just written by the terminator slot; when
+                    [max_iters = 1] the short-circuit exits before the
+                    (possibly empty) links array is touched. *)
+                 if
+                   !iters >= max_iters || Array.unsafe_get links t.took != b
+                 then go := false
+               done
+             with
+            | Addr_space.Fault { addr; access } ->
+                let idx = t.mega_idx in
+                th.ctx.Context.rip <- Array.unsafe_get b.bb_next idx;
+                record_fault th
+                  (Array.unsafe_get b.bb_pc idx)
+                  (Array.unsafe_get b.bb_ins idx)
+                  addr access;
+                part := idx;
+                faulted := true;
+                cut := true
+            | Break_after ->
+                part := t.mega_idx;
+                cut := true);
+            let ok = (!iters * len) + !part in
+            (* Slots never advance RIP; only a terminating branch and the
+               fault path move it. Repair it after a cut mid-block. *)
+            if !part > 0 && !part < len && not !faulted then
+              th.ctx.Context.rip <- Array.unsafe_get b.bb_next (!part - 1);
+            acc_cycles :=
+              !acc_cycles
+              + (!iters * Array.unsafe_get b.bb_prefix len)
+              + (if !part > 0 then Array.unsafe_get b.bb_prefix !part else 0)
+              + t.dyn_cost;
+            t.dyn_cost <- 0;
+            retired_acc := !retired_acc + ok;
+            let attempted = if !faulted then ok + 1 else ok in
+            total := !total + attempted;
+            budget := !budget - attempted;
+            if not observer_none then (
+              match t.block_observer with
+              | None -> ()
+              | Some f ->
+                  f ~tid:th.tid ~pcs:b.bb_pc ~n:attempted
+                    ~ends_block:(attempted = len && b.bb_ends_block));
+            if !faulted then begin
               looping := false;
-              if !total > 0 then st.st_x_fuel <- st.st_x_fuel + 1
+              finished := true;
+              st.st_x_fault <- st.st_x_fault + 1
+            end
+            else if
+              (* Between chain hops the generation can only move from a
+                 store (syscalls never run in the chain) or a call-out;
+                 hops with neither skip the re-check, and a store-bearing
+                 hop checks right after itself, so a moved generation is
+                 never outrun. *)
+              (!cut || b.bb_writes_mem || watch)
+              && gen <> Addr_space.generation t.mem
+              || (watch && instrumented t.hooks <> t.decode_instr)
+            then begin
+              looping := false;
+              finished := true;
+              st.st_x_inval <- st.st_x_inval + 1
+            end
+            else if !cut || t.stop_requested then begin
+              (* A cut that moved nothing was a call-out's stop request
+                 or thread exit. *)
+              looping := false;
+              finished := true;
+              st.st_x_stop <- st.st_x_stop + 1
             end
             else begin
-              if
-                b.bb_chain_extra = -2
-                && not (Int64.equal b.bb_succ_taken (-1L))
-              then resolve_links t b;
-              let links = b.bb_links in
-              let linked = Array.length links = 2 in
-              let chained =
-                b.bb_chain_extra >= 0 && fuel >= len + b.bb_chain_extra
+              (* A whole-block run of a directly-terminated block left the
+                 edge index in [t.took]; indirect or cut tails have no
+                 links array and exit to dispatch. *)
+              let nxt =
+                if linked then Array.unsafe_get links t.took else dummy_bb
               in
-              let mega = if chained then b.bb_mega_chain else b.bb_mega_safe in
-              if b.bb_writes_mem then
-                t.mega_cw <- Addr_space.code_writes t.mem;
-              (* Self-loop turbo: an unobserved block whose hot edge is
-                 its own head re-runs the mega back to back, paying the
-                 per-hop bookkeeping once per burst. The iteration
-                 budget keeps the burst inside the event fuel, and — for
-                 the flag-elided variant — additionally reserves the
-                 successor kill prefix so the final iteration still
-                 meets the elision gate's exit guarantee. Blocks that do
-                 not link to themselves skip the budget division: their
-                 burst is a single iteration by construction. *)
-              let max_iters =
-                if
-                  observer_none && linked
-                  && (Array.unsafe_get links 0 == b
-                     || Array.unsafe_get links 1 == b)
-                then (if chained then fuel - b.bb_chain_extra else fuel) / len
-                else 1
-              in
-              iters := 0;
-              part := 0;
-              faulted := false;
-              cut := false;
-              (try
-                 let go = ref true in
-                 while !go do
-                   mega t th;
-                   incr iters;
-                   (* [t.took] was just written by the terminator slot;
-                      when [max_iters = 1] the short-circuit exits before
-                      the (possibly empty) links array is touched. *)
-                   if
-                     !iters >= max_iters
-                     || Array.unsafe_get links t.took != b
-                   then go := false
-                 done
-               with
-              | Addr_space.Fault { addr; access } ->
-                  let idx = t.mega_idx in
-                  th.ctx.Context.rip <- Array.unsafe_get b.bb_next idx;
-                  record_fault th
-                    (Array.unsafe_get b.bb_pc idx)
-                    (Array.unsafe_get b.bb_ins idx)
-                    addr access;
-                  part := idx;
-                  faulted := true;
-                  cut := true
-              | Break_after ->
-                  part := t.mega_idx;
-                  cut := true);
-              let ok = (!iters * len) + !part in
-              if !part > 0 && !part < len && not !faulted then
-                th.ctx.Context.rip <- Array.unsafe_get b.bb_next (!part - 1);
-              acc_cycles :=
-                !acc_cycles
-                + (!iters * Array.unsafe_get b.bb_prefix len)
-                + (if !part > 0 then Array.unsafe_get b.bb_prefix !part else 0)
-                + t.dyn_cost;
-              t.dyn_cost <- 0;
-              retired_acc := !retired_acc + ok;
-              let attempted = if !faulted then ok + 1 else ok in
-              total := !total + attempted;
-              budget := !budget - attempted;
-              if not observer_none then (
-                match t.block_observer with
-                | None -> ()
-                | Some f ->
-                    f ~tid:th.tid ~pcs:b.bb_pc ~n:attempted
-                      ~ends_block:(attempted = len && b.bb_ends_block));
-              if !faulted then begin
+              if nxt == dummy_bb then begin
                 looping := false;
-                finished := true;
-                st.st_x_fault <- st.st_x_fault + 1
+                st.st_x_indirect <- st.st_x_indirect + 1
               end
-              else if
-                (* Between chain hops the generation can only move from a
-                   store (no syscalls run here — they are not
-                   tail-batchable) or a call-out; hops with neither skip
-                   the re-check, and a store-bearing hop checks right
-                   after itself, so a moved generation is never
-                   outrun. *)
-                (!cut || b.bb_writes_mem || watch)
-                && gen <> Addr_space.generation t.mem
-                || watch && instrumented t.hooks <> t.decode_instr
-              then begin
-                looping := false;
-                finished := true;
-                st.st_x_inval <- st.st_x_inval + 1
-              end
-              else if !cut || t.stop_requested then begin
-                (* A cut that moved nothing was a call-out's stop
-                   request or thread exit. *)
-                looping := false;
-                finished := true;
-                st.st_x_stop <- st.st_x_stop + 1
-              end
-              else begin
-                (* A whole-block run of a directly-terminated block left
-                   the edge index in [t.took]; indirect or cut tails have
-                   no links array and exit to dispatch. *)
-                let nxt =
-                  if linked then Array.unsafe_get links t.took else dummy_bb
-                in
-                if nxt == dummy_bb then begin
-                  looping := false;
-                  st.st_x_indirect <- st.st_x_indirect + 1
-                end
-                else cur := nxt
-              end
+              else cur := nxt
             end
           end
-        done;
-        if !retired_acc > 0 || !acc_cycles > 0 then begin
-          let okL = Int64.of_int !retired_acc in
-          th.retired <- Int64.add th.retired okL;
-          t.retired_total <- Int64.add t.retired_total okL;
-          (match t.timer with
-          | Some _ -> th.timer_left <- th.timer_left - !retired_acc
-          | None -> ());
-          th.cycles <- Int64.add th.cycles (Int64.of_int !acc_cycles)
-        end;
-        if !finished || !total > 0 then !total
-        else exec_block_classic t th bb limit
-      end
+        end
+      done;
+      if !retired_acc > 0 || !acc_cycles > 0 then begin
+        let okL = Int64.of_int !retired_acc in
+        th.retired <- Int64.add th.retired okL;
+        t.retired_total <- Int64.add t.retired_total okL;
+        (match t.timer with
+        | Some _ -> th.timer_left <- th.timer_left - !retired_acc
+        | None -> ());
+        th.cycles <- Int64.add th.cycles (Int64.of_int !acc_cycles);
+        st.st_ret_chained <- st.st_ret_chained + !retired_acc
+      end;
+      if !finished || !total > 0 then !total else step_block t th bb limit
 
 let step t tid =
   let th = thread t tid in
   if th.state <> Runnable then invalid_arg "Machine.step: thread not runnable";
-  ignore (exec_block t th 1)
+  let pc0 = th.ctx.Context.rip in
+  match fetch_block t pc0 with
+  | exception Addr_space.Fault { addr; access = _ } ->
+      th.state <- Faulted (Page_fault { addr; access = Exec; pc = pc0 })
+  | bb -> ignore (step_block t th bb 1)
 
 (* Run up to [n] instructions of [tid]; returns how many retired. *)
 let run_quantum t tid n limit =
@@ -2277,7 +2061,6 @@ type snapshot = {
   snap_schedule_rev : (int * int) list;
   snap_schedule_cut : bool;
   snap_group_exit : int option;
-  snap_chain_enabled : bool;
 }
 
 let snapshot t =
@@ -2323,7 +2106,6 @@ let snapshot t =
     snap_schedule_rev = t.schedule_rev;
     snap_schedule_cut = t.schedule_cut;
     snap_group_exit = t.group_exit_status;
-    snap_chain_enabled = t.chain_enabled;
   }
 
 let snapshot_page_count snap = Addr_space.frozen_page_count snap.snap_mem
@@ -2412,7 +2194,6 @@ let fork ?reseed:seed snap =
       block_memo_pc = Array.make block_memo_size (-1L);
       block_memo = Array.make block_memo_size dummy_bb;
       block_observer = None;
-      chain_enabled = snap.snap_chain_enabled;
       mega_idx = 0;
       mega_cw = 0;
       took = 0;

@@ -53,8 +53,8 @@ type scheduler =
     Installing any of [on_ins], [on_mem_read], [on_mem_write] or
     [on_branch] makes the machine run {e instrumented translations}:
     the call-outs are compiled into each translated block, in front of
-    and inside each instruction's micro-op, and those blocks batch and
-    chain like hook-free ones. What a call-out observes:
+    and inside each instruction's micro-op, and those blocks chain like
+    hook-free ones. What a call-out observes:
     - registers, flags and memory are exact: every earlier instruction
       has completed, nothing later has started (no flag result is
       elided or fused in an instrumented translation);
@@ -167,7 +167,10 @@ val cut_schedule : t -> unit
 
 (** Execute a single instruction of a thread. Faults are caught and
     recorded in the thread state. Raises [Invalid_argument] if the
-    thread is not runnable. *)
+    thread is not runnable. A step retires exactly as the same
+    instruction does inside a {!run} (same micro-op, cycles and
+    retirement events), so replaying a schedule recorded by {!run}
+    one [step] at a time reproduces the run's final state. *)
 val step : t -> int -> unit
 
 (** Install (or clear) the basic-block observer, called once per
@@ -187,23 +190,17 @@ val set_block_observer :
     after generation flushes — an observability counter). *)
 val translated_blocks : t -> int
 
-(** Enable/disable the superblock chain tier (on by default): blocks
-    ending in a direct branch hop straight to their successor's
-    translation without returning to the dispatch loop, instrumented
-    translations included; hook-free translations additionally run a
-    cross-block flag-liveness pass eliding dead ALU flag
-    materialisation. Architecturally invisible — disabling it only
-    removes the speed tier (A/B benchmarking, differential tests). It is
-    the only execution-tier switch: installed hooks do not change the
-    tier. *)
-val set_chain_enabled : t -> bool -> unit
-
 (** Monotone per-machine core-execution counters: block-memo efficacy,
-    superblock link churn, and chain exits by reason. Mirrored into the
-    [elfie_core_*] metric families at the end of every {!run}. A stop
-    requested from a call-out inside a chained block counts in
-    [exits_stop]; a code-page write, or a switch between instrumented
-    and hook-free translations, in [exits_invalidation]. *)
+    superblock link churn, chain exits by reason, and user instructions
+    retired by each of the two ways a block runs — whole, in the chain
+    of composed blocks ([retired_chained]), or one instruction at a
+    time ([retired_stepped]: syscall, marker and trap blocks, blocks
+    that a retirement event, the scheduler quantum or [max_ins] cuts
+    short, and every {!step}). Mirrored into the [elfie_core_*] metric
+    families at the end of every {!run}. A stop requested from a
+    call-out inside a chained block counts in [exits_stop]; a code-page
+    write, or a switch between instrumented and hook-free translations,
+    in [exits_invalidation]. *)
 type chain_stats = {
   memo_hits : int;
   memo_misses : int;
@@ -214,9 +211,16 @@ type chain_stats = {
   exits_fault : int;
   exits_invalidation : int;  (* code page dirtied mid-chain *)
   exits_stop : int;
+  retired_chained : int;
+  retired_stepped : int;
 }
 
 val chain_stats : t -> chain_stats
+
+(** Mirror the counters above into the [elfie_core_*] metric families
+    now. {!run} does this when it returns; a driver that advances the
+    machine only with {!step} calls it when done. *)
+val flush_core_metrics : t -> unit
 
 (** Run until no thread is runnable, a stop is requested, or [max_ins]
     user instructions have retired machine-wide. *)

@@ -9,7 +9,7 @@
     Collection is {e block-driven}: the default {!profile} counts whole
     translated-block runs through [Machine.set_block_observer] — no
     per-instruction hook, so the run stays on the machine's hook-free
-    batched fast path. Slice boundaries are reconstructed exactly by
+    chained fast path. Slice boundaries are reconstructed exactly by
     splitting a run's charge where the boundary falls inside it, and
     per-thread block attribution is preserved, so the output is
     bit-identical to the retained per-instruction reference tool

@@ -298,6 +298,7 @@ let simulate_elfie ?end_condition ?(from_marker = true) ?(seed = 13L)
   in
   loop ();
   detach ();
+  Machine.flush_core_metrics machine;
   (* Complete = the end condition fired or every thread exited; a loop
      that stopped only because of the instruction cap did not finish. *)
   let completed =

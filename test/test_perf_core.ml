@@ -333,13 +333,7 @@ let test_block_run_matches_step () =
   let pb = Profile.create ~interval:7 () in
   let mb = mk_branchy_machine prog (Machine.Recorded sched) in
   profile_note_hook pb mb;
-  List.iter
-    (fun (tid, n) ->
-      for _ = 1 to n do
-        if (Machine.thread mb tid).Machine.state = Machine.Runnable then
-          Machine.step mb tid
-      done)
-    sched;
+  Tutil.step_replay mb sched;
   Alcotest.check Tutil.i64 "total retired" (Machine.total_retired ma)
     (Machine.total_retired mb);
   Alcotest.check Tutil.i64 "elapsed cycles" (Machine.elapsed_cycles ma)
@@ -395,11 +389,22 @@ let test_note_block_equivalence () =
 
 (* --- superblock chain tier ---------------------------------------------------- *)
 
-(* Chained execution (the default), chain-disabled block execution, and
-   instrumented execution (an [on_ins] hook: a call-out before every
-   instruction, no flag elision or fusion) must be indistinguishable:
-   same schedule, same retired/cycle counts, bit-identical contexts,
-   and bit-identical BBV slice profiles. *)
+(* Retired count, cycles, exit or fault state and context bytes of a
+   thread in a run and in its reference. *)
+let check_same_thread what (ta : Machine.thread) (tb : Machine.thread) =
+  Alcotest.check Tutil.i64 (what ^ ": retired") ta.Machine.retired
+    tb.Machine.retired;
+  Alcotest.check Tutil.i64 (what ^ ": cycles") ta.Machine.cycles
+    tb.Machine.cycles;
+  Alcotest.(check bool) (what ^ ": state") true (ta.Machine.state = tb.Machine.state);
+  Alcotest.(check bool) (what ^ ": context bit-identical") true
+    (Bytes.equal (Context.to_bytes ta.Machine.ctx) (Context.to_bytes tb.Machine.ctx))
+
+(* Chained execution, instrumented execution (an [on_ins] hook: a
+   call-out before every instruction, no flag elision or fusion) and
+   the stepped replay of the chained run's schedule must be
+   indistinguishable: same schedule, same retired/cycle counts,
+   bit-identical contexts, and bit-identical BBV slice profiles. *)
 let bbv_profile_eq (a : Elfie_pin.Bbv.profile) (b : Elfie_pin.Bbv.profile) =
   a.Elfie_pin.Bbv.slice_size = b.Elfie_pin.Bbv.slice_size
   && a.Elfie_pin.Bbv.total_instructions = b.Elfie_pin.Bbv.total_instructions
@@ -411,30 +416,50 @@ let bbv_profile_eq (a : Elfie_pin.Bbv.profile) (b : Elfie_pin.Bbv.profile) =
          && x.Elfie_pin.Bbv.vector = y.Elfie_pin.Bbv.vector)
        a.Elfie_pin.Bbv.slices b.Elfie_pin.Bbv.slices
 
-let test_chained_matches_disabled_and_per_ins () =
+let test_chained_matches_step_and_per_ins () =
   let prog = branchy_two_thread_prog () in
-  let run_mode ~chain ~per_ins =
+  let observed m =
+    let observe, finish = Elfie_pin.Bbv.collector ~slice_size:97L in
+    Machine.set_block_observer m (Some observe);
+    finish
+  in
+  let run_mode ~per_ins =
     let m =
       mk_branchy_machine prog
         (Machine.Free { seed = 5L; quantum_min = 13; quantum_max = 41 })
     in
-    Machine.set_chain_enabled m chain;
+    Machine.set_record_schedule m true;
     if per_ins then (Machine.hooks m).Machine.on_ins <- Some (fun _ _ _ -> ());
-    let observe, finish = Elfie_pin.Bbv.collector ~slice_size:97L in
-    Machine.set_block_observer m (Some observe);
+    let finish = observed m in
     Machine.run m;
     (m, finish ())
   in
-  let ma, bbv_a = run_mode ~chain:true ~per_ins:false in
-  let mb, bbv_b = run_mode ~chain:false ~per_ins:false in
-  let mc, bbv_c = run_mode ~chain:true ~per_ins:true in
-  let sa = Machine.chain_stats ma in
+  let ma, bbv_a = run_mode ~per_ins:false in
+  let mc, bbv_c = run_mode ~per_ins:true in
+  let sched = Machine.recorded_schedule ma in
+  Alcotest.(check (list (pair int int))) "per-ins run keeps the schedule" sched
+    (Machine.recorded_schedule mc);
+  let mb = mk_branchy_machine prog (Machine.Recorded sched) in
+  let finish = observed mb in
+  Tutil.step_replay mb sched;
+  let bbv_b = finish () in
+  let sa = Machine.chain_stats ma and sb = Machine.chain_stats mb in
   Alcotest.(check bool) "chained run built superblocks" true
     (sa.Machine.superblocks_built > 0);
   Alcotest.(check bool) "block memo was effective" true
     (sa.Machine.memo_hits > sa.Machine.memo_misses);
-  Alcotest.(check int) "disabled run built no superblocks" 0
-    (Machine.chain_stats mb).Machine.superblocks_built;
+  List.iter
+    (fun (name, m, (s : Machine.chain_stats)) ->
+      Alcotest.(check int) (name ^ ": tiers add up to total retired")
+        (Int64.to_int (Machine.total_retired m))
+        (s.Machine.retired_chained + s.Machine.retired_stepped))
+    [ ("chained", ma, sa); ("stepped replay", mb, sb) ];
+  Alcotest.(check bool) "chained run retired mostly chained" true
+    (sa.Machine.retired_chained > sa.Machine.retired_stepped);
+  Alcotest.(check int) "stepped replay chained nothing" 0
+    sb.Machine.retired_chained;
+  Alcotest.(check int) "stepped replay built no superblocks" 0
+    sb.Machine.superblocks_built;
   List.iter
     (fun (name, mx, bbv_x) ->
       Alcotest.check Tutil.i64 (name ^ ": total retired")
@@ -452,13 +477,32 @@ let test_chained_matches_disabled_and_per_ins () =
       done;
       Alcotest.(check bool) (name ^ ": BBV profile bit-identical") true
         (bbv_profile_eq bbv_a bbv_x))
-    [ ("chain-off", mb, bbv_b); ("per-ins", mc, bbv_c) ]
+    [ ("stepped replay", mb, bbv_b); ("per-ins", mc, bbv_c) ]
+
+(* Build a one-thread machine running [prog] from 0x1000, run it to the
+   end chained, and replay its schedule stepped on a second machine
+   built the same way. Returns (chained, stepped) machines. *)
+let chained_and_stepped prog scheduler =
+  let mk () =
+    let m = Machine.create scheduler in
+    Addr_space.store (Machine.mem m) 0x1000L prog.Builder.code;
+    let ctx = Context.create () in
+    ctx.Context.rip <- 0x1000L;
+    ignore (Machine.add_thread m ctx);
+    m
+  in
+  let mc = mk () in
+  Machine.set_record_schedule mc true;
+  Machine.run mc;
+  let ms = mk () in
+  Tutil.step_replay ms (Machine.recorded_schedule mc);
+  (mc, ms)
 
 (* A store in the middle of a chained superblock patches code a few
    instructions ahead of itself: the chain must break at exactly that
    point (counted as an invalidation exit), the stale translation must
-   be rebuilt, and the architectural result must match the unchained
-   one. The patch flips the immediate of the loop's `mov rbx, K` from 1
+   be rebuilt, and the architectural result must match the stepped
+   replay. The patch flips the immediate of the loop's `mov rbx, K` from 1
    to 2 when the countdown passes 6, so the accumulator tells us
    precisely which iterations saw which immediate. *)
 let test_chain_smc_mid_chain () =
@@ -485,41 +529,29 @@ let test_chain_smc_mid_chain () =
     Builder.ins b Hlt;
     Builder.assemble b ~base:0x1000L
   in
-  let mk chain =
-    let prog = build () in
-    let m =
-      Machine.create
-        (Machine.Free { seed = 1L; quantum_min = 400; quantum_max = 400 })
-    in
-    Machine.set_chain_enabled m chain;
-    Addr_space.store (Machine.mem m) 0x1000L prog.Builder.code;
-    let ctx = Context.create () in
-    ctx.Context.rip <- 0x1000L;
-    let tid = Machine.add_thread m ctx in
-    Machine.run m;
-    (m, Context.get (Machine.thread m tid).Machine.ctx Reg.RSI)
+  let mc, ms =
+    chained_and_stepped (build ())
+      (Machine.Free { seed = 1L; quantum_min = 400; quantum_max = 400 })
   in
-  let mc, chained_sum = mk true in
-  let _, plain_sum = mk false in
+  let sum m = Context.get (Machine.thread m 0).Machine.ctx Reg.RSI in
   (* Countdown 10..6 add 1 (the patch lands during the countdown=6
      iteration, after its add); 5..1 add 2. *)
   Alcotest.check Tutil.i64 "chained run saw the patch exactly once armed" 15L
-    chained_sum;
-  Alcotest.check Tutil.i64 "chain-disabled agrees" plain_sum chained_sum;
+    (sum mc);
+  Alcotest.check Tutil.i64 "stepped replay agrees" (sum ms) (sum mc);
+  check_same_thread "stepped replay" (Machine.thread mc 0) (Machine.thread ms 0);
   let st = Machine.chain_stats mc in
   Alcotest.(check bool) "the chain broke on the mid-chain code write" true
     (st.Machine.exits_invalidation >= 1);
   Alcotest.(check bool) "invalidation tore down installed links" true
     (st.Machine.superblocks_broken >= 1)
 
-(* Fault in the middle of a chain, right where the flag-liveness pass
-   elides the most: the hot self-loop's trailing [Sub/Jcc] flags are
-   provably dead (the fall-through successor starts with a full
-   flag-killing [Add]) so the exit-dead variant skips materialising
-   them; the successor then faults on an unmapped load one slot after
-   its flag-killing prefix. The faulting thread's context — flags
-   included — and the recorded fault must be bit-identical to the
-   chain-disabled run. *)
+(* Fault in the middle of a chain, right after flag elision: the hot
+   self-loop's [Add] and [And] flag results are dead within the block
+   and its [Sub/Jcc] tail is fused; the fall-through successor sets the
+   flags with an [Add] and then faults on an unmapped load. The
+   faulting thread's context — flags included — and the recorded fault
+   must be bit-identical to the stepped replay. *)
 let test_chain_fault_mid_chain_flags () =
   let build () =
     let b = Builder.create () in
@@ -531,9 +563,9 @@ let test_chain_fault_mid_chain_flags () =
     Builder.ins b (Alu_ri (And, Reg.RAX, 0xffL));
     Builder.ins b (Alu_ri (Sub, Reg.RDI, 1L));
     Builder.jcc b Ne loop;
-    (* Fall-through block: flag-killing prefix, then the fault. The
-       direct [Jmp] terminator keeps the block tail-batchable, so the
-       chain executor (not the dispatch loop) takes the fault. *)
+    (* Fall-through block: a flag writer, then the fault. The direct
+       [Jmp] terminator keeps the block chainable, so the chain executor
+       (not the step loop) takes the fault. *)
     let after = Builder.new_label b in
     Builder.ins b (Alu_ri (Add, Reg.RBX, 5L));
     Builder.ins b (Load (W64, Reg.RCX, mem_abs 0x50000L));
@@ -542,31 +574,16 @@ let test_chain_fault_mid_chain_flags () =
     Builder.ins b Hlt;
     Builder.assemble b ~base:0x1000L
   in
-  let run chain =
-    let prog = build () in
-    let m =
-      Machine.create
-        (Machine.Free { seed = 9L; quantum_min = 500; quantum_max = 500 })
-    in
-    Machine.set_chain_enabled m chain;
-    Addr_space.store (Machine.mem m) 0x1000L prog.Builder.code;
-    let ctx = Context.create () in
-    ctx.Context.rip <- 0x1000L;
-    let tid = Machine.add_thread m ctx in
-    Machine.run m;
-    (m, Machine.thread m tid)
+  let mc, ms =
+    chained_and_stepped (build ())
+      (Machine.Free { seed = 9L; quantum_min = 500; quantum_max = 500 })
   in
-  let mc, tc = run true in
-  let _, tp = run false in
-  (match (tc.Machine.state, tp.Machine.state) with
-  | Machine.Faulted fa, Machine.Faulted fb ->
-      Alcotest.(check bool) "identical fault records" true (fa = fb)
-  | _ -> Alcotest.fail "both runs must end in the load fault");
-  Alcotest.check Tutil.i64 "retired counts agree" tp.Machine.retired
-    tc.Machine.retired;
-  Alcotest.check Tutil.i64 "cycle counts agree" tp.Machine.cycles tc.Machine.cycles;
-  Alcotest.(check bool) "faulting context bit-identical (flags included)" true
-    (Bytes.equal (Context.to_bytes tc.Machine.ctx) (Context.to_bytes tp.Machine.ctx));
+  let tc = Machine.thread mc 0 in
+  (match tc.Machine.state with
+  | Machine.Faulted _ -> ()
+  | _ -> Alcotest.fail "the run must end in the load fault");
+  (* Same fault record, counts and context, flags included. *)
+  check_same_thread "stepped replay" tc (Machine.thread ms 0);
   Alcotest.(check bool) "the fault was taken from a chained run" true
     ((Machine.chain_stats mc).Machine.exits_fault >= 1)
 
@@ -780,31 +797,85 @@ let assemble_branchy (inits, segs, reps) =
   Builder.ins b Hlt;
   Builder.assemble b ~base:0x1000L
 
+(* Retirement events drawn with each kernel: a timer interval of 3..40
+   instructions and its seed, and two positions in the run for the
+   warmup mark and (unless the draw disarms it) the armed counter. *)
+let events_gen =
+  QCheck.Gen.(
+    quad (int_range 3 40) (map Int64.of_int int) nat (opt ~ratio:0.75 nat))
+
+let show_events (interval, seed, mark, counter) =
+  Printf.sprintf "timer=%d/%Ld mark@%d counter@%s" interval seed mark
+    (match counter with Some c -> string_of_int c | None -> "-")
+
+(* The timer, the warmup mark and the armed counter must land exactly
+   in a chained run: its retired count, cycles, context, counter and
+   mark readings equal those of the stepped replay of its schedule, and
+   of an instrumented run. Every instruction these kernels retire sits
+   in a multi-instruction block (the final Hlt, a block of its own,
+   never retires), so the mark and counter targets, drawn over the
+   whole run, fall inside such blocks: mid-block, where the chain must
+   leave the block to the step loop, or on its terminating [Jcc], where
+   the chain must stop short of it. Timer ticks every 3..40
+   instructions land in both kinds of place. *)
 let prop_chain_equiv =
   QCheck.Test.make
-    ~name:"chained ≡ per-block ≡ per-ins on random branchy kernels" ~count:60
-    (QCheck.make ~print:show_branchy_kernel branchy_kernel_gen)
-    (fun kernel ->
+    ~name:"chained ≡ stepped replay ≡ per-ins on random branchy kernels"
+    ~count:60
+    (QCheck.pair
+       (QCheck.make ~print:show_branchy_kernel branchy_kernel_gen)
+       (QCheck.make ~print:show_events events_gen))
+    (fun (kernel, (interval, seed, mark_pos, counter_pos)) ->
       let prog = assemble_branchy kernel in
-      let run ~chain ~per_ins =
-        let m =
-          Machine.create
-            (Machine.Free { seed = 11L; quantum_min = 30; quantum_max = 90 })
-        in
-        Machine.set_chain_enabled m chain;
-        if per_ins then (Machine.hooks m).Machine.on_ins <- Some (fun _ _ _ -> ());
+      let scheduler =
+        Machine.Free { seed = 11L; quantum_min = 30; quantum_max = 90 }
+      in
+      let mk () =
+        let m = Machine.create scheduler in
         Addr_space.store (Machine.mem m) 0x1000L prog.Builder.code;
         let ctx = Context.create () in
         ctx.Context.rip <- 0x1000L;
-        let tid = Machine.add_thread m ctx in
-        Machine.run m;
-        let th = Machine.thread m tid in
-        (Context.to_bytes th.Machine.ctx, th.Machine.retired, th.Machine.cycles)
+        ignore (Machine.add_thread m ctx);
+        m
       in
-      let a = run ~chain:true ~per_ins:false in
-      let b = run ~chain:false ~per_ins:false in
-      let c = run ~chain:true ~per_ins:true in
-      a = b && a = c)
+      let n =
+        let m = mk () in
+        Machine.run m;
+        Int64.to_int (Machine.thread m 0).Machine.retired
+      in
+      let at pos = Int64.of_int (1 + (pos mod n)) in
+      let mark = at mark_pos in
+      let counter = Option.map (fun p -> Int64.max mark (at p)) counter_pos in
+      let arm m =
+        Machine.set_timer m ~interval ~cycles:7 ~seed;
+        Machine.arm_mark m 0 ~target:mark;
+        Option.iter (fun target -> Machine.arm_counter m 0 ~target) counter
+      in
+      let outcome m =
+        let th = Machine.thread m 0 in
+        ( (Context.to_bytes th.Machine.ctx, th.Machine.state),
+          (th.Machine.retired, th.Machine.cycles),
+          (th.Machine.counter_fired, th.Machine.mark_retired, th.Machine.mark_cycles)
+        )
+      in
+      let run ~per_ins =
+        let m = mk () in
+        arm m;
+        if per_ins then (Machine.hooks m).Machine.on_ins <- Some (fun _ _ _ -> ());
+        Machine.set_record_schedule m true;
+        Machine.run m;
+        m
+      in
+      let chained = run ~per_ins:false in
+      let stepped = mk () in
+      arm stepped;
+      Tutil.step_replay stepped (Machine.recorded_schedule chained);
+      let ((_, _, (fired, mark_retired, _)) as a) = outcome chained in
+      if mark_retired <> Some mark then
+        QCheck.Test.fail_reportf "mark at %Ld did not fire there" mark;
+      if fired <> Option.is_some counter then
+        QCheck.Test.fail_report "armed counter did not fire";
+      a = outcome stepped && a = outcome (run ~per_ins:true))
 
 (* --- copy-on-write snapshots: warm once, fork many ---------------------------- *)
 
@@ -1158,8 +1229,8 @@ let suite =
     Alcotest.test_case "block run ≡ stepped replay (ctx, cycles, profile)" `Quick
       test_block_run_matches_step;
     Alcotest.test_case "note_block ≡ per-ins note" `Quick test_note_block_equivalence;
-    Alcotest.test_case "chain: chained ≡ disabled ≡ per-ins (BBV included)" `Quick
-      test_chained_matches_disabled_and_per_ins;
+    Alcotest.test_case "chain: chained ≡ stepped replay ≡ per-ins (BBV included)"
+      `Quick test_chained_matches_step_and_per_ins;
     Alcotest.test_case "chain: SMC dirties mid-chain" `Quick test_chain_smc_mid_chain;
     Alcotest.test_case "chain: fault mid-chain re-materialises flags" `Quick
       test_chain_fault_mid_chain_flags;

@@ -48,6 +48,23 @@ let run_image ?(fs_init = fun (_ : Elfie_kernel.Fs.t) -> ()) ?(seed = 1L)
   Elfie_machine.Machine.run ~max_ins machine;
   (machine, kernel)
 
+(* The reference a chained run is checked against: replay the schedule
+   it recorded (Machine.set_record_schedule) on an identically built
+   machine, one Machine.step at a time. A thread that exits or faults
+   skips the rest of its slices, and a requested stop ends the replay,
+   as each does in Machine.run. *)
+let step_replay m sched =
+  let module Machine = Elfie_machine.Machine in
+  List.iter
+    (fun (tid, n) ->
+      for _ = 1 to n do
+        if
+          (Machine.thread m tid).Machine.state = Machine.Runnable
+          && not (Machine.stop_requested m)
+        then Machine.step m tid
+      done)
+    sched
+
 (* A program that computes in registers and exits with a status derived
    from RDI; used by many kernel/machine tests. *)
 let exit_program status =
