@@ -411,37 +411,32 @@ let () =
      the process-global tracer/metrics counters around its exec. *)
   let m_loader = Metrics.counter "elfie_loader_runs_total" in
   let obs_deltas : (string, int * int) Hashtbl.t = Hashtbl.create 16 in
-  let specs =
+  let reports =
     List.map
       (fun (e : Elfie_harness.Registry.experiment) ->
-        {
-          Supervisor.name = e.id;
-          job_inputs = [ e.id; e.title ];
-          exec =
-            (fun ~seed:_ ~max_ins:_ ->
-              Printf.printf "=== %s: %s ===\n%!" e.id e.title;
-              let events0 = Trace.emitted () in
-              let runs0 = Metrics.total m_loader in
-              print_string (e.run ());
-              print_newline ();
-              Hashtbl.replace obs_deltas e.id
-                ( Trace.emitted () - events0,
-                  int_of_float (Metrics.total m_loader -. runs0) );
-              ((), Elfie_supervise.Classify.Graceful));
-        })
+        fst
+          (Supervisor.supervise ~job:e.id (fun ~seed:_ ~max_ins:_ ->
+               Printf.printf "=== %s: %s ===\n%!" e.id e.title;
+               let events0 = Trace.emitted () in
+               let runs0 = Metrics.total m_loader in
+               print_string (e.run ());
+               print_newline ();
+               Hashtbl.replace obs_deltas e.id
+                 ( Trace.emitted () - events0,
+                   int_of_float (Metrics.total m_loader -. runs0) );
+               ((), Elfie_supervise.Classify.Graceful))))
       Elfie_harness.Registry.all
   in
-  let results = Supervisor.run_batch specs in
   Printf.printf "=== Per-phase supervised timings ===\n";
   Printf.printf "%-10s %-14s %9s %10s %8s %8s\n" "phase" "classification"
     "attempts" "wall" "events" "runs";
   Printf.printf "%s\n" (String.make 65 '-');
   List.iter
-    (fun (name, (r : Supervisor.report), _) ->
+    (fun (r : Supervisor.report) ->
       let events, runs =
-        Option.value ~default:(0, 0) (Hashtbl.find_opt obs_deltas name)
+        Option.value ~default:(0, 0) (Hashtbl.find_opt obs_deltas r.job)
       in
-      Printf.printf "%-10s %-14s %9d %9.1fs %8d %8d\n" name
+      Printf.printf "%-10s %-14s %9d %9.1fs %8d %8d\n" r.job
         (Elfie_supervise.Classify.to_string r.final)
         (List.length r.attempts) r.total_wall_s events runs)
-    results
+    reports

@@ -8,8 +8,8 @@
 
 open Cmdliner
 
-let run path sysstate_dir seed trials max_ins timeout_ins retries journal_path
-    resume disasm (trace, metrics, profile, jobs) =
+let run path sysstate_dir seed trials max_ins retries journal_path resume
+    disasm (trace, metrics, profile, jobs) =
   Elfie_util.Pool.set_default_jobs
     (if jobs = 0 then Elfie_util.Pool.recommended () else jobs);
   Elfie_obs.Report.with_reporting ?trace ?metrics ?profile @@ fun () ->
@@ -46,23 +46,13 @@ let run path sysstate_dir seed trials max_ins timeout_ins retries journal_path
   let module Supervisor = Elfie_supervise.Supervisor in
   let module Journal = Elfie_supervise.Journal in
   let journal = Option.map Journal.open_file journal_path in
-  let budget =
-    {
-      Supervisor.ins = Some (Option.value ~default:max_ins timeout_ins);
-      wall_s = None;
-    }
-  in
   for i = 0 to trials - 1 do
     let policy =
-      {
-        Supervisor.default_policy with
-        retries;
-        base_seed = Int64.add seed (Int64.of_int i);
-      }
+      { Supervisor.retries; base_seed = Int64.add seed (Int64.of_int i) }
     in
     let job = Printf.sprintf "%s#trial%d" (Filename.basename path) i in
     let report, outcome =
-      Supervisor.run_elfie ~job ~policy ~budget ?journal ~resume
+      Supervisor.run_elfie ~job ~policy ~max_ins ?journal ~resume
         ~inputs:[ path; Int64.to_string seed; string_of_int i ]
         ~fs_init ~cwd:"/work" image
     in
@@ -146,17 +136,11 @@ let cmd =
   let max_ins =
     Arg.(
       value & opt int64 100_000_000L
-      & info [ "max-ins" ] ~doc:"Safety cap on executed instructions.")
-  in
-  let timeout_ins =
-    Arg.(
-      value
-      & opt (some int64) None
-      & info [ "timeout-ins" ]
+      & info [ "max-ins" ]
           ~doc:
-            "Supervised instruction budget per attempt (overrides \
-             $(b,--max-ins)); a run stopped by it classifies as a runaway \
-             and gets one raised-budget retry.")
+            "Supervised instruction budget per attempt; a run stopped by \
+             it classifies as a runaway and gets one retry with the \
+             budget raised x4.")
   in
   let retries =
     Arg.(
@@ -188,7 +172,7 @@ let cmd =
   Cmd.v
     (Cmd.info "elfie_run" ~doc:"run an ELFie natively (supervised)")
     Term.(
-      const run $ path $ sysstate $ seed $ trials $ max_ins $ timeout_ins
-      $ retries $ journal $ resume $ disasm $ obs_flags)
+      const run $ path $ sysstate $ seed $ trials $ max_ins $ retries
+      $ journal $ resume $ disasm $ obs_flags)
 
 let () = exit (Cmd.eval cmd)

@@ -9,8 +9,7 @@ module Supervisor = Elfie_supervise.Supervisor
 module Journal = Elfie_supervise.Journal
 module Classify = Elfie_supervise.Classify
 
-let run_ids ids retries timeout_ins journal_path resume
-    (trace, metrics, profile, jobs) =
+let run_ids ids retries journal_path resume (trace, metrics, profile, jobs) =
   Elfie_util.Pool.set_default_jobs
     (if jobs = 0 then Elfie_util.Pool.recommended () else jobs);
   Elfie_obs.Report.with_reporting ?trace ?metrics ?profile @@ fun () ->
@@ -30,36 +29,31 @@ let run_ids ids retries timeout_ins journal_path resume
   in
   let journal = Option.map Journal.open_file journal_path in
   let policy = { Supervisor.default_policy with retries } in
-  let budget = { Supervisor.unlimited with ins = timeout_ins } in
-  let specs =
+  let reports =
     List.map
       (fun (e : Elfie_harness.Registry.experiment) ->
-        {
-          Supervisor.name = e.id;
-          job_inputs = [ e.id; e.title ];
-          exec =
-            (fun ~seed:_ ~max_ins:_ ->
-              Printf.printf "=== %s: %s ===\n%!" e.id e.title;
-              let t0 = Unix.gettimeofday () in
-              let out = e.run () in
-              print_string out;
-              Printf.printf "(%.1f s)\n\n%!" (Unix.gettimeofday () -. t0);
-              (out, Classify.Graceful));
-        })
+        fst
+          (Supervisor.supervise ~job:e.id ~policy ?journal ~resume
+             ~inputs:[ e.id; e.title ]
+             (fun ~seed:_ ~max_ins:_ ->
+               Printf.printf "=== %s: %s ===\n%!" e.id e.title;
+               let t0 = Unix.gettimeofday () in
+               print_string (e.run ());
+               Printf.printf "(%.1f s)\n\n%!" (Unix.gettimeofday () -. t0);
+               ((), Classify.Graceful))))
       targets
   in
-  let results = Supervisor.run_batch ~policy ~budget ?journal ~resume specs in
   let quarantined =
-    List.filter (fun (_, r, _) -> r.Supervisor.quarantined) results
+    List.filter (fun (r : Supervisor.report) -> r.quarantined) reports
   in
   List.iter
-    (fun (_, (r : Supervisor.report), _) ->
+    (fun (r : Supervisor.report) ->
       if r.skipped then
         Printf.printf "=== %s: skipped (journalled graceful) ===\n\n" r.job
       else if r.quarantined then
         Format.printf "=== %s: QUARANTINED — %a ===@.@." r.job
           Supervisor.pp_report r)
-    results;
+    reports;
   let skips, saved_ms = Supervisor.resume_savings () in
   if skips > 0 then
     Printf.printf "resume: skipped %d experiment(s), saved ~%.0f ms\n" skips
@@ -81,15 +75,6 @@ let retries_arg =
     value & opt int 2
     & info [ "retries" ]
         ~doc:"Supervisor retry budget per experiment for transient failures.")
-
-let timeout_ins_arg =
-  Arg.(
-    value
-    & opt (some int64) None
-    & info [ "timeout-ins" ]
-        ~doc:
-          "Instruction budget per supervised attempt, for execution paths \
-           that honour it.")
 
 let journal_arg =
   Arg.(
@@ -152,7 +137,7 @@ let cmd =
   let doc = "regenerate the ELFies paper's evaluation tables and figures" in
   Cmd.v (Cmd.info "experiments" ~doc)
     Term.(
-      const run_ids $ ids_arg $ retries_arg $ timeout_ins_arg $ journal_arg
-      $ resume_arg $ obs_flags)
+      const run_ids $ ids_arg $ retries_arg $ journal_arg $ resume_arg
+      $ obs_flags)
 
 let () = exit (Cmd.eval cmd)

@@ -186,7 +186,7 @@ let replay_cmd =
           ~doc:
             "Replay without injection (the paper's -replay:injection 0): \
              syscalls re-execute natively, threads schedule freely — the \
-             supervisor's escalation mode for debugging divergences.")
+             mode for debugging divergences.")
   in
   Cmd.v
     (Cmd.info "replay" ~doc:"replay a pinball (constrained by default)")

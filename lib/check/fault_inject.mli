@@ -111,8 +111,8 @@ val pp_store_report : Format.formatter -> store_report -> unit
 (** Convert [pb] into an ELFie whose exit path spins forever: the region
     counters fire as usual, but the process loops past them and never
     exits — the hang failure class. Such a run is {e not} graceful; only
-    a watchdog (the runner's instruction cap or a supervisor wall-clock
-    limit) can stop it, after which it classifies as a runaway. Extra
+    the instruction budget (the runner's [max_ins] cap) can stop it,
+    after which it classifies as a runaway. Extra
     conversion [options] are honoured; the injected exit-path spin
     overrides [extra_on_exit]. *)
 val hang_elfie :

@@ -100,8 +100,8 @@ let collect_outcome machine kernel =
          (a region covering the program's end terminates that way, with
          spin-dependent per-thread counts) — and the process actually
          terminated. An ELFie that loops past its fired region counters
-         without exiting (the hang failure class) is not graceful: it is
-         whatever watchdog stopped it. *)
+         without exiting (the hang failure class) is not graceful: the
+         instruction cap stops it as a runaway. *)
       let still_running =
         List.exists (fun th -> th.Machine.state = Machine.Runnable) threads
       in
@@ -216,7 +216,7 @@ let build_machine ?timing ~seed ~cwd ~kernel_cost fs_init =
 
 let run ?(seed = 11L) ?(fs_init = fun (_ : Fs.t) -> ()) ?(cwd = "/")
     ?(max_ins = 100_000_000L) ?timing ?(kernel_cost = true)
-    ?(on_machine = fun (_ : Machine.t) -> ()) (image : Elfie_elf.Image.t) =
+    (image : Elfie_elf.Image.t) =
   let machine, kernel = build_machine ?timing ~seed ~cwd ~kernel_cost fs_init in
   let sp = Trace.begin_span "runner.region" ~attrs:[ ("seed", Trace.I seed) ] in
   let load_sp = Trace.begin_span "runner.load" in
@@ -233,7 +233,6 @@ let run ?(seed = 11L) ?(fs_init = fun (_ : Fs.t) -> ()) ?(cwd = "/")
               reserved stack_top needed))
   | _tid, _layout ->
       Trace.end_span load_sp;
-      on_machine machine;
       Elfie_pin.Tools.attach_global_profile machine;
       Machine.run ~max_ins machine;
       finish sp (collect_outcome machine kernel)
@@ -290,8 +289,7 @@ let warm ?(seed = 11L) ?(fs_init = fun (_ : Fs.t) -> ()) ?(cwd = "/")
         Error o
       end
 
-let resume ?(max_ins = 100_000_000L)
-    ?(on_machine = fun (_ : Machine.t) -> ()) ~seed w =
+let resume ?(max_ins = 100_000_000L) ~seed w =
   let machine = Machine.fork ~reseed:seed w.w_snapshot in
   let kernel = Vkernel.fork w.w_kernel in
   Vkernel.install kernel machine;
@@ -299,7 +297,6 @@ let resume ?(max_ins = 100_000_000L)
     Trace.begin_span "runner.region"
       ~attrs:[ ("seed", Trace.I seed); ("forked", Trace.B true) ]
   in
-  on_machine machine;
   Elfie_pin.Tools.attach_global_profile machine;
   Machine.run ~max_ins machine;
   finish sp (collect_outcome machine kernel)

@@ -59,10 +59,7 @@ val runaway_fault_message : string
     @param fs_init install SYSSTATE proxy files before the run
     @param cwd the sysstate workdir the ELFie is executed in
     @param max_ins safety cap for runaway (diverged) executions
-    @param kernel_cost charge ring-0 work, as real hardware would
-    @param on_machine called with the machine after loading, before the
-    run starts — the supervisor's hook for attaching watchdog
-    instrumentation that can stop a wedged run mid-flight *)
+    @param kernel_cost charge ring-0 work, as real hardware would *)
 val run :
   ?seed:int64 ->
   ?fs_init:(Elfie_kernel.Fs.t -> unit) ->
@@ -70,7 +67,6 @@ val run :
   ?max_ins:int64 ->
   ?timing:Elfie_machine.Timing.config ->
   ?kernel_cost:bool ->
-  ?on_machine:(Elfie_machine.Machine.t -> unit) ->
   Elfie_elf.Image.t ->
   outcome
 
@@ -114,11 +110,9 @@ val warm :
 (** [resume ~seed w] measures one trial off the warmed capture.
     [max_ins] caps the machine-wide total retired count, which includes
     the warmup already executed — pass the same value as [warm] for the
-    same cap semantics as a single full run. [on_machine] runs against
-    the fork after the kernel is installed, before execution. *)
+    same cap semantics as a single full run. *)
 val resume :
   ?max_ins:int64 ->
-  ?on_machine:(Elfie_machine.Machine.t -> unit) ->
   seed:int64 ->
   warmed ->
   outcome

@@ -312,18 +312,17 @@ let run_job ~store ?journal ?(resume = true) j =
     @@ fun _ ->
     Supervisor.supervise ~job:j.j_name ?journal ~resume
       ~inputs:(job_inputs j)
-      (fun ~attempt_no:_ ~seed:_ ~budget:_ ->
+      (fun ~seed:_ ~max_ins:_ ->
         let sel, regions, pred, total_ins = compute_job ~store ~count j in
-        ( Some
-            {
-              jr_name = j.j_name;
-              jr_k = sel.Simpoint.k;
-              jr_total_ins = total_ins;
-              jr_regions = regions;
-              jr_pred_cpi = pred;
-              jr_hits = !hits;
-              jr_misses = !misses;
-            },
+        ( {
+            jr_name = j.j_name;
+            jr_k = sel.Simpoint.k;
+            jr_total_ins = total_ins;
+            jr_regions = regions;
+            jr_pred_cpi = pred;
+            jr_hits = !hits;
+            jr_misses = !misses;
+          },
           Classify.Graceful ))
   in
   {

@@ -112,12 +112,8 @@ let measure_elfie ?(trials = 3) ?(base_seed = 2000L) (image, sysstate) =
    Returns the supervisor's report plus the accepted sample. *)
 let measure_supervised ~trials ~base_seed ~max_seed_retries ~job
     (image, sysstate) =
-  let policy =
-    { Supervisor.default_policy with retries = max_seed_retries; base_seed }
-  in
-  Supervisor.supervise ~job ~policy ~resume:false
-    ~inputs:[ job; Int64.to_string base_seed; string_of_int trials ]
-    (fun ~attempt_no:_ ~seed ~budget:_ ->
+  let policy = { Supervisor.retries = max_seed_retries; base_seed } in
+  Supervisor.supervise ~job ~policy (fun ~seed ~max_ins:_ ->
       let sample, outcomes =
         Perf.elfie_region_detailed ~trials ~base_seed:seed
           ~fs_init:(fun fs -> Elfie_pin.Sysstate.install sysstate fs ~workdir)
@@ -134,16 +130,14 @@ let measure_supervised ~trials ~base_seed ~max_seed_retries ~job
           | Some o -> Classify.of_outcome o
           | None -> Classify.Backend_error "no trials ran"
       in
-      (Some sample, cls))
+      (sample, cls))
 
 (* Simulate one region ELFie on the user-level CoreSim model, measuring
    past the warmup prefix only (the traditional validation path). A
    simulation that the instruction cap had to stop classifies as a
    runaway and is quarantined after one raised-budget retry. *)
 let simulate_region ~job (image, sysstate) ~warmup =
-  let budget = { Supervisor.unlimited with ins = Some 100_000_000L } in
-  Supervisor.run_backend ~job ~budget ~resume:false ~inputs:[ job ]
-    (fun ~seed:_ ~max_ins ->
+  Supervisor.supervise ~job ~max_ins:100_000_000L (fun ~seed:_ ~max_ins ->
       let r =
         Elfie_coresim.Coresim.simulate ~mode:Elfie_coresim.Coresim.User_level
           ?measure_after:(if warmup > 0L then Some warmup else None)
@@ -276,15 +270,11 @@ let validate ?jobs ?(params = Simpoint.default_params) ?(trials = 3)
           in
           match sample with
           | Some sample when not report.Supervisor.quarantined ->
-              let primary =
-                List.filter
-                  (fun (a : Supervisor.attempt) -> not a.escalated)
-                  report.Supervisor.attempts
-              in
-              let retries = List.length primary - 1 in
+              let attempts = report.Supervisor.attempts in
+              let retries = List.length attempts - 1 in
               let seed_retry =
                 if retries > 0 then
-                  let last = List.nth primary retries in
+                  let last = List.nth attempts retries in
                   Some (retries, last.Supervisor.attempt_seed)
                 else None
               in

@@ -46,37 +46,28 @@ let whole_program ?(trials = 3) ?(base_seed = 1000L) spec =
   }
 
 let elfie_region_detailed ?(trials = 3) ?(base_seed = 2000L) ?fs_init ?cwd
-    ?max_ins ?on_machine image =
-  let trial i =
-    let seed = Int64.add base_seed (Int64.of_int i) in
-    Elfie_core.Elfie_runner.run ~seed ?fs_init ?cwd ?max_ins ?on_machine image
-  in
-  let idxs = List.init trials Fun.id in
+    ?max_ins image =
+  let seeds = List.init trials (fun i -> Int64.add base_seed (Int64.of_int i)) in
   let results =
-    match on_machine with
-    (* An [on_machine] callback is caller state with unknown
-       thread-safety (tools attach counters through it), so those runs
-       stay sequential. *)
-    | Some _ -> List.map trial idxs
-    | None -> (
-        (* Warm once at the base seed, fork per trial: the warmup
-           executes a single time and each trial forks the captured
-           machine copy-on-write, re-deriving its scheduler/timer
-           streams from the trial seed. Forks are independent, so they
-           fan out across pool domains with results identical at any
-           [--jobs]. An image without a warmup mark (or one that fails
-           before it) falls back to one full run per trial. *)
-        match
-          Elfie_core.Elfie_runner.warm ~seed:base_seed ?fs_init ?cwd ?max_ins
-            image
-        with
-        | Ok warmed ->
-            Elfie_util.Pool.map
-              (fun i ->
-                let seed = Int64.add base_seed (Int64.of_int i) in
-                Elfie_core.Elfie_runner.resume ~seed ?max_ins warmed)
-              idxs
-        | Error _ -> Elfie_util.Pool.map trial idxs)
+    (* Warm once at the base seed, fork per trial: the warmup executes a
+       single time and each trial forks the captured machine
+       copy-on-write, re-deriving its scheduler/timer streams from the
+       trial seed. Forks are independent, so they fan out across pool
+       domains with results identical at any [--jobs]. An image without
+       a warmup mark (or one that fails before it) falls back to one
+       full run per trial. *)
+    match
+      Elfie_core.Elfie_runner.warm ~seed:base_seed ?fs_init ?cwd ?max_ins image
+    with
+    | Ok warmed ->
+        Elfie_util.Pool.map
+          (fun seed -> Elfie_core.Elfie_runner.resume ~seed ?max_ins warmed)
+          seeds
+    | Error _ ->
+        Elfie_util.Pool.map
+          (fun seed ->
+            Elfie_core.Elfie_runner.run ~seed ?fs_init ?cwd ?max_ins image)
+          seeds
   in
   let ok =
     List.filter (fun (o : Elfie_core.Elfie_runner.outcome) -> o.graceful) results
@@ -111,7 +102,8 @@ let pp_sample fmt s =
   Format.fprintf fmt "cpi %.4f +/- %.4f over %d trial(s) (%d failed, %Ld ins)"
     s.mean_cpi s.stddev_cpi s.trials s.failures s.instructions;
   if s.failure_classes <> [] then begin
-    (* Aggregate the per-trial crash classes: "2x runaway, 1x timeout". *)
+    (* Aggregate the per-trial crash classes, e.g.
+       "2x runaway, 1x stack-collision". *)
     let tally =
       List.fold_left
         (fun acc c ->

@@ -48,17 +48,13 @@ val elfie_region :
 
 (** Like {!elfie_region}, but also returns every trial's raw outcome (in
     trial order) so supervision layers can classify {e why} trials
-    failed instead of only counting them. [on_machine] is forwarded to
-    the runner — the hook watchdog instrumentation attaches through.
-    Passing [on_machine] keeps the sequential per-trial full-run path
-    (the callback is caller state of unknown thread/fork safety). *)
+    failed instead of only counting them. *)
 val elfie_region_detailed :
   ?trials:int ->
   ?base_seed:int64 ->
   ?fs_init:(Elfie_kernel.Fs.t -> unit) ->
   ?cwd:string ->
   ?max_ins:int64 ->
-  ?on_machine:(Elfie_machine.Machine.t -> unit) ->
   Elfie_elf.Image.t ->
   sample * Elfie_core.Elfie_runner.outcome list
 

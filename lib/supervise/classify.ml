@@ -3,7 +3,6 @@ type t =
   | Stack_collision
   | Divergence of { pc : int64; icount : int64 }
   | Syscall_failure
-  | Timeout
   | Runaway
   | Backend_error of string
 
@@ -52,7 +51,6 @@ let to_string = function
   | Divergence { pc; icount } ->
       Printf.sprintf "divergence:pc=0x%Lx:icount=%Ld" pc icount
   | Syscall_failure -> "syscall-failure"
-  | Timeout -> "timeout"
   | Runaway -> "runaway"
   | Backend_error msg -> "backend-error:" ^ escape msg
 
@@ -61,7 +59,6 @@ let of_string s =
   | "graceful" -> Some Graceful
   | "stack-collision" -> Some Stack_collision
   | "syscall-failure" -> Some Syscall_failure
-  | "timeout" -> Some Timeout
   | "runaway" -> Some Runaway
   | _ -> (
       let prefixed p =
@@ -103,15 +100,6 @@ let of_outcome (o : Elfie_core.Elfie_runner.outcome) =
                 match o.exit_status with
                 | Some _ -> Syscall_failure
                 | None -> Backend_error "armed counters never fired"))
-
-let of_replay (r : Elfie_pin.Replayer.result) =
-  if r.matched_icounts && r.divergences = 0 && not r.capped then Graceful
-  else
-    match r.first_divergence with
-    | Some d -> Divergence { pc = d.div_pc; icount = d.div_icount }
-    | None ->
-        if r.capped then Runaway
-        else Backend_error "replay finished with unmatched icounts"
 
 let of_exn = function
   | Elfie_kernel.Loader.Stack_collision _ -> Stack_collision

@@ -1,18 +1,17 @@
 (** Crash classification: the closed outcome taxonomy of supervised
     execution.
 
-    Every execution path — native ELFie runs ({!Elfie_core.Elfie_runner}),
-    pinball replay ({!Elfie_pin.Replayer}) and the simulator backends —
-    folds into exactly one of these constructors. No raw string faults
+    Every supervised execution path — native ELFie runs
+    ({!Elfie_core.Elfie_runner}), region measurements and the simulator
+    backends — folds into exactly one of these constructors. No raw string faults
     escape to callers: the supervisor retry policy, the experiment
     journal and the degradations audit trail all speak this type.
 
     The taxonomy follows the paper's failure analysis of ELFies
     (Section II-B3): a fired region counter is success ([Graceful]); the
     known failure modes are a load-time stack collision, divergence into
-    uncaptured state, and a failing system call; a fired watchdog is
-    [Timeout] (wall clock) or [Runaway] (instruction budget); anything
-    else is an opaque [Backend_error]. *)
+    uncaptured state, and a failing system call; a tripped instruction
+    budget is [Runaway]; anything else is an opaque [Backend_error]. *)
 
 type t =
   | Graceful  (** the region counter(s) fired — the paper's success *)
@@ -24,8 +23,7 @@ type t =
   | Syscall_failure
       (** the ELFie aborted because a system call failed (non-zero exit
           before the region counter fired) *)
-  | Timeout  (** the wall-clock watchdog stopped the run *)
-  | Runaway  (** the instruction-budget watchdog stopped the run *)
+  | Runaway  (** the instruction budget ([max_ins]) stopped the run *)
   | Backend_error of string  (** any other failure, quarantined as-is *)
 
 (** Stable, parseable rendering (inverse of {!of_string}); used by the
@@ -49,11 +47,6 @@ val unescape : string -> string
 (** Classify a native ELFie run. Uses only the structured outcome
     fields, never the message strings. *)
 val of_outcome : Elfie_core.Elfie_runner.outcome -> t
-
-(** Classify a replay: the icount contract and syscall log must match
-    ([Graceful]), otherwise the first divergence (or [Runaway] when the
-    instruction cap stopped a wedged replay). *)
-val of_replay : Elfie_pin.Replayer.result -> t
 
 (** Classify an exception escaping an execution backend:
     [Loader.Stack_collision] and structured diagnostics keep their

@@ -10,9 +10,7 @@ type record = {
 
 type t = {
   mutable entries : record list;  (** newest first *)
-  oc : out_channel option;
-  fsync_every : int;  (** fsync cadence; [0] disables fsync entirely *)
-  mutable appended : int;  (** records appended since open *)
+  oc : out_channel;
   (* Supervised jobs may record from pool worker domains concurrently;
      the lock keeps the entry list and the append stream coherent (one
      written line per record, in the same order as [entries]). *)
@@ -106,10 +104,6 @@ let record_of_line line =
       parse job inputs_hash attempts cls quarantined wall_ms attrs
   | _ -> None
 
-let in_memory () =
-  { entries = []; oc = None; fsync_every = 0; appended = 0;
-    lock = Mutex.create () }
-
 let load_existing path =
   if not (Sys.file_exists path) then []
   else begin
@@ -129,47 +123,28 @@ let load_existing path =
     !entries
   end
 
-let open_file ?(fsync_every = 1) path =
+let open_file path =
   let entries = load_existing path in
   let oc = open_out_gen [ Open_append; Open_creat; Open_binary ] 0o644 path in
-  { entries; oc = Some oc; fsync_every = max 0 fsync_every; appended = 0;
-    lock = Mutex.create () }
+  { entries; oc; lock = Mutex.create () }
 
 let fsync_oc oc =
   try Unix.fsync (Unix.descr_of_out_channel oc)
   with Unix.Unix_error _ -> ()
 
-let sync t =
-  Mutex.protect t.lock @@ fun () ->
-  match t.oc with
-  | None -> ()
-  | Some oc ->
-      flush oc;
-      fsync_oc oc
-
-let close t =
-  match t.oc with
-  | None -> ()
-  | Some oc ->
-      flush oc;
-      fsync_oc oc;
-      close_out oc
+(* Nothing to flush: [record] already flushed and fsynced every line. *)
+let close t = close_out t.oc
 
 let record t r =
   Mutex.protect t.lock @@ fun () ->
   t.entries <- r :: t.entries;
-  match t.oc with
-  | None -> ()
-  | Some oc ->
-      output_string oc (line_of_record r);
-      output_char oc '\n';
-      flush oc;
-      (* Durability: flush moves the line to the OS, fsync moves it to
-         the disk — without it a power-loss-style kill can lose every
-         record since open, not just the one being written. *)
-      t.appended <- t.appended + 1;
-      if t.fsync_every > 0 && t.appended mod t.fsync_every = 0 then
-        fsync_oc oc
+  output_string t.oc (line_of_record r);
+  output_char t.oc '\n';
+  flush t.oc;
+  (* Durability: flush moves the line to the OS, fsync moves it to the
+     disk — without it a power-loss-style kill can lose every record
+     since open, not just the one being written. *)
+  fsync_oc t.oc
 
 let records t = Mutex.protect t.lock (fun () -> List.rev t.entries)
 

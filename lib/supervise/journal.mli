@@ -4,8 +4,8 @@
     carries the job name, a hash of the job's inputs, the number of
     attempts the supervisor made, the final {!Classify.t}, whether the
     job was quarantined and the wall time spent. Batch drivers
-    ([bin/experiments], [Pipeline.validate]) write one record per
-    finished job; on [--resume] the journal is read back and jobs whose
+    ([bin/experiments], [bin/elfie_run], [bin/elfied]) write one record
+    per finished job; on [--resume] the journal is read back and jobs whose
     latest record is graceful — with an unchanged inputs hash — are
     skipped, so a killed batch picks up where it left off.
 
@@ -36,25 +36,15 @@ type record = {
 
 type t
 
-(** In-memory journal (no persistence) — for tests and one-shot runs. *)
-val in_memory : unit -> t
-
 (** Open (creating if needed) a journal file. Existing records are
-    loaded; subsequent {!record} calls append to the file and flush
-    line-by-line, so a killed process loses at most the record being
-    written. The file descriptor is additionally [fsync]ed every
-    [fsync_every] appends (default [1]: every record is durable against
-    power-loss-style kills before {!record} returns; [0] disables
-    fsync — flush-only, the pre-durability behavior). *)
-val open_file : ?fsync_every:int -> string -> t
-
-(** Force an fsync of any flushed-but-unsynced appends (useful with a
-    bounded [fsync_every] cadence). No-op for in-memory journals. *)
-val sync : t -> unit
+    loaded; subsequent {!record} calls append to the file. *)
+val open_file : string -> t
 
 val close : t -> unit
 
-(** Append a record (and persist it, for file-backed journals). *)
+(** Append a record. The line is flushed and the file [fsync]ed before
+    [record] returns, so a killed process (or a power loss) loses at
+    most the record being written. Safe to call from pool domains. *)
 val record : t -> record -> unit
 
 (** All records, oldest first (duplicates included). *)

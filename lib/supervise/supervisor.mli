@@ -1,81 +1,47 @@
-(** Supervised job execution: watchdogs, classification-driven retry
-    with exponential backoff, and journalled results.
+(** Supervised job execution: an instruction budget, classification-driven
+    retry, and journalled results.
 
-    Every attempt of a supervised job runs under two watchdogs layered
-    on the machine's [max_ins] cap:
-
-    - an {e instruction budget} ({!budget.ins}): the machine-wide
-      retired-instruction limit; an attempt stopped by it (while the
-      region counters never fired) classifies as {!Classify.Runaway};
-    - a {e wall-clock limit} ({!budget.wall_s}), enforced preemptively
-      for native ELFie runs by a pintool that checks a deadline every
-      few thousand instructions and stops the machine; a run stopped by
-      it classifies as {!Classify.Timeout}.
-
-    A fired region counter is the success criterion ({!Classify.Graceful});
-    a fired watchdog is never success.
+    Every attempt of a supervised job runs under one budget, the
+    machine-wide retired-instruction limit ([max_ins]). An attempt
+    stopped by it (while the region counters never fired) classifies as
+    {!Classify.Runaway}. A fired region counter is the success criterion
+    ({!Classify.Graceful}); a tripped budget is never success.
 
     Retry policy, by classification of the failed attempt:
 
     - [Stack_collision] / [Syscall_failure]: transient under address
       randomization — retry up to {!policy.retries} times with a fresh
-      seed (re-seeding the loader's stack randomization) and
-      exponential backoff with jitter;
-    - [Timeout] / [Runaway]: retried {e once} with the instruction
-      budget raised by {!policy.budget_raise}, then quarantined;
-    - [Divergence]: not retried — escalated to an injection-less replay
-      of the source pinball for a first-divergence report, then
-      quarantined;
-    - [Backend_error]: quarantined immediately.
+      seed (re-seeding the loader's stack randomization);
+    - [Runaway]: retried {e once} with the instruction budget raised ×4,
+      then quarantined;
+    - [Divergence] / [Backend_error]: quarantined immediately.
 
     Quarantined jobs are recorded in the journal (and the caller's
     degradations trail) and never crash the batch. *)
 
-type budget = {
-  ins : int64 option;  (** instruction budget ([max_ins]) per attempt *)
-  wall_s : float option;  (** wall-clock watchdog per attempt *)
-}
-
-(** No instruction budget, no wall-clock limit. *)
-val unlimited : budget
-
 type policy = {
   retries : int;  (** max re-seeded retries for transient classes *)
-  backoff_base_s : float;
-      (** first backoff delay; [0.0] (the default) disables sleeping *)
-  backoff_factor : float;  (** exponential growth per retry *)
-  backoff_max_s : float;
-      (** hard ceiling on any single delay (default 30 s) *)
-  jitter : float;  (** +- fraction of the delay, drawn deterministically *)
-  budget_raise : int64;
-      (** instruction-budget multiplier for the single timeout/runaway
-          retry *)
   base_seed : int64;
       (** seed of attempt 0; attempt [n] runs with
           [base_seed + 1009 * n], matching the harness's historical
           seed-retry schedule *)
 }
 
+(** [retries = 2], [base_seed = 42]. *)
 val default_policy : policy
-
-type watchdog = Wd_none | Wd_wall | Wd_ins
 
 type attempt = {
   attempt_seed : int64;
   classification : Classify.t;
   wall_s : float;
-  escalated : bool;
-      (** this attempt is the diagnostic injection-less escalation of a
-          divergence, not a primary execution *)
-  note : string option;  (** e.g. the escalation's first-divergence report *)
 }
 
 type report = {
   job : string;
-  final : Classify.t;  (** classification of the last primary attempt *)
+  final : Classify.t;  (** classification of the last attempt *)
   quarantined : bool;
   skipped : bool;  (** satisfied from the journal; nothing was run *)
-  attempts : attempt list;  (** oldest first, escalations included *)
+  attempts : attempt list;  (** oldest first *)
   total_wall_s : float;
 }
 
@@ -89,93 +55,39 @@ val pp_report : Format.formatter -> report -> unit
     metrics; batch drivers print it after a [--resume] run. *)
 val resume_savings : unit -> int * float
 
-(** {1 The generic loop} *)
-
 (** [supervise ~job run] drives [run] through the retry loop above.
-    [run ~attempt_no ~seed ~budget] performs one attempt — [budget.ins]
-    already reflects any raise — and returns the attempt's value and
+    [run ~seed ~max_ins] performs one attempt — [max_ins] is the
+    instruction budget, already raised on a runaway retry ([None]: the
+    backend's own cap) — and returns the attempt's value and
     classification; exceptions it raises are classified via
-    {!Classify.of_exn}. [escalate] performs the divergence escalation
-    and returns its classification and a report note. When [journal] is
-    given, every non-skipped job's result is appended to it; when
-    [resume] is also true (the default), a job whose latest record is
-    graceful for the same [inputs] hash is skipped without running — pass
-    [~resume:false] to write through the journal without skipping (the
-    pipeline's observability mode). The returned value is the last
-    primary attempt's. *)
+    {!Classify.of_exn}. When [journal] is given, every non-skipped
+    job's result is appended to it; when [resume] is also true (the
+    default), a job whose latest record is graceful for the same
+    [inputs] hash is skipped without running. The returned value is the
+    last attempt's that did not raise ([None] when skipped or when
+    every attempt raised). *)
 val supervise :
   job:string ->
   ?policy:policy ->
-  ?budget:budget ->
-  ?journal:Journal.t ->
-  ?resume:bool ->
-  ?inputs:string list ->
-  ?escalate:(Classify.t -> (Classify.t * string) option) ->
-  (attempt_no:int -> seed:int64 -> budget:budget -> 'a option * Classify.t) ->
-  report * 'a option
-
-(** {1 Wrapped execution paths} *)
-
-(** Supervised native ELFie execution ({!Elfie_core.Elfie_runner.run}).
-    Installs the preemptive wall-clock watchdog when [budget.wall_s] is
-    set, and reclassifies a watchdog-stopped run from [Runaway] to
-    [Timeout]. [seed] overrides the policy's base seed. *)
-val run_elfie :
-  job:string ->
-  ?policy:policy ->
-  ?budget:budget ->
-  ?journal:Journal.t ->
-  ?resume:bool ->
-  ?inputs:string list ->
-  ?seed:int64 ->
-  ?fs_init:(Elfie_kernel.Fs.t -> unit) ->
-  ?cwd:string ->
-  ?kernel_cost:bool ->
-  Elfie_elf.Image.t ->
-  report * Elfie_core.Elfie_runner.outcome option
-
-(** Supervised constrained replay of a pinball, with the injection-less
-    escalation on divergence. *)
-val run_replay :
-  job:string ->
-  ?policy:policy ->
-  ?budget:budget ->
-  ?journal:Journal.t ->
-  ?resume:bool ->
-  ?inputs:string list ->
-  Elfie_pinball.Pinball.t ->
-  report * Elfie_pin.Replayer.result option
-
-(** Supervised arbitrary backend step (simulator runs, artifact
-    conversions): [f ~seed ~max_ins] returns a value and its
-    classification; raised exceptions are classified and quarantine the
-    job after the retry budget. *)
-val run_backend :
-  job:string ->
-  ?policy:policy ->
-  ?budget:budget ->
+  ?max_ins:int64 ->
   ?journal:Journal.t ->
   ?resume:bool ->
   ?inputs:string list ->
   (seed:int64 -> max_ins:int64 option -> 'a * Classify.t) ->
   report * 'a option
 
-(** {1 Batches} *)
-
-type 'a job_spec = {
-  name : string;
-  job_inputs : string list;  (** hashed for journal resume *)
-  exec : seed:int64 -> max_ins:int64 option -> 'a * Classify.t;
-}
-
-(** Run a batch of jobs under one policy and journal. Jobs already
-    journalled graceful (same inputs) are skipped — this is the
-    [--resume] path of [bin/experiments]; previously-failed jobs are
-    re-run. Never raises: each job ends in a report. *)
-val run_batch :
+(** Supervised native ELFie execution: {!supervise} over
+    {!Elfie_core.Elfie_runner.run}, classified by
+    {!Classify.of_outcome}. *)
+val run_elfie :
+  job:string ->
   ?policy:policy ->
-  ?budget:budget ->
+  ?max_ins:int64 ->
   ?journal:Journal.t ->
   ?resume:bool ->
-  'a job_spec list ->
-  (string * report * 'a option) list
+  ?inputs:string list ->
+  ?fs_init:(Elfie_kernel.Fs.t -> unit) ->
+  ?cwd:string ->
+  ?kernel_cost:bool ->
+  Elfie_elf.Image.t ->
+  report * Elfie_core.Elfie_runner.outcome option

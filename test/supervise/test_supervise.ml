@@ -1,30 +1,29 @@
 (* The supervision suite (dune alias @supervise, also part of the
-   default test run): end-to-end watchdog, retry and escalation behavior
-   on real ELFies and pinball replays.
+   default test run): end-to-end budget, retry and resume behavior on
+   real ELFies and the experiments CLI.
 
-   Covers the failure classes the unit tests can only synthesize:
+   Covers what the unit tests can only synthesize:
    - a hung ELFie (looping past its fired region counters) stopped by
-     the instruction-budget watchdog, classified Runaway and quarantined
-     after exactly one raised-budget retry;
-   - the same hang stopped preemptively by the wall-clock watchdog and
-     classified Timeout;
+     the instruction budget, classified Runaway and quarantined after
+     exactly one raised-budget retry;
    - a deterministic stack collision recovered by reseeded retries;
-   - a diverging constrained replay escalated to injection-less replay
-     for a first-divergence report, then quarantined. *)
+   - `experiments --journal`, then `--resume`, skipping the journalled
+     experiment without appending to the journal. *)
 
 module Supervisor = Elfie_supervise.Supervisor
 module Classify = Elfie_supervise.Classify
+module Journal = Elfie_supervise.Journal
 module Fault_inject = Elfie_check.Fault_inject
 
 let failf fmt = Format.kasprintf (fun s -> Format.printf "FAILED: %s@."s; exit 1) fmt
 
-let capture ?(file_io = false) ?(time_calls = false) name =
+let capture name =
   let spec =
     Elfie_workloads.Programs.spec
       ~phases:
         [ { kernel = Elfie_workloads.Kernels.Stream; reps = 1500 };
           { kernel = Elfie_workloads.Kernels.Branchy; reps = 1200 } ]
-      ~outer_reps:6 ~threads:1 ~ws_bytes:32768 ~file_io ~time_calls name
+      ~outer_reps:6 ~threads:1 ~ws_bytes:32768 name
   in
   let rs = Elfie_workloads.Programs.run_spec ~seed:42L spec in
   let r =
@@ -33,13 +32,11 @@ let capture ?(file_io = false) ?(time_calls = false) name =
   in
   r.Elfie_pin.Logger.pinball
 
-let primary_attempts (r : Supervisor.report) =
-  List.filter (fun (a : Supervisor.attempt) -> not a.escalated) r.attempts
-
 let test_hang_runaway pb =
   let image = Fault_inject.hang_elfie pb in
-  let budget = { Supervisor.ins = Some 500_000L; wall_s = None } in
-  let report, outcome = Supervisor.run_elfie ~job:"hang" ~budget image in
+  let report, outcome =
+    Supervisor.run_elfie ~job:"hang" ~max_ins:500_000L image
+  in
   (match outcome with
   | Some o ->
       if o.Elfie_core.Elfie_runner.graceful then
@@ -53,21 +50,10 @@ let test_hang_runaway pb =
   | Classify.Runaway -> ()
   | c -> failf "hang classified %s, expected runaway" (Classify.to_string c));
   if not report.quarantined then failf "hang not quarantined";
-  let n = List.length (primary_attempts report) in
+  let n = List.length report.attempts in
   if n <> 2 then
     failf "hang ran %d attempt(s), expected 2 (one raised-budget retry)" n;
   Format.printf "hang: %a@." Supervisor.pp_report report
-
-let test_hang_timeout pb =
-  let image = Fault_inject.hang_elfie pb in
-  let budget = { Supervisor.ins = None; wall_s = Some 0.05 } in
-  let report, _ = Supervisor.run_elfie ~job:"hang-wall" ~budget image in
-  (match report.Supervisor.final with
-  | Classify.Timeout -> ()
-  | c -> failf "wall-stopped hang classified %s, expected timeout"
-           (Classify.to_string c));
-  if not report.quarantined then failf "wall-stopped hang not quarantined";
-  Format.printf "hang-wall: %a@." Supervisor.pp_report report
 
 let test_collision_reseed pb =
   (* Allocatable stack sections (the historical bug) at the capture seed:
@@ -80,7 +66,7 @@ let test_collision_reseed pb =
           alloc_stack_sections = true }
       pb
   in
-  let policy = { Supervisor.default_policy with retries = 6; base_seed = 42L } in
+  let policy = { Supervisor.retries = 6; base_seed = 42L } in
   let report, _ = Supervisor.run_elfie ~job:"collide" ~policy image in
   (match report.Supervisor.attempts with
   | { classification = Classify.Stack_collision; _ } :: _ -> ()
@@ -93,91 +79,78 @@ let test_collision_reseed pb =
   | c -> failf "collision job ended %s, expected graceful recovery"
            (Classify.to_string c));
   if report.quarantined then failf "recovered collision job quarantined";
-  if List.length (primary_attempts report) < 2 then
+  if List.length report.attempts < 2 then
     failf "collision recovered without any retry";
   Format.printf "collide: %a@." Supervisor.pp_report report
 
-let test_divergence_escalation () =
-  let pb = capture ~file_io:true ~time_calls:true "supdiv" in
-  let tampered =
-    {
-      pb with
-      Elfie_pinball.Pinball.injections =
-        Array.map
-          (List.map (fun e -> { e with Elfie_pinball.Pinball.sys_nr = 9999 }))
-          pb.Elfie_pinball.Pinball.injections;
-    }
-  in
-  let report, _ = Supervisor.run_replay ~job:"diverge" tampered in
-  (match report.Supervisor.final with
-  | Classify.Divergence _ -> ()
-  | c -> failf "tampered replay classified %s, expected divergence"
-           (Classify.to_string c));
-  if not report.quarantined then failf "divergence not quarantined";
-  (match
-     List.filter (fun (a : Supervisor.attempt) -> a.escalated) report.attempts
-   with
-  | [ esc ] -> (
-      match esc.note with
-      | Some note
-        when String.length note >= 13
-             && String.sub note 0 13 = "injectionless" -> ()
-      | note ->
-          failf "escalation note missing injectionless report: %s"
-            (Option.value ~default:"<none>" note))
-  | l -> failf "expected exactly one escalated attempt, got %d" (List.length l));
-  Format.printf "diverge: %a@." Supervisor.pp_report report
+let experiments_exe =
+  Filename.concat
+    (Filename.dirname Sys.executable_name)
+    "../../bin/experiments.exe"
 
-(* Retry delays now come from the shared Elfie_util.Backoff schedule.
-   Two regressions pinned here: (1) the total time a retrying job spends
-   sleeping is bounded by the policy ceiling — an exploding exponential
-   (factor 50) must be clamped to max_s per retry; (2) with a jittered
-   policy, two runs of the same job draw identical delay sequences (the
-   jitter rng is seeded from the policy seed and the job name), so
-   supervised batches stay reproducible end to end. *)
-let test_backoff_cap_and_determinism () =
-  let policy =
-    { Supervisor.default_policy with
-      retries = 3;
-      backoff_base_s = 0.01;
-      backoff_factor = 50.0;
-      backoff_max_s = 0.05 }
+(* Run the experiments CLI to completion; its stdout, or a failure. *)
+let run_experiments args =
+  let out = Filename.temp_file "experiments" ".out" in
+  let fd = Unix.openfile out [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o644 in
+  let pid =
+    Unix.create_process experiments_exe
+      (Array.of_list (experiments_exe :: args))
+      Unix.stdin fd Unix.stderr
   in
-  let run ~attempt_no ~seed:_ ~budget:_ =
-    if attempt_no < 3 then (None, Classify.Stack_collision)
-    else (Some attempt_no, Classify.Graceful)
+  Unix.close fd;
+  let _, status = Unix.waitpid [] pid in
+  let text = In_channel.with_open_bin out In_channel.input_all in
+  Sys.remove out;
+  if status <> Unix.WEXITED 0 then
+    failf "experiments %s did not exit 0:@.%s" (String.concat " " args) text;
+  text
+
+let contains haystack needle =
+  let nh = String.length haystack and nn = String.length needle in
+  let rec go i =
+    i + nn <= nh && (String.sub haystack i nn = needle || go (i + 1))
   in
-  let go () =
-    let t0 = Unix.gettimeofday () in
-    let report, value = Supervisor.supervise ~job:"backoff-cap" ~policy run in
-    (report, value, Unix.gettimeofday () -. t0)
-  in
-  let r1, v1, wall1 = go () in
-  let r2, v2, _ = go () in
-  (match v1 with
-  | Some 3 -> ()
-  | _ -> failf "retrying job did not recover on attempt 3");
-  if List.length (primary_attempts r1) <> 4 then
-    failf "expected 4 primary attempts, got %d"
-      (List.length (primary_attempts r1));
-  (* Raw schedule 0.01, 0.5, 25.0 — capped it is at most
-     0.01 + 0.05 + 0.05 = 0.11 s of sleeping. Generous slack for the
-     attempts themselves. *)
-  if wall1 > 1.0 then
-    failf "backoff not capped at ceiling: %.3f s for 3 retries" wall1;
-  let seeds r =
-    List.map (fun (a : Supervisor.attempt) -> a.attempt_seed)
-      (primary_attempts r)
-  in
-  if seeds r1 <> seeds r2 then failf "same-seed reruns drew different seeds";
-  if v1 <> v2 then failf "same-seed reruns returned different values";
-  Format.printf "backoff-cap: %a@." Supervisor.pp_report r1
+  go 0
+
+(* The batch loop of bin/experiments end to end: a journalled run writes
+   one graceful record, and a resumed run skips the experiment and
+   appends nothing. *)
+let test_experiments_resume () =
+  let journal = Filename.temp_file "experiments" ".j" in
+  Sys.remove journal;
+  ignore (run_experiments [ "table4"; "--journal"; journal ]);
+  let written = In_channel.with_open_bin journal In_channel.input_all in
+  (match String.split_on_char '\n' written with
+  | [ line; "" ] -> (
+      match Journal.record_of_line line with
+      | Some
+          {
+            job = "table4";
+            attempts = 1;
+            classification = Classify.Graceful;
+            quarantined = false;
+            attrs = [ ("attempt0", a0) ];
+            _;
+          }
+        when String.starts_with ~prefix:"graceful:" a0 ->
+          ()
+      | _ -> failf "unexpected journal record %S" line)
+  | _ -> failf "expected one journal record, got %S" written);
+  let out = run_experiments [ "table4"; "--journal"; journal; "--resume" ] in
+  List.iter
+    (fun needle ->
+      if not (contains out needle) then
+        failf "resumed run lacks %S:@.%s" needle out)
+    [ "=== table4: skipped (journalled graceful) ===";
+      "resume: skipped 1 experiment(s)" ];
+  if In_channel.with_open_bin journal In_channel.input_all <> written then
+    failf "resumed run appended to the journal";
+  Sys.remove journal;
+  Format.printf "experiments resume: table4 skipped@."
 
 let () =
   let pb = capture "suppb" in
   test_hang_runaway pb;
-  test_hang_timeout pb;
   test_collision_reseed pb;
-  test_divergence_escalation ();
-  test_backoff_cap_and_determinism ();
+  test_experiments_resume ();
   Format.printf "supervise suite passed@."

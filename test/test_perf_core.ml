@@ -1029,6 +1029,55 @@ let test_smc_across_fork () =
   Machine.run parent;
   Alcotest.check Tutil.i64 "parent unaffected by fork1's write" 1L (result parent)
 
+(* Perf.elfie_region_detailed's two paths, pinned to the runner calls
+   they stand for: an ELFie with a warmup mark warms once at the base
+   seed and resumes one fork per trial seed, the same at any --jobs; one
+   without a mark runs each trial seed from scratch. Two threads make
+   the outcome depend on the seed, so a mixed-up trial seed shows. *)
+let test_perf_region_trials () =
+  let module Perf = Elfie_perf.Perf in
+  let module Runner = Elfie_core.Elfie_runner in
+  let module P2e = Elfie_core.Pinball2elf in
+  let pb = Tutil.tiny_pinball ~threads:2 ~start:20_000L ~length:30_000L "trials" in
+  let base = 700L and trials = 3 in
+  let seeds = List.init trials (fun i -> Int64.add base (Int64.of_int i)) in
+  let detailed ~jobs image =
+    let saved = Pool.default_jobs () in
+    Pool.set_default_jobs jobs;
+    Fun.protect
+      ~finally:(fun () -> Pool.set_default_jobs saved)
+      (fun () -> snd (Perf.elfie_region_detailed ~trials ~base_seed:base image))
+  in
+  let check what expected image =
+    List.iter
+      (fun jobs ->
+        let got = detailed ~jobs image in
+        Alcotest.(check bool)
+          (Printf.sprintf "%s, jobs %d" what jobs)
+          true
+          (List.compare_lengths expected got = 0
+          && List.for_all2 (fun a b -> compare a b = 0) expected got))
+      [ 1; 3 ]
+  in
+  let marked =
+    P2e.convert ~options:{ P2e.default_options with warmup_mark = Some 10_000L } pb
+  in
+  let warmed =
+    match Runner.warm ~seed:base marked with
+    | Ok w -> w
+    | Error _ -> Alcotest.fail "warmup mark never fired"
+  in
+  let resumed = List.map (fun seed -> Runner.resume ~seed warmed) seeds in
+  Alcotest.(check bool) "trials graceful" true
+    (List.for_all (fun (o : Runner.outcome) -> o.graceful) resumed);
+  Alcotest.(check bool) "trial seeds change the outcome" true
+    (List.exists (fun o -> compare o (List.hd resumed) <> 0) resumed);
+  check "marked: warm at base, resume base+i" resumed marked;
+  let unmarked = P2e.convert pb in
+  check "unmarked: run base+i"
+    (List.map (fun seed -> Runner.run ~seed unmarked) seeds)
+    unmarked
+
 (* --- work pool --------------------------------------------------------------- *)
 
 let test_pool_map_order () =
@@ -1153,7 +1202,8 @@ let test_profile_parallel () =
 
 let test_journal_parallel () =
   let module Journal = Elfie_supervise.Journal in
-  let j = Journal.in_memory () in
+  let path = Filename.temp_file "elfie_journal_par" ".j" in
+  let j = Journal.open_file path in
   ignore
     (Pool.run ~jobs:4
        (List.init 4 (fun d () ->
@@ -1170,7 +1220,14 @@ let test_journal_parallel () =
                 }
             done)));
   Alcotest.(check int) "all records kept" 400 (List.length (Journal.records j));
-  Alcotest.(check bool) "find works" true (Journal.find j ~job:"job-3-99" <> None)
+  Alcotest.(check bool) "find works" true (Journal.find j ~job:"job-3-99" <> None);
+  Journal.close j;
+  (* One whole line per record: a reread parses every one of them. *)
+  let reread = Journal.open_file path in
+  Alcotest.(check int) "all records reread" 400
+    (List.length (Journal.records reread));
+  Journal.close reread;
+  Sys.remove path
 
 (* --- parallel pipeline determinism ------------------------------------------- *)
 
@@ -1240,6 +1297,8 @@ let suite =
     QCheck_alcotest.to_alcotest prop_chain_equiv;
     QCheck_alcotest.to_alcotest prop_fork_equals_fresh_warmup;
     Alcotest.test_case "SMC across fork" `Quick test_smc_across_fork;
+    Alcotest.test_case "perf: region trials ≡ warm+resume / run per seed" `Quick
+      test_perf_region_trials;
     Alcotest.test_case "pool: map order" `Quick test_pool_map_order;
     Alcotest.test_case "pool: exception propagation" `Quick test_pool_exception;
     Alcotest.test_case "pool: labelled exception context" `Quick

@@ -1,7 +1,7 @@
 (* Unit tests for the supervised execution layer: classification
    round-trips, journal persistence and torn-write tolerance, the retry
    loop's dispositions (synthetic jobs, no machine execution), and
-   batch resume from a truncated journal. *)
+   resume from a truncated journal. *)
 
 module Supervisor = Elfie_supervise.Supervisor
 module Journal = Elfie_supervise.Journal
@@ -13,7 +13,6 @@ let all_classes =
     Classify.Stack_collision;
     Classify.Divergence { pc = 0xdead_beefL; icount = 123_456L };
     Classify.Syscall_failure;
-    Classify.Timeout;
     Classify.Runaway;
     Classify.Backend_error "plain message";
     Classify.Backend_error "tabs\tnewlines\nand %25 signs";
@@ -141,11 +140,11 @@ let test_retry_reseeds_collisions () =
   let seeds = ref [] in
   let report, value =
     Supervisor.supervise ~job:"reseed"
-      ~policy:{ Supervisor.default_policy with retries = 3; base_seed = 100L }
-      (fun ~attempt_no ~seed ~budget:_ ->
+      ~policy:{ Supervisor.retries = 3; base_seed = 100L }
+      (fun ~seed ~max_ins:_ ->
         seeds := seed :: !seeds;
-        if attempt_no < 2 then (None, Classify.Stack_collision)
-        else (Some "ok", Classify.Graceful))
+        if List.length !seeds < 3 then ("collided", Classify.Stack_collision)
+        else ("ok", Classify.Graceful))
   in
   Alcotest.(check bool) "graceful" true (report.Supervisor.final = Classify.Graceful);
   Alcotest.(check bool) "not quarantined" false report.quarantined;
@@ -158,7 +157,7 @@ let test_retry_budget_exhausted_quarantines () =
   let report, _ =
     Supervisor.supervise ~job:"always-collides"
       ~policy:{ Supervisor.default_policy with retries = 2 }
-      (fun ~attempt_no:_ ~seed:_ ~budget:_ -> (None, Classify.Stack_collision))
+      (fun ~seed:_ ~max_ins:_ -> ((), Classify.Stack_collision))
   in
   Alcotest.(check bool) "quarantined" true report.Supervisor.quarantined;
   Alcotest.(check int) "retries + 1 attempts" 3 (List.length report.attempts);
@@ -168,25 +167,23 @@ let test_retry_budget_exhausted_quarantines () =
 let test_runaway_raises_budget_once () =
   let budgets = ref [] in
   let report, _ =
-    Supervisor.supervise ~job:"runaway"
-      ~budget:{ Supervisor.ins = Some 100L; wall_s = None }
-      (fun ~attempt_no:_ ~seed:_ ~budget ->
-        budgets := budget.Supervisor.ins :: !budgets;
-        (None, Classify.Runaway))
+    Supervisor.supervise ~job:"runaway" ~max_ins:100L
+      (fun ~seed:_ ~max_ins ->
+        budgets := max_ins :: !budgets;
+        ((), Classify.Runaway))
   in
   Alcotest.(check bool) "quarantined" true report.Supervisor.quarantined;
   Alcotest.(check int) "one raised retry" 2 (List.length report.attempts);
   Alcotest.(check (list (option Tutil.i64)))
-    "budget raised by the policy factor"
-    [ Some 100L; Some 400L ] (List.rev !budgets)
+    "budget raised x4" [ Some 100L; Some 400L ] (List.rev !budgets)
 
 let test_backend_error_immediate_quarantine () =
   let runs = ref 0 in
   let report, _ =
     Supervisor.supervise ~job:"broken"
-      (fun ~attempt_no:_ ~seed:_ ~budget:_ ->
+      (fun ~seed:_ ~max_ins:_ ->
         incr runs;
-        (None, Classify.Backend_error "unusable artifact"))
+        ((), Classify.Backend_error "unusable artifact"))
   in
   Alcotest.(check int) "no retries" 1 !runs;
   Alcotest.(check bool) "quarantined" true report.Supervisor.quarantined
@@ -194,7 +191,7 @@ let test_backend_error_immediate_quarantine () =
 let test_exception_is_classified () =
   let report, value =
     Supervisor.supervise ~job:"raises"
-      (fun ~attempt_no:_ ~seed:_ ~budget:_ -> failwith "boom")
+      (fun ~seed:_ ~max_ins:_ -> failwith "boom")
   in
   Alcotest.(check bool) "no exception escapes, quarantined" true
     report.Supervisor.quarantined;
@@ -204,42 +201,30 @@ let test_exception_is_classified () =
       Alcotest.failf "expected backend-error, got %s" (Classify.to_string c));
   Alcotest.(check bool) "no value" true (value = None)
 
-let test_divergence_triggers_escalation () =
-  let escalations = ref 0 in
+let test_divergence_quarantines () =
+  let runs = ref 0 in
   let report, _ =
-    Supervisor.supervise ~job:"div"
-      ~escalate:(fun _cls ->
-        incr escalations;
-        Some (Classify.Graceful, "injectionless replay reproduced the region"))
-      (fun ~attempt_no:_ ~seed:_ ~budget:_ ->
-        (None, Classify.Divergence { pc = 0x1000L; icount = 7L }))
+    Supervisor.supervise ~job:"div" (fun ~seed:_ ~max_ins:_ ->
+        incr runs;
+        ((), Classify.Divergence { pc = 0x1000L; icount = 7L }))
   in
-  Alcotest.(check int) "escalated once" 1 !escalations;
-  Alcotest.(check bool) "still quarantined (escalation is diagnostic)" true
-    report.Supervisor.quarantined;
-  (match report.attempts with
-  | [ primary; esc ] ->
-      Alcotest.(check bool) "primary not escalated" false primary.escalated;
-      Alcotest.(check bool) "escalation recorded" true esc.escalated;
-      Alcotest.(check bool) "note kept" true (esc.note <> None)
-  | l -> Alcotest.failf "expected 2 attempts, got %d" (List.length l))
+  Alcotest.(check int) "no retries" 1 !runs;
+  Alcotest.(check int) "one attempt" 1 (List.length report.Supervisor.attempts);
+  Alcotest.(check bool) "quarantined" true report.quarantined
 
-(* Durability cadence: with a bounded fsync_every the journal still
-   flushes every line (a crashed process loses nothing already written),
-   [sync] forces the tail down, and a partially flushed trailing record
-   is torn-line tolerant on reload. *)
-let test_journal_fsync_cadence () =
+(* Durability: every record is flushed (and fsynced) before [record]
+   returns, so a second reader sees it while the writer is still open,
+   and a partially written trailing record is torn-line tolerant on
+   reload. *)
+let test_journal_fsync_torn_tail () =
   let path = Filename.temp_file "elfie_journal_sync" ".j" in
-  let j = Journal.open_file ~fsync_every:3 path in
+  let j = Journal.open_file path in
   let h = Journal.hash [ "x" ] in
   for i = 1 to 5 do
     Journal.record j
       { (record Classify.Graceful) with job = Printf.sprintf "j%d" i;
         inputs_hash = h }
   done;
-  Journal.sync j;
-  (* Every record is visible to a concurrent reader even mid-cadence:
-     record flushes line-by-line regardless of the fsync interval. *)
   let j_read = Journal.open_file path in
   Alcotest.(check int) "all records flushed" 5
     (List.length (Journal.records j_read));
@@ -250,7 +235,7 @@ let test_journal_fsync_cadence () =
   let oc = open_out_gen [ Open_append ] 0o644 path in
   output_string oc "J1\tj6\tdeadbeef\t1\tgr";
   close_out oc;
-  let j2 = Journal.open_file ~fsync_every:0 path in
+  let j2 = Journal.open_file path in
   Alcotest.(check int) "torn tail dropped, durable prefix kept" 5
     (List.length (Journal.records j2));
   Alcotest.(check bool) "durable record skips" true
@@ -270,32 +255,32 @@ let test_batch_resume_after_truncation () =
   let count name =
     Hashtbl.replace runs name (1 + Option.value ~default:0 (Hashtbl.find_opt runs name))
   in
-  let spec name cls =
-    {
-      Supervisor.name;
-      job_inputs = [ name ];
-      exec =
-        (fun ~seed:_ ~max_ins:_ ->
-          count name;
-          (name, cls ()));
-    }
-  in
   let first = ref true in
-  let specs () =
+  let jobs =
     [
-      spec "ok1" (fun () -> Classify.Graceful);
-      spec "ok2" (fun () -> Classify.Graceful);
-      spec "flaky" (fun () ->
+      ("ok1", fun () -> Classify.Graceful);
+      ("ok2", fun () -> Classify.Graceful);
+      ( "flaky",
+        fun () ->
           if !first then Classify.Backend_error "first run dies"
-          else Classify.Graceful);
+          else Classify.Graceful );
     ]
   in
+  let batch journal =
+    List.map
+      (fun (name, cls) ->
+        Supervisor.supervise ~job:name ~journal ~inputs:[ name ]
+          (fun ~seed:_ ~max_ins:_ ->
+            count name;
+            (name, cls ())))
+      jobs
+  in
   let j = Journal.open_file path in
-  let results = Supervisor.run_batch ~journal:j ~resume:true (specs ()) in
+  let results = batch j in
   Journal.close j;
   Alcotest.(check int) "first batch: all ran" 3 (Hashtbl.length runs);
   Alcotest.(check bool) "flaky quarantined" true
-    (match results with [ _; _; (_, r, _) ] -> r.Supervisor.quarantined | _ -> false);
+    (match results with [ _; _; (r, _) ] -> r.Supervisor.quarantined | _ -> false);
   (* Kill mid-write: chop the tail of the last (flaky) record. *)
   let ic = open_in_bin path in
   let contents = really_input_string ic (in_channel_length ic) in
@@ -305,7 +290,7 @@ let test_batch_resume_after_truncation () =
   close_out oc;
   first := false;
   let j2 = Journal.open_file path in
-  let results2 = Supervisor.run_batch ~journal:j2 ~resume:true (specs ()) in
+  let results2 = batch j2 in
   Journal.close j2;
   Sys.remove path;
   let ran name = Option.value ~default:0 (Hashtbl.find_opt runs name) in
@@ -313,7 +298,7 @@ let test_batch_resume_after_truncation () =
   Alcotest.(check int) "ok2 skipped on resume" 1 (ran "ok2");
   Alcotest.(check int) "flaky re-ran exactly once" 2 (ran "flaky");
   (match results2 with
-  | [ (_, r1, _); (_, r2, _); (_, r3, v3) ] ->
+  | [ (r1, _); (r2, _); (r3, v3) ] ->
       Alcotest.(check bool) "ok1 skipped flag" true r1.Supervisor.skipped;
       Alcotest.(check bool) "ok2 skipped flag" true r2.Supervisor.skipped;
       Alcotest.(check bool) "flaky ran" false r3.Supervisor.skipped;
@@ -321,6 +306,111 @@ let test_batch_resume_after_truncation () =
         (r3.Supervisor.final = Classify.Graceful);
       Alcotest.(check (option string)) "flaky value" (Some "flaky") v3
   | _ -> Alcotest.fail "unexpected batch shape")
+
+(* What [supervise] writes through a journal: one record per job, keyed
+   by the inputs hash, with the attempt count, the final class and one
+   class:duration attr per attempt. A syscall failure is retried like a
+   collision. *)
+let test_supervise_journal_record () =
+  let path = Filename.temp_file "elfie_journal_rec" ".j" in
+  let j = Journal.open_file path in
+  let tries = ref 0 in
+  let report, _ =
+    Supervisor.supervise ~job:"rec" ~journal:j ~inputs:[ "img"; "seed" ]
+      (fun ~seed:_ ~max_ins:_ ->
+        incr tries;
+        ((), if !tries = 1 then Classify.Syscall_failure else Classify.Graceful))
+  in
+  Journal.close j;
+  Alcotest.(check bool) "syscall failure retried to graceful" true
+    (report.Supervisor.final = Classify.Graceful && not report.quarantined);
+  let reread = Journal.open_file path in
+  let records = Journal.records reread in
+  Journal.close reread;
+  Sys.remove path;
+  match records with
+  | [ r ] ->
+      Alcotest.(check string) "job" "rec" r.Journal.job;
+      Alcotest.(check string) "inputs hash"
+        (Journal.hash [ "img"; "seed" ])
+        r.inputs_hash;
+      Alcotest.(check int) "attempts" 2 r.attempts;
+      Alcotest.(check bool) "graceful, not quarantined" true
+        (r.classification = Classify.Graceful && not r.quarantined);
+      let starts_with p s =
+        String.length s >= String.length p
+        && String.sub s 0 (String.length p) = p
+      in
+      (match r.attrs with
+      | [ ("attempt0", a0); ("attempt1", a1) ] ->
+          Alcotest.(check bool) ("attempt0 " ^ a0) true
+            (starts_with "syscall-failure:" a0);
+          Alcotest.(check bool) ("attempt1 " ^ a1) true
+            (starts_with "graceful:" a1)
+      | _ -> Alcotest.fail "expected attempt0 and attempt1 attrs")
+  | rs -> Alcotest.failf "expected one record, got %d" (List.length rs)
+
+(* Resume skips a job only when its latest record is graceful for the
+   same inputs: a skip runs nothing, returns no value and is counted in
+   [resume_savings]; [~resume:false] and changed inputs both run again
+   and append a record. *)
+let test_supervise_resume_rules () =
+  let path = Filename.temp_file "elfie_journal_resume" ".j" in
+  let j = Journal.open_file path in
+  let runs = ref 0 in
+  let job ?resume inputs =
+    Supervisor.supervise ~job:"r" ~journal:j ?resume ~inputs
+      (fun ~seed:_ ~max_ins:_ ->
+        incr runs;
+        (!runs, Classify.Graceful))
+  in
+  ignore (job [ "a" ]);
+  let journalled_ms =
+    match Journal.find j ~job:"r" with
+    | Some r -> r.Journal.wall_ms
+    | None -> Alcotest.fail "first run not journalled"
+  in
+  let skips0, saved0 = Supervisor.resume_savings () in
+  let report, value = job [ "a" ] in
+  let skips1, saved1 = Supervisor.resume_savings () in
+  Alcotest.(check bool) "same inputs skipped" true report.Supervisor.skipped;
+  Alcotest.(check int) "nothing ran" 1 !runs;
+  Alcotest.(check (option int)) "no value" None value;
+  Alcotest.(check int) "no attempts" 0 (List.length report.attempts);
+  Alcotest.(check int) "one skip counted" 1 (skips1 - skips0);
+  Alcotest.(check (float 1e-6)) "journalled wall time saved" journalled_ms
+    (saved1 -. saved0);
+  let report, value = job ~resume:false [ "a" ] in
+  Alcotest.(check bool) "resume:false runs" false report.skipped;
+  Alcotest.(check (option int)) "resume:false value" (Some 2) value;
+  let report, _ = job [ "b" ] in
+  Alcotest.(check bool) "changed inputs run" false report.skipped;
+  Alcotest.(check int) "two re-runs" 3 !runs;
+  Alcotest.(check int) "one record per run" 3 (List.length (Journal.records j));
+  Journal.close j;
+  Sys.remove path
+
+(* The native-ELFie wrapper end to end: a budget of half the ELFie's
+   retired count stops attempt 0 as Runaway; the x4 retry, at the next
+   seed of the schedule, completes and returns that run's outcome. *)
+let test_run_elfie_raised_budget () =
+  let module Runner = Elfie_core.Elfie_runner in
+  let image = Elfie_core.Pinball2elf.convert (Tutil.tiny_pinball "supervised") in
+  let full = Runner.run ~seed:42L image in
+  Alcotest.(check bool) "unbudgeted run graceful" true full.graceful;
+  let budget = Int64.div full.total_retired 2L in
+  let report, outcome = Supervisor.run_elfie ~job:"elfie" ~max_ins:budget image in
+  Alcotest.(check (list string)) "runaway, then graceful"
+    [ "runaway"; "graceful" ]
+    (List.map
+       (fun a -> Classify.to_string a.Supervisor.classification)
+       report.Supervisor.attempts);
+  Alcotest.(check (list Tutil.i64)) "policy seeds" [ 42L; 1051L ]
+    (List.map (fun a -> a.Supervisor.attempt_seed) report.attempts);
+  Alcotest.(check bool) "not quarantined" false report.quarantined;
+  let retry = Runner.run ~seed:1051L ~max_ins:(Int64.mul 4L budget) image in
+  Alcotest.(check bool) "value is the raised retry's outcome" true
+    (match outcome with Some o -> compare o retry = 0 | None -> false)
 
 let suite =
   [
@@ -332,8 +422,8 @@ let suite =
       test_journal_file_tolerant_and_latest_wins;
     Alcotest.test_case "journal torn first line" `Quick
       test_journal_torn_first_line;
-    Alcotest.test_case "journal fsync cadence + torn tail" `Quick
-      test_journal_fsync_cadence;
+    Alcotest.test_case "journal fsync per record + torn tail" `Quick
+      test_journal_fsync_torn_tail;
     Alcotest.test_case "retry reseeds collisions" `Quick
       test_retry_reseeds_collisions;
     Alcotest.test_case "retry budget exhausted" `Quick
@@ -343,8 +433,14 @@ let suite =
     Alcotest.test_case "backend error quarantines" `Quick
       test_backend_error_immediate_quarantine;
     Alcotest.test_case "exceptions classified" `Quick test_exception_is_classified;
-    Alcotest.test_case "divergence escalates" `Quick
-      test_divergence_triggers_escalation;
+    Alcotest.test_case "divergence quarantines" `Quick
+      test_divergence_quarantines;
     Alcotest.test_case "batch resume after truncation" `Quick
       test_batch_resume_after_truncation;
+    Alcotest.test_case "journal record per supervised job" `Quick
+      test_supervise_journal_record;
+    Alcotest.test_case "resume skips only graceful same-input jobs" `Quick
+      test_supervise_resume_rules;
+    Alcotest.test_case "run_elfie: runaway retry at x4 budget" `Quick
+      test_run_elfie_raised_budget;
   ]

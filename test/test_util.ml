@@ -106,59 +106,6 @@ let test_split_independent () =
   let child = Rng.split parent in
   Alcotest.(check bool) "distinct" false (Rng.next64 parent = Rng.next64 child)
 
-(* --- backoff --------------------------------------------------------------- *)
-
-let backoff_policy =
-  { Backoff.base_s = 0.05; factor = 2.0; max_s = 0.4; jitter = 0.0 }
-
-let test_backoff_schedule () =
-  Alcotest.(check (float 0.0)) "attempt 0 never waits" 0.0
-    (Backoff.delay backoff_policy ~attempt:0);
-  Alcotest.(check (float 1e-9)) "attempt 1 waits base" 0.05
-    (Backoff.delay backoff_policy ~attempt:1);
-  Alcotest.(check (float 1e-9)) "attempt 2 doubles" 0.1
-    (Backoff.delay backoff_policy ~attempt:2);
-  Alcotest.(check (float 1e-9)) "attempt 3 doubles again" 0.2
-    (Backoff.delay backoff_policy ~attempt:3);
-  (* The raw schedule would be 0.4, 0.8, 1.6, ... — the ceiling caps
-     every further delay, out to attempt counts that would overflow the
-     raw exponential. *)
-  List.iter
-    (fun attempt ->
-      Alcotest.(check (float 1e-9))
-        (Printf.sprintf "attempt %d capped at max_s" attempt)
-        backoff_policy.Backoff.max_s
-        (Backoff.delay backoff_policy ~attempt))
-    [ 4; 5; 10; 60; 1000 ]
-
-let test_backoff_jitter_capped_and_deterministic () =
-  let policy = { backoff_policy with jitter = 0.25 } in
-  let draw seed =
-    let rng = Rng.create seed in
-    List.init 12 (fun i -> Backoff.delay ~rng policy ~attempt:(i + 1))
-  in
-  Alcotest.(check (list (float 0.0))) "same seed, same delay sequence"
-    (draw 7L) (draw 7L);
-  Alcotest.(check bool) "different seed perturbs the sequence" true
-    (draw 7L <> draw 8L);
-  List.iter
-    (fun d ->
-      Alcotest.(check bool) "jittered delay capped at max_s" true
-        (d >= 0.0 && d <= policy.Backoff.max_s))
-    (draw 7L)
-
-let test_backoff_disabled_draws_nothing () =
-  (* A zero-base policy must not advance the caller's rng: supervised
-     runs with backoff disabled keep bit-identical seed streams. *)
-  let rng = Rng.create 3L and untouched = Rng.create 3L in
-  List.iter
-    (fun attempt ->
-      Alcotest.(check (float 0.0)) "disabled backoff never waits" 0.0
-        (Backoff.delay ~rng Backoff.none ~attempt))
-    [ 0; 1; 2; 3; 8 ];
-  Alcotest.(check bool) "rng stream unperturbed" true
-    (Rng.next64 rng = Rng.next64 untouched)
-
 let suite =
   [
     Alcotest.test_case "writer/reader scalars" `Quick test_writer_reader_scalars;
@@ -175,10 +122,4 @@ let suite =
     Alcotest.test_case "rng float bounds" `Quick test_rng_float_bounds;
     Alcotest.test_case "shuffle is a permutation" `Quick test_shuffle_is_permutation;
     Alcotest.test_case "split independence" `Quick test_split_independent;
-    Alcotest.test_case "backoff schedule caps at ceiling" `Quick
-      test_backoff_schedule;
-    Alcotest.test_case "backoff jitter capped + same-seed deterministic"
-      `Quick test_backoff_jitter_capped_and_deterministic;
-    Alcotest.test_case "disabled backoff draws nothing" `Quick
-      test_backoff_disabled_draws_nothing;
   ]
