@@ -9,10 +9,7 @@
 open Cmdliner
 
 let run path sysstate_dir seed trials max_ins retries journal_path resume
-    disasm (trace, metrics, profile, jobs) =
-  Elfie_util.Pool.set_default_jobs
-    (if jobs = 0 then Elfie_util.Pool.recommended () else jobs);
-  Elfie_obs.Report.with_reporting ?trace ?metrics ?profile @@ fun () ->
+    disasm () =
   let ic = open_in_bin path in
   let bytes = Bytes.of_string (really_input_string ic (in_channel_length ic)) in
   close_in ic;
@@ -80,47 +77,6 @@ let run path sysstate_dir seed trials max_ins retries journal_path resume
     Printf.printf "resume: skipped %d trial(s), saved ~%.0f ms\n" skips saved_ms;
   Option.iter Journal.close journal
 
-(* Shared observability flags: --trace/--metrics/--profile[=N]. *)
-let obs_flags =
-  let trace =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "trace" ] ~docv:"FILE"
-          ~doc:
-            "Write a Chrome trace_event JSON file (load it at \
-             ui.perfetto.dev or chrome://tracing).")
-  in
-  let metrics =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "metrics" ] ~docv:"FILE"
-          ~doc:
-            "Write a Prometheus text exposition of all metrics and print \
-             the summary table.")
-  in
-  let profile =
-    Arg.(
-      value
-      & opt ~vopt:(Some 97) (some int) None
-      & info [ "profile" ] ~docv:"N"
-          ~doc:
-            "Sample the PC every N retired instructions (default 97) and \
-             print the top-K hot-region report.")
-  in
-  let jobs =
-    Arg.(
-      value & opt int 1
-      & info [ "jobs" ] ~docv:"N"
-          ~doc:
-            "Run up to N independent machine executions (trials, region \
-             measurements) concurrently on separate domains; 0 means the \
-             host's recommended domain count. Results are identical at \
-             any value.")
-  in
-  Term.(const (fun t m p j -> (t, m, p, j)) $ trace $ metrics $ profile $ jobs)
-
 let cmd =
   let path =
     Arg.(required & pos 0 (some string) None & info [] ~docv:"ELFIE" ~doc:"ELFie file.")
@@ -142,37 +98,14 @@ let cmd =
              it classifies as a runaway and gets one retry with the \
              budget raised x4.")
   in
-  let retries =
-    Arg.(
-      value & opt int 2
-      & info [ "retries" ]
-          ~doc:
-            "Supervisor retry budget for transient failures (stack \
-             collisions, syscall failures); each retry reseeds stack \
-             randomization.")
-  in
-  let journal =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "journal" ] ~docv:"FILE"
-          ~doc:"Append supervised job records to this journal file.")
-  in
-  let resume =
-    Arg.(
-      value & flag
-      & info [ "resume" ]
-          ~doc:
-            "Skip trials whose latest journal record is graceful (same \
-             inputs); requires $(b,--journal).")
-  in
   let disasm =
     Arg.(value & flag & info [ "disassemble" ] ~doc:"Dump the startup code.")
   in
   Cmd.v
     (Cmd.info "elfie_run" ~doc:"run an ELFie natively (supervised)")
-    Term.(
-      const run $ path $ sysstate $ seed $ trials $ max_ins $ retries
-      $ journal $ resume $ disasm $ obs_flags)
+    (Cli.with_obs
+       Term.(
+         const run $ path $ sysstate $ seed $ trials $ max_ins $ Cli.retries
+         $ Cli.journal $ Cli.resume $ disasm))
 
 let () = exit (Cmd.eval cmd)

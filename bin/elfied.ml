@@ -12,51 +12,6 @@ module Store = Elfie_farm.Store
 module Driver = Elfie_farm.Driver
 module Journal = Elfie_supervise.Journal
 
-let with_obs (trace, metrics, profile, jobs) f =
-  Elfie_util.Pool.set_default_jobs
-    (if jobs = 0 then Elfie_util.Pool.recommended () else jobs);
-  Elfie_obs.Report.with_reporting ?trace ?metrics ?profile f
-
-(* Shared observability flags: --trace/--metrics/--profile[=N]/--jobs. *)
-let obs_flags =
-  let trace =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "trace" ] ~docv:"FILE"
-          ~doc:
-            "Write a Chrome trace_event JSON file (load it at \
-             ui.perfetto.dev or chrome://tracing).")
-  in
-  let metrics =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "metrics" ] ~docv:"FILE"
-          ~doc:
-            "Write a Prometheus text exposition of all metrics and print \
-             the summary table.")
-  in
-  let profile =
-    Arg.(
-      value
-      & opt ~vopt:(Some 97) (some int) None
-      & info [ "profile" ] ~docv:"N"
-          ~doc:
-            "Sample the PC every N retired instructions (default 97) and \
-             print the top-K hot-region report.")
-  in
-  let jobs =
-    Arg.(
-      value & opt int 1
-      & info [ "jobs" ] ~docv:"N"
-          ~doc:
-            "Run up to N manifest jobs concurrently on separate domains; \
-             0 means the host's recommended domain count. Results are \
-             identical at any value.")
-  in
-  Term.(const (fun t m p j -> (t, m, p, j)) $ trace $ metrics $ profile $ jobs)
-
 let store_arg =
   Arg.(
     value
@@ -66,8 +21,7 @@ let store_arg =
 
 (* --- run ------------------------------------------------------------------- *)
 
-let run_cmd manifest store_root journal_path resume obs =
-  with_obs obs @@ fun () ->
+let run_cmd manifest store_root journal_path resume () =
   match Driver.load_manifest manifest with
   | Error d ->
       Format.eprintf "%s: %a@." manifest Elfie_util.Diag.pp d;
@@ -96,25 +50,10 @@ let run_t =
              [slice=N] [max-k=N] [warmup=N] [trials=N] [seed=N] \
              [regions=N]`; `#` comments.")
   in
-  let journal =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "journal" ] ~docv:"FILE"
-          ~doc:"Append per-job J1 records to FILE (required for --resume).")
-  in
-  let resume =
-    Arg.(
-      value & flag
-      & info [ "resume" ]
-          ~doc:
-            "Skip jobs whose latest journal record is graceful with \
-             unchanged inputs; only unfinished jobs run.")
-  in
   Cmd.v
     (Cmd.info "run" ~doc:"run a job manifest through the farm")
-    Term.(
-      const run_cmd $ manifest $ store_arg $ journal $ resume $ obs_flags)
+    (Cli.with_obs
+       Term.(const run_cmd $ manifest $ store_arg $ Cli.journal $ Cli.resume))
 
 (* --- stats ----------------------------------------------------------------- *)
 

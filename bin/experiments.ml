@@ -9,10 +9,7 @@ module Supervisor = Elfie_supervise.Supervisor
 module Journal = Elfie_supervise.Journal
 module Classify = Elfie_supervise.Classify
 
-let run_ids ids retries journal_path resume (trace, metrics, profile, jobs) =
-  Elfie_util.Pool.set_default_jobs
-    (if jobs = 0 then Elfie_util.Pool.recommended () else jobs);
-  Elfie_obs.Report.with_reporting ?trace ?metrics ?profile @@ fun () ->
+let run_ids ids retries journal_path resume () =
   let targets =
     match ids with
     | [ "all" ] | [] -> Elfie_harness.Registry.all
@@ -70,74 +67,10 @@ let ids_arg =
   let doc = "Experiment ids (fig9, fig10, fig11, table1..table5) or 'all'." in
   Arg.(value & pos_all string [ "all" ] & info [] ~docv:"ID" ~doc)
 
-let retries_arg =
-  Arg.(
-    value & opt int 2
-    & info [ "retries" ]
-        ~doc:"Supervisor retry budget per experiment for transient failures.")
-
-let journal_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "journal" ] ~docv:"FILE"
-        ~doc:"Append one supervised record per experiment to this file.")
-
-let resume_arg =
-  Arg.(
-    value & flag
-    & info [ "resume" ]
-        ~doc:
-          "Skip experiments whose latest journal record is graceful; \
-           previously failed or interrupted ones re-run. Requires \
-           $(b,--journal).")
-
-(* Shared observability flags: --trace/--metrics/--profile[=N]. *)
-let obs_flags =
-  let trace =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "trace" ] ~docv:"FILE"
-          ~doc:
-            "Write a Chrome trace_event JSON file (load it at \
-             ui.perfetto.dev or chrome://tracing).")
-  in
-  let metrics =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "metrics" ] ~docv:"FILE"
-          ~doc:
-            "Write a Prometheus text exposition of all metrics and print \
-             the summary table.")
-  in
-  let profile =
-    Arg.(
-      value
-      & opt ~vopt:(Some 97) (some int) None
-      & info [ "profile" ] ~docv:"N"
-          ~doc:
-            "Sample the PC every N retired instructions (default 97) and \
-             print the top-K hot-region report.")
-  in
-  let jobs =
-    Arg.(
-      value & opt int 1
-      & info [ "jobs" ] ~docv:"N"
-          ~doc:
-            "Run up to N independent machine executions (trials, per-rank \
-             region measurements, Fig. 9 benchmarks) concurrently on \
-             separate domains; 0 means the host's recommended domain \
-             count. Results are identical at any value.")
-  in
-  Term.(const (fun t m p j -> (t, m, p, j)) $ trace $ metrics $ profile $ jobs)
-
 let cmd =
   let doc = "regenerate the ELFies paper's evaluation tables and figures" in
   Cmd.v (Cmd.info "experiments" ~doc)
-    Term.(
-      const run_ids $ ids_arg $ retries_arg $ journal_arg $ resume_arg
-      $ obs_flags)
+    (Cli.with_obs
+       Term.(const run_ids $ ids_arg $ Cli.retries $ Cli.journal $ Cli.resume))
 
 let () = exit (Cmd.eval cmd)

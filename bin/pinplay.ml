@@ -24,52 +24,9 @@ let bench_arg =
 let seed_arg =
   Arg.(value & opt int64 42L & info [ "seed" ] ~doc:"Scheduler seed.")
 
-(* Shared observability flags: --trace/--metrics/--profile[=N]. *)
-let obs_flags =
-  let trace =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "trace" ] ~docv:"FILE"
-          ~doc:
-            "Write a Chrome trace_event JSON file (load it at \
-             ui.perfetto.dev or chrome://tracing).")
-  in
-  let metrics =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "metrics" ] ~docv:"FILE"
-          ~doc:
-            "Write a Prometheus text exposition of all metrics and print \
-             the summary table.")
-  in
-  let profile =
-    Arg.(
-      value
-      & opt ~vopt:(Some 97) (some int) None
-      & info [ "profile" ] ~docv:"N"
-          ~doc:
-            "Sample the PC every N retired instructions (default 97) and \
-             print the top-K hot-region report.")
-  in
-  let jobs =
-    Arg.(
-      value & opt int 1
-      & info [ "jobs" ] ~docv:"N"
-          ~doc:
-            "Run up to N independent machine executions concurrently on \
-             separate domains; 0 means the host's recommended domain \
-             count. Results are identical at any value.")
-  in
-  Term.(const (fun t m p j -> (t, m, p, j)) $ trace $ metrics $ profile $ jobs)
-
 (* --- run -------------------------------------------------------------------- *)
 
-let run_native bench seed (trace, metrics, profile, jobs) =
-  Elfie_util.Pool.set_default_jobs
-    (if jobs = 0 then Elfie_util.Pool.recommended () else jobs);
-  Elfie_obs.Report.with_reporting ?trace ?metrics ?profile @@ fun () ->
+let run_native bench seed () =
   let b = find_bench bench in
   let stats =
     Elfie_pin.Run.native (Elfie_workloads.Programs.run_spec ~seed b.spec)
@@ -81,15 +38,11 @@ let run_native bench seed (trace, metrics, profile, jobs) =
 let run_cmd =
   Cmd.v
     (Cmd.info "run" ~doc:"run a benchmark natively")
-    Term.(const run_native $ bench_arg $ seed_arg $ obs_flags)
+    (Cli.with_obs Term.(const run_native $ bench_arg $ seed_arg))
 
 (* --- log -------------------------------------------------------------------- *)
 
-let log_region bench seed out name start length fat sysstate
-    (trace, metrics, profile, jobs) =
-  Elfie_util.Pool.set_default_jobs
-    (if jobs = 0 then Elfie_util.Pool.recommended () else jobs);
-  Elfie_obs.Report.with_reporting ?trace ?metrics ?profile @@ fun () ->
+let log_region bench seed out name start length fat sysstate () =
   let b = find_bench bench in
   let rs = Elfie_workloads.Programs.run_spec ~seed b.spec in
   let result =
@@ -137,16 +90,14 @@ let log_cmd =
   in
   Cmd.v
     (Cmd.info "log" ~doc:"capture a region of execution as a pinball")
-    Term.(
-      const log_region $ bench_arg $ seed_arg $ out $ pb_name $ start $ length $ fat
-      $ sysstate $ obs_flags)
+    (Cli.with_obs
+       Term.(
+         const log_region $ bench_arg $ seed_arg $ out $ pb_name $ start $ length
+         $ fat $ sysstate))
 
 (* --- replay ----------------------------------------------------------------- *)
 
-let replay dir name injection no_injection (trace, metrics, profile, jobs) =
-  Elfie_util.Pool.set_default_jobs
-    (if jobs = 0 then Elfie_util.Pool.recommended () else jobs);
-  Elfie_obs.Report.with_reporting ?trace ?metrics ?profile @@ fun () ->
+let replay dir name injection no_injection () =
   let pb = Elfie_pinball.Pinball.load ~dir ~name in
   let mode =
     if injection && not no_injection then Elfie_pin.Replayer.Constrained
@@ -190,14 +141,11 @@ let replay_cmd =
   in
   Cmd.v
     (Cmd.info "replay" ~doc:"replay a pinball (constrained by default)")
-    Term.(const replay $ dir $ pb_name $ injection $ no_injection $ obs_flags)
+    (Cli.with_obs Term.(const replay $ dir $ pb_name $ injection $ no_injection))
 
 (* --- check ------------------------------------------------------------------ *)
 
-let check dir name do_replay fault_sweep (trace, metrics, profile, jobs) =
-  Elfie_util.Pool.set_default_jobs
-    (if jobs = 0 then Elfie_util.Pool.recommended () else jobs);
-  Elfie_obs.Report.with_reporting ?trace ?metrics ?profile @@ fun () ->
+let check dir name do_replay fault_sweep () =
   let module Diag = Elfie_util.Diag in
   let diags =
     match Elfie_pinball.Pinball.load_result ~dir ~name with
@@ -252,7 +200,7 @@ let check_cmd =
   Cmd.v
     (Cmd.info "check"
        ~doc:"validate a pinball: parse, consistency checks, optional replay")
-    Term.(const check $ dir $ pb_name $ do_replay $ fault_sweep $ obs_flags)
+    (Cli.with_obs Term.(const check $ dir $ pb_name $ do_replay $ fault_sweep))
 
 (* --- list ------------------------------------------------------------------- *)
 

@@ -48,26 +48,15 @@ let run bench seed slice warmup max_k jobs out =
             Printf.printf "  %s: truncated, skipped\n" name
           else begin
             Elfie_pinball.Pinball.save pinball ~dir;
-            let ss = Elfie_pin.Sysstate.analyze pinball in
-            Elfie_pin.Sysstate.save ss ~dir:(Filename.concat dir (name ^ ".sysstate"));
             let region =
               List.find (fun r -> Printf.sprintf "c%d" r.Simpoint.cluster = name)
                 sel.regions
             in
-            let image =
-              Elfie_core.Pinball2elf.convert
-                ~options:
-                  {
-                    Elfie_core.Pinball2elf.default_options with
-                    sysstate = Some ss;
-                    marker = Some (Elfie_core.Pinball2elf.Ssc 0x4649L);
-                    warmup_mark =
-                      (if region.Simpoint.warmup_actual > 0L then
-                         Some region.Simpoint.warmup_actual
-                       else None);
-                  }
+            let image, ss =
+              Elfie_core.Pinball2elf.region ~warmup:region.Simpoint.warmup_actual
                 pinball
             in
+            Elfie_pin.Sysstate.save ss ~dir:(Filename.concat dir (name ^ ".sysstate"));
             let path = Filename.concat dir (name ^ ".elfie") in
             let oc = open_out_bin path in
             output_bytes oc (Elfie_elf.Image.write image);

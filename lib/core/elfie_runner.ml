@@ -198,40 +198,34 @@ let collect_outcome machine kernel =
         threads = List.length threads;
       }
 
-(* Machine + kernel construction shared by [run] and [warm]. *)
-let build_machine ?timing ~seed ~cwd ~kernel_cost fs_init =
-  let machine =
-    Machine.create ?timing (Machine.Free { seed; quantum_min = 50; quantum_max = 200 })
-  in
-  let fs = Fs.create () in
-  fs_init fs;
-  let kernel =
-    Vkernel.create
-      ~config:{ Vkernel.default_config with seed; initial_cwd = cwd; kernel_cost }
-      fs
-  in
-  Vkernel.install kernel machine;
-  if kernel_cost then Machine.set_timer machine ~interval:8192 ~cycles:250 ~seed;
-  (machine, kernel)
+(* Boot the ELFie as every front-end does ([Run.instantiate]). A loader
+   refusal becomes a failed outcome, paired with its span error attr. *)
+let boot ?timing ~seed ~fs_init ~cwd ~kernel_cost image =
+  match
+    Elfie_pin.Run.instantiate ?timing
+      (Elfie_pin.Run.spec ~argv:[ "elfie" ] ~env:[] ~fs_init ~cwd ~seed
+         ~kernel_cost image)
+  with
+  | booted -> Ok booted
+  | exception Loader.Exec_failed msg -> Error (msg, failed_outcome msg)
+  | exception Loader.Stack_collision { reserved; needed; stack_top } ->
+      Error
+        ( "stack collision",
+          failed_outcome ~stack_collision:true
+            (Printf.sprintf
+               "stack collision: only %d pages below 0x%Lx available (%d needed)"
+               reserved stack_top needed) )
 
 let run ?(seed = 11L) ?(fs_init = fun (_ : Fs.t) -> ()) ?(cwd = "/")
     ?(max_ins = 100_000_000L) ?timing ?(kernel_cost = true)
     (image : Elfie_elf.Image.t) =
-  let machine, kernel = build_machine ?timing ~seed ~cwd ~kernel_cost fs_init in
   let sp = Trace.begin_span "runner.region" ~attrs:[ ("seed", Trace.I seed) ] in
   let load_sp = Trace.begin_span "runner.load" in
-  match Loader.load kernel machine image ~argv:[ "elfie" ] ~env:[] with
-  | exception Loader.Exec_failed msg ->
-      Trace.end_span load_sp ~attrs:[ ("error", Trace.S msg) ];
-      finish sp (failed_outcome msg)
-  | exception Loader.Stack_collision { reserved; needed; stack_top } ->
-      Trace.end_span load_sp ~attrs:[ ("error", Trace.S "stack collision") ];
-      finish sp
-        (failed_outcome ~stack_collision:true
-           (Printf.sprintf
-              "stack collision: only %d pages below 0x%Lx available (%d needed)"
-              reserved stack_top needed))
-  | _tid, _layout ->
+  match boot ?timing ~seed ~fs_init ~cwd ~kernel_cost image with
+  | Error (error, o) ->
+      Trace.end_span load_sp ~attrs:[ ("error", Trace.S error) ];
+      finish sp o
+  | Ok (machine, kernel) ->
       Trace.end_span load_sp;
       Elfie_pin.Tools.attach_global_profile machine;
       Machine.run ~max_ins machine;
@@ -251,20 +245,12 @@ let warmed_pages w = Machine.snapshot_page_count w.w_snapshot
 let warm ?(seed = 11L) ?(fs_init = fun (_ : Fs.t) -> ()) ?(cwd = "/")
     ?(max_ins = 100_000_000L) ?timing ?(kernel_cost = true)
     (image : Elfie_elf.Image.t) =
-  let machine, kernel = build_machine ?timing ~seed ~cwd ~kernel_cost fs_init in
   let sp = Trace.begin_span "runner.warm" ~attrs:[ ("seed", Trace.I seed) ] in
-  match Loader.load kernel machine image ~argv:[ "elfie" ] ~env:[] with
-  | exception Loader.Exec_failed msg ->
-      Trace.end_span sp ~attrs:[ ("error", Trace.S msg) ];
-      Error (failed_outcome msg)
-  | exception Loader.Stack_collision { reserved; needed; stack_top } ->
-      Trace.end_span sp ~attrs:[ ("error", Trace.S "stack collision") ];
-      Error
-        (failed_outcome ~stack_collision:true
-           (Printf.sprintf
-              "stack collision: only %d pages below 0x%Lx available (%d needed)"
-              reserved stack_top needed))
-  | _tid, _layout ->
+  match boot ?timing ~seed ~fs_init ~cwd ~kernel_cost image with
+  | Error (error, o) ->
+      Trace.end_span sp ~attrs:[ ("error", Trace.S error) ];
+      Error o
+  | Ok (machine, kernel) ->
       Machine.set_stop_on_mark machine true;
       Elfie_pin.Tools.attach_global_profile machine;
       Machine.run ~max_ins machine;

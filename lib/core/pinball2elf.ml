@@ -412,6 +412,18 @@ let context_listing (pb : Pinball.t) =
     pb.contexts;
   Buffer.contents buf
 
+let region ?(options = default_options) ~warmup pb =
+  let sysstate = Elfie_pin.Sysstate.analyze pb in
+  let options =
+    {
+      options with
+      sysstate = Some sysstate;
+      marker = Some (Ssc 0x4649L);
+      warmup_mark = (if warmup > 0L then Some warmup else None);
+    }
+  in
+  (convert ~options pb, sysstate)
+
 let linker_script image =
   let buf = Buffer.create 256 in
   Buffer.add_string buf "SECTIONS\n{\n";

@@ -64,6 +64,18 @@ val stack_page_threshold : int64
     startup code (pathological pinball covering all low memory). *)
 val convert : ?options:options -> Elfie_pinball.Pinball.t -> Elfie_elf.Image.t
 
+(** [region ~warmup pb] builds the PinPoints region ELFie: it
+    reconstructs the pinball's sysstate, embeds it, inserts the ROI
+    marker [Ssc 0x4649] and, when [warmup > 0], the warmup mark after
+    [warmup] thread-0 instructions. The other fields come from
+    [options]. Returns the image and the sysstate, whose proxy files
+    must be installed before a run. *)
+val region :
+  ?options:options ->
+  warmup:int64 ->
+  Elfie_pinball.Pinball.t ->
+  Elfie_elf.Image.t * Elfie_pin.Sysstate.t
+
 (** The linker-script text describing the generated layout (the
     pinball2elf [-l] feature); purely informative. *)
 val linker_script : Elfie_elf.Image.t -> string

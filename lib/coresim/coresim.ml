@@ -92,7 +92,7 @@ type model = {
   dtlb : Cache.t;
   llc_lines : unit Line_set.t;
       (* distinct lines looked up in the LLC: the data footprint *)
-  predictor : Bytes.t;
+  predictor : Timing.Predictor.t;
   rng : Elfie_util.Rng.t;
   mutable enabled : bool;
   clock : clock;
@@ -101,8 +101,6 @@ type model = {
   mutable syscalls : int64;
   mutable window_start_ins : int;
 }
-
-let predictor_entries = 4096
 
 let fresh_model cfg mode ~enabled =
   {
@@ -118,7 +116,7 @@ let fresh_model cfg mode ~enabled =
            ~size_bytes:(cfg.dtlb_entries * Addr_space.page_size)
            ~ways:cfg.dtlb_entries ~line_bytes:Addr_space.page_size);
     llc_lines = Line_set.create 1024;
-    predictor = Bytes.make predictor_entries '\002';
+    predictor = Timing.Predictor.create ();
     rng = Elfie_util.Rng.create 0x5ca1ab1eL;
     enabled;
     clock = { cycles = 0.0; window_start_cycles = 0.0 };
@@ -171,33 +169,13 @@ let kernel_work model kinstr =
   Cache.flush model.dtlb
 
 let branch model pc taken =
-  let idx =
-    abs (Int64.to_int (Int64.rem (Int64.shift_right_logical pc 1)
-                         (Int64.of_int predictor_entries)))
-  in
-  let counter = Char.code (Bytes.get model.predictor idx) in
-  let predicted = counter >= 2 in
-  Bytes.set model.predictor idx
-    (Char.chr (if taken then min 3 (counter + 1) else max 0 (counter - 1)));
-  if predicted <> taken then begin
+  if Timing.Predictor.mispredicted model.predictor ~pc ~taken then begin
     let c = model.clock in
     c.cycles <- c.cycles +. float_of_int model.cfg.mispredict_cycles
   end
 
 let simulate ?(mode = User_level) ?(from_marker = true) ?measure_after
-    ?(seed = 13L) ?(fs_init = fun (_ : Fs.t) -> ()) ?(cwd = "/")
-    ?(max_ins = 100_000_000L) cfg image =
-  let machine =
-    Machine.create (Machine.Free { seed; quantum_min = 50; quantum_max = 200 })
-  in
-  let fs = Fs.create () in
-  fs_init fs;
-  let kernel =
-    Vkernel.create
-      ~config:{ Vkernel.default_config with seed; initial_cwd = cwd; kernel_cost = false }
-      fs
-  in
-  Vkernel.install kernel machine;
+    ?(seed = 13L) ?fs_init ?cwd ?(max_ins = 100_000_000L) cfg image =
   let sp =
     Trace.begin_span "coresim.simulate"
       ~attrs:
@@ -206,7 +184,11 @@ let simulate ?(mode = User_level) ?(from_marker = true) ?measure_after
             Trace.S (match mode with User_level -> "user" | Full_system -> "full") );
         ]
   in
-  let _ = Loader.load kernel machine image ~argv:[ "elfie" ] ~env:[] in
+  let machine, _kernel =
+    Elfie_pin.Run.instantiate
+      (Elfie_pin.Run.spec ~argv:[ "elfie" ] ~env:[] ?fs_init ?cwd ~seed
+         ~kernel_cost:false image)
+  in
   Elfie_pin.Tools.attach_global_profile machine;
   let model = fresh_model cfg mode ~enabled:(not from_marker) in
   let clock = model.clock in

@@ -244,17 +244,7 @@ let compute_job ~store ~count j =
         (Codec.elfie_key ~program ~start:r.start ~length:r.length
            ~warmup:r.warmup_actual ~seed:p.base_seed ())
         (fun () ->
-          let sysstate = Elfie_pin.Sysstate.analyze pinball in
-          let options =
-            {
-              Elfie_core.Pinball2elf.default_options with
-              sysstate = Some sysstate;
-              marker = Some (Elfie_core.Pinball2elf.Ssc 0x4649L);
-              warmup_mark =
-                (if r.warmup_actual > 0L then Some r.warmup_actual else None);
-            }
-          in
-          (Elfie_core.Pinball2elf.convert ~options pinball, sysstate))
+          Elfie_core.Pinball2elf.region ~warmup:r.warmup_actual pinball)
     in
     let m =
       Codec.cached_measurement ~on_result:count store

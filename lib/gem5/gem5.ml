@@ -1,6 +1,5 @@
 open Elfie_isa
 open Elfie_machine
-open Elfie_kernel
 
 module Trace = Elfie_obs.Trace
 module Metrics = Elfie_obs.Metrics
@@ -73,7 +72,7 @@ type model = {
   cfg : cpu_config;
   l1 : Cache.t;
   l2 : Cache.t;
-  predictor : Bytes.t;
+  predictor : Timing.Predictor.t;
   mutable enabled : bool;
   clock : clock;
   mutable instructions : int;
@@ -82,14 +81,12 @@ type model = {
   overlap_window : float;
 }
 
-let predictor_entries = 4096
-
 let fresh cfg ~enabled =
   {
     cfg;
     l1 = Cache.create cfg.l1;
     l2 = Cache.create cfg.l2;
-    predictor = Bytes.make predictor_entries '\002';
+    predictor = Timing.Predictor.create ();
     enabled;
     clock = { cycles = 0.0 };
     instructions = 0;
@@ -112,37 +109,22 @@ let mem_access model addr =
   c.cycles <- c.cycles +. penalty
 
 let branch model pc taken =
-  let idx =
-    abs (Int64.to_int (Int64.rem (Int64.shift_right_logical pc 1)
-                         (Int64.of_int predictor_entries)))
-  in
-  let counter = Char.code (Bytes.get model.predictor idx) in
-  let predicted = counter >= 2 in
-  Bytes.set model.predictor idx
-    (Char.chr (if taken then min 3 (counter + 1) else max 0 (counter - 1)));
-  if predicted <> taken then begin
+  if Timing.Predictor.mispredicted model.predictor ~pc ~taken then begin
     let c = model.clock in
     c.cycles <- c.cycles +. float_of_int model.cfg.mispredict_cycles
   end
 
-let simulate_se ?(from_marker = true) ?(seed = 13L) ?(fs_init = fun (_ : Fs.t) -> ())
-    ?(cwd = "/") ?(max_ins = 100_000_000L) cfg image =
-  let machine =
-    Machine.create (Machine.Free { seed; quantum_min = 50; quantum_max = 200 })
-  in
-  let fs = Fs.create () in
-  fs_init fs;
-  let kernel =
-    Vkernel.create
-      ~config:{ Vkernel.default_config with seed; initial_cwd = cwd; kernel_cost = false }
-      fs
-  in
-  Vkernel.install kernel machine;
+let simulate_se ?(from_marker = true) ?(seed = 13L) ?fs_init ?cwd
+    ?(max_ins = 100_000_000L) cfg image =
   let sp =
     Trace.begin_span "gem5.simulate"
       ~attrs:[ ("cpu", Trace.S cfg.name); ("mode", Trace.S "se") ]
   in
-  let _ = Loader.load kernel machine image ~argv:[ "elfie" ] ~env:[] in
+  let machine, _kernel =
+    Elfie_pin.Run.instantiate
+      (Elfie_pin.Run.spec ~argv:[ "elfie" ] ~env:[] ?fs_init ?cwd ~seed
+         ~kernel_cost:false image)
+  in
   Elfie_pin.Tools.attach_global_profile machine;
   let model = fresh cfg ~enabled:(not from_marker) in
   let clock = model.clock in

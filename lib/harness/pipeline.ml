@@ -68,22 +68,6 @@ type validation = {
 
 let workdir = "/work"
 
-(* Convert a captured region pinball to its ELFie: sysstate
-   reconstruction, the region marker and the warmup mark, with the
-   conversion options then passed through [options]. *)
-let region_elfie ~options pinball ~warmup =
-  let sysstate = Elfie_pin.Sysstate.analyze pinball in
-  let options =
-    options
-      {
-        Elfie_core.Pinball2elf.default_options with
-        sysstate = Some sysstate;
-        marker = Some (Elfie_core.Pinball2elf.Ssc 0x4649L);
-        warmup_mark = (if warmup > 0L then Some warmup else None);
-      }
-  in
-  (Elfie_core.Pinball2elf.convert ~options pinball, sysstate)
-
 let make_region_elfie run_spec ~name ~warmup ~start ~length =
   match
     Elfie_pin.Logger.capture run_spec ~name
@@ -91,7 +75,7 @@ let make_region_elfie run_spec ~name ~warmup ~start ~length =
   with
   | exception Elfie_pin.Logger.Unsupported _ -> None
   | { pinball; reached_end } ->
-      if reached_end then Some (region_elfie ~options:Fun.id pinball ~warmup)
+      if reached_end then Some (Elfie_core.Pinball2elf.region ~warmup pinball)
       else None
 
 (* Region measurement (both entry points below) warms each ELFie once
@@ -261,8 +245,9 @@ let validate ?jobs ?(params = Simpoint.default_params) ?(trials = 3)
       match List.assoc_opt name captured with
       | Some { Elfie_pin.Logger.pinball; reached_end = true } -> (
           let elfie =
-            region_elfie ~options:(elfie_options r) pinball
-              ~warmup:r.Simpoint.warmup_actual
+            Elfie_core.Pinball2elf.region
+              ~options:(elfie_options r Elfie_core.Pinball2elf.default_options)
+              ~warmup:r.Simpoint.warmup_actual pinball
           in
           let report, sample =
             measure_supervised ~trials ~base_seed ~max_seed_retries ~job:name

@@ -92,8 +92,9 @@ val measure_elfie :
     to the cluster's next ranked alternate region. Every recovery action
     — including quarantines — is recorded in [degradations].
 
-    [elfie_options] post-processes the conversion options per region —
-    primarily a hook for fault-injection tests.
+    [elfie_options] sets the conversion options per region, under the
+    {!Elfie_core.Pinball2elf.region} recipe — primarily a hook for
+    fault-injection tests.
 
     [store] attaches a farm artifact store: the BBV profile and the
     SimPoint selection are then served from the content-addressed cache

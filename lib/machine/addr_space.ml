@@ -269,32 +269,7 @@ let read_avail t addr len =
   if n <= 0 then raise (Fault { addr; access = Exec });
   read_bytes t addr n
 
-let pages t =
-  let all =
-    Hashtbl.fold
-      (fun n page acc ->
-        (Int64.shift_left n page_bits, Bytes.copy page.data) :: acc)
-      t.pages []
-  in
-  List.sort (fun (a, _) (b, _) -> Int64.unsigned_compare a b) all
-
 let page_count t = Hashtbl.length t.pages
-
-let copy t =
-  let pages = Hashtbl.create (Hashtbl.length t.pages) in
-  Hashtbl.iter
-    (fun n page ->
-      Hashtbl.replace pages n
-        { data = Bytes.copy page.data; is_code = page.is_code; shared = false })
-    t.pages;
-  {
-    pages;
-    generation = t.generation;
-    code_writes = t.code_writes;
-    cow_copies = 0;
-    tlb_tags = Array.make tlb_size (-1);
-    tlb_pages = Array.make tlb_size no_page;
-  }
 
 let generation t = t.generation
 let code_writes t = t.code_writes

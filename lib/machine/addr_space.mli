@@ -58,14 +58,7 @@ val store : t -> int64 -> bytes -> unit
     the instruction fetcher at mapping boundaries. *)
 val read_avail : t -> int64 -> int -> bytes
 
-(** All mapped pages as [(page_base, contents)], sorted by address. The
-    contents are copies. *)
-val pages : t -> (int64 * bytes) list
-
 val page_count : t -> int
-
-(** Deep copy (pinball logger snapshot). *)
-val copy : t -> t
 
 (** {2 Copy-on-write snapshots}
 

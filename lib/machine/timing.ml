@@ -33,15 +33,38 @@ let default =
     base_cycles = default_base;
   }
 
+module Predictor = struct
+  type t = Bytes.t
+
+  let entries = 4096
+  let create () = Bytes.make entries '\002'
+  let copy = Bytes.copy
+
+  (* Counter transition table, indexed by [counter * 2 + taken]: the
+     saturating min/max update as a lookup, so the host CPU does not
+     have to branch on the (data-dependent, often unpredictable) guest
+     branch direction. *)
+  let next = "\000\001\000\002\001\003\002\003"
+
+  let[@inline] mispredicted t ~pc ~taken =
+    (* Bits 1..12 of the pc; [Int64.to_int] keeps bits 0..62 and the
+       mask only looks at the low ones, so this equals shifting the
+       int64 — without materialising a boxed intermediate. *)
+    let ti = Bool.to_int taken in
+    let idx = Int64.to_int pc lsr 1 land (entries - 1) in
+    let counter = Char.code (Bytes.unsafe_get t idx) in
+    Bytes.unsafe_set t idx (String.unsafe_get next ((counter lsl 1) lor ti));
+    (* Prediction is the counter's high bit. *)
+    (counter lsr 1) lxor ti = 1
+end
+
 type t = {
   cfg : config;
   l1 : Cache.t;
   l2 : Cache.t;
   llc : Cache.t;
-  predictor : Bytes.t;  (* 2-bit saturating counters *)
+  predictor : Predictor.t;
 }
-
-let predictor_entries = 4096
 
 let create cfg =
   {
@@ -49,7 +72,7 @@ let create cfg =
     l1 = Cache.create cfg.l1;
     l2 = Cache.create cfg.l2;
     llc = Cache.create cfg.llc;
-    predictor = Bytes.make predictor_entries '\002';
+    predictor = Predictor.create ();
   }
 
 (* Independent clone: forked machines must charge the same penalties
@@ -60,7 +83,7 @@ let copy t =
     l1 = Cache.copy t.l1;
     l2 = Cache.copy t.l2;
     llc = Cache.copy t.llc;
-    predictor = Bytes.copy t.predictor;
+    predictor = Predictor.copy t.predictor;
   }
 
 let ins_cost t k = t.cfg.base_cycles k
@@ -71,22 +94,6 @@ let mem_cost t addr =
   else if Cache.access t.llc addr then t.cfg.l2_miss_cycles
   else t.cfg.llc_miss_cycles
 
-(* Saturating 2-bit counter transition table, indexed by
-   [counter * 2 + taken]: the same update the previous min/max
-   formulation computed, as a lookup so the host CPU does not have to
-   branch on the (data-dependent, often unpredictable) guest branch
-   direction. *)
-let bp_next = "\000\001\000\002\001\003\002\003"
-
 let branch_cost t ~pc ~taken =
-  (* Bits 1..12 of the pc; [Int64.to_int] keeps bits 0..62 and the mask
-     only looks at the low ones, so this equals shifting the int64 —
-     without materialising a boxed intermediate. *)
-  let ti = Bool.to_int taken in
-  let idx = Int64.to_int pc lsr 1 land (predictor_entries - 1) in
-  let counter = Char.code (Bytes.unsafe_get t.predictor idx) in
-  Bytes.unsafe_set t.predictor idx
-    (String.unsafe_get bp_next ((counter lsl 1) lor ti));
-  (* Prediction is the counter's high bit; mispredicted iff it differs
-     from the actual direction. *)
-  ((counter lsr 1) lxor ti) * t.cfg.mispredict_cycles
+  Bool.to_int (Predictor.mispredicted t.predictor ~pc ~taken)
+  * t.cfg.mispredict_cycles

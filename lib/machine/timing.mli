@@ -22,6 +22,23 @@ type config = {
 (** Gainestown-flavoured default (the paper's native testbed stand-in). *)
 val default : config
 
+(** The bimodal branch predictor of this model and of every simulator
+    core: 4096 2-bit saturating counters, indexed by bits 1..12 of the
+    branch pc, each starting at 2 (weakly taken). *)
+module Predictor : sig
+  type t
+
+  val create : unit -> t
+
+  (** Independent clone. *)
+  val copy : t -> t
+
+  (** [mispredicted t ~pc ~taken] predicts the branch at [pc] from its
+      counter's high bit, updates the counter towards [taken] and says
+      whether the prediction was wrong. *)
+  val mispredicted : t -> pc:int64 -> taken:bool -> bool
+end
+
 type t
 
 val create : config -> t

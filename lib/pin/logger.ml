@@ -14,7 +14,7 @@ type active = {
   a_name : string;
   a_region : region;
   a_contexts : Context.t array;
-  a_snapshot : Addr_space.t;
+  a_snapshot : Addr_space.frozen;
   a_brk : int64;
   a_start_retired : int64 array;
   a_touched : (int64, unit) Hashtbl.t;
@@ -36,7 +36,7 @@ let entry_of_record (r : Vkernel.syscall_record) =
 let finalize machine fat symbols a =
   let n_start = Array.length a.a_contexts in
   let pages =
-    let all = Addr_space.pages a.a_snapshot in
+    let all = Addr_space.frozen_pages a.a_snapshot in
     if fat then all
     else List.filter (fun (addr, _) -> Hashtbl.mem a.a_touched addr) all
   in
@@ -86,7 +86,7 @@ let activate machine kernel (name, region) =
     a_name = name;
     a_region = region;
     a_contexts = Array.of_list (List.map (fun th -> Context.copy th.Machine.ctx) live);
-    a_snapshot = Addr_space.copy (Machine.mem machine);
+    a_snapshot = Addr_space.freeze (Machine.mem machine);
     a_brk = Vkernel.brk kernel;
     a_start_retired =
       Array.of_list (List.map (fun th -> th.Machine.retired) (Machine.threads machine));

@@ -6,13 +6,14 @@ type spec = {
   argv : string list;
   env : string list;
   fs_init : Fs.t -> unit;
+  cwd : string;
   seed : int64;
   kernel_cost : bool;
 }
 
 let spec ?(argv = [ "a.out" ]) ?(env = [ "PATH=/bin" ]) ?(fs_init = fun _ -> ())
-    ?(seed = 42L) ?(kernel_cost = true) image =
-  { image; argv; env; fs_init; seed; kernel_cost }
+    ?(cwd = "/") ?(seed = 42L) ?(kernel_cost = true) image =
+  { image; argv; env; fs_init; cwd; seed; kernel_cost }
 
 let instantiate ?scheduler ?timing s =
   let scheduler =
@@ -24,7 +25,12 @@ let instantiate ?scheduler ?timing s =
   let fs = Fs.create () in
   s.fs_init fs;
   let kcfg =
-    { Vkernel.default_config with kernel_cost = s.kernel_cost; seed = s.seed }
+    {
+      Vkernel.default_config with
+      kernel_cost = s.kernel_cost;
+      seed = s.seed;
+      initial_cwd = s.cwd;
+    }
   in
   let kernel = Vkernel.create ~config:kcfg fs in
   Vkernel.install kernel machine;

@@ -11,6 +11,7 @@ type spec = {
   argv : string list;
   env : string list;
   fs_init : Elfie_kernel.Fs.t -> unit;  (** populate input files *)
+  cwd : string;  (** the process's initial working directory *)
   seed : int64;
   kernel_cost : bool;  (** charge ring-0 work to the timing model *)
 }
@@ -19,6 +20,7 @@ val spec :
   ?argv:string list ->
   ?env:string list ->
   ?fs_init:(Elfie_kernel.Fs.t -> unit) ->
+  ?cwd:string ->
   ?seed:int64 ->
   ?kernel_cost:bool ->
   Elfie_elf.Image.t ->

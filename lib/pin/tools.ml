@@ -3,28 +3,29 @@ open Elfie_isa
 type 'a analysis = { tool : Pintool.t; result : unit -> 'a }
 
 (* Shared gating: enablement at the first marker, stop after [limit]
-   analysed instructions. Returns (enabled-check-and-count, marker hook). *)
+   analysed instructions. [gate_tick] admits (and counts) an
+   instruction; [gate_active] tells its memory and branch events
+   whether it was admitted. *)
 type gate = {
   mutable g_enabled : bool;
   mutable g_count : int64;
   g_limit : int64 option;
+  mutable g_admitted : bool;
 }
 
 let make_gate ~from_marker ~limit =
-  { g_enabled = not from_marker; g_count = 0L; g_limit = limit }
+  { g_enabled = not from_marker; g_count = 0L; g_limit = limit; g_admitted = false }
 
 let gate_tick g =
-  if not g.g_enabled then false
-  else
-    match g.g_limit with
-    | Some l when g.g_count >= l -> false
-    | Some _ | None ->
-        g.g_count <- Int64.add g.g_count 1L;
-        true
+  let admit =
+    g.g_enabled
+    && match g.g_limit with Some l -> g.g_count < l | None -> true
+  in
+  if admit then g.g_count <- Int64.add g.g_count 1L;
+  g.g_admitted <- admit;
+  admit
 
-let gate_active g =
-  g.g_enabled
-  && match g.g_limit with Some l -> g.g_count < l | None -> true
+let gate_active g = g.g_admitted
 
 let klass_name = function
   | Insn.K_alu -> "alu"
@@ -169,24 +170,26 @@ type block_profile = { bb_blocks : int; bb_hottest : (int64 * int) list }
 let block_profile ?(from_marker = false) ?limit () =
   let gate = make_gate ~from_marker ~limit in
   let heads : (int64, int ref) Hashtbl.t = Hashtbl.create 256 in
-  let at_boundary = ref true in
+  (* Per thread: whether its next instruction starts a block. *)
+  let at_boundary : (int, bool) Hashtbl.t = Hashtbl.create 8 in
   let tool =
     {
       (Pintool.empty ~name:"bbprof") with
       on_marker = Some (fun _ _ -> gate.g_enabled <- true);
       on_ins =
         Some
-          (fun _ pc ins ->
+          (fun tid pc ins ->
             if gate_tick gate then begin
-              if !at_boundary then begin
-                (match Hashtbl.find_opt heads pc with
+              if Option.value ~default:true (Hashtbl.find_opt at_boundary tid)
+              then begin
+                match Hashtbl.find_opt heads pc with
                 | Some r -> incr r
-                | None -> Hashtbl.replace heads pc (ref 1));
-                at_boundary := false
+                | None -> Hashtbl.replace heads pc (ref 1)
               end;
-              match Insn.classify ins with
-              | Insn.K_branch | K_call | K_syscall -> at_boundary := true
-              | K_alu | K_load | K_store | K_vector | K_other -> ()
+              Hashtbl.replace at_boundary tid
+                (match Insn.classify ins with
+                | Insn.K_branch | K_call | K_syscall -> true
+                | K_alu | K_load | K_store | K_vector | K_other -> false)
             end);
     }
   in

@@ -29,7 +29,9 @@ type t = {
   name : string;
   fat : bool;
   contexts : Elfie_machine.Context.t array;  (** per thread, at region start *)
-  pages : (int64 * bytes) list;  (** initial memory image, sorted *)
+  pages : (int64 * bytes) list;
+      (** initial memory image, sorted; the bytes may be shared with
+          the other pinballs of one capture, so they are read-only *)
   icounts : int64 array;  (** per-thread instructions inside the region *)
   schedule : (int * int) list;  (** recorded (tid, instruction-count) slices *)
   injections : syscall_entry list array;  (** per-thread syscall logs *)

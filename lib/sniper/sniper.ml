@@ -1,6 +1,5 @@
 open Elfie_isa
 open Elfie_machine
-open Elfie_kernel
 
 module Trace = Elfie_obs.Trace
 module Metrics = Elfie_obs.Metrics
@@ -90,7 +89,7 @@ type core_state = {
   clock : clock;
   l1 : Cache.t;
   l2 : Cache.t;
-  predictor : Bytes.t;
+  predictor : Timing.Predictor.t;
 }
 
 type model = {
@@ -104,8 +103,6 @@ type model = {
   mutable ec_met : bool;
 }
 
-let predictor_entries = 4096
-
 let fresh_model cfg ~enabled =
   {
     cfg;
@@ -115,7 +112,7 @@ let fresh_model cfg ~enabled =
             clock = { cycles = 0.0 };
             l1 = Cache.create cfg.l1;
             l2 = Cache.create cfg.l2;
-            predictor = Bytes.make predictor_entries '\002';
+            predictor = Timing.Predictor.create ();
           });
     llc = Cache.create cfg.llc;
     rng = Elfie_util.Rng.create 0xBADCAFEL;
@@ -148,15 +145,7 @@ let mem_access model tid addr =
 
 let branch model tid pc taken =
   let core = core_of model tid in
-  let idx =
-    abs (Int64.to_int (Int64.rem (Int64.shift_right_logical pc 1)
-                         (Int64.of_int predictor_entries)))
-  in
-  let counter = Char.code (Bytes.get core.predictor idx) in
-  let predicted = counter >= 2 in
-  Bytes.set core.predictor idx
-    (Char.chr (if taken then min 3 (counter + 1) else max 0 (counter - 1)));
-  if predicted <> taken then begin
+  if Timing.Predictor.mispredicted core.predictor ~pc ~taken then begin
     let c = core.clock in
     c.cycles <- c.cycles +. float_of_int model.cfg.mispredict_cycles
   end
@@ -236,20 +225,8 @@ let collect ?(completed = true) model =
     completed;
   }
 
-let simulate_elfie ?end_condition ?(from_marker = true) ?(seed = 13L)
-    ?(fs_init = fun (_ : Fs.t) -> ()) ?(cwd = "/") ?(max_ins = 100_000_000L) cfg
-    image =
-  let machine =
-    Machine.create (Machine.Free { seed; quantum_min = 50; quantum_max = 200 })
-  in
-  let fs = Fs.create () in
-  fs_init fs;
-  let kernel =
-    Vkernel.create
-      ~config:{ Vkernel.default_config with seed; initial_cwd = cwd; kernel_cost = false }
-      fs
-  in
-  Vkernel.install kernel machine;
+let simulate_elfie ?end_condition ?(from_marker = true) ?(seed = 13L) ?fs_init
+    ?cwd ?(max_ins = 100_000_000L) cfg image =
   let sp =
     Trace.begin_span "sniper.simulate"
       ~attrs:
@@ -258,7 +235,11 @@ let simulate_elfie ?end_condition ?(from_marker = true) ?(seed = 13L)
           ("cores", Trace.I (Int64.of_int (cfg : config).cores));
         ]
   in
-  let _ = Loader.load kernel machine image ~argv:[ "elfie" ] ~env:[] in
+  let machine, _kernel =
+    Elfie_pin.Run.instantiate
+      (Elfie_pin.Run.spec ~argv:[ "elfie" ] ~env:[] ?fs_init ?cwd ~seed
+         ~kernel_cost:false image)
+  in
   Elfie_pin.Tools.attach_global_profile machine;
   let model = fresh_model cfg ~enabled:(not from_marker) in
   let detach = Elfie_pin.Pintool.attach machine [ tool model machine end_condition ] in

@@ -152,7 +152,9 @@ let check_same_process msg a b =
         (Printf.sprintf "%s: tid %d retired" msg ta.Elfie_machine.Machine.tid)
         tb.Elfie_machine.Machine.retired ta.Elfie_machine.Machine.retired)
     tha thb;
-  let pages m = Elfie_machine.Addr_space.pages (Elfie_machine.Machine.mem m) in
+  let pages m =
+    Elfie_machine.Addr_space.(frozen_pages (freeze (Elfie_machine.Machine.mem m)))
+  in
   Alcotest.(check bool)
     (msg ^ ": memory identical")
     true

@@ -151,8 +151,45 @@ let test_sniper_end_condition_stops_early () =
   Alcotest.(check bool) "stopped long before region end" true
     (r.Sniper.instructions < Int64.div (Elfie_pinball.Pinball.total_icount pb) 2L)
 
+(* --- shared branch predictor ----------------------------------------------- *)
+
+(* The bimodal predictor Sniper, CoreSim and gem5 each used to keep
+   privately, kept here as the reference for [Timing.Predictor]. *)
+let prop_predictor_matches_reference =
+  let module Predictor = Elfie_machine.Timing.Predictor in
+  (* Mostly pcs that share a few counters (arbitrary high bits over
+     eight slots), so the saturating update is exercised; some random. *)
+  let pc =
+    QCheck.Gen.(
+      frequency
+        [
+          (1, ui64);
+          ( 3,
+            map2
+              (fun hi slot -> Int64.(logor (shift_left hi 13) (of_int (2 * slot))))
+              ui64 (int_bound 7) );
+        ])
+  in
+  QCheck.Test.make ~name:"Timing.Predictor matches the simulators' former predictor"
+    ~count:300
+    (QCheck.make QCheck.Gen.(list_size (int_range 1 400) (pair pc bool)))
+    (fun stream ->
+      let p = Predictor.create () in
+      let table = Bytes.make 4096 '\002' in
+      List.for_all
+        (fun (pc, taken) ->
+          let idx =
+            abs (Int64.to_int (Int64.rem (Int64.shift_right_logical pc 1) 4096L))
+          in
+          let c = Char.code (Bytes.get table idx) in
+          Bytes.set table idx
+            (Char.chr (if taken then min 3 (c + 1) else max 0 (c - 1)));
+          Predictor.mispredicted p ~pc ~taken = ((c >= 2) <> taken))
+        stream)
+
 let suite =
   [
+    QCheck_alcotest.to_alcotest prop_predictor_matches_reference;
     Alcotest.test_case "simulators deterministic" `Quick test_simulators_deterministic;
     Alcotest.test_case "sniper end condition stops" `Quick
       test_sniper_end_condition_stops_early;

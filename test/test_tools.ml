@@ -83,6 +83,74 @@ let test_from_marker_gating () =
   Alcotest.(check bool) "counts region only" true
     (Int64.abs (Int64.sub m.Tools.mix_total region) < 16L)
 
+(* Block heads are per thread: a thread switch in mid-block must
+   neither start a block in the thread switched to nor end the one
+   switched away from. The machine's block observer, fed to a profiler,
+   tracks boundaries per thread; the tool must find the same heads. *)
+let test_block_heads_per_thread () =
+  let machine, _ =
+    Elfie_pin.Run.instantiate (Tutil.tiny_run_spec ~threads:4 "bbmt")
+  in
+  let a = Tools.block_profile () in
+  let p = Elfie_obs.Profile.create () in
+  Elfie_machine.Machine.set_block_observer machine
+    (Some
+       (fun ~tid ~pcs ~n ~ends_block ->
+         Elfie_obs.Profile.note_block p ~tid ~pcs ~n ~ends_block));
+  let detach = Elfie_pin.Pintool.attach machine [ a.Tools.tool ] in
+  Elfie_machine.Machine.run ~max_ins:300_000L machine;
+  detach ();
+  let heads = List.map fst (Elfie_obs.Profile.hot_blocks ~k:max_int p) in
+  let b = a.Tools.result () in
+  Alcotest.(check int) "same number of heads" (List.length heads) b.Tools.bb_blocks;
+  List.iter
+    (fun (pc, _) ->
+      Alcotest.(check bool) (Printf.sprintf "0x%Lx is a head" pc) true
+        (List.mem pc heads))
+    b.Tools.bb_hottest
+
+(* [?limit] admits the first [limit] instructions with all their
+   events: memory accesses and branches included, the [limit]-th
+   instruction's too. *)
+let test_limit_admits_whole_instructions () =
+  let rs =
+    Elfie_workloads.Programs.run_spec
+      (Elfie_workloads.Programs.spec
+         ~phases:[ { kernel = Elfie_workloads.Kernels.Stream; reps = 40 } ]
+         ~outer_reps:1 ~threads:1 ~ws_bytes:4096 "gate")
+  in
+  for limit = 1 to 400 do
+    let fp = Tools.memory_footprint ~limit:(Int64.of_int limit) () in
+    let br = Tools.branch_profile ~limit:(Int64.of_int limit) () in
+    (* The probe counts the events of the first [limit] instructions. *)
+    let seen = ref 0 and accesses = ref 0 and branches = ref 0 in
+    let access _ _ _ = if !seen <= limit then incr accesses in
+    let probe =
+      {
+        (Elfie_pin.Pintool.empty ~name:"probe") with
+        on_ins = Some (fun _ _ _ -> incr seen);
+        on_mem_read = Some access;
+        on_mem_write = Some access;
+        on_branch = Some (fun _ _ _ _ -> if !seen <= limit then incr branches);
+      }
+    in
+    let machine, _ = Elfie_pin.Run.instantiate rs in
+    let detach =
+      Elfie_pin.Pintool.attach machine [ fp.Tools.tool; br.Tools.tool; probe ]
+    in
+    Elfie_machine.Machine.run ~max_ins:1_000L machine;
+    detach ();
+    let f = fp.Tools.result () in
+    Alcotest.(check int)
+      (Printf.sprintf "accesses at limit %d" limit)
+      !accesses
+      (Int64.to_int (Int64.add f.Tools.fp_reads f.Tools.fp_writes));
+    Alcotest.(check int)
+      (Printf.sprintf "branches at limit %d" limit)
+      !branches
+      (Int64.to_int (br.Tools.result ()).Tools.br_executed)
+  done
+
 let suite =
   [
     Alcotest.test_case "instruction mix totals" `Quick test_instruction_mix_totals;
@@ -92,4 +160,7 @@ let suite =
     Alcotest.test_case "branch profile rates" `Quick test_branch_profile_rates;
     Alcotest.test_case "block profile" `Quick test_block_profile;
     Alcotest.test_case "marker gating on ELFies" `Quick test_from_marker_gating;
+    Alcotest.test_case "block heads per thread" `Quick test_block_heads_per_thread;
+    Alcotest.test_case "limit admits whole instructions" `Quick
+      test_limit_admits_whole_instructions;
   ]
