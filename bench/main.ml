@@ -24,20 +24,28 @@ let int n = Json.Num (float_of_int n)
 (* Wall times at microsecond resolution. *)
 let secs s = Json.Num (Float.round (s *. 1e6) /. 1e6)
 
-(* A throughput row: instructions retired in the best of [trials]. *)
-let rate_row name ins wall trials =
+(* A throughput row: instructions retired in the best of [trials], and
+   optionally the minor-heap words that run allocated per instruction. *)
+let rate_row ?minor_words name ins wall trials =
   [ ("name", Json.Str name);
     ("ins_per_sec", Json.Num (Float.round (Int64.to_float ins /. wall)));
     ("wall_s", secs wall);
     ("instructions", Json.Num (Int64.to_float ins));
     ("trials", int trials) ]
+  @
+  match minor_words with
+  | None -> []
+  | Some w ->
+      [ ( "minor_words_per_ins",
+          Json.Num (Float.round (w /. Int64.to_float ins *. 1000.) /. 1000.) ) ]
 
 (* --- machine-core microbenchmark (BENCH_core.json) ---------------------
 
    Retired instructions/second on a stream+branchy kernel, hook-free
    (the superblock chain tier) and with an instruction-counting pintool
-   attached (instrumented translations). Written to BENCH_core.json so
-   future PRs have a perf trajectory to compare against. *)
+   attached (instrumented translations), with the minor-heap words each
+   run allocates per instruction. Written to BENCH_core.json so future
+   PRs have a perf trajectory to compare against. *)
 
 let core_kernels =
   ref
@@ -65,10 +73,12 @@ let run_core ~hooks ~seed =
     let (_ : unit -> unit) = Elfie_pin.Pintool.attach machine [ tool ] in
     ()
   end;
+  let w0 = Gc.minor_words () in
   let t0 = Unix.gettimeofday () in
   Elfie_machine.Machine.run ~max_ins:core_max_ins machine;
   let wall = Unix.gettimeofday () -. t0 in
-  (Elfie_machine.Machine.total_retired machine, wall)
+  let words = Gc.minor_words () -. w0 in
+  (Elfie_machine.Machine.total_retired machine, wall, words)
 
 let core_bench () =
   let trials = 5 in
@@ -80,21 +90,23 @@ let core_bench () =
   for i = 0 to trials - 1 do
     List.iter
       (fun (name, hooks) ->
-        let ins, w = run_core ~hooks ~seed:(Int64.of_int (100 + i)) in
+        let ins, w, words = run_core ~hooks ~seed:(Int64.of_int (100 + i)) in
         match Hashtbl.find_opt best name with
-        | Some (_, bw) when bw <= w -> ()
-        | _ -> Hashtbl.replace best name (ins, w))
+        | Some (_, bw, _) when bw <= w -> ()
+        | _ -> Hashtbl.replace best name (ins, w, words))
       phases
   done;
   print_endline "=== Machine-core microbenchmark ===";
   let rows =
     List.map
       (fun (name, _) ->
-        let ins, best_wall = Hashtbl.find best name in
+        let ins, best_wall, words = Hashtbl.find best name in
         let ips = Int64.to_float ins /. best_wall in
-        Printf.printf "%-28s %12.0f ins/s  (%Ld ins, best of %d, %.3f s)\n%!"
-          name ips ins trials best_wall;
-        rate_row name ins best_wall trials)
+        Printf.printf
+          "%-28s %12.0f ins/s  (%Ld ins, best of %d, %.3f s, %.2f words/ins)\n%!"
+          name ips ins trials best_wall
+          (words /. Int64.to_float ins);
+        rate_row ~minor_words:words name ins best_wall trials)
       phases
   in
   write_bench "BENCH_core.json" rows;

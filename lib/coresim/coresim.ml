@@ -94,7 +94,6 @@ type model = {
       (* distinct lines looked up in the LLC: the data footprint *)
   predictor : Timing.Predictor.t;
   rng : Elfie_util.Rng.t;
-  mutable enabled : bool;
   clock : clock;
   mutable user_ins : int;
   mutable kernel_ins : int64;
@@ -102,7 +101,7 @@ type model = {
   mutable window_start_ins : int;
 }
 
-let fresh_model cfg mode ~enabled =
+let fresh_model cfg mode =
   {
     cfg;
     mode;
@@ -118,7 +117,6 @@ let fresh_model cfg mode ~enabled =
     llc_lines = Line_set.create 1024;
     predictor = Timing.Predictor.create ();
     rng = Elfie_util.Rng.create 0x5ca1ab1eL;
-    enabled;
     clock = { cycles = 0.0; window_start_cycles = 0.0 };
     user_ins = 0;
     kernel_ins = 0L;
@@ -127,9 +125,10 @@ let fresh_model cfg mode ~enabled =
   }
 
 let cache_walk model addr =
-  if Cache.access model.l1 addr then 0
-  else if Cache.access model.l2 addr then model.cfg.l1_miss_cycles
-  else if Cache.access model.llc addr then model.cfg.l2_miss_cycles
+  let key = Cache.key addr in
+  if Cache.access model.l1 key then 0
+  else if Cache.access model.l2 key then model.cfg.l1_miss_cycles
+  else if Cache.access model.llc key then model.cfg.l2_miss_cycles
   else begin
     (* Lines enter the LLC only through a miss, so a line's first LLC
        lookup always misses: the lines that missed are exactly the lines
@@ -143,7 +142,8 @@ let cache_walk model addr =
 
 let mem_access model addr =
   let tlb_penalty =
-    if Cache.access model.dtlb addr then 0 else model.cfg.tlb_miss_cycles
+    if Cache.access model.dtlb (Cache.key addr) then 0
+    else model.cfg.tlb_miss_cycles
   in
   let c = model.clock in
   c.cycles <- c.cycles +. float_of_int (tlb_penalty + cache_walk model addr)
@@ -190,7 +190,7 @@ let simulate ?(mode = User_level) ?(from_marker = true) ?measure_after
          ~kernel_cost:false image)
   in
   Elfie_pin.Tools.attach_global_profile machine;
-  let model = fresh_model cfg mode ~enabled:(not from_marker) in
+  let model = fresh_model cfg mode in
   let clock = model.clock in
   let ins_cycles = 1.0 /. float_of_int cfg.dispatch_width in
   (* Instruction count at which the measured window opens (never, when
@@ -199,42 +199,46 @@ let simulate ?(mode = User_level) ?(from_marker = true) ?measure_after
     match measure_after with Some w -> Int64.to_int w | None -> -1
   in
   let on_ins tid _pc ins =
-    if model.enabled then begin
-      let n = model.user_ins + 1 in
-      model.user_ins <- n;
-      clock.cycles <- clock.cycles +. ins_cycles;
-      if n = window_at then begin
-        model.window_start_ins <- n;
-        clock.window_start_cycles <- clock.cycles
-      end;
-      (match model.mode with
-      | Full_system when n mod cfg.timer_interval_ins = 0 ->
-          kernel_work model cfg.timer_kernel_ins
-      | Full_system | User_level -> ());
-      match Insn.classify ins with
-      | Insn.K_syscall ->
-          model.syscalls <- Int64.add model.syscalls 1L;
-          (match model.mode with
-          | User_level -> ()
-          | Full_system ->
-              let nr =
-                Int64.to_int (Context.get (Machine.thread machine tid).Machine.ctx Reg.RAX)
-              in
-              kernel_work model (Abi.ring0_instructions nr ~bytes:64))
-      | K_alu | K_load | K_store | K_branch | K_call | K_vector | K_other -> ()
-    end
+    let n = model.user_ins + 1 in
+    model.user_ins <- n;
+    clock.cycles <- clock.cycles +. ins_cycles;
+    if n = window_at then begin
+      model.window_start_ins <- n;
+      clock.window_start_cycles <- clock.cycles
+    end;
+    (match model.mode with
+    | Full_system when n mod cfg.timer_interval_ins = 0 ->
+        kernel_work model cfg.timer_kernel_ins
+    | Full_system | User_level -> ());
+    match Insn.classify ins with
+    | Insn.K_syscall ->
+        model.syscalls <- Int64.add model.syscalls 1L;
+        (match model.mode with
+        | User_level -> ()
+        | Full_system ->
+            let nr =
+              Int64.to_int (Context.get (Machine.thread machine tid).Machine.ctx Reg.RAX)
+            in
+            kernel_work model (Abi.ring0_instructions nr ~bytes:64))
+    | K_alu | K_load | K_store | K_branch | K_call | K_vector | K_other -> ()
   in
   let tool =
     {
       (Elfie_pin.Pintool.empty ~name:"coresim") with
       on_ins = Some on_ins;
-      on_mem_read = Some (fun _ addr _ -> if model.enabled then mem_access model addr);
-      on_mem_write = Some (fun _ addr _ -> if model.enabled then mem_access model addr);
-      on_branch = Some (fun _ pc _ taken -> if model.enabled then branch model pc taken);
-      on_marker = Some (fun _ _ -> model.enabled <- true);
+      on_mem_read = Some (fun _ addr _ -> mem_access model addr);
+      on_mem_write = Some (fun _ addr _ -> mem_access model addr);
+      on_branch = Some (fun _ pc _ taken -> branch model pc taken);
     }
   in
-  let detach = Elfie_pin.Pintool.attach machine [ tool ] in
+  (* With [from_marker], timing starts at the ROI marker: the ELFie
+     startup (its stack restore among it) runs before it on plain
+     chained translations. *)
+  let detach =
+    (if from_marker then Elfie_pin.Pintool.attach_from_marker
+     else Elfie_pin.Pintool.attach)
+      machine [ tool ]
+  in
   Machine.run ~max_ins machine;
   detach ();
   let completed =

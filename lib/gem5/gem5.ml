@@ -73,7 +73,6 @@ type model = {
   l1 : Cache.t;
   l2 : Cache.t;
   predictor : Timing.Predictor.t;
-  mutable enabled : bool;
   clock : clock;
   mutable instructions : int;
   (* The overlap window hides part of each long-latency miss: a bigger
@@ -81,13 +80,12 @@ type model = {
   overlap_window : float;
 }
 
-let fresh cfg ~enabled =
+let fresh cfg =
   {
     cfg;
     l1 = Cache.create cfg.l1;
     l2 = Cache.create cfg.l2;
     predictor = Timing.Predictor.create ();
-    enabled;
     clock = { cycles = 0.0 };
     instructions = 0;
     overlap_window =
@@ -98,8 +96,9 @@ let fresh cfg ~enabled =
 
 let mem_access model addr =
   let penalty =
-    if Cache.access model.l1 addr then 0.0
-    else if Cache.access model.l2 addr then float_of_int model.cfg.l1_miss_cycles
+    let key = Cache.key addr in
+    if Cache.access model.l1 key then 0.0
+    else if Cache.access model.l2 key then float_of_int model.cfg.l1_miss_cycles
     else
       (* Interval model: the ROB keeps issuing under the miss until it
          fills, so only the uncovered part of the latency stalls. *)
@@ -126,32 +125,35 @@ let simulate_se ?(from_marker = true) ?(seed = 13L) ?fs_init ?cwd
          ~kernel_cost:false image)
   in
   Elfie_pin.Tools.attach_global_profile machine;
-  let model = fresh cfg ~enabled:(not from_marker) in
+  let model = fresh cfg in
   let clock = model.clock in
   let ins_cycles = 1.0 /. float_of_int cfg.issue_width in
   let on_ins _tid _pc ins =
-    if model.enabled then begin
-      model.instructions <- model.instructions + 1;
-      clock.cycles <- clock.cycles +. ins_cycles;
-      match Insn.classify ins with
-      | Insn.K_vector ->
-          (* SSE2-era vector support: half throughput. *)
-          clock.cycles <- clock.cycles +. ins_cycles
-      | K_syscall -> clock.cycles <- clock.cycles +. 120.0
-      | K_alu | K_load | K_store | K_branch | K_call | K_other -> ()
-    end
+    model.instructions <- model.instructions + 1;
+    clock.cycles <- clock.cycles +. ins_cycles;
+    match Insn.classify ins with
+    | Insn.K_vector ->
+        (* SSE2-era vector support: half throughput. *)
+        clock.cycles <- clock.cycles +. ins_cycles
+    | K_syscall -> clock.cycles <- clock.cycles +. 120.0
+    | K_alu | K_load | K_store | K_branch | K_call | K_other -> ()
   in
   let tool =
     {
       (Elfie_pin.Pintool.empty ~name:"gem5-se") with
       on_ins = Some on_ins;
-      on_mem_read = Some (fun _ addr _ -> if model.enabled then mem_access model addr);
-      on_mem_write = Some (fun _ addr _ -> if model.enabled then mem_access model addr);
-      on_branch = Some (fun _ pc _ taken -> if model.enabled then branch model pc taken);
-      on_marker = Some (fun _ _ -> model.enabled <- true);
+      on_mem_read = Some (fun _ addr _ -> mem_access model addr);
+      on_mem_write = Some (fun _ addr _ -> mem_access model addr);
+      on_branch = Some (fun _ pc _ taken -> branch model pc taken);
     }
   in
-  let detach = Elfie_pin.Pintool.attach machine [ tool ] in
+  (* With [from_marker], timing starts at the ROI marker (see
+     [Coresim.simulate]). *)
+  let detach =
+    (if from_marker then Elfie_pin.Pintool.attach_from_marker
+     else Elfie_pin.Pintool.attach)
+      machine [ tool ]
+  in
   Machine.run ~max_ins machine;
   detach ();
   let r =

@@ -89,6 +89,7 @@ let arch_set_fs = 0x1002
 let enoent = 2
 let ebadf = 9
 let enomem = 12
+let efault = 14
 let einval = 22
 
 (* System calls whose structural side effects (address-space or thread

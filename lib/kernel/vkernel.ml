@@ -170,6 +170,19 @@ let now_parts m =
   let usec = Int64.div (Int64.rem c cycles_per_sec) 3_000L in
   (sec, usec)
 
+(* Whether every byte of [addr, addr + len) is mapped in [m]. *)
+let mapped_range m addr len =
+  let rec go a left =
+    left <= 0
+    || Addr_space.is_mapped (Machine.mem m) a
+       &&
+       let step =
+         Addr_space.page_size - (Int64.to_int a land (Addr_space.page_size - 1))
+       in
+       go (Int64.add a (Int64.of_int step)) (left - step)
+  in
+  go addr len
+
 let handle t m tid =
   let th = Machine.thread m tid in
   let ctx = th.ctx in
@@ -186,8 +199,11 @@ let handle t m tid =
     (1 + Option.value ~default:0 (Hashtbl.find_opt t.histogram nr));
   let writes = ref [] in
   let moved_bytes = ref 0 in
+  (* Copy-out into user memory. It never maps a page: a call whose
+     destination has a hole checks [mapped_range] first and fails with
+     EFAULT, writing and recording nothing. *)
   let kwrite addr s =
-    Addr_space.store (Machine.mem m) addr (Bytes.of_string s);
+    Addr_space.write_bytes (Machine.mem m) addr (Bytes.of_string s);
     writes := (addr, s) :: !writes;
     moved_bytes := !moved_bytes + String.length s
   in
@@ -207,16 +223,20 @@ let handle t m tid =
             match Fs.read_at t.fs f.path ~pos:f.pos ~len:count with
             | None -> err Abi.ebadf
             | Some data ->
-                f.pos <- f.pos + String.length data;
-                if String.length data > 0 then kwrite a1 data;
-                Int64.of_int (String.length data)))
+                let n = String.length data in
+                if n > 0 && not (mapped_range m a1 n) then err Abi.efault
+                else begin
+                  f.pos <- f.pos + n;
+                  if n > 0 then kwrite a1 data;
+                  Int64.of_int n
+                end))
     | _ when nr = Abi.sys_write -> (
         let fd = Int64.to_int a0 and count = Int64.to_int a2 in
         match Hashtbl.find_opt t.fds fd with
         | None -> err Abi.ebadf
         | Some target -> (
             match Addr_space.read_bytes (Machine.mem m) a1 count with
-            | exception Addr_space.Fault _ -> err Abi.einval
+            | exception Addr_space.Fault _ -> err Abi.efault
             | data ->
                 moved_bytes := !moved_bytes + count;
                 (match target with
@@ -337,15 +357,21 @@ let handle t m tid =
         0L
     | _ when nr = Abi.sys_gettimeofday ->
         let sec, usec = now_parts m in
-        if a0 <> 0L then begin
+        if a0 = 0L then 0L
+        else if not (mapped_range m a0 16) then err Abi.efault
+        else begin
           kwrite_u64 a0 sec;
-          kwrite_u64 (Int64.add a0 8L) usec
-        end;
-        0L
+          kwrite_u64 (Int64.add a0 8L) usec;
+          0L
+        end
     | _ when nr = Abi.sys_time ->
         let sec, _ = now_parts m in
-        if a0 <> 0L then kwrite_u64 a0 sec;
-        sec
+        if a0 = 0L then sec
+        else if not (mapped_range m a0 8) then err Abi.efault
+        else begin
+          kwrite_u64 a0 sec;
+          sec
+        end
     | _ when nr = Abi.sys_arch_prctl ->
         let code = Int64.to_int a0 in
         if code = Abi.arch_set_fs then begin
@@ -359,12 +385,15 @@ let handle t m tid =
         else err Abi.einval
     | _ when nr = Abi.sys_getrandom ->
         let len = Int64.to_int a1 in
-        let buf = Bytes.create len in
-        for i = 0 to len - 1 do
-          Bytes.set buf i (Char.chr (Elfie_util.Rng.int t.rng 256))
-        done;
-        kwrite a0 (Bytes.to_string buf);
-        Int64.of_int len
+        if not (mapped_range m a0 len) then err Abi.efault
+        else begin
+          let buf = Bytes.create len in
+          for i = 0 to len - 1 do
+            Bytes.set buf i (Char.chr (Elfie_util.Rng.int t.rng 256))
+          done;
+          kwrite a0 (Bytes.to_string buf);
+          Int64.of_int len
+        end
     | _ when nr = Abi.sys_vperf_arm ->
         Machine.arm_counter m tid ~target:(Int64.add th.retired a0);
         0L

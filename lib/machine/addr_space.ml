@@ -198,27 +198,23 @@ let write t addr width v =
         write_u8 t (Int64.add addr (Int64.of_int i)) b
       done
 
-(* Word-granularity fast paths: one TLB probe and one [Bytes] accessor
-   when the quadword stays inside a page — the overwhelmingly common
-   case for stack and heap traffic. The general [read]/[write] fallback
-   preserves exact fault addresses at page crossings. *)
-let read_u64 t addr =
-  let off = offset_i addr in
-  if off <= page_size - 8 then
-    match lookup_i t (page_number_i addr) with
-    | page -> Bytes.get_int64_le page.data off
-    | exception Not_found -> raise (Fault { addr; access = Read })
-  else read t addr 8
+(* Soft-TLB probes for compiled code, by immediate page number: the
+   page's bytes, or [Bytes.empty] when it is unmapped. The write probe
+   makes the page writable first ([dirty]: copy-on-write unshare, and a
+   generation bump for a code page). An access that crosses a page or
+   finds no page goes through [read]/[write], which keep the exact fault
+   address. *)
+let read_page t pni =
+  match lookup_i t pni with
+  | page -> page.data
+  | exception Not_found -> Bytes.empty
 
-let write_u64 t addr v =
-  let off = offset_i addr in
-  if off <= page_size - 8 then
-    match lookup_i t (page_number_i addr) with
-    | page ->
-        dirty t page;
-        Bytes.set_int64_le page.data off v
-    | exception Not_found -> raise (Fault { addr; access = Write })
-  else write t addr 8 v
+let write_page t pni =
+  match lookup_i t pni with
+  | page ->
+      dirty t page;
+      page.data
+  | exception Not_found -> Bytes.empty
 
 let read_bytes t addr len =
   let out = Bytes.create len in

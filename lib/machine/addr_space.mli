@@ -38,13 +38,22 @@ val read : t -> int64 -> int -> int64
 
 val write : t -> int64 -> int -> int64 -> unit
 
-(** Quadword fast paths: a single page lookup and [Bytes] accessor when
-    the access stays inside one page, falling back to [read]/[write]
-    at page crossings. Semantically identical to [read t addr 8] /
-    [write t addr 8 v], including fault addresses. *)
-val read_u64 : t -> int64 -> int64
+(** {2 Soft-TLB probes}
 
-val write_u64 : t -> int64 -> int64 -> unit
+    The hot path of compiled code: [read_page t pn] is the backing
+    bytes of page number [pn] ([addr lsr page_bits], as an [int]), or
+    [Bytes.empty] when that page is unmapped. [write_page] returns the
+    bytes to write into after doing what a write to the page owes
+    first: a private copy of a page still shared with a snapshot, and a
+    {!generation} bump for a page marked by {!note_code}. Data is
+    little-endian at its byte offset; an access that does not fit in
+    the page, or finds no page, goes through {!read}/{!write}, which
+    report the exact fault address. Integers cross the interface
+    unboxed, so a caller compiled without cross-module inlining pays
+    no allocation. *)
+val read_page : t -> int -> Bytes.t
+
+val write_page : t -> int -> Bytes.t
 
 (** Bulk reads/writes; fault on any unmapped byte. *)
 val read_bytes : t -> int64 -> int -> bytes

@@ -1,28 +1,41 @@
 type config = { size_bytes : int; ways : int; line_bytes : int }
 
 let config ~size_bytes ~ways ~line_bytes =
-  if line_bytes land (line_bytes - 1) <> 0 then invalid_arg "Cache: line size";
+  if size_bytes <= 0 || ways <= 0 || line_bytes <= 0 then
+    invalid_arg "Cache: non-positive geometry";
+  (* Lines of at least two bytes: {!key} drops address bit 0. *)
+  if line_bytes < 2 || line_bytes land (line_bytes - 1) <> 0 then
+    invalid_arg "Cache: line size";
   if size_bytes mod (ways * line_bytes) <> 0 then invalid_arg "Cache: geometry";
   { size_bytes; ways; line_bytes }
+
+(* Tags, recency and per-set stamps live in flat bytes, eight per entry,
+   host-native order (they are never serialized): creating one is a
+   memset, copying one a memcpy, and the GC never scans them. An
+   [int array] of the same size is scanned on every major slice and
+   built or copied one element at a time. *)
+external get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
+
+let[@inline] geti b i = Int64.to_int (get64 b (i lsl 3))
+let[@inline] seti b i v = set64 b (i lsl 3) (Int64.of_int v)
 
 type t = {
   cfg : config;
   sets : int;
   set_mask : int;  (* sets - 1 when sets is a power of two, else 0 *)
-  line_bits : int;
+  key_bits : int;  (* line = key lsr key_bits *)
   (* Line numbers fit an OCaml [int]: a 64-bit address shifted right by
-     the line bits (>= 1) is at most 63 bits. Storing them as immediates
-     makes the tag scan pointer-free (an [int64 array] holds boxed
-     elements) and the fill a plain store. -1 = invalid (no line number
-     is negative). *)
-  tags : int array;  (* sets * ways *)
+     the line bits (>= 1) is at most 63 bits. -1 = invalid (no line
+     number is negative), the all-ones fill. *)
+  tags : Bytes.t;  (* sets * ways *)
   (* Recency as per-set timestamps: larger = more recent, victim = the
-     way with the smallest stamp. Exactly the LRU order the previous
-     age-vector encoding maintained (stamps are distinct within a set
-     once filled, and the fill-order tie-break matches), but a hit
-     updates one slot instead of re-aging the whole set. *)
-  lru : int array;  (* stamp per way *)
-  stamp : int array;  (* per-set monotone clock *)
+     way with the smallest stamp. Exactly the LRU order an age vector
+     maintains (stamps are distinct within a set once filled, and the
+     fill-order tie-break matches), but a hit updates one slot instead
+     of re-aging the whole set. *)
+  lru : Bytes.t;  (* stamp per way *)
+  stamp : Bytes.t;  (* per-set monotone clock *)
   mutable hits : int;
   mutable misses : int;
   (* Most-recently-accessed line. Every access leaves its line resident
@@ -40,21 +53,26 @@ let create cfg =
     let rec go n b = if n = 1 then b else go (n lsr 1) (b + 1) in
     go cfg.line_bytes 0
   in
+  let entries = sets * cfg.ways in
   {
     cfg;
     sets;
     set_mask = (if sets land (sets - 1) = 0 then sets - 1 else 0);
-    line_bits;
-    tags = Array.make (sets * cfg.ways) (-1);
-    lru = Array.make (sets * cfg.ways) 0;
-    stamp = Array.make sets 0;
+    key_bits = line_bits - 1;
+    tags = Bytes.make (entries * 8) '\255';
+    lru = Bytes.make (entries * 8) '\000';
+    stamp = Bytes.make (sets * 8) '\000';
     hits = 0;
     misses = 0;
     mru_line = -1;
   }
 
-let access t addr =
-  let line = Int64.to_int (Int64.shift_right_logical addr t.line_bits) in
+let key addr = Int64.to_int (Int64.shift_right_logical addr 1)
+
+let access t key =
+  (* [key] is the address shifted right by one, so this is the address
+     shifted right by the line bits, bit 63 included. *)
+  let line = key lsr t.key_bits in
   if line = t.mru_line then begin
     (* Repeat of the last access: resident by construction and already
        the most recent in its set. *)
@@ -75,14 +93,14 @@ let access t addr =
     while !hit_way < 0 && !w < ways do
       (* A line occupies at most one way (inserted only after a full-scan
          miss), so stopping at the first match is exact. *)
-      if Array.unsafe_get t.tags (base + !w) = line then hit_way := !w;
+      if geti t.tags (base + !w) = line then hit_way := !w;
       incr w
     done;
-    let now = Array.unsafe_get t.stamp set + 1 in
-    Array.unsafe_set t.stamp set now;
+    let now = geti t.stamp set + 1 in
+    seti t.stamp set now;
     if !hit_way >= 0 then begin
       t.hits <- t.hits + 1;
-      Array.unsafe_set t.lru (base + !hit_way) now;
+      seti t.lru (base + !hit_way) now;
       true
     end
     else begin
@@ -90,12 +108,10 @@ let access t addr =
       (* Evict the least recently used way. *)
       let victim = ref 0 in
       for w = 1 to ways - 1 do
-        if Array.unsafe_get t.lru (base + w)
-           < Array.unsafe_get t.lru (base + !victim)
-        then victim := w
+        if geti t.lru (base + w) < geti t.lru (base + !victim) then victim := w
       done;
-      Array.unsafe_set t.tags (base + !victim) line;
-      Array.unsafe_set t.lru (base + !victim) now;
+      seti t.tags (base + !victim) line;
+      seti t.lru (base + !victim) now;
       false
     end
   end
@@ -106,9 +122,9 @@ let access t addr =
 let copy t =
   {
     t with
-    tags = Array.copy t.tags;
-    lru = Array.copy t.lru;
-    stamp = Array.copy t.stamp;
+    tags = Bytes.copy t.tags;
+    lru = Bytes.copy t.lru;
+    stamp = Bytes.copy t.stamp;
   }
 
 let hits t = t.hits
@@ -116,4 +132,4 @@ let misses t = t.misses
 
 let flush t =
   t.mru_line <- -1;
-  Array.fill t.tags 0 (Array.length t.tags) (-1)
+  Bytes.fill t.tags 0 (Bytes.length t.tags) '\255'

@@ -7,8 +7,8 @@ open Elfie_isa
    write from a micro-op is a plain 8-byte store.
    In-memory order is host-native (the accessor pair is internally
    consistent on any host); serialization fixes little-endian. *)
-external unsafe_get_64 : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
-external unsafe_set_64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
+external slot_get : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external slot_set : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
 
 type t = {
   gprs : Bytes.t;
@@ -21,10 +21,15 @@ type t = {
 
 let gpr_count = 16
 let xsave_size = 16 * Reg.xmm_count
+let slot r = Reg.gpr_index r lsl 3
+
+(* One slot past the sixteen registers that nothing writes: the base or
+   index of an addressing mode that has none. *)
+let zero_slot = gpr_count lsl 3
 
 let create () =
   {
-    gprs = Bytes.make (gpr_count * 8) '\000';
+    gprs = Bytes.make (zero_slot + 8) '\000';
     rip = 0L;
     flags = Reg.fresh_flags ();
     fs_base = 0L;
@@ -42,10 +47,8 @@ let copy t =
     xmm = Bytes.copy t.xmm;
   }
 
-let[@inline] geti t i = unsafe_get_64 t.gprs (i lsl 3)
-let[@inline] seti t i v = unsafe_set_64 t.gprs (i lsl 3) v
-let[@inline] bget g i = unsafe_get_64 g (i lsl 3)
-let[@inline] bset g i v = unsafe_set_64 g (i lsl 3) v
+let[@inline] geti t i = slot_get t.gprs (i lsl 3)
+let[@inline] seti t i v = slot_set t.gprs (i lsl 3) v
 let get t r = geti t (Reg.gpr_index r)
 let set t r v = seti t (Reg.gpr_index r) v
 

@@ -10,11 +10,11 @@
 type t = {
   gprs : Bytes.t;
       (** 16 × 8-byte host-endian register slots, indexed by
-          [8 * Reg.gpr_index]. A byte buffer rather than an
-          [int64 array] so register reads/writes move unboxed values
-          (no allocation, no write barrier on the micro-ops' hot
+          [8 * Reg.gpr_index], then {!zero_slot}. A byte buffer rather
+          than an [int64 array] so register reads/writes move unboxed
+          values (no allocation, no write barrier on the micro-ops' hot
           path); access it through {!get}/{!set}/{!geti}/{!seti} or the
-          raw-buffer pair {!bget}/{!bset}. *)
+          slot primitives {!slot_get}/{!slot_set}. *)
   mutable rip : int64;
   flags : Elfie_isa.Reg.flags;
   mutable fs_base : int64;
@@ -32,12 +32,25 @@ val geti : t -> int -> int64
 
 val seti : t -> int -> int64 -> unit
 
-(** Unchecked accessors over the raw {!field-gprs} buffer, for compiled
-    code that hoists the buffer out of its inner loop. [i] is a register
-    index in [0, 15]. *)
-val bget : Bytes.t -> int -> int64
+(** {2 Slot primitives for compiled code}
 
-val bset : Bytes.t -> int -> int64 -> unit
+    Unchecked accessors over the raw {!field-gprs} buffer by byte
+    offset. They are primitives, so they compile inline in the calling
+    module and move unboxed values even where cross-module inlining is
+    off (dune's default profile builds with [-opaque]); a function or
+    closure taking or returning an [int64] would box it on every
+    call. *)
+
+(** Byte offset of a register's slot: [8 * Reg.gpr_index r]. *)
+val slot : Elfie_isa.Reg.gpr -> int
+
+(** A slot after the sixteen registers that always reads 0 and that
+    nothing writes: the missing base or index of an addressing mode, so
+    every effective address is one [base + (index lsl scale) + disp]. *)
+val zero_slot : int
+
+external slot_get : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external slot_set : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
 
 (** Lane accessors for the vector unit: [xmm_lane ctx i lane] reads
     64-bit lane 0 or 1 of register [i]. *)

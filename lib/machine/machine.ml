@@ -485,134 +485,91 @@ let flush_core_metrics t =
 
 (* --- Instruction semantics --------------------------------------------- *)
 
-let truncate_width width v =
-  match width with
-  | Insn.W8 -> Int64.logand v 0xffL
-  | W16 -> Int64.logand v 0xffffL
-  | W32 -> Int64.logand v 0xffff_ffffL
-  | W64 -> v
+(* Every instruction runs through the micro-ops below, and the default
+   (dev) build compiles each library [-opaque], so nothing is inlined
+   across modules. An [int64] passed to or returned from another
+   module's function, or from any closure, is boxed: a minor-heap
+   allocation per instruction. So every [int64] of the hot path stays
+   inside one micro-op body: registers move through the
+   {!Context.slot_get}/{!Context.slot_set} primitives, memory through the
+   {!Addr_space.read_page}/{!Addr_space.write_page} probes and the
+   stdlib's byte accessors, the timing model gets a {!Cache.key}
+   immediate, and the operation, addressing mode and condition are
+   chosen when the micro-op is built, with the arithmetic in the
+   [\[@inline\]] helpers of this module. Only the hook call-outs and the
+   page-crossing and fault paths box. *)
 
-let set_zf_sf (flags : Reg.flags) r =
+let[@inline] set_zf_sf (flags : Reg.flags) r =
   flags.zf <- r = 0L;
   flags.sf <- r < 0L
 
-(* ALU flag semantics, one function per operation so the micro-op
-   compiler can resolve the operation once per block. The result is
-   always returned; [alu_writes] says whether it lands in a register. *)
-let alu_add (flags : Reg.flags) a b =
-  let r = Int64.add a b in
-  flags.cf <- Int64.unsigned_compare r a < 0;
+(* [Int64.unsigned_compare a b < 0], as one inline comparison. *)
+let[@inline] ult a b = Int64.add a Int64.min_int < Int64.add b Int64.min_int
+
+(* ALU flag semantics: the flags of [r = a op b], one function per
+   kind of operation. They return unit: the micro-op computes [r] and
+   keeps it, because an [int64] result dropped by [ignore] is boxed
+   first. *)
+let[@inline] add_flags (flags : Reg.flags) a b r =
+  flags.cf <- ult r a;
   flags.ovf <- (a >= 0L && b >= 0L && r < 0L) || (a < 0L && b < 0L && r >= 0L);
-  set_zf_sf flags r;
-  r
+  set_zf_sf flags r
 
-let alu_sub (flags : Reg.flags) a b =
-  let r = Int64.sub a b in
-  flags.cf <- Int64.unsigned_compare a b < 0;
+let[@inline] sub_flags (flags : Reg.flags) a b r =
+  flags.cf <- ult a b;
   flags.ovf <- (a >= 0L && b < 0L && r < 0L) || (a < 0L && b >= 0L && r >= 0L);
-  set_zf_sf flags r;
-  r
+  set_zf_sf flags r
 
-let alu_and (flags : Reg.flags) a b =
-  let r = Int64.logand a b in
+(* And, Or, Xor, Test and Imul clear CF and OF. *)
+let[@inline] logic_flags (flags : Reg.flags) r =
   flags.cf <- false;
   flags.ovf <- false;
-  set_zf_sf flags r;
-  r
+  set_zf_sf flags r
 
-let alu_or (flags : Reg.flags) a b =
-  let r = Int64.logor a b in
-  flags.cf <- false;
+(* A shift by [n > 0]: [out] is the last bit shifted out. *)
+let[@inline] shift_flags (flags : Reg.flags) r out =
+  flags.cf <- Int64.logand out 1L = 1L;
   flags.ovf <- false;
-  set_zf_sf flags r;
-  r
+  set_zf_sf flags r
 
-let alu_xor (flags : Reg.flags) a b =
-  let r = Int64.logxor a b in
-  flags.cf <- false;
-  flags.ovf <- false;
-  set_zf_sf flags r;
-  r
+let[@inline] lane_add a b =
+  Int64.bits_of_float (Int64.float_of_bits a +. Int64.float_of_bits b)
 
-let alu_imul (flags : Reg.flags) a b =
-  let r = Int64.mul a b in
-  flags.cf <- false;
-  flags.ovf <- false;
-  set_zf_sf flags r;
-  r
+let[@inline] lane_sub a b =
+  Int64.bits_of_float (Int64.float_of_bits a -. Int64.float_of_bits b)
 
-let alu_fn = function
-  | Insn.Add -> alu_add
-  | Sub | Cmp -> alu_sub
-  | And | Test -> alu_and
-  | Or -> alu_or
-  | Xor -> alu_xor
-  | Imul -> alu_imul
-
-let alu_writes = function Insn.Cmp | Insn.Test -> false | _ -> true
-
-let exec_shift (flags : Reg.flags) op v n =
-  if n = 0 then v
-  else begin
-    let r =
-      match op with
-      | Insn.Shl -> Int64.shift_left v n
-      | Shr -> Int64.shift_right_logical v n
-      | Sar -> Int64.shift_right v n
-    in
-    let last_out =
-      match op with
-      | Insn.Shl -> Int64.logand (Int64.shift_right_logical v (64 - n)) 1L
-      | Shr | Sar -> Int64.logand (Int64.shift_right_logical v (n - 1)) 1L
-    in
-    flags.cf <- last_out = 1L;
-    flags.ovf <- false;
-    set_zf_sf flags r;
-    r
-  end
-
-let float_lane_op op a b =
-  let fa = Int64.float_of_bits a and fb = Int64.float_of_bits b in
-  let r =
-    match op with Insn.Vadd -> fa +. fb | Vmul -> fa *. fb | Vsub -> fa -. fb
-  in
-  Int64.bits_of_float r
+let[@inline] lane_mul a b =
+  Int64.bits_of_float (Int64.float_of_bits a *. Int64.float_of_bits b)
 
 (* --- Micro-op compilation ---------------------------------------------- *)
 
-(* Addressing mode resolved at translation time: base/index register
-   indices and the scale multiply are baked into the closure (scale only
-   applies to the index). *)
-let compile_addr (m : Insn.mem) : Bytes.t -> int64 =
-  let disp = m.disp in
-  match (m.base, m.index) with
-  | None, None -> fun _ -> disp
-  | Some b, None ->
-      let bi = Reg.gpr_index b in
-      fun g -> Int64.add (Context.bget g bi) disp
-  | None, Some x ->
-      let xi = Reg.gpr_index x in
-      if m.scale = 1 then fun g -> Int64.add (Context.bget g xi) disp
-      else
-        let s = Int64.of_int m.scale in
-        fun g -> Int64.add (Int64.mul (Context.bget g xi) s) disp
-  | Some b, Some x ->
-      let bi = Reg.gpr_index b and xi = Reg.gpr_index x in
-      if m.scale = 1 then
-        fun g ->
-          Int64.add
-            (Int64.add (Context.bget g bi) (Context.bget g xi))
-            disp
-      else
-        let s = Int64.of_int m.scale in
-        fun g ->
-          Int64.add
-            (Int64.add (Context.bget g bi)
-               (Int64.mul (Context.bget g xi) s))
-            disp
+let rsp = Context.slot Reg.RSP
+let rax = Context.slot Reg.RAX
 
-let rsp_index = Reg.gpr_index Reg.RSP
-let rax_index = Reg.gpr_index Reg.RAX
+(* Addressing mode resolved at translation time: base and index slot
+   offsets (a missing one reads {!Context.zero_slot}), the scale as a
+   shift, and the displacement. *)
+let addr_mode (m : Insn.mem) =
+  let slot = function Some r -> Context.slot r | None -> Context.zero_slot in
+  let sh =
+    match m.scale with
+    | 1 -> 0
+    | 2 -> 1
+    | 4 -> 2
+    | 8 -> 3
+    | s -> invalid_arg (Printf.sprintf "Machine: scale %d" s)
+  in
+  (slot m.base, slot m.index, sh, m.disp)
+
+let[@inline] ea g bo xo sh disp =
+  Int64.add
+    (Int64.add (Context.slot_get g bo)
+       (Int64.shift_left (Context.slot_get g xo) sh))
+    disp
+
+(* An ALU source: a register is its slot plus 0, an immediate the zero
+   slot plus the immediate. *)
+let[@inline] operand g so k = Int64.add (Context.slot_get g so) k
 
 let cond_fn = function
   | Insn.Eq -> fun (f : Reg.flags) -> f.zf
@@ -624,51 +581,7 @@ let cond_fn = function
   | Ult -> fun (f : Reg.flags) -> f.cf
   | Uge -> fun (f : Reg.flags) -> not f.cf
 
-(* Flag-free value forms used when a liveness pass proved the flag
-   results dead: same register result as the [alu_*] functions, no flag
-   stores. [Cmp]/[Test] compute nothing at all in that case. *)
-let pure_alu = function
-  | Insn.Add -> Int64.add
-  | Sub -> Int64.sub
-  | And | Test -> Int64.logand
-  | Or -> Int64.logor
-  | Xor -> Int64.logxor
-  | Imul -> Int64.mul
-  | Cmp -> Int64.sub
-
-let[@inline] pure_shift op v n =
-  match op with
-  | Insn.Shl -> Int64.shift_left v n
-  | Shr -> Int64.shift_right_logical v n
-  | Sar -> Int64.shift_right v n
-
 let uop_nop : t -> thread -> unit = fun _t _th -> ()
-
-(* Direct evaluation of [Jcc] conditions over the flags a [Cmp]/[Sub]
-   of (a, b) would set — lets a fused compare-branch skip flag
-   materialisation entirely and compare the operand values it already
-   holds in OCaml locals. *)
-let cmp_cond_fn = function
-  | Insn.Eq -> fun a b -> Int64.equal a b
-  | Ne -> fun a b -> not (Int64.equal a b)
-  | Lt -> fun a b -> Int64.compare a b < 0
-  | Ge -> fun a b -> Int64.compare a b >= 0
-  | Le -> fun a b -> Int64.compare a b <= 0
-  | Gt -> fun a b -> Int64.compare a b > 0
-  | Ult -> fun a b -> Int64.unsigned_compare a b < 0
-  | Uge -> fun a b -> Int64.unsigned_compare a b >= 0
-
-(* Same for the flags [Test] of v = a land b sets
-   (cf = ovf = false, zf = v=0, sf = v<0). *)
-let test_cond_fn = function
-  | Insn.Eq -> fun v -> Int64.equal v 0L
-  | Ne -> fun v -> not (Int64.equal v 0L)
-  | Lt -> fun v -> Int64.compare v 0L < 0
-  | Ge -> fun v -> Int64.compare v 0L >= 0
-  | Le -> fun v -> Int64.compare v 0L <= 0
-  | Gt -> fun v -> Int64.compare v 0L > 0
-  | Ult -> fun _ -> false
-  | Uge -> fun _ -> true
 
 (* Memory and branch steps shared by the micro-ops, in the order every
    form follows: the hook fires, then the cache or predictor is
@@ -677,35 +590,98 @@ let test_cond_fn = function
    [dyn_cost] once nothing else in the instruction can fault. *)
 let[@inline] read_cost t tid addr width =
   (match t.hooks.on_mem_read with Some f -> f tid addr width | None -> ());
-  Timing.mem_cost t.timing addr
+  (* [Cache.key addr], computed here: a call would box [addr]. *)
+  Timing.mem_cost t.timing (Int64.to_int (Int64.shift_right_logical addr 1))
 
 let[@inline] write_cost t tid addr width =
   (match t.hooks.on_mem_write with Some f -> f tid addr width | None -> ());
-  Timing.mem_cost t.timing addr
+  Timing.mem_cost t.timing (Int64.to_int (Int64.shift_right_logical addr 1))
+
+let page_mask = Addr_space.page_size - 1
+let[@inline] page_off addr = Int64.to_int addr land page_mask
+
+(* The page bytes holding the [width] bytes at [addr], or [Bytes.empty]
+   when the access crosses a page or finds no page: the caller then
+   takes [Addr_space.read]/[write], the general path that reports the
+   exact fault. *)
+let[@inline] read_page t addr width =
+  if page_off addr <= Addr_space.page_size - width then
+    Addr_space.read_page t.mem
+      (Int64.to_int (Int64.shift_right_logical addr Addr_space.page_bits))
+  else Bytes.empty
+
+let[@inline] write_page t addr width =
+  if page_off addr <= Addr_space.page_size - width then
+    Addr_space.write_page t.mem
+      (Int64.to_int (Int64.shift_right_logical addr Addr_space.page_bits))
+  else Bytes.empty
+
+let[@inline] rd64 t addr =
+  let d = read_page t addr 8 in
+  if Bytes.length d = 0 then Addr_space.read t.mem addr 8
+  else Bytes.get_int64_le d (page_off addr)
+
+let[@inline] rd32 t addr =
+  let d = read_page t addr 4 in
+  if Bytes.length d = 0 then Addr_space.read t.mem addr 4
+  else
+    Int64.logand
+      (Int64.of_int32 (Bytes.get_int32_le d (page_off addr)))
+      0xffff_ffffL
+
+let[@inline] rd16 t addr =
+  let d = read_page t addr 2 in
+  if Bytes.length d = 0 then Addr_space.read t.mem addr 2
+  else Int64.of_int (Bytes.get_uint16_le d (page_off addr))
+
+let[@inline] rd8 t addr =
+  let d = read_page t addr 1 in
+  if Bytes.length d = 0 then Addr_space.read t.mem addr 1
+  else Int64.of_int (Bytes.get_uint8 d (page_off addr))
+
+let[@inline] wr64 t addr v =
+  let d = write_page t addr 8 in
+  if Bytes.length d = 0 then Addr_space.write t.mem addr 8 v
+  else Bytes.set_int64_le d (page_off addr) v
+
+let[@inline] wr32 t addr v =
+  let d = write_page t addr 4 in
+  if Bytes.length d = 0 then Addr_space.write t.mem addr 4 v
+  else Bytes.set_int32_le d (page_off addr) (Int64.to_int32 v)
+
+let[@inline] wr16 t addr v =
+  let d = write_page t addr 2 in
+  if Bytes.length d = 0 then Addr_space.write t.mem addr 2 v
+  else Bytes.set_uint16_le d (page_off addr) (Int64.to_int v land 0xffff)
+
+let[@inline] wr8 t addr v =
+  let d = write_page t addr 1 in
+  if Bytes.length d = 0 then Addr_space.write t.mem addr 1 v
+  else Bytes.set_uint8 d (page_off addr) (Int64.to_int v land 0xff)
 
 let[@inline] load64 t tid addr =
   let c = read_cost t tid addr 8 in
-  let v = Addr_space.read_u64 t.mem addr in
+  let v = rd64 t addr in
   t.dyn_cost <- t.dyn_cost + c;
   v
 
 let[@inline] store64 t tid addr v =
   let c = write_cost t tid addr 8 in
-  Addr_space.write_u64 t.mem addr v;
+  wr64 t addr v;
   t.dyn_cost <- t.dyn_cost + c
 
 (* A faulting push leaves RSP decremented. *)
 let[@inline] push64 t th v =
   let g = th.ctx.Context.gprs in
-  let sp = Int64.sub (Context.bget g rsp_index) 8L in
-  Context.bset g rsp_index sp;
+  let sp = Int64.sub (Context.slot_get g rsp) 8L in
+  Context.slot_set g rsp sp;
   store64 t th.tid sp v
 
 let[@inline] pop64 t th =
   let g = th.ctx.Context.gprs in
-  let sp = Context.bget g rsp_index in
+  let sp = Context.slot_get g rsp in
   let v = load64 t th.tid sp in
-  Context.bset g rsp_index (Int64.add sp 8L);
+  Context.slot_set g rsp (Int64.add sp 8L);
   v
 
 (* Predictor cost and [on_branch] of a control transfer at [pc]; the
@@ -716,6 +692,143 @@ let[@inline] note_branch t th pc target taken =
   match t.hooks.on_branch with
   | Some f -> f th.tid pc target taken
   | None -> ()
+
+(* The end of a fused compare-and-branch: predictor cost, edge index
+   and RIP, with no [on_branch] (only plain translations fuse). *)
+let[@inline] jcc_taken t (ctx : Context.t) pc tgts taken =
+  t.dyn_cost <- t.dyn_cost + Timing.branch_cost t.timing ~pc ~taken;
+  let ti = Bool.to_int taken in
+  t.took <- ti;
+  ctx.Context.rip <- Array.unsafe_get tgts ti
+
+(* The ALU micro-op [d <- d op (so + k)] (see {!operand}); with
+   [flags_dead] it skips the flag stores, and [Cmp]/[Test] do
+   nothing. *)
+let compile_alu ~flags_dead (op : Insn.alu) d so k : t -> thread -> unit =
+  match (op, flags_dead) with
+  | Add, false ->
+      fun _t th ->
+        let ctx = th.ctx in
+        let g = ctx.Context.gprs in
+        let a = Context.slot_get g d and b = operand g so k in
+        let r = Int64.add a b in
+        add_flags ctx.Context.flags a b r;
+        Context.slot_set g d r
+  | Sub, false ->
+      fun _t th ->
+        let ctx = th.ctx in
+        let g = ctx.Context.gprs in
+        let a = Context.slot_get g d and b = operand g so k in
+        let r = Int64.sub a b in
+        sub_flags ctx.Context.flags a b r;
+        Context.slot_set g d r
+  | Cmp, false ->
+      fun _t th ->
+        let ctx = th.ctx in
+        let g = ctx.Context.gprs in
+        let a = Context.slot_get g d and b = operand g so k in
+        sub_flags ctx.Context.flags a b (Int64.sub a b)
+  | And, false ->
+      fun _t th ->
+        let ctx = th.ctx in
+        let g = ctx.Context.gprs in
+        let r = Int64.logand (Context.slot_get g d) (operand g so k) in
+        logic_flags ctx.Context.flags r;
+        Context.slot_set g d r
+  | Test, false ->
+      fun _t th ->
+        let ctx = th.ctx in
+        let g = ctx.Context.gprs in
+        logic_flags ctx.Context.flags
+          (Int64.logand (Context.slot_get g d) (operand g so k))
+  | Or, false ->
+      fun _t th ->
+        let ctx = th.ctx in
+        let g = ctx.Context.gprs in
+        let r = Int64.logor (Context.slot_get g d) (operand g so k) in
+        logic_flags ctx.Context.flags r;
+        Context.slot_set g d r
+  | Xor, false ->
+      fun _t th ->
+        let ctx = th.ctx in
+        let g = ctx.Context.gprs in
+        let r = Int64.logxor (Context.slot_get g d) (operand g so k) in
+        logic_flags ctx.Context.flags r;
+        Context.slot_set g d r
+  | Imul, false ->
+      fun _t th ->
+        let ctx = th.ctx in
+        let g = ctx.Context.gprs in
+        let r = Int64.mul (Context.slot_get g d) (operand g so k) in
+        logic_flags ctx.Context.flags r;
+        Context.slot_set g d r
+  | (Cmp | Test), true -> uop_nop
+  | Add, true ->
+      fun _t th ->
+        let g = th.ctx.Context.gprs in
+        Context.slot_set g d (Int64.add (Context.slot_get g d) (operand g so k))
+  | Sub, true ->
+      fun _t th ->
+        let g = th.ctx.Context.gprs in
+        Context.slot_set g d (Int64.sub (Context.slot_get g d) (operand g so k))
+  | And, true ->
+      fun _t th ->
+        let g = th.ctx.Context.gprs in
+        Context.slot_set g d (Int64.logand (Context.slot_get g d) (operand g so k))
+  | Or, true ->
+      fun _t th ->
+        let g = th.ctx.Context.gprs in
+        Context.slot_set g d (Int64.logor (Context.slot_get g d) (operand g so k))
+  | Xor, true ->
+      fun _t th ->
+        let g = th.ctx.Context.gprs in
+        Context.slot_set g d (Int64.logxor (Context.slot_get g d) (operand g so k))
+  | Imul, true ->
+      fun _t th ->
+        let g = th.ctx.Context.gprs in
+        Context.slot_set g d (Int64.mul (Context.slot_get g d) (operand g so k))
+
+(* [Shift_ri] by [n]; a shift by 0 changes nothing, flags included. *)
+let compile_shift ~flags_dead (op : Insn.shift) d n : t -> thread -> unit =
+  if n = 0 then uop_nop
+  else
+    match (op, flags_dead) with
+    | Shl, false ->
+        fun _t th ->
+          let ctx = th.ctx in
+          let g = ctx.Context.gprs in
+          let v = Context.slot_get g d in
+          let r = Int64.shift_left v n in
+          shift_flags ctx.Context.flags r (Int64.shift_right_logical v (64 - n));
+          Context.slot_set g d r
+    | Shr, false ->
+        fun _t th ->
+          let ctx = th.ctx in
+          let g = ctx.Context.gprs in
+          let v = Context.slot_get g d in
+          let r = Int64.shift_right_logical v n in
+          shift_flags ctx.Context.flags r (Int64.shift_right_logical v (n - 1));
+          Context.slot_set g d r
+    | Sar, false ->
+        fun _t th ->
+          let ctx = th.ctx in
+          let g = ctx.Context.gprs in
+          let v = Context.slot_get g d in
+          let r = Int64.shift_right v n in
+          shift_flags ctx.Context.flags r (Int64.shift_right_logical v (n - 1));
+          Context.slot_set g d r
+    | Shl, true ->
+        fun _t th ->
+          let g = th.ctx.Context.gprs in
+          Context.slot_set g d (Int64.shift_left (Context.slot_get g d) n)
+    | Shr, true ->
+        fun _t th ->
+          let g = th.ctx.Context.gprs in
+          Context.slot_set g d (Int64.shift_right_logical (Context.slot_get g d) n)
+    | Sar, true ->
+        fun _t th ->
+          let g = th.ctx.Context.gprs in
+          Context.slot_set g d (Int64.shift_right (Context.slot_get g d) n)
 
 (* Compile one instruction to its micro-op — the one definition of
    VX86 semantics. Both execution paths run these closures: the chain
@@ -751,33 +864,24 @@ let[@inline] note_branch t th pc target taken =
 let compile_ins ~pc ~next ?(flags_dead = false) (ins : Insn.t) :
     t -> thread -> unit =
   match ins with
-  | Insn.Alu_rr (op, d, s) when flags_dead ->
-      if alu_writes op then begin
-        let f = pure_alu op and di = Reg.gpr_index d and si = Reg.gpr_index s in
-        fun _t th ->
-          let g = th.ctx.Context.gprs in
-          Context.bset g di (f (Context.bget g di) (Context.bget g si))
-      end
-      else uop_nop
-  | Alu_ri (op, d, imm) when flags_dead ->
-      if alu_writes op then begin
-        let f = pure_alu op and di = Reg.gpr_index d in
-        fun _t th ->
-          let g = th.ctx.Context.gprs in
-          Context.bset g di (f (Context.bget g di) imm)
-      end
-      else uop_nop
-  | Shift_ri (op, d, n) when flags_dead && n > 0 ->
-      let di = Reg.gpr_index d in
-      fun _t th ->
+  | Insn.Alu_rr (op, d, s) ->
+      compile_alu ~flags_dead op (Context.slot d) (Context.slot s) 0L
+  | Alu_ri (op, d, imm) ->
+      compile_alu ~flags_dead op (Context.slot d) Context.zero_slot imm
+  | Shift_ri (op, d, n) -> compile_shift ~flags_dead op (Context.slot d) n
+  | Neg d ->
+      let d = Context.slot d in
+      if flags_dead then fun _t th ->
         let g = th.ctx.Context.gprs in
-        Context.bset g di (pure_shift op (Context.bget g di) n)
-  | Neg d when flags_dead ->
-      let di = Reg.gpr_index d in
-      fun _t th ->
-        let g = th.ctx.Context.gprs in
-        Context.bset g di (Int64.neg (Context.bget g di))
-  | Insn.Jmp rel ->
+        Context.slot_set g d (Int64.neg (Context.slot_get g d))
+      else fun _t th ->
+        let ctx = th.ctx in
+        let g = ctx.Context.gprs in
+        let a = Context.slot_get g d in
+        let r = Int64.neg a in
+        sub_flags ctx.Context.flags 0L a r;
+        Context.slot_set g d r
+  | Jmp rel ->
       let target = Int64.add next (Int64.of_int rel) in
       fun t th ->
         note_branch t th pc target true;
@@ -798,17 +902,17 @@ let compile_ins ~pc ~next ?(flags_dead = false) (ins : Insn.t) :
         t.took <- ti;
         ctx.Context.rip <- Array.unsafe_get tgts ti
   | Jmp_r r ->
-      let ri = Reg.gpr_index r in
+      let r = Context.slot r in
       fun t th ->
         let ctx = th.ctx in
-        let target = Context.bget ctx.Context.gprs ri in
+        let target = Context.slot_get ctx.Context.gprs r in
         note_branch t th pc target true;
         ctx.Context.rip <- target
   | Jmp_m m ->
-      let a = compile_addr m in
+      let bo, xo, sh, disp = addr_mode m in
       fun t th ->
         let ctx = th.ctx in
-        let target = load64 t th.tid (a ctx.Context.gprs) in
+        let target = load64 t th.tid (ea ctx.Context.gprs bo xo sh disp) in
         note_branch t th pc target true;
         ctx.Context.rip <- target
   | Call rel ->
@@ -819,13 +923,13 @@ let compile_ins ~pc ~next ?(flags_dead = false) (ins : Insn.t) :
         t.took <- 1;
         th.ctx.Context.rip <- target
   | Call_r r ->
-      let ri = Reg.gpr_index r in
+      let r = Context.slot r in
       fun t th ->
         push64 t th next;
         (* Target read after the push: a call through RSP sees the
            decremented stack pointer. *)
         let ctx = th.ctx in
-        let target = Context.bget ctx.Context.gprs ri in
+        let target = Context.slot_get ctx.Context.gprs r in
         note_branch t th pc target true;
         ctx.Context.rip <- target
   | Ret ->
@@ -833,97 +937,86 @@ let compile_ins ~pc ~next ?(flags_dead = false) (ins : Insn.t) :
         let target = pop64 t th in
         note_branch t th pc target true;
         th.ctx.Context.rip <- target
-  | Insn.Mov_ri (r, v) ->
-      let ri = Reg.gpr_index r in
-      fun _t th -> Context.bset th.ctx.Context.gprs ri v
+  | Mov_ri (r, v) ->
+      let r = Context.slot r in
+      fun _t th -> Context.slot_set th.ctx.Context.gprs r v
   | Mov_rr (d, s) ->
-      let di = Reg.gpr_index d and si = Reg.gpr_index s in
+      let d = Context.slot d and s = Context.slot s in
       fun _t th ->
         let g = th.ctx.Context.gprs in
-        Context.bset g di (Context.bget g si)
-  | Load (Insn.W64, r, m) ->
-      let a = compile_addr m and ri = Reg.gpr_index r in
-      fun t th ->
-        let g = th.ctx.Context.gprs in
-        Context.bset g ri (load64 t th.tid (a g))
-  | Load (w, r, m) ->
-      let a = compile_addr m
-      and ri = Reg.gpr_index r
-      and wb = Insn.width_bytes w in
-      fun t th ->
-        let g = th.ctx.Context.gprs in
-        let addr = a g in
-        let c = read_cost t th.tid addr wb in
-        let v = Addr_space.read t.mem addr wb in
-        t.dyn_cost <- t.dyn_cost + c;
-        Context.bset g ri v
-  | Store (Insn.W64, m, r) ->
-      let a = compile_addr m and ri = Reg.gpr_index r in
-      fun t th ->
-        let g = th.ctx.Context.gprs in
-        store64 t th.tid (a g) (Context.bget g ri)
-  | Store (w, m, r) ->
-      let a = compile_addr m
-      and ri = Reg.gpr_index r
-      and wb = Insn.width_bytes w in
-      fun t th ->
-        let g = th.ctx.Context.gprs in
-        let v = truncate_width w (Context.bget g ri) in
-        let addr = a g in
-        let c = write_cost t th.tid addr wb in
-        Addr_space.write t.mem addr wb v;
-        t.dyn_cost <- t.dyn_cost + c
+        Context.slot_set g d (Context.slot_get g s)
+  | Load (w, r, m) -> (
+      let bo, xo, sh, disp = addr_mode m and r = Context.slot r in
+      match w with
+      | Insn.W64 ->
+          fun t th ->
+            let g = th.ctx.Context.gprs in
+            Context.slot_set g r (load64 t th.tid (ea g bo xo sh disp))
+      | W32 ->
+          fun t th ->
+            let g = th.ctx.Context.gprs in
+            let addr = ea g bo xo sh disp in
+            let c = read_cost t th.tid addr 4 in
+            let v = rd32 t addr in
+            t.dyn_cost <- t.dyn_cost + c;
+            Context.slot_set g r v
+      | W16 ->
+          fun t th ->
+            let g = th.ctx.Context.gprs in
+            let addr = ea g bo xo sh disp in
+            let c = read_cost t th.tid addr 2 in
+            let v = rd16 t addr in
+            t.dyn_cost <- t.dyn_cost + c;
+            Context.slot_set g r v
+      | W8 ->
+          fun t th ->
+            let g = th.ctx.Context.gprs in
+            let addr = ea g bo xo sh disp in
+            let c = read_cost t th.tid addr 1 in
+            let v = rd8 t addr in
+            t.dyn_cost <- t.dyn_cost + c;
+            Context.slot_set g r v)
+  | Store (w, m, r) -> (
+      let bo, xo, sh, disp = addr_mode m and r = Context.slot r in
+      match w with
+      | Insn.W64 ->
+          fun t th ->
+            let g = th.ctx.Context.gprs in
+            store64 t th.tid (ea g bo xo sh disp) (Context.slot_get g r)
+      | W32 ->
+          fun t th ->
+            let g = th.ctx.Context.gprs in
+            let addr = ea g bo xo sh disp in
+            let c = write_cost t th.tid addr 4 in
+            wr32 t addr (Context.slot_get g r);
+            t.dyn_cost <- t.dyn_cost + c
+      | W16 ->
+          fun t th ->
+            let g = th.ctx.Context.gprs in
+            let addr = ea g bo xo sh disp in
+            let c = write_cost t th.tid addr 2 in
+            wr16 t addr (Context.slot_get g r);
+            t.dyn_cost <- t.dyn_cost + c
+      | W8 ->
+          fun t th ->
+            let g = th.ctx.Context.gprs in
+            let addr = ea g bo xo sh disp in
+            let c = write_cost t th.tid addr 1 in
+            wr8 t addr (Context.slot_get g r);
+            t.dyn_cost <- t.dyn_cost + c)
   | Lea (r, m) ->
-      let a = compile_addr m and ri = Reg.gpr_index r in
+      let bo, xo, sh, disp = addr_mode m and r = Context.slot r in
       fun _t th ->
         let g = th.ctx.Context.gprs in
-        Context.bset g ri (a g)
-  | Alu_rr (op, d, s) ->
-      let f = alu_fn op and di = Reg.gpr_index d and si = Reg.gpr_index s in
-      if alu_writes op then fun _t th ->
-        let ctx = th.ctx in
-        let g = ctx.Context.gprs in
-        Context.bset g di
-          (f ctx.Context.flags (Context.bget g di) (Context.bget g si))
-      else fun _t th ->
-        let ctx = th.ctx in
-        let g = ctx.Context.gprs in
-        ignore
-          (f ctx.Context.flags (Context.bget g di) (Context.bget g si))
-  | Alu_ri (op, d, imm) ->
-      let f = alu_fn op and di = Reg.gpr_index d in
-      if alu_writes op then fun _t th ->
-        let ctx = th.ctx in
-        let g = ctx.Context.gprs in
-        Context.bset g di (f ctx.Context.flags (Context.bget g di) imm)
-      else fun _t th ->
-        let ctx = th.ctx in
-        ignore
-          (f ctx.Context.flags
-             (Context.bget ctx.Context.gprs di)
-             imm)
-  | Shift_ri (op, d, n) ->
-      let di = Reg.gpr_index d in
-      fun _t th ->
-        let ctx = th.ctx in
-        let g = ctx.Context.gprs in
-        Context.bset g di
-          (exec_shift ctx.Context.flags op (Context.bget g di) n)
-  | Neg d ->
-      let di = Reg.gpr_index d in
-      fun _t th ->
-        let ctx = th.ctx in
-        let g = ctx.Context.gprs in
-        Context.bset g di
-          (alu_sub ctx.Context.flags 0L (Context.bget g di))
+        Context.slot_set g r (ea g bo xo sh disp)
   | Push r ->
-      let ri = Reg.gpr_index r in
-      fun t th -> push64 t th (Context.bget th.ctx.Context.gprs ri)
+      let r = Context.slot r in
+      fun t th -> push64 t th (Context.slot_get th.ctx.Context.gprs r)
   | Pop r ->
-      let ri = Reg.gpr_index r in
+      let r = Context.slot r in
       fun t th ->
         let v = pop64 t th in
-        Context.bset th.ctx.Context.gprs ri v
+        Context.slot_set th.ctx.Context.gprs r v
   | Pushf -> fun t th -> push64 t th (Reg.flags_to_word th.ctx.Context.flags)
   | Popf ->
       fun t th ->
@@ -934,99 +1027,120 @@ let compile_ins ~pc ~next ?(flags_dead = false) (ins : Insn.t) :
         flags.cf <- fl.cf;
         flags.ovf <- fl.ovf
   | Xchg (r, m) ->
-      let a = compile_addr m and ri = Reg.gpr_index r in
+      let bo, xo, sh, disp = addr_mode m and r = Context.slot r in
       fun t th ->
         let g = th.ctx.Context.gprs in
-        let addr = a g in
+        let addr = ea g bo xo sh disp in
         let c = read_cost t th.tid addr 8 in
-        let old = Addr_space.read_u64 t.mem addr in
+        let old = rd64 t addr in
         let c = c + write_cost t th.tid addr 8 in
-        Addr_space.write_u64 t.mem addr (Context.bget g ri);
+        wr64 t addr (Context.slot_get g r);
         t.dyn_cost <- t.dyn_cost + c;
-        Context.bset g ri old
+        Context.slot_set g r old
   | Cmpxchg (m, r) ->
-      let a = compile_addr m and ri = Reg.gpr_index r in
+      let bo, xo, sh, disp = addr_mode m and r = Context.slot r in
       fun t th ->
         let ctx = th.ctx in
         let g = ctx.Context.gprs in
-        let addr = a g in
+        let addr = ea g bo xo sh disp in
         let c = read_cost t th.tid addr 8 in
-        let old = Addr_space.read_u64 t.mem addr in
-        if Int64.equal old (Context.bget g rax_index) then begin
+        let old = rd64 t addr in
+        if old = Context.slot_get g rax then begin
           let c = c + write_cost t th.tid addr 8 in
-          Addr_space.write_u64 t.mem addr (Context.bget g ri);
+          wr64 t addr (Context.slot_get g r);
           t.dyn_cost <- t.dyn_cost + c;
           ctx.Context.flags.zf <- true
         end
         else begin
           t.dyn_cost <- t.dyn_cost + c;
-          Context.bset g rax_index old;
+          Context.slot_set g rax old;
           ctx.Context.flags.zf <- false
         end
   | Vload (x, m) ->
-      let a = compile_addr m in
+      let bo, xo, sh, disp = addr_mode m and x = x lsl 4 in
       fun t th ->
         let ctx = th.ctx in
-        let addr = a ctx.Context.gprs in
+        let addr = ea ctx.Context.gprs bo xo sh disp in
         let c = read_cost t th.tid addr 8 in
-        Context.set_xmm_lane ctx x 0 (Addr_space.read_u64 t.mem addr);
+        let v = rd64 t addr in
+        Bytes.set_int64_le ctx.Context.xmm x v;
         let addr = Int64.add addr 8L in
         let c = c + read_cost t th.tid addr 8 in
-        Context.set_xmm_lane ctx x 1 (Addr_space.read_u64 t.mem addr);
+        let v = rd64 t addr in
+        Bytes.set_int64_le ctx.Context.xmm (x + 8) v;
         t.dyn_cost <- t.dyn_cost + c
   | Vstore (m, x) ->
-      let a = compile_addr m in
+      let bo, xo, sh, disp = addr_mode m and x = x lsl 4 in
       fun t th ->
         let ctx = th.ctx in
-        let addr = a ctx.Context.gprs in
+        let addr = ea ctx.Context.gprs bo xo sh disp in
         let c = write_cost t th.tid addr 8 in
-        Addr_space.write_u64 t.mem addr (Context.xmm_lane ctx x 0);
+        wr64 t addr (Bytes.get_int64_le ctx.Context.xmm x);
         let addr = Int64.add addr 8L in
         let c = c + write_cost t th.tid addr 8 in
-        Addr_space.write_u64 t.mem addr (Context.xmm_lane ctx x 1);
+        wr64 t addr (Bytes.get_int64_le ctx.Context.xmm (x + 8));
         t.dyn_cost <- t.dyn_cost + c
-  | Vop_rr (op, d, s) ->
-      fun _t th ->
-        let ctx = th.ctx in
-        Context.set_xmm_lane ctx d 0
-          (float_lane_op op (Context.xmm_lane ctx d 0) (Context.xmm_lane ctx s 0));
-        Context.set_xmm_lane ctx d 1
-          (float_lane_op op (Context.xmm_lane ctx d 1) (Context.xmm_lane ctx s 1))
+  | Vop_rr (op, d, s) -> (
+      (* Two 64-bit float lanes; lane 0 is written before lane 1 is
+         read, as the lanes are independent. *)
+      let d = d lsl 4 and s = s lsl 4 in
+      match op with
+      | Insn.Vadd ->
+          fun _t th ->
+            let x = th.ctx.Context.xmm in
+            Bytes.set_int64_le x d
+              (lane_add (Bytes.get_int64_le x d) (Bytes.get_int64_le x s));
+            Bytes.set_int64_le x (d + 8)
+              (lane_add (Bytes.get_int64_le x (d + 8)) (Bytes.get_int64_le x (s + 8)))
+      | Vsub ->
+          fun _t th ->
+            let x = th.ctx.Context.xmm in
+            Bytes.set_int64_le x d
+              (lane_sub (Bytes.get_int64_le x d) (Bytes.get_int64_le x s));
+            Bytes.set_int64_le x (d + 8)
+              (lane_sub (Bytes.get_int64_le x (d + 8)) (Bytes.get_int64_le x (s + 8)))
+      | Vmul ->
+          fun _t th ->
+            let x = th.ctx.Context.xmm in
+            Bytes.set_int64_le x d
+              (lane_mul (Bytes.get_int64_le x d) (Bytes.get_int64_le x s));
+            Bytes.set_int64_le x (d + 8)
+              (lane_mul (Bytes.get_int64_le x (d + 8)) (Bytes.get_int64_le x (s + 8))))
   | Ldctx r ->
-      let ri = Reg.gpr_index r in
+      let r = Context.slot r in
       fun t th ->
         let ctx = th.ctx in
         Context.xrstor ctx
           (Addr_space.read_bytes t.mem
-             (Context.bget ctx.Context.gprs ri)
+             (Context.slot_get ctx.Context.gprs r)
              Context.xsave_size)
   | Stctx r ->
-      let ri = Reg.gpr_index r in
+      let r = Context.slot r in
       fun t th ->
         let ctx = th.ctx in
         Addr_space.write_bytes t.mem
-          (Context.bget ctx.Context.gprs ri)
+          (Context.slot_get ctx.Context.gprs r)
           (Context.xsave ctx)
   | Wrfsbase r ->
-      let ri = Reg.gpr_index r in
+      let r = Context.slot r in
       fun _t th ->
         let ctx = th.ctx in
-        ctx.Context.fs_base <- Context.bget ctx.Context.gprs ri
+        ctx.Context.fs_base <- Context.slot_get ctx.Context.gprs r
   | Wrgsbase r ->
-      let ri = Reg.gpr_index r in
+      let r = Context.slot r in
       fun _t th ->
         let ctx = th.ctx in
-        ctx.Context.gs_base <- Context.bget ctx.Context.gprs ri
+        ctx.Context.gs_base <- Context.slot_get ctx.Context.gprs r
   | Rdfsbase r ->
-      let ri = Reg.gpr_index r in
+      let r = Context.slot r in
       fun _t th ->
         let ctx = th.ctx in
-        Context.bset ctx.Context.gprs ri ctx.Context.fs_base
+        Context.slot_set ctx.Context.gprs r ctx.Context.fs_base
   | Rdgsbase r ->
-      let ri = Reg.gpr_index r in
+      let r = Context.slot r in
       fun _t th ->
         let ctx = th.ctx in
-        Context.bset ctx.Context.gprs ri ctx.Context.gs_base
+        Context.slot_set ctx.Context.gprs r ctx.Context.gs_base
   | Syscall ->
       fun t th ->
         th.ctx.Context.rip <- next;
@@ -1269,88 +1383,57 @@ let compose_mega (bb_ins : Insn.t array) (uops : (t -> thread -> unit) array) =
   sequence (Array.init n slot)
 
 (* Fuse a [Cmp]/[Test]/[Sub] immediately preceding the block's
-   terminating [Jcc] into one micro-op that evaluates the condition
-   directly on the operand values (held in OCaml locals) — no flag
-   round-trip through the context. Only the chain tier runs this (the
-   pair must run atomically, so only whole-block runs qualify). The
-   fused op occupies the compare's slot; the [Jcc] slot becomes a no-op,
-   keeping the 1:1 slot/instruction mapping (neither can fault). The
-   compare's flags are still materialised exactly as the unfused pair
-   would leave them: whatever runs after the block may read them. *)
+   terminating [Jcc] into one micro-op: the compare, then the branch on
+   the flags it just set, with no call-out in between. Only the chain
+   tier runs this (the pair must run atomically, so only whole-block
+   runs qualify). The fused op occupies the compare's slot; the [Jcc]
+   slot becomes a no-op, keeping the 1:1 slot/instruction mapping
+   (neither can fault). The compare's flags are materialised exactly as
+   the unfused pair would leave them: whatever runs after the block may
+   read them. *)
 let compile_fused_tail ~jcc_pc ~jcc_next (alu : Insn.t) c ~rel :
     (t -> thread -> unit) option =
+  let cond = cond_fn c in
   let target = Int64.add jcc_next (Int64.of_int rel) in
   (* Successor RIPs indexed by direction — host-branch-free select, as
      in the plain [Jcc] micro-op. *)
   let tgts = [| jcc_next; target |] in
-  let finish t (ctx : Context.t) taken =
-    t.dyn_cost <- t.dyn_cost + Timing.branch_cost t.timing ~pc:jcc_pc ~taken;
-    let ti = Bool.to_int taken in
-    t.took <- ti;
-    ctx.Context.rip <- Array.unsafe_get tgts ti
+  let fused (op : Insn.alu) d so k =
+    match op with
+    | Cmp ->
+        Some
+          (fun t th ->
+            let ctx = th.ctx in
+            let g = ctx.Context.gprs in
+            let flags = ctx.Context.flags in
+            let a = Context.slot_get g d and b = operand g so k in
+            sub_flags flags a b (Int64.sub a b);
+            jcc_taken t ctx jcc_pc tgts (cond flags))
+    | Test ->
+        Some
+          (fun t th ->
+            let ctx = th.ctx in
+            let g = ctx.Context.gprs in
+            let flags = ctx.Context.flags in
+            logic_flags flags (Int64.logand (Context.slot_get g d) (operand g so k));
+            jcc_taken t ctx jcc_pc tgts (cond flags))
+    | Sub ->
+        (* The loop-backedge idiom (Sub RCX, 1; Jcc Ne head). *)
+        Some
+          (fun t th ->
+            let ctx = th.ctx in
+            let g = ctx.Context.gprs in
+            let flags = ctx.Context.flags in
+            let a = Context.slot_get g d and b = operand g so k in
+            let r = Int64.sub a b in
+            sub_flags flags a b r;
+            Context.slot_set g d r;
+            jcc_taken t ctx jcc_pc tgts (cond flags))
+    | Add | And | Or | Xor | Imul -> None
   in
   match alu with
-  | Insn.Alu_ri (Insn.Cmp, r, imm) ->
-      let cond = cmp_cond_fn c and ri = Reg.gpr_index r in
-      Some
-        (fun t th ->
-          let ctx = th.ctx in
-          let a = Context.bget ctx.Context.gprs ri in
-          ignore (alu_sub ctx.Context.flags a imm);
-          finish t ctx (cond a imm))
-  | Alu_rr (Cmp, d, s) ->
-      let cond = cmp_cond_fn c
-      and di = Reg.gpr_index d
-      and si = Reg.gpr_index s in
-      Some
-        (fun t th ->
-          let ctx = th.ctx in
-          let g = ctx.Context.gprs in
-          let a = Context.bget g di and b = Context.bget g si in
-          ignore (alu_sub ctx.Context.flags a b);
-          finish t ctx (cond a b))
-  | Alu_ri (Test, r, imm) ->
-      let cond = test_cond_fn c and ri = Reg.gpr_index r in
-      Some
-        (fun t th ->
-          let ctx = th.ctx in
-          let a = Context.bget ctx.Context.gprs ri in
-          ignore (alu_and ctx.Context.flags a imm);
-          finish t ctx (cond (Int64.logand a imm)))
-  | Alu_rr (Test, d, s) ->
-      let cond = test_cond_fn c
-      and di = Reg.gpr_index d
-      and si = Reg.gpr_index s in
-      Some
-        (fun t th ->
-          let ctx = th.ctx in
-          let g = ctx.Context.gprs in
-          let a = Context.bget g di and b = Context.bget g si in
-          ignore (alu_and ctx.Context.flags a b);
-          finish t ctx (cond (Int64.logand a b)))
-  | Alu_ri (Sub, r, imm) ->
-      (* The loop-backedge idiom (Sub RCX, 1; Jcc Ne head): decrement,
-         then compare the PRE-decrement value against the immediate —
-         [Sub]'s flags match [Cmp a imm] exactly. *)
-      let cond = cmp_cond_fn c and ri = Reg.gpr_index r in
-      Some
-        (fun t th ->
-          let ctx = th.ctx in
-          let g = ctx.Context.gprs in
-          let a = Context.bget g ri in
-          Context.bset g ri (alu_sub ctx.Context.flags a imm);
-          finish t ctx (cond a imm))
-  | Alu_rr (Sub, d, s) ->
-      let cond = cmp_cond_fn c
-      and di = Reg.gpr_index d
-      and si = Reg.gpr_index s in
-      Some
-        (fun t th ->
-          let ctx = th.ctx in
-          let g = ctx.Context.gprs in
-          let a = Context.bget g di and b = Context.bget g si in
-          Context.bset g di (alu_sub ctx.Context.flags a b);
-          finish t ctx (cond a b))
+  | Insn.Alu_rr (op, d, s) -> fused op (Context.slot d) (Context.slot s) 0L
+  | Alu_ri (op, d, imm) -> fused op (Context.slot d) Context.zero_slot imm
   | _ -> None
 
 (* --- Block translation -------------------------------------------------- *)

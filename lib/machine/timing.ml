@@ -88,10 +88,10 @@ let copy t =
 
 let ins_cost t k = t.cfg.base_cycles k
 
-let mem_cost t addr =
-  if Cache.access t.l1 addr then 0
-  else if Cache.access t.l2 addr then t.cfg.l1_miss_cycles
-  else if Cache.access t.llc addr then t.cfg.l2_miss_cycles
+let mem_cost t key =
+  if Cache.access t.l1 key then 0
+  else if Cache.access t.l2 key then t.cfg.l1_miss_cycles
+  else if Cache.access t.llc key then t.cfg.l2_miss_cycles
   else t.cfg.llc_miss_cycles
 
 let branch_cost t ~pc ~taken =

@@ -50,8 +50,10 @@ val copy : t -> t
 (** Base cost of executing one instruction of a class. *)
 val ins_cost : t -> Elfie_isa.Insn.klass -> int
 
-(** Penalty cycles for a data access at [addr]. *)
-val mem_cost : t -> int64 -> int
+(** [mem_cost t (Cache.key addr)]: penalty cycles for a data access at
+    [addr]. The address arrives as an immediate so that compiled code
+    can pass it without boxing. *)
+val mem_cost : t -> int -> int
 
 (** Penalty cycles for a branch, call or return at [pc] that was
     [taken] (always [true] except for a falling-through conditional

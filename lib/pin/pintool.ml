@@ -74,6 +74,19 @@ let attach machine tools =
     h.on_thread_start <- saved_ts;
     h.on_thread_exit <- saved_te
 
+let attach_from_marker machine tools =
+  let detach_tools = ref None in
+  let start _ _ =
+    if Option.is_none !detach_tools then
+      detach_tools := Some (attach machine tools)
+  in
+  let detach_marker =
+    attach machine [ { (empty ~name:"roi-start") with on_marker = Some start } ]
+  in
+  fun () ->
+    Option.iter (fun detach -> detach ()) !detach_tools;
+    detach_marker ()
+
 let instruction_counter () =
   let count = ref 0L in
   let tool =

@@ -34,6 +34,14 @@ val empty : name:string -> t
     function restoring the previous hooks. *)
 val attach : Elfie_machine.Machine.t -> t list -> unit -> unit
 
+(** [attach_from_marker machine tools] attaches [tools] at the first
+    marker ([Ssc_marker], [Magic] or [Cpuid]) that any thread executes,
+    right after it: the marker itself is not observed. Until then only
+    an [on_marker] call-out is installed, so the code before the region
+    of interest runs on plain translations. Returns a detach function
+    for both. *)
+val attach_from_marker : Elfie_machine.Machine.t -> t list -> unit -> unit
+
 (** Count of instrumented instructions seen by an [on_ins]-only probe —
     convenience for overhead experiments. *)
 val instruction_counter : unit -> t * (unit -> int64)

@@ -134,10 +134,11 @@ let bump_thread model tid =
 
 let mem_access model tid addr =
   let core = core_of model tid in
+  let key = Cache.key addr in
   let penalty =
-    if Cache.access core.l1 addr then 0
-    else if Cache.access core.l2 addr then model.cfg.l1_miss_cycles
-    else if Cache.access model.llc addr then model.cfg.l2_miss_cycles
+    if Cache.access core.l1 key then 0
+    else if Cache.access core.l2 key then model.cfg.l1_miss_cycles
+    else if Cache.access model.llc key then model.cfg.l2_miss_cycles
     else model.cfg.llc_miss_cycles
   in
   let c = core.clock in

@@ -97,12 +97,12 @@ let execute ~timing ~mem ~syscall ~hooks ctx ~pc ins =
   let cost = ref (Timing.ins_cost timing (Insn.classify ins)) in
   let read addr w =
     hooks.on_mem_read addr w;
-    cost := !cost + Timing.mem_cost timing addr;
+    cost := !cost + Timing.mem_cost timing (Cache.key addr);
     Addr_space.read mem addr w
   in
   let write addr w v =
     hooks.on_mem_write addr w;
-    cost := !cost + Timing.mem_cost timing addr;
+    cost := !cost + Timing.mem_cost timing (Cache.key addr);
     Addr_space.write mem addr w v
   in
   let push v =

@@ -229,6 +229,45 @@ let test_gettimeofday_and_time () =
       Alcotest.(check bool) "epoch-ish" true (secs >= 0 && secs < 10)
   | _ -> Alcotest.fail "did not exit"
 
+(* Copy-out to a wild pointer fails with EFAULT and creates no memory:
+   [read] from a file and [gettimeofday] into an unmapped address each
+   return -14, and the page stays unmapped. *)
+let test_copy_out_efault () =
+  let wild = 0x7000_0000L in
+  let run emit =
+    let b = Builder.create () in
+    let path = Builder.new_label b in
+    emit b path;
+    (* exit_group(-rax), i.e. the errno *)
+    Builder.ins b (Mov_rr (Reg.RDI, Reg.RAX));
+    Builder.ins b (Neg Reg.RDI);
+    syscall b Abi.sys_exit_group;
+    Builder.bind b path;
+    Builder.raw b (Bytes.of_string "in.txt\000");
+    let machine, _ =
+      Tutil.run_image ~fs_init:(fun fs -> Fs.add_file fs ~path:"/in.txt" "abcdefgh")
+        (Tutil.image_of b)
+    in
+    (match (Elfie_machine.Machine.thread machine 0).Elfie_machine.Machine.state with
+    | Elfie_machine.Machine.Exited code -> Alcotest.(check int) "EFAULT" Abi.efault code
+    | _ -> Alcotest.fail "did not exit");
+    Alcotest.(check bool) "still unmapped" false
+      (Elfie_machine.Addr_space.is_mapped (Elfie_machine.Machine.mem machine) wild)
+  in
+  run (fun b path ->
+      Builder.mov_label b Reg.RDI path;
+      mov_imm b Reg.RSI 0L;
+      mov_imm b Reg.RDX 0L;
+      syscall b Abi.sys_open;
+      Builder.ins b (Mov_rr (Reg.RDI, Reg.RAX));
+      mov_imm b Reg.RSI wild;
+      mov_imm b Reg.RDX 5L;
+      syscall b Abi.sys_read);
+  run (fun b _ ->
+      mov_imm b Reg.RDI wild;
+      mov_imm b Reg.RSI 0L;
+      syscall b Abi.sys_gettimeofday)
+
 let test_dup2_redirect () =
   (* open a file, dup2 it onto fd 9, write through fd 9. *)
   let b = Builder.create () in
@@ -473,6 +512,8 @@ let suite =
     Alcotest.test_case "mmap/munmap" `Quick test_mmap_munmap;
     Alcotest.test_case "clone and gettid" `Quick test_clone_and_gettid;
     Alcotest.test_case "gettimeofday epoch" `Quick test_gettimeofday_and_time;
+    Alcotest.test_case "copy-out to unmapped memory: EFAULT" `Quick
+      test_copy_out_efault;
     Alcotest.test_case "dup2 redirect" `Quick test_dup2_redirect;
     Alcotest.test_case "syscall recorder" `Quick test_recorder_captures;
     Alcotest.test_case "lseek whence" `Quick test_lseek_whence;

@@ -144,15 +144,15 @@ let test_context_copy_isolated () =
 
 let test_cache_hit_miss () =
   let c = Cache.create (Cache.config ~size_bytes:1024 ~ways:2 ~line_bytes:64) in
-  Alcotest.(check bool) "cold miss" false (Cache.access c 0L);
-  Alcotest.(check bool) "hit" true (Cache.access c 8L);
+  Alcotest.(check bool) "cold miss" false (Cache.access c (Cache.key 0L));
+  Alcotest.(check bool) "hit" true (Cache.access c (Cache.key 8L));
   Alcotest.(check int) "stats" 1 (Cache.hits c);
   Alcotest.(check int) "stats" 1 (Cache.misses c)
 
 let test_cache_lru_eviction () =
   (* 2 ways, 8 sets; three lines mapping to set 0 evict the oldest. *)
   let c = Cache.create (Cache.config ~size_bytes:1024 ~ways:2 ~line_bytes:64) in
-  let line n = Int64.of_int (n * 512) in
+  let line n = Cache.key (Int64.of_int (n * 512)) in
   ignore (Cache.access c (line 0));
   ignore (Cache.access c (line 1));
   ignore (Cache.access c (line 0));
@@ -161,13 +161,41 @@ let test_cache_lru_eviction () =
   Alcotest.(check bool) "line0 kept" true (Cache.access c (line 0));
   Alcotest.(check bool) "line1 evicted" false (Cache.access c (line 1))
 
+(* A zero or negative size, way count or line size is rejected up
+   front, not left to divide by zero. *)
+let test_cache_config_rejects_bad_geometry () =
+  let rejects name ~size_bytes ~ways ~line_bytes =
+    match Cache.config ~size_bytes ~ways ~line_bytes with
+    | _ -> Alcotest.failf "%s: accepted" name
+    | exception Invalid_argument _ -> ()
+  in
+  rejects "line 0" ~size_bytes:1024 ~ways:2 ~line_bytes:0;
+  rejects "ways 0" ~size_bytes:1024 ~ways:0 ~line_bytes:64;
+  rejects "size 0" ~size_bytes:0 ~ways:2 ~line_bytes:64;
+  rejects "negative line" ~size_bytes:1024 ~ways:2 ~line_bytes:(-64);
+  rejects "negative ways" ~size_bytes:1024 ~ways:(-2) ~line_bytes:64;
+  rejects "negative size" ~size_bytes:(-1024) ~ways:2 ~line_bytes:64;
+  rejects "line 1" ~size_bytes:1024 ~ways:2 ~line_bytes:1;
+  rejects "line 48" ~size_bytes:960 ~ways:2 ~line_bytes:48;
+  ignore (Cache.config ~size_bytes:1024 ~ways:2 ~line_bytes:2)
+
+(* Line numbers keep address bit 63: two addresses that differ only
+   there are different lines (kernel-half addresses, as CoreSim's
+   ring-0 traffic uses). *)
+let test_cache_high_addresses () =
+  let c = Cache.create (Cache.config ~size_bytes:1024 ~ways:2 ~line_bytes:64) in
+  let hi = 0xffff_8800_0000_0040L and lo = 0x7fff_8800_0000_0040L in
+  Alcotest.(check bool) "cold" false (Cache.access c (Cache.key hi));
+  Alcotest.(check bool) "same line" true (Cache.access c (Cache.key (Int64.add hi 8L)));
+  Alcotest.(check bool) "bit 63 differs" false (Cache.access c (Cache.key lo))
+
 let test_cache_footprint_and_flush () =
   let c = Cache.create (Cache.config ~size_bytes:1024 ~ways:2 ~line_bytes:64) in
-  ignore (Cache.access c 0L);
-  ignore (Cache.access c 64L);
-  ignore (Cache.access c 0L);
+  ignore (Cache.access c (Cache.key 0L));
+  ignore (Cache.access c (Cache.key 64L));
+  ignore (Cache.access c (Cache.key 0L));
   Cache.flush c;
-  Alcotest.(check bool) "flushed" false (Cache.access c 0L)
+  Alcotest.(check bool) "flushed" false (Cache.access c (Cache.key 0L))
 
 let test_timing_predictor_learns () =
   let t = Timing.create Timing.default in
@@ -741,29 +769,66 @@ let run_machine mode prog =
     events = List.rev !log;
   }
 
+(* Run [p] on the reference and on the three machine paths; [fail]
+   reports the first difference. *)
+let agree_with_reference ~fail p =
+  let prog = assemble_ref_prog p in
+  let expected = run_reference prog in
+  let agree name (got : ref_outcome) ~events =
+    let differs what = fail (Printf.sprintf "%s: %s differs" name what) in
+    if not (Bytes.equal got.ctx_bytes expected.ctx_bytes) then differs "context";
+    if got.pages <> expected.pages then differs "memory";
+    if got.cycles <> expected.cycles then
+      fail
+        (Printf.sprintf "%s: cycles %Ld, reference %Ld" name got.cycles
+           expected.cycles);
+    if got.retired <> expected.retired then differs "retired count";
+    if got.fault <> expected.fault then differs "fault record";
+    if events && got.events <> expected.events then differs "hook event log"
+  in
+  agree "hooked step" (run_machine `Hooked_step prog) ~events:true;
+  agree "hooked run" (run_machine `Hooked_run prog) ~events:true;
+  agree "hook-free run" (run_machine `Plain_run prog) ~events:false
+
 let prop_uops_match_reference =
   QCheck.Test.make
     ~name:"micro-ops ≡ reference interpreter (hooked step, hooked run, hook-free run)"
     ~count:300
     (QCheck.make ~print:show_ref_prog ref_prog_gen)
     (fun p ->
-      let prog = assemble_ref_prog p in
-      let expected = run_reference prog in
-      let agree name (got : ref_outcome) ~events =
-        let fail what = QCheck.Test.fail_reportf "%s: %s differs" name what in
-        if not (Bytes.equal got.ctx_bytes expected.ctx_bytes) then fail "context";
-        if got.pages <> expected.pages then fail "memory";
-        if got.cycles <> expected.cycles then
-          QCheck.Test.fail_reportf "%s: cycles %Ld, reference %Ld" name got.cycles
-            expected.cycles;
-        if got.retired <> expected.retired then fail "retired count";
-        if got.fault <> expected.fault then fail "fault record";
-        if events && got.events <> expected.events then fail "hook event log"
-      in
-      agree "hooked step" (run_machine `Hooked_step prog) ~events:true;
-      agree "hooked run" (run_machine `Hooked_run prog) ~events:true;
-      agree "hook-free run" (run_machine `Plain_run prog) ~events:false;
+      agree_with_reference ~fail:(QCheck.Test.fail_reportf "%s") p;
       true)
+
+(* Every memory form at each of a page's last sixteen offsets, with the
+   next page mapped (0x8000) and unmapped (0x9000): the in-page fast
+   path, the page-crossing path and the exact fault, against the
+   reference on all three machine paths. *)
+let test_page_edges_match_reference () =
+  let value = Plain (Mov_ri (Reg.RCX, 0x1122_3344_5566_7788L)) in
+  let forms a =
+    let m = mem_abs a in
+    List.map (fun w -> [ Plain (Load (w, Reg.RAX, m)) ]) [ W8; W16; W32; W64 ]
+    @ List.map (fun w -> [ value; Plain (Store (w, m, Reg.RCX)) ]) [ W8; W16; W32; W64 ]
+    @ [ [ value; Plain (Xchg (Reg.RCX, m)) ];
+        [ Plain (Vload (1, m)) ];
+        [ value;
+          Plain (Store (W64, mem_abs (Int64.add ref_data 0x100L), Reg.RCX));
+          Plain (Vload (1, mem_abs (Int64.add ref_data 0x100L)));
+          Plain (Vstore (m, 1)) ] ]
+  in
+  List.iter
+    (fun page ->
+      for off = 0xff0 to 0xfff do
+        let a = Int64.add page (Int64.of_int off) in
+        List.iter
+          (fun items ->
+            let p = (items, Hlt) in
+            agree_with_reference
+              ~fail:(fun msg -> Alcotest.failf "%s: %s" (show_ref_prog p) msg)
+              p)
+          (forms a)
+      done)
+    [ ref_data; Int64.add ref_data 0x1000L ]
 
 let test_faults () =
   let th = exec [ Mov_ri (Reg.RAX, 0xdead000L); Load (W64, Reg.RBX, mem_base Reg.RAX) ] in
@@ -929,12 +994,17 @@ let suite =
     QCheck_alcotest.to_alcotest prop_addr_space_model;
     QCheck_alcotest.to_alcotest prop_interpreter_matches_oracle;
     QCheck_alcotest.to_alcotest prop_uops_match_reference;
+    Alcotest.test_case "micro-ops ≡ reference at page edges" `Quick
+      test_page_edges_match_reference;
     Alcotest.test_case "context serialize roundtrip" `Quick test_context_roundtrip;
     Alcotest.test_case "xsave/xrstor roundtrip" `Quick test_xsave_roundtrip;
     Alcotest.test_case "context copy isolation" `Quick test_context_copy_isolated;
     Alcotest.test_case "cache hit/miss" `Quick test_cache_hit_miss;
     Alcotest.test_case "cache LRU eviction" `Quick test_cache_lru_eviction;
     Alcotest.test_case "cache footprint/flush" `Quick test_cache_footprint_and_flush;
+    Alcotest.test_case "cache config rejects bad geometry" `Quick
+      test_cache_config_rejects_bad_geometry;
+    Alcotest.test_case "cache lines keep bit 63" `Quick test_cache_high_addresses;
     Alcotest.test_case "branch predictor learns" `Quick test_timing_predictor_learns;
     Alcotest.test_case "add overflow flags" `Quick test_alu_add_flags;
     Alcotest.test_case "sub borrow" `Quick test_alu_sub_borrow;

@@ -167,8 +167,8 @@ type tlb_op =
   | Op_unmap of int64
   | Op_write of int64 * int * int64
   | Op_read of int64 * int
-  | Op_write_u64 of int64 * int64
-  | Op_read_u64 of int64
+  | Op_write_page of int64 * int
+  | Op_read_page of int64
 
 let tlb_op_gen =
   let open QCheck.Gen in
@@ -190,19 +190,23 @@ let tlb_op_gen =
       (1, map (fun p -> Op_unmap p) page);
       (3, map3 (fun a w x -> Op_write (a, w, x)) addr width v);
       (3, map2 (fun a w -> Op_read (a, w)) addr width);
-      (2, map2 (fun a x -> Op_write_u64 (a, x)) addr v);
-      (2, map (fun a -> Op_read_u64 a) addr) ]
+      (2, map2 (fun a x -> Op_write_page (a, x land 0xff)) addr int);
+      (2, map (fun a -> Op_read_page a) addr) ]
 
 let show_tlb_op = function
   | Op_map p -> Printf.sprintf "map 0x%Lx" p
   | Op_unmap p -> Printf.sprintf "unmap 0x%Lx" p
   | Op_write (a, w, v) -> Printf.sprintf "write 0x%Lx/%d <- %Ld" a w v
   | Op_read (a, w) -> Printf.sprintf "read 0x%Lx/%d" a w
-  | Op_write_u64 (a, v) -> Printf.sprintf "write_u64 0x%Lx <- %Ld" a v
-  | Op_read_u64 a -> Printf.sprintf "read_u64 0x%Lx" a
+  | Op_write_page (a, v) -> Printf.sprintf "write_page 0x%Lx <- %d" a v
+  | Op_read_page a -> Printf.sprintf "read_page 0x%Lx" a
 
 (* Run one op on both; both must produce the same value or the same
-   fault (address and access kind). *)
+   fault (address and access kind). The page probes must return the
+   page's live bytes exactly when the model maps the page. *)
+let page_of a = Int64.to_int (Int64.shift_right_logical a Addr_space.page_bits)
+let offset_of a = Int64.to_int a land (Addr_space.page_size - 1)
+
 let agree_on real model op =
   let run f g =
     let r = try Ok (f ()) with Addr_space.Fault f -> Error (f.addr, f.access) in
@@ -222,10 +226,18 @@ let agree_on real model op =
       run (fun () -> Addr_space.write real a w v) (fun () -> Model.write model a w v)
   | Op_read (a, w) ->
       run (fun () -> Addr_space.read real a w) (fun () -> Model.read model a w)
-  | Op_write_u64 (a, v) ->
-      run (fun () -> Addr_space.write_u64 real a v) (fun () -> Model.write model a 8 v)
-  | Op_read_u64 a ->
-      run (fun () -> Addr_space.read_u64 real a) (fun () -> Model.read model a 8)
+  | Op_write_page (a, v) ->
+      let d = Addr_space.write_page real (page_of a) in
+      if Bytes.length d = 0 then not (Model.mapped model a)
+      else begin
+        Bytes.set_uint8 d (offset_of a) v;
+        Model.write model a 1 (Int64.of_int v);
+        true
+      end
+  | Op_read_page a ->
+      let d = Addr_space.read_page real (page_of a) in
+      if Bytes.length d = 0 then not (Model.mapped model a)
+      else Bytes.get_uint8 d (offset_of a) = Model.get model a
 
 let prop_tlb_model =
   QCheck.Test.make ~name:"soft-TLB agrees with flat model (faults included)"
@@ -240,16 +252,18 @@ let prop_tlb_model =
 let test_tlb_unmap_no_stale () =
   let m = Addr_space.create () in
   Addr_space.map m ~addr:0x3000L ~len:4096;
-  Addr_space.write_u64 m 0x3000L 0xdeadL;
-  Alcotest.check Tutil.i64 "tlb warm" 0xdeadL (Addr_space.read_u64 m 0x3000L);
+  Addr_space.write m 0x3000L 8 0xdeadL;
+  Alcotest.check Tutil.i64 "tlb warm" 0xdeadL (Addr_space.read m 0x3000L 8);
   Addr_space.unmap m ~addr:0x3000L ~len:4096;
+  Alcotest.(check int) "probe misses" 0
+    (Bytes.length (Addr_space.read_page m (page_of 0x3000L)));
   (try
-     ignore (Addr_space.read_u64 m 0x3000L);
+     ignore (Addr_space.read m 0x3000L 8);
      Alcotest.fail "expected fault after unmap"
    with Addr_space.Fault { addr; access = Addr_space.Read } ->
      Alcotest.check Tutil.i64 "fault addr" 0x3000L addr);
   Addr_space.map m ~addr:0x3000L ~len:4096;
-  Alcotest.check Tutil.i64 "fresh page is zero" 0L (Addr_space.read_u64 m 0x3000L)
+  Alcotest.check Tutil.i64 "fresh page is zero" 0L (Addr_space.read m 0x3000L 8)
 
 (* --- block-run vs single-step determinism ----------------------------------- *)
 
@@ -1277,12 +1291,48 @@ let test_pipeline_parallel_equals_sequential () =
       (Format.asprintf "%f %f" seq.Pipeline.elfie_pred_cpi seq.Pipeline.coverage)
       (Format.asprintf "%f %f" par.Pipeline.elfie_pred_cpi par.Pipeline.coverage)
 
+(* --- allocation guard ----------------------------------------------------- *)
+
+(* Hook-free execution allocates (almost) nothing per instruction: each
+   kernel alone, 64 KiB working set, single domain, counting minor-heap
+   words over [Machine.run] (translation, boot and per-run bookkeeping
+   included). The build compiles every library [-opaque], so a boxed
+   [int64] on the per-instruction path shows up here as 3+ words per
+   instruction. The counts are exact for a given build. *)
+let test_alloc_per_instruction () =
+  List.iter
+    (fun kernel ->
+      let spec =
+        Elfie_workloads.Programs.spec
+          ~phases:[ { Elfie_workloads.Programs.kernel; reps = 2000 } ]
+          ~outer_reps:40 ~threads:1 ~ws_bytes:65536 "alloc"
+      in
+      let m, _ =
+        Elfie_pin.Run.instantiate (Elfie_workloads.Programs.run_spec ~seed:1L spec)
+      in
+      let before = Gc.minor_words () in
+      Machine.run m;
+      let words = Gc.minor_words () -. before in
+      let retired = Machine.total_retired m in
+      let name = Elfie_workloads.Kernels.name kernel in
+      Alcotest.(check bool) (name ^ " ran 400k+ instructions") true (retired >= 400_000L);
+      let per_ins = words /. Int64.to_float retired in
+      let bound =
+        match kernel with Elfie_workloads.Kernels.Vector -> 2.0 | _ -> 1.0
+      in
+      if per_ins > bound then
+        Alcotest.failf "%s: %.2f minor words per instruction (bound %.1f)" name
+          per_ins bound)
+    Elfie_workloads.Kernels.all
+
 let suite =
   [ Alcotest.test_case "SMC: patched call target" `Quick test_smc_patch_invalidates;
     Alcotest.test_case "SMC: hot-loop patch" `Quick test_smc_hot_loop;
     QCheck_alcotest.to_alcotest prop_tlb_model;
     Alcotest.test_case "TLB: unmap leaves no stale entry" `Quick
       test_tlb_unmap_no_stale;
+    Alcotest.test_case "alloc: hook-free run ≤ 1 word/instruction" `Quick
+      test_alloc_per_instruction;
     Alcotest.test_case "block run ≡ stepped replay (ctx, cycles, profile)" `Quick
       test_block_run_matches_step;
     Alcotest.test_case "note_block ≡ per-ins note" `Quick test_note_block_equivalence;

@@ -187,6 +187,43 @@ let prop_predictor_matches_reference =
           Predictor.mispredicted p ~pc ~taken = ((c >= 2) <> taken))
         stream)
 
+(* --- pinned region results ------------------------------------------------ *)
+
+(* One region ELFie's complete CoreSim (user-level and full-system) and
+   gem5 result records, pinned: where and how the front-ends start
+   timing at the ROI marker must not move a single counter. *)
+let render_coresim (r : Coresim.result) =
+  Printf.sprintf
+    "user=%Ld kernel=%Ld cycles=%Ld cpi=%h footprint=%Ld dtlb=%Ld llc=%Ld \
+     syscalls=%Ld completed=%b"
+    r.Coresim.user_instructions r.Coresim.kernel_instructions r.Coresim.runtime_cycles
+    r.Coresim.cpi r.Coresim.data_footprint_bytes r.Coresim.dtlb_misses
+    r.Coresim.llc_misses r.Coresim.syscalls r.Coresim.completed
+
+let render_gem5 (r : Gem5.result) =
+  Printf.sprintf "instructions=%Ld cycles=%Ld ipc=%h l2=%Ld completed=%b"
+    r.Gem5.instructions r.Gem5.cycles r.Gem5.ipc r.Gem5.l2_misses r.Gem5.completed
+
+let test_region_results_pinned () =
+  let _, image, fs_init = elfie_with_sysstate "pinned" in
+  let coresim mode =
+    render_coresim (Coresim.simulate ~mode ~fs_init ~cwd:"/work" Coresim.skylake image)
+  in
+  let gem5 = render_gem5 (Gem5.simulate_se ~fs_init ~cwd:"/work" Gem5.nehalem image) in
+  List.iter
+    (fun (name, expected, got) -> Alcotest.(check string) name expected got)
+    [ ( "coresim user-level",
+        "user=30002 kernel=0 cycles=111957 cpi=0x1.dda63380f6d5fp+1 footprint=32832 \
+         dtlb=9 llc=513 syscalls=2 completed=true",
+        coresim Coresim.User_level );
+      ( "coresim full-system",
+        "user=30002 kernel=2216 cycles=139881 cpi=0x1.2a644fa971923p+2 \
+         footprint=63808 dtlb=23 llc=997 syscalls=2 completed=true",
+        coresim Coresim.Full_system );
+      ( "gem5 nehalem",
+        "instructions=30002 cycles=85286 ipc=0x1.6839d61f9f6bp-2 l2=513 completed=true",
+        gem5 ) ]
+
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_predictor_matches_reference;
@@ -207,4 +244,6 @@ let suite =
     Alcotest.test_case "gem5 haswell beats nehalem" `Quick
       test_gem5_haswell_beats_nehalem;
     Alcotest.test_case "gem5 counts from marker" `Quick test_gem5_counts_from_marker;
+    Alcotest.test_case "region results pinned (CoreSim, gem5)" `Quick
+      test_region_results_pinned;
   ]
