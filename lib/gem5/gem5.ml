@@ -65,7 +65,8 @@ type result = {
 }
 
 (* The cycle count in an all-float record, so the per-event additions
-   store unboxed. *)
+   store unboxed. It holds every penalty; the [1/issue_width] per
+   instruction is added from the instruction count when read. *)
 type clock = { mutable cycles : float }
 
 type model = {
@@ -74,7 +75,6 @@ type model = {
   l2 : Cache.t;
   predictor : Timing.Predictor.t;
   clock : clock;
-  mutable instructions : int;
   (* The overlap window hides part of each long-latency miss: a bigger
      ROB/LSQ keeps more independent work in flight. *)
   overlap_window : float;
@@ -87,16 +87,14 @@ let fresh cfg =
     l2 = Cache.create cfg.l2;
     predictor = Timing.Predictor.create ();
     clock = { cycles = 0.0 };
-    instructions = 0;
     overlap_window =
       float_of_int (cfg.rob_entries / cfg.issue_width)
       +. (float_of_int cfg.lsq_entries /. 2.0)
       +. (float_of_int (cfg.int_regs - 96) /. 4.0);
   }
 
-let mem_access model addr =
+let mem_access model key =
   let penalty =
-    let key = Cache.key addr in
     if Cache.access model.l1 key then 0.0
     else if Cache.access model.l2 key then float_of_int model.cfg.l1_miss_cycles
     else
@@ -128,41 +126,45 @@ let simulate_se ?(from_marker = true) ?(seed = 13L) ?fs_init ?cwd
   let model = fresh cfg in
   let clock = model.clock in
   let ins_cycles = 1.0 /. float_of_int cfg.issue_width in
-  let on_ins _tid _pc ins =
-    model.instructions <- model.instructions + 1;
-    clock.cycles <- clock.cycles +. ins_cycles;
+  (* Each instruction's call-outs, chosen when it is translated.
+     Instructions are counted from the machine's counters. *)
+  let mem _ key _ = mem_access model key in
+  let plain = { Machine.before = None; read = Some mem; write = Some mem; branch = None } in
+  (* SSE2-era vector support: half throughput. *)
+  let vector = { plain with before = Some (fun _ -> clock.cycles <- clock.cycles +. ins_cycles) } in
+  let sys = { plain with before = Some (fun _ -> clock.cycles <- clock.cycles +. 120.0) } in
+  let instrument pc ins =
     match Insn.classify ins with
-    | Insn.K_vector ->
-        (* SSE2-era vector support: half throughput. *)
-        clock.cycles <- clock.cycles +. ins_cycles
-    | K_syscall -> clock.cycles <- clock.cycles +. 120.0
-    | K_alu | K_load | K_store | K_branch | K_call | K_other -> ()
+    | Insn.K_vector -> vector
+    | K_syscall -> sys
+    | K_branch | K_call ->
+        { plain with branch = Some (fun _ taken -> branch model pc taken) }
+    | K_alu | K_load | K_store | K_other -> plain
   in
-  let tool =
-    {
-      (Elfie_pin.Pintool.empty ~name:"gem5-se") with
-      on_ins = Some on_ins;
-      on_mem_read = Some (fun _ addr _ -> mem_access model addr);
-      on_mem_write = Some (fun _ addr _ -> mem_access model addr);
-      on_branch = Some (fun _ pc _ taken -> branch model pc taken);
-    }
-  in
-  (* With [from_marker], timing starts at the ROI marker (see
+  let tool = { (Elfie_pin.Pintool.empty ~name:"gem5-se") with instrument = Some instrument } in
+  (* With [from_marker], timing starts after the ROI marker (see
      [Coresim.simulate]). *)
+  let start = ref (-1) in
   let detach =
-    (if from_marker then Elfie_pin.Pintool.attach_from_marker
-     else Elfie_pin.Pintool.attach)
-      machine [ tool ]
+    if from_marker then
+      Elfie_pin.Pintool.attach_from_marker machine [ tool ] ~at_start:(fun _ ->
+          start := Elfie_pin.Pintool.executed machine + 1)
+    else begin
+      start := Elfie_pin.Pintool.executed machine;
+      Elfie_pin.Pintool.attach machine [ tool ]
+    end
   in
   Machine.run ~max_ins machine;
   detach ();
+  let instructions =
+    if !start >= 0 then Elfie_pin.Pintool.executed machine - !start else 0
+  in
+  let cycles = clock.cycles +. (float_of_int instructions *. ins_cycles) in
   let r =
     {
-      instructions = Int64.of_int model.instructions;
-      cycles = Int64.of_float (Float.round clock.cycles);
-      ipc =
-        (if clock.cycles = 0.0 then 0.0
-         else float_of_int model.instructions /. clock.cycles);
+      instructions = Int64.of_int instructions;
+      cycles = Int64.of_float (Float.round cycles);
+      ipc = (if cycles = 0.0 then 0.0 else float_of_int instructions /. cycles);
       l2_misses = Int64.of_int (Cache.misses model.l2);
       completed =
         List.for_all

@@ -205,21 +205,30 @@ let finish ~collector st =
 
 let tool ~slice_size =
   let st = make_state ~slice_size in
-  let on_ins tid pc ins =
-    ensure_tid st tid;
-    if st.at_boundary.(tid) then begin
-      st.cur_idx.(tid) <- intern st pc;
-      st.at_boundary.(tid) <- false
-    end;
-    bump st st.cur_idx.(tid) 1;
-    (match Insn.classify ins with
-    | Insn.K_branch | K_call | K_syscall -> st.at_boundary.(tid) <- true
-    | K_alu | K_load | K_store | K_vector | K_other -> ());
-    st.slice_icount <- st.slice_icount + 1;
-    st.total <- st.total + 1;
-    if st.slice_icount >= st.slice_limit then finish_slice st
+  let instrument pc ins =
+    let ends =
+      match Insn.classify ins with
+      | Insn.K_branch | K_call | K_syscall -> true
+      | K_alu | K_load | K_store | K_vector | K_other -> false
+    in
+    {
+      Elfie_machine.Machine.no_callouts with
+      before =
+        Some
+          (fun tid ->
+            ensure_tid st tid;
+            if st.at_boundary.(tid) then begin
+              st.cur_idx.(tid) <- intern st pc;
+              st.at_boundary.(tid) <- false
+            end;
+            bump st st.cur_idx.(tid) 1;
+            if ends then st.at_boundary.(tid) <- true;
+            st.slice_icount <- st.slice_icount + 1;
+            st.total <- st.total + 1;
+            if st.slice_icount >= st.slice_limit then finish_slice st);
+    }
   in
-  let t = { (Pintool.empty ~name:"bbv") with on_ins = Some on_ins } in
+  let t = { (Pintool.empty ~name:"bbv") with instrument = Some instrument } in
   (t, fun () -> finish ~collector:"ins" st)
 
 (* --- block-driven collector --------------------------------------------- *)
@@ -228,7 +237,7 @@ let tool ~slice_size =
    translated block's head: every instruction charges to the same block
    head (only the run's last instruction can be a block terminator), and
    thread interleaving only happens between calls. So a call is exactly
-   equivalent to [n] per-instruction [on_ins] events for that thread, and
+   equivalent to [n] per-instruction before-calls for that thread, and
    the only per-instruction work left is splitting the charge where a
    slice boundary falls inside the run. *)
 let collector ~slice_size =

@@ -125,14 +125,16 @@ let test_limit_admits_whole_instructions () =
     (* The probe counts the events of the first [limit] instructions. *)
     let seen = ref 0 and accesses = ref 0 and branches = ref 0 in
     let access _ _ _ = if !seen <= limit then incr accesses in
-    let probe =
+    let every =
       {
-        (Elfie_pin.Pintool.empty ~name:"probe") with
-        on_ins = Some (fun _ _ _ -> incr seen);
-        on_mem_read = Some access;
-        on_mem_write = Some access;
-        on_branch = Some (fun _ _ _ _ -> if !seen <= limit then incr branches);
+        Elfie_machine.Machine.before = Some (fun _ -> incr seen);
+        read = Some access;
+        write = Some access;
+        branch = Some (fun _ _ -> if !seen <= limit then incr branches);
       }
+    in
+    let probe =
+      { (Elfie_pin.Pintool.empty ~name:"probe") with instrument = Some (fun _ _ -> every) }
     in
     let machine, _ = Elfie_pin.Run.instantiate rs in
     let detach =
