@@ -77,7 +77,8 @@ let run src base max_ins =
         | Elfie_machine.Machine.Exited n -> Printf.sprintf "exit %d" n
         | Faulted f -> Format.asprintf "%a" Elfie_machine.Machine.pp_fault f
         | Runnable -> "still runnable (hit --max-ins)")
-        th.Elfie_machine.Machine.retired th.Elfie_machine.Machine.cycles)
+        (Int64.of_int th.Elfie_machine.Machine.retired)
+        (Int64.of_int th.Elfie_machine.Machine.cycles))
     (Elfie_machine.Machine.threads machine)
 
 let run_cmd =

@@ -117,7 +117,8 @@ let collect_outcome machine kernel =
         List.find_map
           (fun th ->
             match th.Machine.state with
-            | Machine.Faulted f -> Some (f, th.Machine.tid, th.Machine.retired)
+            | Machine.Faulted f ->
+                Some (f, th.Machine.tid, Int64.of_int th.Machine.retired)
             | Machine.Runnable | Machine.Exited _ -> None)
           threads
       in
@@ -141,11 +142,12 @@ let collect_outcome machine kernel =
         | None -> if runaway then Some runaway_fault_message else None
       in
       let app_retired =
-        List.fold_left
-          (fun acc th -> Int64.add acc (Int64.sub th.Machine.retired th.Machine.arm_retired))
-          0L armed
+        Int64.of_int
+          (List.fold_left
+             (fun acc th -> acc + th.Machine.retired - th.Machine.arm_retired)
+             0 armed)
       in
-      let app_cycle_delta th = Int64.sub th.Machine.cycles th.Machine.arm_cycles in
+      let app_cycle_delta th = Int64.of_int (th.Machine.cycles - th.Machine.arm_cycles) in
       let app_cycles = List.fold_left (fun m th -> max m (app_cycle_delta th)) 0L armed in
       let cycles_sum = List.fold_left (fun a th -> Int64.add a (app_cycle_delta th)) 0L armed in
       (* Slice-only CPI: counters re-read at the warmup mark, when present. *)
@@ -154,10 +156,10 @@ let collect_outcome machine kernel =
           List.filter_map
             (fun th ->
               match th.Machine.mark_retired with
-              | Some mr when Int64.sub th.Machine.retired mr > 0L ->
+              | Some mr when th.Machine.retired - mr > 0 ->
                   Some
-                    ( Int64.sub th.Machine.retired mr,
-                      Int64.sub th.Machine.cycles th.Machine.mark_cycles )
+                    ( Int64.of_int (th.Machine.retired - mr),
+                      Int64.of_int (th.Machine.cycles - th.Machine.mark_cycles) )
               | Some _ | None -> None)
             armed
         in

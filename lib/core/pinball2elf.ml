@@ -319,7 +319,7 @@ let convert ?(options = default_options) (pb : Pinball.t) =
         List.iter (fun r -> named_quad (Reg.gpr_name r) (Context.get ctx r)) pop_order;
         Builder.quad_label b entries.(i);
         Builder.bind b rip_slots.(i);
-        Builder.quad b ctx.Context.rip)
+        Builder.quad b (Context.rip ctx))
       pb.contexts;
     List.iteri
       (fun i (_, data) ->
@@ -408,7 +408,7 @@ let context_listing (pb : Pinball.t) =
       quad "rflags" (Reg.flags_to_word ctx.Context.flags);
       List.iter (fun r -> quad (Reg.gpr_name r) (Context.get ctx r)) pop_order;
       quad "rsp" (Context.get ctx Reg.RSP);
-      quad "rip" ctx.Context.rip)
+      quad "rip" (Context.rip ctx))
     pb.contexts;
   Buffer.contents buf
 

@@ -12,7 +12,6 @@ external slot_set : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
 
 type t = {
   gprs : Bytes.t;
-  mutable rip : int64;
   flags : Reg.flags;
   mutable fs_base : int64;
   mutable gs_base : int64;
@@ -27,10 +26,15 @@ let slot r = Reg.gpr_index r lsl 3
    index of an addressing mode that has none. *)
 let zero_slot = gpr_count lsl 3
 
+(* RIP's slot, after the zero slot: a computed branch target is stored
+   unboxed, as registers are. *)
+let rip_slot = zero_slot + 8
+let rip t = slot_get t.gprs rip_slot
+let set_rip t v = slot_set t.gprs rip_slot v
+
 let create () =
   {
-    gprs = Bytes.make (zero_slot + 8) '\000';
-    rip = 0L;
+    gprs = Bytes.make (rip_slot + 8) '\000';
     flags = Reg.fresh_flags ();
     fs_base = 0L;
     gs_base = 0L;
@@ -40,7 +44,6 @@ let create () =
 let copy t =
   {
     gprs = Bytes.copy t.gprs;
-    rip = t.rip;
     flags = Reg.copy_flags t.flags;
     fs_base = t.fs_base;
     gs_base = t.gs_base;
@@ -66,7 +69,7 @@ let to_bytes t =
   for i = 0 to gpr_count - 1 do
     Elfie_util.Byteio.Writer.u64 w (geti t i)
   done;
-  Elfie_util.Byteio.Writer.u64 w t.rip;
+  Elfie_util.Byteio.Writer.u64 w (rip t);
   Elfie_util.Byteio.Writer.u64 w (Reg.flags_to_word t.flags);
   Elfie_util.Byteio.Writer.u64 w t.fs_base;
   Elfie_util.Byteio.Writer.u64 w t.gs_base;
@@ -79,7 +82,7 @@ let of_bytes b =
   for i = 0 to gpr_count - 1 do
     seti t i (Elfie_util.Byteio.Reader.u64 r)
   done;
-  t.rip <- Elfie_util.Byteio.Reader.u64 r;
+  set_rip t (Elfie_util.Byteio.Reader.u64 r);
   let fl = Reg.flags_of_word (Elfie_util.Byteio.Reader.u64 r) in
   t.flags.zf <- fl.zf;
   t.flags.sf <- fl.sf;
@@ -91,13 +94,13 @@ let of_bytes b =
   t
 
 let equal a b =
-  a.gprs = b.gprs && a.rip = b.rip
+  Bytes.equal a.gprs b.gprs
   && Reg.flags_to_word a.flags = Reg.flags_to_word b.flags
   && a.fs_base = b.fs_base && a.gs_base = b.gs_base
   && Bytes.equal a.xmm b.xmm
 
 let pp fmt t =
-  Format.fprintf fmt "@[<v>rip=0x%Lx flags=0x%Lx fs=0x%Lx gs=0x%Lx@," t.rip
+  Format.fprintf fmt "@[<v>rip=0x%Lx flags=0x%Lx fs=0x%Lx gs=0x%Lx@," (rip t)
     (Reg.flags_to_word t.flags) t.fs_base t.gs_base;
   List.iter
     (fun r -> Format.fprintf fmt "%s=0x%Lx@," (Reg.gpr_name r) (get t r))

@@ -14,8 +14,8 @@ type t = {
           than an [int64 array] so register reads/writes move unboxed
           values (no allocation, no write barrier on the micro-ops' hot
           path); access it through {!get}/{!set}/{!geti}/{!seti} or the
-          slot primitives {!slot_get}/{!slot_set}. *)
-  mutable rip : int64;
+          slot primitives {!slot_get}/{!slot_set}; then RIP, at
+          {!rip_slot}. *)
   flags : Elfie_isa.Reg.flags;
   mutable fs_base : int64;
   mutable gs_base : int64;
@@ -48,6 +48,13 @@ val slot : Elfie_isa.Reg.gpr -> int
     nothing writes: the missing base or index of an addressing mode, so
     every effective address is one [base + (index lsl scale) + disp]. *)
 val zero_slot : int
+
+(** The slot of the instruction pointer, after {!zero_slot}: compiled
+    code stores a computed branch target there unboxed. *)
+val rip_slot : int
+
+val rip : t -> int64
+val set_rip : t -> int64 -> unit
 
 external slot_get : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
 external slot_set : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"

@@ -63,7 +63,8 @@ let stats_of_machine machine kernel =
     stdout = Vkernel.stdout_contents kernel;
     clean = Machine.all_exited_cleanly machine;
     per_thread_retired =
-      Array.of_list (List.map (fun th -> th.Machine.retired) (Machine.threads machine));
+      Array.of_list
+        (List.map (fun th -> Int64.of_int th.Machine.retired) (Machine.threads machine));
     ring0_retired = Machine.ring0_retired machine;
   }
 

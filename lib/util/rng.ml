@@ -1,22 +1,32 @@
-type t = { mutable state : int64 }
+(* The 64-bit state in eight flat bytes: a draw stores it unboxed (a
+   mutable [int64] field would box it on every draw). *)
+type t = Bytes.t
 
-let create seed = { state = seed }
+external get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
 
-let next64 t =
-  let ( +% ) = Int64.add and ( *% ) = Int64.mul in
-  let ( ^> ) v n = Int64.logxor v (Int64.shift_right_logical v n) in
-  t.state <- t.state +% 0x9E3779B97F4A7C15L;
-  let z = t.state in
-  let z = (z ^> 30) *% 0xBF58476D1CE4E5B9L in
-  let z = (z ^> 27) *% 0x94D049BB133111EBL in
-  z ^> 31
+let create seed =
+  let t = Bytes.create 8 in
+  set64 t 0 seed;
+  t
+
+let[@inline] mix z n = Int64.logxor z (Int64.shift_right_logical z n)
+
+(* Inlined into [int], [float] and [bool], so a draw returns its value
+   unboxed. *)
+let[@inline] next64 t =
+  let z = Int64.add (get64 t 0) 0x9E3779B97F4A7C15L in
+  set64 t 0 z;
+  let z = Int64.mul (mix z 30) 0xBF58476D1CE4E5B9L in
+  let z = Int64.mul (mix z 27) 0x94D049BB133111EBL in
+  mix z 31
 
 let split t = create (next64 t)
 
 (* Same stream position as [t], advancing independently from here on. *)
-let copy t = { state = t.state }
+let copy = Bytes.copy
 
-let reseed t seed = t.state <- seed
+let reseed t seed = set64 t 0 seed
 
 let int t bound =
   if bound <= 0 then invalid_arg "Rng.int: bound must be positive";

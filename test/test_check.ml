@@ -46,7 +46,7 @@ let test_page_overlap () =
 let test_entry_out_of_bounds () =
   let pb = Lazy.force pinball in
   let contexts = Array.map Elfie_machine.Context.copy pb.Pinball.contexts in
-  contexts.(0).Elfie_machine.Context.rip <- 0x1L;
+  Elfie_machine.Context.set_rip contexts.(0) (0x1L);
   Alcotest.(check bool)
     "rogue entry detected" true
     (has_code Diag.Entry_out_of_bounds (Validate.pinball { pb with contexts }))

@@ -64,7 +64,7 @@ let test_register_symbols () =
   in
   check_quad ".t0.rax" (Elfie_machine.Context.get ctx Elfie_isa.Reg.RAX);
   check_quad ".t0.rcx" (Elfie_machine.Context.get ctx Elfie_isa.Reg.RCX);
-  check_quad ".t0.rip" ctx.Elfie_machine.Context.rip;
+  check_quad ".t0.rip" (Elfie_machine.Context.rip ctx);
   check_quad ".t0.fs_base" ctx.Elfie_machine.Context.fs_base
 
 let test_stack_sections_non_alloc () =
@@ -253,7 +253,7 @@ let test_context_listing_is_valid_asm () =
       (* Last two quads of thread 0's block are rsp and rip. *)
       let ctx = pb.Pinball.contexts.(0) in
       let n = Bytes.length prog.code in
-      Alcotest.check Tutil.i64 "rip quad" ctx.Elfie_machine.Context.rip
+      Alcotest.check Tutil.i64 "rip quad" (Elfie_machine.Context.rip ctx)
         (Bytes.get_int64_le prog.code (n - 8));
       Alcotest.check Tutil.i64 "rsp quad"
         (Elfie_machine.Context.get ctx Elfie_isa.Reg.RSP)
