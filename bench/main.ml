@@ -185,7 +185,7 @@ let run_profile ~per_ins ~seed =
   let t0 = Unix.gettimeofday () in
   let p =
     if per_ins then
-      Elfie_pin.Bbv.profile_per_ins ~max_ins:simpoint_max_ins rs
+      Elfie_test_support.Bbv_ref.profile_per_ins ~max_ins:simpoint_max_ins rs
         ~slice_size:simpoint_slice
     else
       Elfie_pin.Bbv.profile ~max_ins:simpoint_max_ins rs

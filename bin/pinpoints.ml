@@ -74,7 +74,17 @@ let cmd =
   in
   let seed = Arg.(value & opt int64 42L & info [ "seed" ] ~doc:"Scheduler seed.") in
   let slice =
-    Arg.(value & opt int64 50_000L & info [ "slice" ] ~doc:"Slice size (instructions).")
+    let positive =
+      let parse s =
+        match Int64.of_string_opt s with
+        | Some n when n > 0L -> Ok n
+        | _ -> Error (`Msg (Printf.sprintf "expected a positive integer, got %s" s))
+      in
+      Arg.conv (parse, fun fmt n -> Format.fprintf fmt "%Ld" n)
+    in
+    Arg.(
+      value & opt positive 50_000L
+      & info [ "slice" ] ~doc:"Slice size (instructions, positive).")
   in
   let warmup =
     Arg.(value & opt int64 200_000L & info [ "warmup" ] ~doc:"Warmup length.")

@@ -202,11 +202,10 @@ let collect_outcome machine kernel =
 
 (* Boot the ELFie as every front-end does ([Run.instantiate]). A loader
    refusal becomes a failed outcome, paired with its span error attr. *)
-let boot ?timing ~seed ~fs_init ~cwd ~kernel_cost image =
+let boot ~seed ~fs_init ~cwd image =
   match
-    Elfie_pin.Run.instantiate ?timing
-      (Elfie_pin.Run.spec ~argv:[ "elfie" ] ~env:[] ~fs_init ~cwd ~seed
-         ~kernel_cost image)
+    Elfie_pin.Run.instantiate
+      (Elfie_pin.Run.spec ~argv:[ "elfie" ] ~env:[] ~fs_init ~cwd ~seed image)
   with
   | booted -> Ok booted
   | exception Loader.Exec_failed msg -> Error (msg, failed_outcome msg)
@@ -219,11 +218,10 @@ let boot ?timing ~seed ~fs_init ~cwd ~kernel_cost image =
                reserved stack_top needed) )
 
 let run ?(seed = 11L) ?(fs_init = fun (_ : Fs.t) -> ()) ?(cwd = "/")
-    ?(max_ins = 100_000_000L) ?timing ?(kernel_cost = true)
-    (image : Elfie_elf.Image.t) =
+    ?(max_ins = 100_000_000L) (image : Elfie_elf.Image.t) =
   let sp = Trace.begin_span "runner.region" ~attrs:[ ("seed", Trace.I seed) ] in
   let load_sp = Trace.begin_span "runner.load" in
-  match boot ?timing ~seed ~fs_init ~cwd ~kernel_cost image with
+  match boot ~seed ~fs_init ~cwd image with
   | Error (error, o) ->
       Trace.end_span load_sp ~attrs:[ ("error", Trace.S error) ];
       finish sp o
@@ -245,10 +243,9 @@ type warmed = { w_snapshot : Machine.snapshot; w_kernel : Vkernel.t }
 let warmed_pages w = Machine.snapshot_page_count w.w_snapshot
 
 let warm ?(seed = 11L) ?(fs_init = fun (_ : Fs.t) -> ()) ?(cwd = "/")
-    ?(max_ins = 100_000_000L) ?timing ?(kernel_cost = true)
-    (image : Elfie_elf.Image.t) =
+    ?(max_ins = 100_000_000L) (image : Elfie_elf.Image.t) =
   let sp = Trace.begin_span "runner.warm" ~attrs:[ ("seed", Trace.I seed) ] in
-  match boot ?timing ~seed ~fs_init ~cwd ~kernel_cost image with
+  match boot ~seed ~fs_init ~cwd image with
   | Error (error, o) ->
       Trace.end_span sp ~attrs:[ ("error", Trace.S error) ];
       Error o

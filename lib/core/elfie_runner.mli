@@ -54,19 +54,17 @@ type outcome = {
 (** The exact [fault] message reported when the [max_ins] cap trips. *)
 val runaway_fault_message : string
 
-(** [run image] executes an ELFie natively.
+(** [run image] executes an ELFie natively, charging ring-0 work to the
+    machine's timing model as real hardware would.
     @param seed scheduler seed — vary it across trials for MT variation
     @param fs_init install SYSSTATE proxy files before the run
     @param cwd the sysstate workdir the ELFie is executed in
-    @param max_ins safety cap for runaway (diverged) executions
-    @param kernel_cost charge ring-0 work, as real hardware would *)
+    @param max_ins safety cap for runaway (diverged) executions *)
 val run :
   ?seed:int64 ->
   ?fs_init:(Elfie_kernel.Fs.t -> unit) ->
   ?cwd:string ->
   ?max_ins:int64 ->
-  ?timing:Elfie_machine.Timing.config ->
-  ?kernel_cost:bool ->
   Elfie_elf.Image.t ->
   outcome
 
@@ -102,8 +100,6 @@ val warm :
   ?fs_init:(Elfie_kernel.Fs.t -> unit) ->
   ?cwd:string ->
   ?max_ins:int64 ->
-  ?timing:Elfie_machine.Timing.config ->
-  ?kernel_cost:bool ->
   Elfie_elf.Image.t ->
   (warmed, outcome) result
 

@@ -174,8 +174,8 @@ let branch model pc taken =
     c.cycles <- c.cycles +. float_of_int model.cfg.mispredict_cycles
   end
 
-let simulate ?(mode = User_level) ?(from_marker = true) ?measure_after
-    ?(seed = 13L) ?fs_init ?cwd ?(max_ins = 100_000_000L) cfg image =
+let simulate ?(mode = User_level) ?(from_marker = true) ?measure_after ?fs_init
+    ?cwd ?(max_ins = 100_000_000L) cfg image =
   let sp =
     Trace.begin_span "coresim.simulate"
       ~attrs:
@@ -186,7 +186,7 @@ let simulate ?(mode = User_level) ?(from_marker = true) ?measure_after
   in
   let machine, _kernel =
     Elfie_pin.Run.instantiate
-      (Elfie_pin.Run.spec ~argv:[ "elfie" ] ~env:[] ?fs_init ?cwd ~seed
+      (Elfie_pin.Run.spec ~argv:[ "elfie" ] ~env:[] ?fs_init ?cwd ~seed:13L
          ~kernel_cost:false image)
   in
   Elfie_pin.Tools.attach_global_profile machine;

@@ -63,7 +63,6 @@ val simulate :
   ?mode:mode ->
   ?from_marker:bool ->
   ?measure_after:int64 ->
-  ?seed:int64 ->
   ?fs_init:(Elfie_kernel.Fs.t -> unit) ->
   ?cwd:string ->
   ?max_ins:int64 ->

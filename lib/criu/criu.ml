@@ -33,10 +33,9 @@ let checkpoint machine kernel =
     cwd = Vkernel.cwd kernel;
   }
 
-let restore ?(seed = 23L) ?timing t fs =
+let restore ?(seed = 23L) t fs =
   let machine =
-    Machine.create ?timing
-      (Machine.Free { seed; quantum_min = 50; quantum_max = 200 })
+    Machine.create (Machine.Free { seed; quantum_min = 50; quantum_max = 200 })
   in
   List.iter
     (fun (addr, data) -> Addr_space.store (Machine.mem machine) addr data)

@@ -40,7 +40,6 @@ val checkpoint : Elfie_machine.Machine.t -> Elfie_kernel.Vkernel.t -> t
     filesystem. *)
 val restore :
   ?seed:int64 ->
-  ?timing:Elfie_machine.Timing.config ->
   t ->
   Elfie_kernel.Fs.t ->
   Elfie_machine.Machine.t * Elfie_kernel.Vkernel.t

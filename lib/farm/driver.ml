@@ -90,7 +90,14 @@ let manifest_of_string ~artifact contents =
                 let v = String.sub kv (i + 1) (String.length kv - i - 1) in
                 match k with
                 | "bench" -> bench := Some v
-                | "slice" -> set_i64 (fun p v -> { p with slice_size = v }) v
+                | "slice" -> (
+                    match Int64.of_string_opt v with
+                    | Some n when n > 0L -> p := { !p with slice_size = n }
+                    | _ ->
+                        bad :=
+                          Some
+                            (Printf.sprintf "slice is not a positive integer: %s"
+                               v))
                 | "max-k" -> set_int (fun p v -> { p with max_k = v }) v
                 | "dims" -> set_int (fun p v -> { p with dims = v }) v
                 | "warmup" -> set_i64 (fun p v -> { p with warmup = v }) v

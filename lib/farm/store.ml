@@ -47,9 +47,6 @@ let key kind ~program params =
 
 let digest k = k.key_digest
 
-let pp_key fmt k =
-  Format.fprintf fmt "%s/%s" (kind_name k.kind) k.key_digest
-
 (* --- metrics ---------------------------------------------------------------- *)
 
 let m_hits =

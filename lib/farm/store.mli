@@ -53,7 +53,6 @@ type key
 val key : kind -> program:string -> (string * string) list -> key
 
 val digest : key -> string
-val pp_key : Format.formatter -> key -> unit
 
 type t
 

@@ -111,7 +111,7 @@ let branch model pc taken =
     c.cycles <- c.cycles +. float_of_int model.cfg.mispredict_cycles
   end
 
-let simulate_se ?(from_marker = true) ?(seed = 13L) ?fs_init ?cwd
+let simulate_se ?(from_marker = true) ?fs_init ?cwd
     ?(max_ins = 100_000_000L) cfg image =
   let sp =
     Trace.begin_span "gem5.simulate"
@@ -119,7 +119,7 @@ let simulate_se ?(from_marker = true) ?(seed = 13L) ?fs_init ?cwd
   in
   let machine, _kernel =
     Elfie_pin.Run.instantiate
-      (Elfie_pin.Run.spec ~argv:[ "elfie" ] ~env:[] ?fs_init ?cwd ~seed
+      (Elfie_pin.Run.spec ~argv:[ "elfie" ] ~env:[] ?fs_init ?cwd ~seed:13L
          ~kernel_cost:false image)
   in
   Elfie_pin.Tools.attach_global_profile machine;

@@ -46,7 +46,6 @@ type result = {
     marker unless [from_marker] is false. *)
 val simulate_se :
   ?from_marker:bool ->
-  ?seed:int64 ->
   ?fs_init:(Elfie_kernel.Fs.t -> unit) ->
   ?cwd:string ->
   ?max_ins:int64 ->

@@ -82,7 +82,7 @@ let make_region_elfie run_spec ~name ~warmup ~start ~length =
    per attempt and forks the copy-on-write capture per trial — see
    Perf.elfie_region — so adding trials costs slice execution only, not
    repeated warmups, and results stay identical at any [--jobs]. *)
-let measure_elfie ?(trials = 3) ?(base_seed = 2000L) (image, sysstate) =
+let measure_elfie ~trials ~base_seed (image, sysstate) =
   Perf.elfie_region ~trials ~base_seed
     ~fs_init:(fun fs -> Elfie_pin.Sysstate.install sysstate fs ~workdir)
     ~cwd:workdir image
@@ -150,45 +150,19 @@ type req_result =
 
 let validate ?jobs ?(params = Simpoint.default_params) ?(trials = 3)
     ?(base_seed = 2000L) ?second_base_seed ?(with_simulation = false)
-    ?(max_alternates = 3) ?(max_seed_retries = 2) ?store
+    ?(max_alternates = 3) ?(max_seed_retries = 2)
     ?(elfie_options = fun (_ : Simpoint.region) o -> o)
     (b : Elfie_workloads.Suite.benchmark) =
   let run_spec = Elfie_workloads.Programs.run_spec b.spec in
-  (* With a farm store attached, the profile and selection are served
-     from the content-addressed cache when the program bytes and
-     parameters match a previous run; the farm's key layering means a
-     changed [max_k] still hits the cached BBV profile. *)
-  let cached kind_key cached_fn compute =
-    match store with
-    | None -> compute ()
-    | Some store ->
-        let program =
-          Bytes.to_string
-            (Elfie_elf.Image.write (Elfie_workloads.Programs.image b.spec))
-        in
-        cached_fn store (kind_key ~program) compute
-  in
   let profile =
     Trace.with_span "pipeline.profile"
       ~attrs:[ ("bench", Trace.S b.bname) ]
       (fun _ ->
-        cached
-          (fun ~program ->
-            Elfie_farm.Codec.bbv_key ~program
-              ~slice_size:params.Simpoint.slice_size ())
-          Elfie_farm.Codec.cached_bbv
-          (fun () ->
-            Elfie_pin.Bbv.profile run_spec
-              ~slice_size:params.Simpoint.slice_size))
+        Elfie_pin.Bbv.profile run_spec ~slice_size:params.Simpoint.slice_size)
   in
   let sel =
     Trace.with_span "pipeline.select" (fun sp ->
-        let sel =
-          cached
-            (fun ~program -> Elfie_farm.Codec.selection_key ~program ~params ())
-            Elfie_farm.Codec.cached_selection
-            (fun () -> Simpoint.select ?jobs ~params profile)
-        in
+        let sel = Simpoint.select ?jobs ~params profile in
         Trace.add_attr sp "k" (Trace.I (Int64.of_int sel.Simpoint.k));
         sel)
   in

@@ -71,13 +71,6 @@ val make_region_elfie :
   length:int64 ->
   (Elfie_elf.Image.t * Elfie_pin.Sysstate.t) option
 
-(** Measure a region ELFie natively over several trials. *)
-val measure_elfie :
-  ?trials:int ->
-  ?base_seed:int64 ->
-  Elfie_elf.Image.t * Elfie_pin.Sysstate.t ->
-  Elfie_perf.Perf.sample
-
 (** Full validation of simulation-region selection for one benchmark.
     [second_base_seed] adds an independent second set of ELFie
     measurements (Fig. 9 runs two instances).
@@ -96,12 +89,6 @@ val measure_elfie :
     {!Elfie_core.Pinball2elf.region} recipe — primarily a hook for
     fault-injection tests.
 
-    [store] attaches a farm artifact store: the BBV profile and the
-    SimPoint selection are then served from the content-addressed cache
-    (keyed by the program's serialized image bytes plus the clustering
-    parameters) instead of being recomputed, with corrupt cache entries
-    quarantined and recomputed transparently.
-
     [jobs] caps how many region measurements of one rank run
     concurrently on {!Elfie_util.Pool} domains (default: the pool's
     process default, i.e. the [--jobs] flag). Region seeds are fixed
@@ -117,7 +104,6 @@ val validate :
   ?with_simulation:bool ->
   ?max_alternates:int ->
   ?max_seed_retries:int ->
-  ?store:Elfie_farm.Store.t ->
   ?elfie_options:
     (Elfie_simpoint.Simpoint.region ->
      Elfie_core.Pinball2elf.options ->

@@ -24,10 +24,6 @@ let read_file t path =
 
 let remove t path = Hashtbl.remove t.files path
 
-let list t =
-  Hashtbl.fold (fun path f acc -> (path, f.size) :: acc) t.files []
-  |> List.sort compare
-
 let copy t =
   let files = Hashtbl.create (Hashtbl.length t.files) in
   Hashtbl.iter

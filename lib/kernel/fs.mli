@@ -20,9 +20,6 @@ val file_size : t -> string -> int option
 val read_file : t -> string -> string option
 val remove : t -> string -> unit
 
-(** All files as [(path, size)], sorted by path. *)
-val list : t -> (string * int) list
-
 val copy : t -> t
 
 (** Byte-level access used by the read/write/lseek syscalls. *)

@@ -98,11 +98,3 @@ let equal a b =
   && Reg.flags_to_word a.flags = Reg.flags_to_word b.flags
   && a.fs_base = b.fs_base && a.gs_base = b.gs_base
   && Bytes.equal a.xmm b.xmm
-
-let pp fmt t =
-  Format.fprintf fmt "@[<v>rip=0x%Lx flags=0x%Lx fs=0x%Lx gs=0x%Lx@," (rip t)
-    (Reg.flags_to_word t.flags) t.fs_base t.gs_base;
-  List.iter
-    (fun r -> Format.fprintf fmt "%s=0x%Lx@," (Reg.gpr_name r) (get t r))
-    Reg.all_gprs;
-  Format.fprintf fmt "@]"

@@ -81,4 +81,3 @@ val to_bytes : t -> bytes
 
 val of_bytes : bytes -> t
 val equal : t -> t -> bool
-val pp : Format.formatter -> t -> unit

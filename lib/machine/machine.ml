@@ -248,7 +248,7 @@ let fresh_hooks () =
     on_thread_exit = None;
   }
 
-let create ?(timing = Timing.default) scheduler =
+let create scheduler =
   let sched =
     match scheduler with
     | Free { seed; quantum_min; quantum_max } ->
@@ -262,7 +262,7 @@ let create ?(timing = Timing.default) scheduler =
     thread_list = [];
     thread_arr = [||];
     hooks = fresh_hooks ();
-    timing = Timing.create timing;
+    timing = Timing.create ();
     sched;
     syscall_handler = (fun _ _ -> failwith "Machine: no syscall handler installed");
     syscall_filter = None;

@@ -110,7 +110,7 @@ type t
 (** Decision taken by the syscall filter before the kernel runs. *)
 type syscall_action = Run_syscall | Skip_syscall
 
-val create : ?timing:Timing.config -> scheduler -> t
+val create : scheduler -> t
 val mem : t -> Addr_space.t
 val hooks : t -> hooks
 val timing : t -> Timing.t

@@ -1,37 +1,14 @@
 open Elfie_isa
 
-type config = {
-  l1 : Cache.config;
-  l2 : Cache.config;
-  llc : Cache.config;
-  l1_miss_cycles : int;
-  l2_miss_cycles : int;
-  llc_miss_cycles : int;
-  mispredict_cycles : int;
-  base_cycles : Insn.klass -> int;
-}
-
-let default_base = function
-  | Insn.K_alu -> 1
-  | K_load -> 2
-  | K_store -> 1
-  | K_branch -> 1
-  | K_call -> 2
-  | K_syscall -> 50
-  | K_vector -> 3
-  | K_other -> 1
-
-let default =
-  {
-    l1 = Cache.config ~size_bytes:32_768 ~ways:8 ~line_bytes:64;
-    l2 = Cache.config ~size_bytes:262_144 ~ways:8 ~line_bytes:64;
-    llc = Cache.config ~size_bytes:8_388_608 ~ways:16 ~line_bytes:64;
-    l1_miss_cycles = 10;
-    l2_miss_cycles = 25;
-    llc_miss_cycles = 150;
-    mispredict_cycles = 15;
-    base_cycles = default_base;
-  }
+(* Gainestown-flavoured parameters (the paper's native testbed
+   stand-in). *)
+let l1_config = Cache.config ~size_bytes:32_768 ~ways:8 ~line_bytes:64
+let l2_config = Cache.config ~size_bytes:262_144 ~ways:8 ~line_bytes:64
+let llc_config = Cache.config ~size_bytes:8_388_608 ~ways:16 ~line_bytes:64
+let l1_miss_cycles = 10
+let l2_miss_cycles = 25
+let llc_miss_cycles = 150
+let mispredict_cycles = 15
 
 module Predictor = struct
   type t = Bytes.t
@@ -58,20 +35,13 @@ module Predictor = struct
     (counter lsr 1) lxor ti = 1
 end
 
-type t = {
-  cfg : config;
-  l1 : Cache.t;
-  l2 : Cache.t;
-  llc : Cache.t;
-  predictor : Predictor.t;
-}
+type t = { l1 : Cache.t; l2 : Cache.t; llc : Cache.t; predictor : Predictor.t }
 
-let create cfg =
+let create () =
   {
-    cfg;
-    l1 = Cache.create cfg.l1;
-    l2 = Cache.create cfg.l2;
-    llc = Cache.create cfg.llc;
+    l1 = Cache.create l1_config;
+    l2 = Cache.create l2_config;
+    llc = Cache.create llc_config;
     predictor = Predictor.create ();
   }
 
@@ -79,21 +49,28 @@ let create cfg =
    the parent would have, without aliasing predictor or tag state. *)
 let copy t =
   {
-    cfg = t.cfg;
     l1 = Cache.copy t.l1;
     l2 = Cache.copy t.l2;
     llc = Cache.copy t.llc;
     predictor = Predictor.copy t.predictor;
   }
 
-let ins_cost t k = t.cfg.base_cycles k
+let ins_cost (_ : t) = function
+  | Insn.K_alu -> 1
+  | K_load -> 2
+  | K_store -> 1
+  | K_branch -> 1
+  | K_call -> 2
+  | K_syscall -> 50
+  | K_vector -> 3
+  | K_other -> 1
 
 let mem_cost t key =
   if Cache.access t.l1 key then 0
-  else if Cache.access t.l2 key then t.cfg.l1_miss_cycles
-  else if Cache.access t.llc key then t.cfg.l2_miss_cycles
-  else t.cfg.llc_miss_cycles
+  else if Cache.access t.l2 key then l1_miss_cycles
+  else if Cache.access t.llc key then l2_miss_cycles
+  else llc_miss_cycles
 
 let branch_cost t ~pc ~taken =
   Bool.to_int (Predictor.mispredicted t.predictor ~pc ~taken)
-  * t.cfg.mispredict_cycles
+  * mispredict_cycles

@@ -6,21 +6,8 @@
     memory-hierarchy penalties (L1D/L2/LLC, LRU) and a bimodal
     branch-predictor penalty. It is deliberately simple: experiments only
     rely on CPI *differences between program phases* being real, which
-    cache and branch behaviour provide. *)
-
-type config = {
-  l1 : Cache.config;
-  l2 : Cache.config;
-  llc : Cache.config;
-  l1_miss_cycles : int;
-  l2_miss_cycles : int;
-  llc_miss_cycles : int;
-  mispredict_cycles : int;
-  base_cycles : Elfie_isa.Insn.klass -> int;
-}
-
-(** Gainestown-flavoured default (the paper's native testbed stand-in). *)
-val default : config
+    cache and branch behaviour provide. Its parameters are
+    Gainestown-flavoured, the paper's native testbed stand-in. *)
 
 (** The bimodal branch predictor of this model and of every simulator
     core: 4096 2-bit saturating counters, indexed by bits 1..12 of the
@@ -41,7 +28,7 @@ end
 
 type t
 
-val create : config -> t
+val create : unit -> t
 
 (** Independent clone (caches + predictor); identical future costs,
     no shared mutable state. Used by machine snapshots. *)

@@ -49,26 +49,9 @@ let bump_by tbl key n =
   Hashtbl.replace tbl key
     (Int64.add n (Option.value ~default:0L (Hashtbl.find_opt tbl key)))
 
-let note t ~tid ~pc ~block_end =
-  locked t @@ fun () ->
-  ensure_tid t tid;
-  if t.at_boundary.(tid) then begin
-    t.cur_block.(tid) <- pc;
-    t.at_boundary.(tid) <- false
-  end;
-  bump t.blocks t.cur_block.(tid);
-  if block_end then t.at_boundary.(tid) <- true;
-  t.ins <- Int64.add t.ins 1L;
-  t.countdown <- t.countdown - 1;
-  if t.countdown = 0 then begin
-    t.countdown <- t.itv;
-    t.nsamples <- Int64.add t.nsamples 1L;
-    bump t.pcs pc
-  end
-
 (* Feed a run of [n] instructions [pcs.(0 .. n-1)] executed back to
    back — the machine's block-observer shape. Equivalent, state for
-   state, to calling [note] on each pc in order: the run is
+   state, to feeding each pc in order on its own: the run is
    straight-line (a boundary can only fall on its last instruction), so
    all [n] instructions charge to one block head, and the countdown
    sampler fires at the same indices per-instruction feeding would. *)

@@ -1,14 +1,13 @@
 (** Hot-region profiling: deterministic PC sampling and per-basic-block
     instruction counts.
 
-    The observability twin of the BBV machinery: a profiler fed one
-    call per retired instruction ({!note}) samples the program counter every
+    The observability twin of the BBV machinery: a profiler fed the
+    retired instructions ({!note_block}) samples the program counter every
     [interval] instructions into a hot-address histogram and charges
     every instruction to its basic block (a block ends at a branch,
     call or syscall). Sampling is count-driven, not timer-driven, so
-    the profile of a seeded run is bit-for-bit reproducible — the
-    hook-free fast path feeds whole straight-line runs via
-    {!note_block} with identical resulting state. A profiler is
+    the profile of a seeded run is bit-for-bit reproducible, however
+    its instructions are split into runs. A profiler is
     domain-safe: all feeding and reading locks, so one global profiler
     can serve machines on several {!Elfie_util.Pool} domains.
 
@@ -25,16 +24,13 @@ val create : ?interval:int -> unit -> t
 
 val interval : t -> int
 
-(** Feed one retired instruction. [block_end] marks instructions that
-    terminate a basic block (branch/call/syscall). *)
-val note : t -> tid:int -> pc:int64 -> block_end:bool -> unit
-
 (** Feed [n] back-to-back instructions [pcs.(0 .. n-1)] of one
     straight-line run (the machine's block-observer shape;
     [ends_block] marks a run whose last instruction terminates its
-    block). State-for-state equivalent to [n] calls to {!note}, at one
-    lock acquisition and one block-count update instead of [n] — the
-    shape the hook-free translated-block path reports through
+    block, a branch, call or syscall). State-for-state equivalent to
+    feeding the instructions one at a time, at one lock acquisition and
+    one block-count update per run — the shape the hook-free
+    translated-block path reports through
     [Machine.set_block_observer]. *)
 val note_block :
   t -> tid:int -> pcs:int64 array -> n:int -> ends_block:bool -> unit

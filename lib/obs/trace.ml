@@ -15,7 +15,6 @@ type event =
     }
 
 let event_attrs = function Span { attrs; _ } | Instant { attrs; _ } -> attrs
-let attr ev key = List.assoc_opt key (event_attrs ev)
 
 type span = {
   sp_name : string;
@@ -83,7 +82,6 @@ let trace_id () =
 let hex_id id = Printf.sprintf "%016Lx" id
 
 let set_enabled b = enabled_flag := b
-let enabled () = !enabled_flag
 let set_capacity n = locked (fun () -> capacity := max 1 n)
 
 let now_us () = (Unix.gettimeofday () -. !epoch) *. 1e6

@@ -37,9 +37,6 @@ type event =
 
 val event_attrs : event -> attrs
 
-(** Attribute lookup by key. *)
-val attr : event -> string -> value option
-
 (** An in-flight span handle, as returned by {!begin_span}. *)
 type span
 
@@ -57,8 +54,6 @@ val hex_id : int64 -> string
 (** Tracing is enabled by default; when disabled, every emission
     function is a no-op. *)
 val set_enabled : bool -> unit
-
-val enabled : unit -> bool
 
 (** Buffer capacity (default 65536 events); events emitted once the
     buffer is full are dropped and counted. *)

@@ -1,5 +1,3 @@
-open Elfie_isa
-
 type slice = {
   index : int;
   vector : (int64 * int) array;
@@ -16,17 +14,17 @@ type profile = {
 
 let m_slices =
   Elfie_obs.Metrics.counter "elfie_bbv_slices_total"
-    ~help:"BBV slices emitted by profiling runs, by collector"
+    ~help:"BBV slices emitted by profiling runs"
 
 let m_instructions =
   Elfie_obs.Metrics.counter "elfie_bbv_instructions_total"
-    ~help:"Instructions attributed to basic-block vectors, by collector"
+    ~help:"Instructions attributed to basic-block vectors"
 
 let m_observer_calls =
   Elfie_obs.Metrics.counter "elfie_bbv_observer_calls_total"
     ~help:"Block-observer callbacks consumed by the block-driven collector"
 
-(* --- shared accumulation state ------------------------------------------ *)
+(* --- accumulation state ------------------------------------------------- *)
 
 (* Block heads are interned to dense integer indices in an open-addressing
    table that persists across slices: the set of block heads a program
@@ -188,11 +186,10 @@ let finish_slice st =
   st.n_touched <- 0;
   st.slice_icount <- 0
 
-let finish ~collector st =
+let finish st =
   if st.slice_icount > 0 then finish_slice st;
-  let labels = [ ("collector", collector) ] in
-  Elfie_obs.Metrics.inc m_slices ~labels ~by:(float_of_int st.next_index);
-  Elfie_obs.Metrics.inc m_instructions ~labels ~by:(float_of_int st.total);
+  Elfie_obs.Metrics.inc m_slices ~by:(float_of_int st.next_index);
+  Elfie_obs.Metrics.inc m_instructions ~by:(float_of_int st.total);
   if st.observer_calls > 0 then
     Elfie_obs.Metrics.inc m_observer_calls ~by:(float_of_int st.observer_calls);
   {
@@ -200,36 +197,6 @@ let finish ~collector st =
     slice_size = st.slice_size;
     total_instructions = Int64.of_int st.total;
   }
-
-(* --- per-instruction reference tool ------------------------------------- *)
-
-let tool ~slice_size =
-  let st = make_state ~slice_size in
-  let instrument pc ins =
-    let ends =
-      match Insn.classify ins with
-      | Insn.K_branch | K_call | K_syscall -> true
-      | K_alu | K_load | K_store | K_vector | K_other -> false
-    in
-    {
-      Elfie_machine.Machine.no_callouts with
-      before =
-        Some
-          (fun tid ->
-            ensure_tid st tid;
-            if st.at_boundary.(tid) then begin
-              st.cur_idx.(tid) <- intern st pc;
-              st.at_boundary.(tid) <- false
-            end;
-            bump st st.cur_idx.(tid) 1;
-            if ends then st.at_boundary.(tid) <- true;
-            st.slice_icount <- st.slice_icount + 1;
-            st.total <- st.total + 1;
-            if st.slice_icount >= st.slice_limit then finish_slice st);
-    }
-  in
-  let t = { (Pintool.empty ~name:"bbv") with instrument = Some instrument } in
-  (t, fun () -> finish ~collector:"ins" st)
 
 (* --- block-driven collector --------------------------------------------- *)
 
@@ -241,6 +208,7 @@ let tool ~slice_size =
    the only per-instruction work left is splitting the charge where a
    slice boundary falls inside the run. *)
 let collector ~slice_size =
+  if slice_size <= 0L then invalid_arg "Bbv: slice_size must be positive";
   let st = make_state ~slice_size in
   let observe ~tid ~pcs ~n ~ends_block =
     if n > 0 then begin
@@ -263,8 +231,8 @@ let collector ~slice_size =
       end
       else begin
         (* A slice boundary falls inside (or at the end of) the run:
-           split the charge across slices exactly where the per-ins tool
-           would, one piece per slice touched. *)
+           split the charge across slices exactly where per-instruction
+           counting would, one piece per slice touched. *)
         let remaining = ref n in
         while !remaining > 0 do
           let room = max 1 (st.slice_limit - st.slice_icount) in
@@ -278,14 +246,14 @@ let collector ~slice_size =
       if ends_block then st.at_boundary.(tid) <- true
     end
   in
-  (observe, fun () -> finish ~collector:"block" st)
+  (observe, fun () -> finish st)
 
 (* --- profiling runs ------------------------------------------------------ *)
 
 let profile ?max_ins spec ~slice_size =
+  let observe, finish = collector ~slice_size in
   Elfie_obs.Trace.with_span "bbv.collect" @@ fun sp ->
   let machine, _kernel = Run.instantiate spec in
-  let observe, finish = collector ~slice_size in
   (* The machine has a single block-observer slot; keep [--profile]
      working by chaining the global profiler in front of the collector. *)
   let observer =
@@ -305,11 +273,3 @@ let profile ?max_ins spec ~slice_size =
   Elfie_obs.Trace.add_attr sp "instructions"
     (Elfie_obs.Trace.I p.total_instructions);
   p
-
-let profile_per_ins ?max_ins spec ~slice_size =
-  let machine, _kernel = Run.instantiate spec in
-  let t, finish = tool ~slice_size in
-  let detach = Pintool.attach machine [ t ] in
-  Elfie_machine.Machine.run ?max_ins machine;
-  detach ();
-  finish ()

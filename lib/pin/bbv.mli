@@ -6,14 +6,13 @@
     vectors are the input to the k-means phase clustering in
     {!Elfie_simpoint}.
 
-    Collection is {e block-driven}: the default {!profile} counts whole
+    Collection is {e block-driven}: {!profile} counts whole
     translated-block runs through [Machine.set_block_observer] — no
     per-instruction hook, so the run stays on the machine's hook-free
     chained fast path. Slice boundaries are reconstructed exactly by
     splitting a run's charge where the boundary falls inside it, and
     per-thread block attribution is preserved, so the output is
-    bit-identical to the retained per-instruction reference tool
-    ({!tool} / {!profile_per_ins}). *)
+    bit-identical to counting one instruction at a time. *)
 
 type slice = {
   index : int;
@@ -29,23 +28,16 @@ type profile = {
 
 (** Profile a full program run, hook-free (block-observer driven). When a
     global {!Elfie_obs.Profile} is active it is chained on the same
-    observer slot, so [--profile] still sees the run. *)
+    observer slot, so [--profile] still sees the run. Raises
+    [Invalid_argument] if [slice_size <= 0]. *)
 val profile : ?max_ins:int64 -> Run.spec -> slice_size:int64 -> profile
-
-(** Profile a full program run with the per-instruction reference tool —
-    the oracle the block-driven collector is validated against (and the
-    pre-block-observer measurement baseline). *)
-val profile_per_ins : ?max_ins:int64 -> Run.spec -> slice_size:int64 -> profile
 
 (** The block-driven collector itself, for wiring to
     [Machine.set_block_observer] directly (or chaining with other
     observers): returns the observer function and a function extracting
-    the finished profile. *)
+    the finished profile. Raises [Invalid_argument] if
+    [slice_size <= 0]. *)
 val collector :
   slice_size:int64 ->
   (tid:int -> pcs:int64 array -> n:int -> ends_block:bool -> unit)
   * (unit -> profile)
-
-(** The per-instruction profiling tool, for composing with other tools:
-    returns the tool and a function extracting the finished profile. *)
-val tool : slice_size:int64 -> Pintool.t * (unit -> profile)

@@ -15,13 +15,13 @@ let spec ?(argv = [ "a.out" ]) ?(env = [ "PATH=/bin" ]) ?(fs_init = fun _ -> ())
     ?(cwd = "/") ?(seed = 42L) ?(kernel_cost = true) image =
   { image; argv; env; fs_init; cwd; seed; kernel_cost }
 
-let instantiate ?scheduler ?timing s =
+let instantiate ?scheduler s =
   let scheduler =
     match scheduler with
     | Some sched -> sched
     | None -> Machine.Free { seed = s.seed; quantum_min = 50; quantum_max = 200 }
   in
-  let machine = Machine.create ?timing scheduler in
+  let machine = Machine.create scheduler in
   let fs = Fs.create () in
   s.fs_init fs;
   let kcfg =
@@ -68,7 +68,7 @@ let stats_of_machine machine kernel =
     ring0_retired = Machine.ring0_retired machine;
   }
 
-let native ?max_ins ?timing s =
-  let machine, kernel = instantiate ?timing s in
+let native ?max_ins s =
+  let machine, kernel = instantiate s in
   Machine.run ?max_ins machine;
   stats_of_machine machine kernel

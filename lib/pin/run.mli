@@ -30,7 +30,6 @@ val spec :
     @param scheduler defaults to a [Free] scheduler seeded from the spec. *)
 val instantiate :
   ?scheduler:Elfie_machine.Machine.scheduler ->
-  ?timing:Elfie_machine.Timing.config ->
   spec ->
   Elfie_machine.Machine.t * Elfie_kernel.Vkernel.t
 
@@ -45,6 +44,6 @@ type stats = {
 }
 
 (** Run a spec natively to completion (or [max_ins]) and report. *)
-val native : ?max_ins:int64 -> ?timing:Elfie_machine.Timing.config -> spec -> stats
+val native : ?max_ins:int64 -> spec -> stats
 
 val stats_of_machine : Elfie_machine.Machine.t -> Elfie_kernel.Vkernel.t -> stats

@@ -10,15 +10,15 @@ type result = {
 
 let m_clusterings =
   Metrics.counter "elfie_kmeans_clusterings_total"
-    ~help:"Lloyd's-algorithm runs, by algorithm variant"
+    ~help:"Lloyd's-algorithm runs"
 
 let m_iterations =
   Metrics.counter "elfie_kmeans_iterations_total"
-    ~help:"Assign/update iterations across clusterings, by variant"
+    ~help:"Assign/update iterations across clusterings"
 
 let m_dist_evals =
   Metrics.counter "elfie_kmeans_distance_evals_total"
-    ~help:"Point-to-centroid distance evaluations, by variant"
+    ~help:"Point-to-centroid distance evaluations"
 
 let sq_dist a b =
   let acc = ref 0.0 in
@@ -64,14 +64,12 @@ let seed_centroids ~rng ~k points =
 
 let max_iters = 50
 
-(* Lloyd's algorithm. [pruned] selects the assign strategy: the naive
-   full scan, or Hamerly-style upper/lower bound pruning. Both paths
-   share seeding, the update step, the iteration structure and the
-   reseed stream, and the pruned assign only ever skips a point when its
-   current centroid is provably the *unique* nearest (both bound tests
-   are strict), so the two variants produce bit-identical results —
-   assignments, centroids, inertia and RNG consumption. *)
-let run_lloyd ~pruned ~rng ~k points =
+(* Lloyd's algorithm with Hamerly-style upper/lower bound pruning in the
+   assign step. A point skips the k-way scan only when its current
+   centroid is provably the *unique* nearest (both bound tests are
+   strict), so the result is bit-identical to a full scan in every
+   assign — assignments, centroids, inertia and RNG consumption. *)
+let cluster ~rng ~k points =
   let n = Array.length points in
   if n = 0 then invalid_arg "Kmeans.cluster: no points";
   if k < 1 then invalid_arg "Kmeans.cluster: k < 1";
@@ -80,33 +78,14 @@ let run_lloyd ~pruned ~rng ~k points =
   let centroids = seed_centroids ~rng ~k points in
   (* Empty-cluster reseeds draw from a dedicated child stream (split off
      after seeding, so seeding draws are unaffected): however many
-     reseeds either variant performs, the caller's stream advances by
-     the same amount and the two variants stay draw-for-draw aligned. *)
+     reseeds a run performs, the caller's stream advances by the same
+     amount. *)
   let reseed_rng = Rng.split rng in
   let assignments = Array.make n 0 in
   let dist_evals = ref 0 in
   let sqd a b =
     incr dist_evals;
     sq_dist a b
-  in
-  let assign_naive () =
-    let changed = ref false in
-    Array.iteri
-      (fun i p ->
-        let best = ref 0 and best_d = ref infinity in
-        for c = 0 to k - 1 do
-          let d = sqd p centroids.(c) in
-          if d < !best_d then begin
-            best_d := d;
-            best := c
-          end
-        done;
-        if assignments.(i) <> !best then begin
-          assignments.(i) <- !best;
-          changed := true
-        end)
-      points;
-    !changed
   in
   (* Hamerly bounds: [upper.(i)] bounds d(i, centroid of its cluster)
      from above (exact right after a tighten or full scan), [lower.(i)]
@@ -127,7 +106,7 @@ let run_lloyd ~pruned ~rng ~k points =
       half_sep.(c) <- (if !m = infinity then infinity else 0.5 *. !m)
     done
   in
-  let assign_pruned () =
+  let assign () =
     refresh_half_sep ();
     let changed = ref false in
     for i = 0 to n - 1 do
@@ -137,8 +116,8 @@ let run_lloyd ~pruned ~rng ~k points =
       if upper.(i) >= guard then begin
         upper.(i) <- sqrt (sqd p centroids.(a));
         if upper.(i) >= guard then begin
-          (* Full scan, same comparison order and strict [<] as the
-             naive assign: the lowest-index centroid wins ties. *)
+          (* Full scan with a strict [<]: the lowest-index centroid
+             wins ties. *)
           let best = ref 0
           and best_d = ref infinity
           and second = ref infinity in
@@ -187,21 +166,18 @@ let run_lloyd ~pruned ~rng ~k points =
              stream, see above). *)
           Array.copy points.(Rng.int reseed_rng n)
       in
-      if pruned then moved.(c) <- sqrt (sqd centroids.(c) next);
+      moved.(c) <- sqrt (sqd centroids.(c) next);
       centroids.(c) <- next
     done;
-    if pruned then begin
-      (* Centroid-move-aware bound maintenance: a point's own centroid
-         moved by [moved], any other centroid by at most the largest
-         move. *)
-      let max_move = Array.fold_left Float.max 0.0 moved in
-      for i = 0 to n - 1 do
-        upper.(i) <- upper.(i) +. moved.(assignments.(i));
-        lower.(i) <- lower.(i) -. max_move
-      done
-    end
+    (* Centroid-move-aware bound maintenance: a point's own centroid
+       moved by [moved], any other centroid by at most the largest
+       move. *)
+    let max_move = Array.fold_left Float.max 0.0 moved in
+    for i = 0 to n - 1 do
+      upper.(i) <- upper.(i) +. moved.(assignments.(i));
+      lower.(i) <- lower.(i) -. max_move
+    done
   in
-  let assign = if pruned then assign_pruned else assign_naive in
   let iters = ref 0 in
   let converged = ref false in
   (* Every [update] is followed by an [assign] that re-checks its
@@ -218,14 +194,10 @@ let run_lloyd ~pruned ~rng ~k points =
       points;
     !acc
   in
-  let labels = [ ("algo", if pruned then "pruned" else "naive") ] in
-  Metrics.inc m_clusterings ~labels;
-  Metrics.inc m_iterations ~labels ~by:(float_of_int !iters);
-  Metrics.inc m_dist_evals ~labels ~by:(float_of_int !dist_evals);
+  Metrics.inc m_clusterings;
+  Metrics.inc m_iterations ~by:(float_of_int !iters);
+  Metrics.inc m_dist_evals ~by:(float_of_int !dist_evals);
   { k; assignments; centroids; inertia }
-
-let cluster ~rng ~k points = run_lloyd ~pruned:true ~rng ~k points
-let cluster_naive ~rng ~k points = run_lloyd ~pruned:false ~rng ~k points
 
 let bic result points =
   let n = float_of_int (Array.length points) in

@@ -5,8 +5,8 @@
     centroid-move-aware maintenance: a point whose current centroid is
     provably the unique nearest (both bound tests are strict) skips the
     k-way distance scan. Pruning is an implementation detail, not a
-    semantic: {!cluster} is bit-identical to the naive full-scan
-    reference {!cluster_naive} — assignments, centroids, inertia and RNG
+    semantic: {!cluster} is bit-identical to Lloyd's algorithm with a
+    full scan in every assign — assignments, centroids, inertia and RNG
     consumption — including on exact-tie inputs, where strictness forces
     the full scan and its lowest-index tie-break. *)
 
@@ -23,11 +23,6 @@ type result = {
     the caller-visible stream. Raises [Invalid_argument] on empty input
     or [k < 1]. *)
 val cluster : rng:Elfie_util.Rng.t -> k:int -> float array array -> result
-
-(** The unpruned full-scan reference implementation; bit-identical to
-    {!cluster} on every input. *)
-val cluster_naive :
-  rng:Elfie_util.Rng.t -> k:int -> float array array -> result
 
 (** [best ~rng ~max_k points] tries k = 1 .. max_k and picks the
     smallest k whose BIC score reaches 90% of the observed range —

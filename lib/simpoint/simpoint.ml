@@ -68,8 +68,6 @@ let project_sparse signs ~dims (slice : Elfie_pin.Bbv.slice) =
     slice.vector;
   v
 
-let project ~dims slice = project_sparse (make_signs ~dims) ~dims slice
-
 let project_profile ~dims (profile : Elfie_pin.Bbv.profile) =
   let signs = make_signs ~dims in
   Array.of_list (List.map (project_sparse signs ~dims) profile.slices)

@@ -40,14 +40,13 @@ type selection = {
   params : params;
 }
 
-(** Random-sign projection of a sparse BBV to [dims] dimensions,
-    normalised by slice length. The projection is applied incrementally
-    over the sparse (block, count) pairs — no dense intermediate. *)
-val project : dims:int -> Elfie_pin.Bbv.slice -> float array
-
-(** Project every slice of a profile, sharing one memoised sign row per
-    distinct block across slices. Bit-identical to mapping {!project},
-    at one row initialisation per block for the whole profile. *)
+(** Random-sign projection of every slice's sparse BBV to [dims]
+    dimensions, normalised by slice length. The projection is applied
+    incrementally over the sparse (block, count) pairs — no dense
+    intermediate — and one memoised sign row per distinct block is
+    shared across slices: the same values as projecting each slice on
+    its own, at one row initialisation per block for the whole
+    profile. *)
 val project_profile : dims:int -> Elfie_pin.Bbv.profile -> float array array
 
 (** [jobs] bounds the clustering fan-out (see {!Kmeans.best}); results

@@ -283,8 +283,8 @@ let collect ?(completed = true) model =
     completed;
   }
 
-let simulate_elfie ?end_condition ?(from_marker = true) ?(seed = 13L) ?fs_init
-    ?cwd ?(max_ins = 100_000_000L) cfg image =
+let simulate_elfie ?end_condition ?fs_init ?cwd ?(max_ins = 100_000_000L) cfg
+    image =
   let sp =
     Trace.begin_span "sniper.simulate"
       ~attrs:
@@ -295,20 +295,18 @@ let simulate_elfie ?end_condition ?(from_marker = true) ?(seed = 13L) ?fs_init
   in
   let machine, _kernel =
     Elfie_pin.Run.instantiate
-      (Elfie_pin.Run.spec ~argv:[ "elfie" ] ~env:[] ?fs_init ?cwd ~seed
+      (Elfie_pin.Run.spec ~argv:[ "elfie" ] ~env:[] ?fs_init ?cwd ~seed:13L
          ~kernel_cost:false image)
   in
   Elfie_pin.Tools.attach_global_profile machine;
-  let model = fresh_model cfg ~enabled:(not from_marker) in
+  let model = fresh_model cfg ~enabled:false in
   let detach_end = Elfie_pin.Pintool.attach machine (end_tool model machine end_condition) in
+  (* The model starts timing after the ROI marker, mid-run. *)
   let detach =
-    if from_marker then
-      (* The model starts timing after the ROI marker, mid-run. *)
-      Elfie_pin.Pintool.attach_from_marker machine [ timing_tool model ]
-        ~at_start:(fun tid ->
-          model.enabled <- true;
-          model.enabled_at <- (Machine.thread machine tid).Machine.retired + 1)
-    else Elfie_pin.Pintool.attach machine [ timing_tool model ]
+    Elfie_pin.Pintool.attach_from_marker machine [ timing_tool model ]
+      ~at_start:(fun tid ->
+        model.enabled <- true;
+        model.enabled_at <- (Machine.thread machine tid).Machine.retired + 1)
   in
   (* Cycle-driven scheduling: always advance the thread whose core is
      earliest in simulated time (the lowest tid on a tie), one quantum

@@ -66,12 +66,9 @@ val profile_end_condition :
   ?exclude:int64 * int64 -> Elfie_pinball.Pinball.t -> end_condition
 
 (** Simulate an ELFie (or any VX86 ELF executable) natively. The timing
-    model arms when the first ROI marker retires; pass
-    [~from_marker:false] to model from the first instruction. *)
+    model arms when the first ROI marker retires. *)
 val simulate_elfie :
   ?end_condition:end_condition ->
-  ?from_marker:bool ->
-  ?seed:int64 ->
   ?fs_init:(Elfie_kernel.Fs.t -> unit) ->
   ?cwd:string ->
   ?max_ins:int64 ->

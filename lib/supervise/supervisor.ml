@@ -181,11 +181,10 @@ let supervise ~job ?(policy = default_policy) ?max_ins ?journal
       (report, value)
 
 let run_elfie ~job ?policy ?max_ins ?journal ?resume ?inputs ?fs_init ?cwd
-    ?kernel_cost image =
+    image =
   supervise ~job ?policy ?max_ins ?journal ?resume ?inputs
     (fun ~seed ~max_ins ->
       let outcome =
-        Elfie_core.Elfie_runner.run ~seed ?fs_init ?cwd ?max_ins ?kernel_cost
-          image
+        Elfie_core.Elfie_runner.run ~seed ?fs_init ?cwd ?max_ins image
       in
       (outcome, Classify.of_outcome outcome))

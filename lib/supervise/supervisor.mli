@@ -88,6 +88,5 @@ val run_elfie :
   ?inputs:string list ->
   ?fs_init:(Elfie_kernel.Fs.t -> unit) ->
   ?cwd:string ->
-  ?kernel_cost:bool ->
   Elfie_elf.Image.t ->
   report * Elfie_core.Elfie_runner.outcome option

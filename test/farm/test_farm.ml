@@ -4,13 +4,12 @@
    accounting, concurrent access (exactly-one-computation, stale-lock
    breaking, waiting on live owners), the batch driver's
    cold/warm/resume behavior — a warm second run of the same manifest
-   must perform no program execution at all — store invariance of a
-   pipeline validation, and the [elfied stats] / [gc] commands. *)
+   must perform no program execution at all — and the [elfied stats] /
+   [gc] commands. *)
 
 module Store = Elfie_farm.Store
 module Codec = Elfie_farm.Codec
 module Driver = Elfie_farm.Driver
-module Fault_inject = Elfie_check.Fault_inject
 module Journal = Elfie_supervise.Journal
 module Pool = Elfie_util.Pool
 module Metrics = Elfie_obs.Metrics
@@ -548,36 +547,36 @@ let test_cached_corruption_recomputed () =
 
 let test_store_fault_sweep () =
   let root = tmp_dir "elfie_store_faults" in
-  let report = Fault_inject.run_store ~iterations:8 ~root () in
-  Format.printf "%a@." Fault_inject.pp_store_report report;
-  let failures = Fault_inject.store_failures report in
+  let report = Store_faults.run_store ~iterations:8 ~root () in
+  Format.printf "%a@." Store_faults.pp_store_report report;
+  let failures = Store_faults.store_failures report in
   if failures <> [] then
     Alcotest.failf "%d store fault(s) crashed or served corrupt data"
       (List.length failures);
   Alcotest.(check bool) "sweep is not vacuous" true
-    (report.Fault_inject.s_recovered > 0);
+    (report.Store_faults.s_recovered > 0);
   (* Every fault class must be exercised, and every class that corrupts
      committed bytes must quarantine-and-recompute at least once. *)
   List.iter
     (fun fault ->
       let cases =
         List.filter
-          (fun (c : Fault_inject.store_case) -> c.Fault_inject.sfault = fault)
-          report.Fault_inject.s_cases
+          (fun (c : Store_faults.store_case) -> c.Store_faults.sfault = fault)
+          report.Store_faults.s_cases
       in
       Alcotest.(check bool)
-        (Printf.sprintf "%s exercised" (Fault_inject.store_fault_name fault))
+        (Printf.sprintf "%s exercised" (Store_faults.store_fault_name fault))
         true (cases <> []);
-      if fault <> Fault_inject.Stale_lock then
+      if fault <> Store_faults.Stale_lock then
         Alcotest.(check bool)
           (Printf.sprintf "%s recovered at least once"
-             (Fault_inject.store_fault_name fault))
+             (Store_faults.store_fault_name fault))
           true
           (List.exists
-             (fun (c : Fault_inject.store_case) ->
-               c.Fault_inject.soutcome = Fault_inject.Store_recovered)
+             (fun (c : Store_faults.store_case) ->
+               c.Store_faults.soutcome = Store_faults.Store_recovered)
              cases))
-    Fault_inject.all_store_faults;
+    Store_faults.all_store_faults;
   (* The corpses are on disk and in the persistent log, never deleted. *)
   let store = Store.open_store root in
   let logged = Store.read_quarantine_log store in
@@ -866,37 +865,6 @@ let test_job_inputs () =
       ("base seed", inputs { farm_params with base_seed = 99L });
       ("regions", inputs { farm_params with max_regions = 3 }) ]
 
-(* --- store invariance -------------------------------------------------------- *)
-
-(* A pipeline validation must not depend on where its profile and
-   selection come from: no store, a cold store and the same store warm
-   all yield the same validation record, and the warm run is served
-   from cache without a single miss. *)
-let test_validate_store_invariance () =
-  let b = Option.get (Elfie_workloads.Suite.find "400.perlbench") in
-  let params =
-    { Elfie_simpoint.Simpoint.default_params with
-      slice_size = 10_000L; warmup = 5_000L; max_k = 4 }
-  in
-  let validate ?store () =
-    Elfie_harness.Pipeline.validate ~params ~trials:1 ?store b
-  in
-  let m_hits = Metrics.counter "elfie_store_hits_total" in
-  let m_misses = Metrics.counter "elfie_store_misses_total" in
-  let store = Store.open_store (tmp_dir "elfie_farm_invariance") in
-  let bare = validate () in
-  Alcotest.(check bool) "regions measured" true
-    (bare.Elfie_harness.Pipeline.regions <> []);
-  let cold = validate ~store () in
-  let hits0 = Metrics.total m_hits and misses0 = Metrics.total m_misses in
-  let warm = validate ~store () in
-  Alcotest.(check (float 0.0)) "warm run misses nothing" 0.0
-    (Metrics.total m_misses -. misses0);
-  Alcotest.(check bool) "warm run hits the store" true
-    (Metrics.total m_hits -. hits0 > 0.0);
-  Alcotest.(check bool) "cold store = no store" true (compare bare cold = 0);
-  Alcotest.(check bool) "warm store = no store" true (compare bare warm = 0)
-
 (* --- manifest -------------------------------------------------------------- *)
 
 let test_manifest_parsing () =
@@ -926,7 +894,9 @@ let test_manifest_parsing () =
   bad "missing bench" "job slice=100\n";
   bad "unknown benchmark" "job bench=no-such-benchmark\n";
   bad "unknown key" "job bench=541.leela_r nope=1\n";
-  bad "bad integer" "job bench=541.leela_r slice=ten\n"
+  bad "bad integer" "job bench=541.leela_r slice=ten\n";
+  bad "zero slice" "job bench=541.leela_r slice=0\n";
+  bad "negative slice" "job bench=541.leela_r slice=-5\n"
 
 (* Two `elfied run --resume` processes race the same journal and
    store, and one of them is SIGKILLed mid-run — the abandoned locks and any torn trailing journal line must not stop
@@ -1143,8 +1113,6 @@ let () =
             test_driver_survives_corrupt_cache;
           Alcotest.test_case "concurrent resume, one driver killed" `Slow
             test_concurrent_resume_kill;
-          Alcotest.test_case "validate: no/cold/warm store identical" `Slow
-            test_validate_store_invariance;
         ] );
       ( "elfied",
         [

@@ -13,7 +13,6 @@
 module Supervisor = Elfie_supervise.Supervisor
 module Classify = Elfie_supervise.Classify
 module Journal = Elfie_supervise.Journal
-module Fault_inject = Elfie_check.Fault_inject
 
 let failf fmt = Format.kasprintf (fun s -> Format.printf "FAILED: %s@."s; exit 1) fmt
 
@@ -32,8 +31,23 @@ let capture name =
   in
   r.Elfie_pin.Logger.pinball
 
+(* [pb] converted into an ELFie whose exit path spins forever: the region
+   counters fire as usual, but the process loops past them and never
+   exits. Only the instruction budget can stop it, after which it
+   classifies as a runaway. *)
+let hang_elfie pb =
+  let spin b =
+    let loop = Elfie_isa.Builder.here ~name:"hang" b in
+    Elfie_isa.Builder.ins b Elfie_isa.Insn.Pause;
+    Elfie_isa.Builder.jmp b loop
+  in
+  Elfie_core.Pinball2elf.convert
+    ~options:
+      { Elfie_core.Pinball2elf.default_options with extra_on_exit = Some spin }
+    pb
+
 let test_hang_runaway pb =
-  let image = Fault_inject.hang_elfie pb in
+  let image = hang_elfie pb in
   let report, outcome =
     Supervisor.run_elfie ~job:"hang" ~max_ins:500_000L image
   in

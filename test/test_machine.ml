@@ -240,7 +240,7 @@ let test_cache_footprint_and_flush () =
   Alcotest.(check bool) "flushed" false (Cache.access c (Cache.key 0L))
 
 let test_timing_predictor_learns () =
-  let t = Timing.create Timing.default in
+  let t = Timing.create () in
   (* Always-taken branch: after training, no penalty. *)
   ignore (Timing.branch_cost t ~pc:0x40L ~taken:true);
   ignore (Timing.branch_cost t ~pc:0x40L ~taken:true);
@@ -733,7 +733,7 @@ let run_reference prog =
   let mem = Addr_space.create () in
   ref_init_mem mem prog;
   let ctx = ref_init_ctx () in
-  let timing = Timing.create Timing.default in
+  let timing = Timing.create () in
   let log = ref [] in
   let cur = ref 0L in
   let note e = log := (!cur, e) :: !log in

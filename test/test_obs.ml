@@ -264,7 +264,7 @@ let feed_synthetic p =
      loop's end. *)
   for i = 0 to 9_999 do
     let pc = Int64.of_int (0x1000 + (i mod 13 * 4)) in
-    Profile.note p ~tid:0 ~pc ~block_end:(i mod 13 = 12)
+    Profile.note_block p ~tid:0 ~pcs:[| pc |] ~n:1 ~ends_block:(i mod 13 = 12)
   done
 
 let test_profiler_deterministic_topk () =

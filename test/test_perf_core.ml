@@ -9,6 +9,7 @@ open Elfie_isa.Insn
 open Elfie_machine
 module Pool = Elfie_util.Pool
 module Profile = Elfie_obs.Profile
+module Profile_ref = Elfie_test_support.Profile_ref
 
 (* --- self-modifying code ---------------------------------------------------- *)
 
@@ -329,7 +330,7 @@ let profile_note_hook p m =
           | Insn.K_branch | K_call | K_syscall -> true
           | K_alu | K_load | K_store | K_vector | K_other -> false
         in
-        fun tid -> Profile.note p ~tid ~pc ~block_end)
+        fun tid -> Profile_ref.note p ~tid ~pc ~block_end)
 
 let test_block_run_matches_step () =
   let prog = branchy_two_thread_prog () in
@@ -347,8 +348,8 @@ let test_block_run_matches_step () =
     (Machine.translated_blocks ma > 3);
   let sched = Machine.recorded_schedule ma in
   (* Reference: replay the exact schedule one Machine.step at a time,
-     profiler fed per instruction through a before-call. *)
-  let pb = Profile.create ~interval:7 () in
+     reference profiler fed per instruction through a before-call. *)
+  let pb = Profile_ref.create ~interval:7 in
   let mb = mk_branchy_machine prog (Machine.Recorded sched) in
   profile_note_hook pb mb;
   Tutil.step_replay mb sched;
@@ -368,37 +369,42 @@ let test_block_run_matches_step () =
       (Bytes.equal (Context.to_bytes ta.Machine.ctx) (Context.to_bytes tb.Machine.ctx))
   done;
   Alcotest.check Tutil.i64 "profiler instructions" (Profile.instructions pa)
-    (Profile.instructions pb);
+    (Profile_ref.instructions pb);
   Alcotest.check Tutil.i64 "profiler samples" (Profile.samples pa)
-    (Profile.samples pb);
+    (Profile_ref.samples pb);
   Alcotest.(check (list (pair Tutil.i64 Tutil.i64)))
-    "hot PCs identical" (Profile.hot_pcs ~k:50 pb) (Profile.hot_pcs ~k:50 pa);
+    "hot PCs identical" (Profile_ref.hot_pcs ~k:50 pb) (Profile.hot_pcs ~k:50 pa);
   Alcotest.(check (list (pair Tutil.i64 Tutil.i64)))
-    "hot blocks identical" (Profile.hot_blocks ~k:50 pb) (Profile.hot_blocks ~k:50 pa)
+    "hot blocks identical" (Profile_ref.hot_blocks ~k:50 pb)
+    (Profile.hot_blocks ~k:50 pa)
 
 (* Profile.note_block must be state-for-state equivalent to feeding the
-   same instructions one note at a time, for any chunking — including
-   chunks larger than several sampling intervals. *)
+   same instructions one at a time to the reference profiler, for any
+   chunking — including chunks larger than several sampling
+   intervals. *)
 let test_note_block_equivalence () =
   let interval = 5 in
   let pcs = Array.init 64 (fun i -> Int64.of_int (0x4000 + (i * 4))) in
   List.iter
     (fun chunks ->
-      let pa = Profile.create ~interval () and pb = Profile.create ~interval () in
+      let pa = Profile.create ~interval () and pb = Profile_ref.create ~interval in
       List.iter
         (fun (n, ends_block) ->
           Profile.note_block pa ~tid:0 ~pcs ~n ~ends_block;
           for i = 0 to n - 1 do
-            Profile.note pb ~tid:0 ~pc:pcs.(i) ~block_end:(ends_block && i = n - 1)
+            Profile_ref.note pb ~tid:0 ~pc:pcs.(i)
+              ~block_end:(ends_block && i = n - 1)
           done)
         chunks;
-      Alcotest.check Tutil.i64 "instructions" (Profile.instructions pb)
+      Alcotest.check Tutil.i64 "instructions" (Profile_ref.instructions pb)
         (Profile.instructions pa);
-      Alcotest.check Tutil.i64 "samples" (Profile.samples pb) (Profile.samples pa);
+      Alcotest.check Tutil.i64 "samples" (Profile_ref.samples pb)
+        (Profile.samples pa);
       Alcotest.(check (list (pair Tutil.i64 Tutil.i64)))
-        "hot pcs" (Profile.hot_pcs ~k:100 pb) (Profile.hot_pcs ~k:100 pa);
+        "hot pcs" (Profile_ref.hot_pcs ~k:100 pb) (Profile.hot_pcs ~k:100 pa);
       Alcotest.(check (list (pair Tutil.i64 Tutil.i64)))
-        "hot blocks" (Profile.hot_blocks ~k:100 pb) (Profile.hot_blocks ~k:100 pa))
+        "hot blocks" (Profile_ref.hot_blocks ~k:100 pb)
+        (Profile.hot_blocks ~k:100 pa))
     [ [ (1, false) ];
       [ (4, true); (4, true); (4, true) ];
       [ (64, true); (64, false); (3, true) ];
@@ -1208,9 +1214,9 @@ let test_profile_parallel () =
     (Pool.run ~jobs:4
        (List.init 4 (fun d () ->
             for i = 0 to 2_999 do
-              Profile.note p ~tid:d
-                ~pc:(Int64.of_int (0x1000 + (i land 15)))
-                ~block_end:(i land 3 = 3)
+              Profile.note_block p ~tid:d
+                ~pcs:[| Int64.of_int (0x1000 + (i land 15)) |]
+                ~n:1 ~ends_block:(i land 3 = 3)
             done)));
   Alcotest.check Tutil.i64 "instructions from all domains" 12_000L
     (Profile.instructions p);

@@ -2,6 +2,7 @@
 
 module Kmeans = Elfie_simpoint.Kmeans
 module Simpoint = Elfie_simpoint.Simpoint
+open Elfie_test_support
 
 let rng () = Elfie_util.Rng.create 123L
 
@@ -89,7 +90,7 @@ let test_pruned_equals_naive_random () =
     (fun (n, dim, k) ->
       let points = random_points r n dim in
       let a = Kmeans.cluster ~rng:(Elfie_util.Rng.create 11L) ~k points in
-      let b = Kmeans.cluster_naive ~rng:(Elfie_util.Rng.create 11L) ~k points in
+      let b = Kmeans_ref.cluster_naive ~rng:(Elfie_util.Rng.create 11L) ~k points in
       check_results_equal (Printf.sprintf "n=%d dim=%d k=%d" n dim k) a b)
     [ (40, 2, 3); (100, 15, 8); (7, 3, 7); (64, 1, 5) ]
 
@@ -108,7 +109,7 @@ let test_pruned_equals_naive_duplicates () =
   List.iter
     (fun k ->
       let a = Kmeans.cluster ~rng:(Elfie_util.Rng.create 17L) ~k dup in
-      let b = Kmeans.cluster_naive ~rng:(Elfie_util.Rng.create 17L) ~k dup in
+      let b = Kmeans_ref.cluster_naive ~rng:(Elfie_util.Rng.create 17L) ~k dup in
       check_results_equal (Printf.sprintf "duplicates k=%d" k) a b)
     [ 2; 3; 5; 7 ]
 
@@ -119,7 +120,7 @@ let test_pruned_equals_naive_empty_clusters () =
     Array.init 12 (fun i -> if i mod 2 = 0 then [| 1.0 |] else [| 9.0 |])
   in
   let a = Kmeans.cluster ~rng:(Elfie_util.Rng.create 23L) ~k:10 points in
-  let b = Kmeans.cluster_naive ~rng:(Elfie_util.Rng.create 23L) ~k:10 points in
+  let b = Kmeans_ref.cluster_naive ~rng:(Elfie_util.Rng.create 23L) ~k:10 points in
   check_results_equal "empty clusters k=10" a b;
   (* Deterministic: same seed, same result. *)
   let a' = Kmeans.cluster ~rng:(Elfie_util.Rng.create 23L) ~k:10 points in
@@ -134,7 +135,7 @@ let prop_pruned_equals_naive =
     (fun (k, pts) ->
       let points = Array.of_list (List.map (fun (a, b) -> [| a; b |]) pts) in
       let a = Kmeans.cluster ~rng:(Elfie_util.Rng.create 3L) ~k points in
-      let b = Kmeans.cluster_naive ~rng:(Elfie_util.Rng.create 3L) ~k points in
+      let b = Kmeans_ref.cluster_naive ~rng:(Elfie_util.Rng.create 3L) ~k points in
       a.Kmeans.assignments = b.Kmeans.assignments
       && a.Kmeans.centroids = b.Kmeans.centroids
       && a.Kmeans.inertia = b.Kmeans.inertia)
@@ -169,7 +170,7 @@ let check_profiles_equal (a : Elfie_pin.Bbv.profile) (b : Elfie_pin.Bbv.profile)
 
 let check_equivalent ?max_ins spec ~slice_size =
   let p_block = Elfie_pin.Bbv.profile ?max_ins spec ~slice_size in
-  let p_ins = Elfie_pin.Bbv.profile_per_ins ?max_ins spec ~slice_size in
+  let p_ins = Bbv_ref.profile_per_ins ?max_ins spec ~slice_size in
   check_profiles_equal p_block p_ins;
   Alcotest.(check bool) "profile nonempty" true (p_block.Elfie_pin.Bbv.slices <> [])
 
@@ -275,6 +276,20 @@ let test_collector_synthetic () =
     ]
     vectors
 
+(* A slice size of zero would cut a slice at every instruction, and a
+   negative one would never close a slice: both are refused up front. *)
+let test_slice_size_positive () =
+  List.iter
+    (fun slice_size ->
+      Alcotest.check_raises "collector"
+        (Invalid_argument "Bbv: slice_size must be positive") (fun () ->
+          ignore (Elfie_pin.Bbv.collector ~slice_size));
+      Alcotest.check_raises "profile"
+        (Invalid_argument "Bbv: slice_size must be positive") (fun () ->
+          ignore
+            (Elfie_pin.Bbv.profile (Tutil.tiny_run_spec "bbvzero") ~slice_size)))
+    [ 0L; -5L ]
+
 (* The default profile path must ride the hook-free translated-block
    core: drive the collector manually through the block observer (no
    pintool attached), check translation happened, and check Bbv.profile
@@ -361,7 +376,7 @@ let test_full_warmup_preferred () =
 let test_project_normalised_and_deterministic () =
   let p = profile () in
   let s = List.hd p.Elfie_pin.Bbv.slices in
-  let v1 = Simpoint.project ~dims:15 s and v2 = Simpoint.project ~dims:15 s in
+  let v1 = Simpoint_ref.project ~dims:15 s and v2 = Simpoint_ref.project ~dims:15 s in
   Alcotest.(check bool) "deterministic" true (v1 = v2);
   Alcotest.(check int) "dims" 15 (Array.length v1);
   (* Normalised by slice length: components bounded by 1 in magnitude. *)
@@ -378,7 +393,7 @@ let test_project_profile_matches_project () =
   let p = profile () in
   let shared = Simpoint.project_profile ~dims:15 p in
   let each =
-    Array.of_list (List.map (Simpoint.project ~dims:15) p.Elfie_pin.Bbv.slices)
+    Array.of_list (List.map (Simpoint_ref.project ~dims:15) p.Elfie_pin.Bbv.slices)
   in
   Alcotest.(check bool) "shared sign rows bit-identical" true (shared = each)
 
@@ -417,6 +432,8 @@ let suite =
     Alcotest.test_case "bbv block = per-ins (smc)" `Quick test_bbv_equiv_smc;
     Alcotest.test_case "collector slice splitting" `Quick
       test_collector_synthetic;
+    Alcotest.test_case "slice size must be positive" `Quick
+      test_slice_size_positive;
     Alcotest.test_case "profile is hook-free" `Quick test_profile_hook_free;
     Alcotest.test_case "weights sum to 1" `Quick test_select_weights_sum;
     Alcotest.test_case "finds phases" `Quick test_select_finds_phases;
