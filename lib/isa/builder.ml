@@ -71,20 +71,22 @@ let zeros b n = push b (Raw (Bytes.make n '\000'))
 let align b n = push b (Align n)
 
 (* Encoded sizes of the label-referencing pseudo-items are those of their
-   concrete forms with dummy operands. *)
-let jmp_len = lazy (Codec.length (Insn.Jmp 0))
-let call_len = lazy (Codec.length (Insn.Call 0))
-let branch_len = lazy (Codec.length (Insn.Jcc (Insn.Eq, 0)))
-let mov_label_len = lazy (Codec.length (Insn.Mov_ri (Reg.RAX, 0L)))
-let jmp_mem_len = lazy (Codec.length (Insn.Jmp_m (Insn.mem_abs 0L)))
+   concrete forms with dummy operands. Computed at module initialisation:
+   programs are assembled on several pool domains at once, and a lazy
+   value forced from two domains raises [Lazy.Undefined]. *)
+let jmp_len = Codec.length (Insn.Jmp 0)
+let call_len = Codec.length (Insn.Call 0)
+let branch_len = Codec.length (Insn.Jcc (Insn.Eq, 0))
+let mov_label_len = Codec.length (Insn.Mov_ri (Reg.RAX, 0L))
+let jmp_mem_len = Codec.length (Insn.Jmp_m (Insn.mem_abs 0L))
 
 let item_size offset = function
   | Fixed i -> Codec.length i
-  | Jump (`Jmp, _) -> Lazy.force jmp_len
-  | Jump (`Call, _) -> Lazy.force call_len
-  | Branch _ -> Lazy.force branch_len
-  | Mov_label _ -> Lazy.force mov_label_len
-  | Jmp_mem_label _ -> Lazy.force jmp_mem_len
+  | Jump (`Jmp, _) -> jmp_len
+  | Jump (`Call, _) -> call_len
+  | Branch _ -> branch_len
+  | Mov_label _ -> mov_label_len
+  | Jmp_mem_label _ -> jmp_mem_len
   | Quad_label _ -> 8
   | Raw bts -> Bytes.length bts
   | Align n ->
