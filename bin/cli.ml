@@ -1,6 +1,7 @@
-(* Flags shared by the toolkit's commands, defined once: observability
-   and parallelism (--trace, --metrics, --profile[=N], --jobs) and
-   supervision (--journal, --resume, --retries). *)
+(* What the toolkit's commands share, defined once: observability and
+   parallelism flags (--trace, --metrics, --profile[=N], --jobs),
+   supervision flags (--journal, --resume, --retries), and how a command
+   line is evaluated. *)
 
 open Cmdliner
 
@@ -75,3 +76,23 @@ let retries =
         ~doc:
           "Supervisor retry budget per job for transient failures (stack \
            collisions, syscall failures).")
+
+(* [exit_with name status] exits with [status ()]. An input that is
+   missing or unreadable (a [Diag.Error] from an artifact reader, a
+   [Sys_error] from opening a file) is the user's error, not an internal
+   one: its message is printed and the status is 1. *)
+let exit_with name status =
+  let fail msg =
+    Printf.eprintf "%s: %s\n" name msg;
+    1
+  in
+  exit
+    (match status () with
+    | status -> status
+    | exception Elfie_util.Diag.Error d -> fail (Elfie_util.Diag.to_string d)
+    | exception Sys_error msg -> fail msg)
+
+(* Evaluate a command line and exit: [eval] for a command whose action
+   returns nothing, [eval'] for one that returns its exit status. *)
+let eval cmd = exit_with (Cmd.name cmd) (fun () -> Cmd.eval ~catch:false cmd)
+let eval' cmd = exit_with (Cmd.name cmd) (fun () -> Cmd.eval' ~catch:false cmd)

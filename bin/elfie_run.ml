@@ -108,4 +108,4 @@ let cmd =
          const run $ path $ sysstate $ seed $ trials $ max_ins $ Cli.retries
          $ Cli.journal $ Cli.resume $ disasm))
 
-let () = exit (Cmd.eval cmd)
+let () = Cli.eval cmd

@@ -145,4 +145,4 @@ let cmd =
        ~doc:"crash-safe ELFie farm: cache-backed resumable batch driver")
     [ run_t; stats_t; gc_t ]
 
-let () = exit (Cmd.eval' cmd)
+let () = Cli.eval' cmd

@@ -73,4 +73,4 @@ let cmd =
     (Cli.with_obs
        Term.(const run_ids $ ids_arg $ Cli.retries $ Cli.journal $ Cli.resume))
 
-let () = exit (Cmd.eval cmd)
+let () = Cli.eval cmd

@@ -205,4 +205,4 @@ let check_cmd =
 
 let () =
   let info = Cmd.info "pinball2elf" ~doc:"convert a pinball to an ELFie executable" in
-  exit (Cmd.eval (Cmd.group ~default:cmd info [ check_cmd ]))
+  Cli.eval (Cmd.group ~default:cmd info [ check_cmd ])

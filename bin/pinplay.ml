@@ -219,7 +219,6 @@ let list_cmd =
 
 let () =
   let doc = "PinPlay-style program record/replay toolkit (VX86)" in
-  exit
-    (Cmd.eval
-       (Cmd.group (Cmd.info "pinplay" ~doc)
-          [ run_cmd; log_cmd; replay_cmd; check_cmd; list_cmd ]))
+  Cli.eval
+    (Cmd.group (Cmd.info "pinplay" ~doc)
+       [ run_cmd; log_cmd; replay_cmd; check_cmd; list_cmd ])

@@ -184,4 +184,4 @@ let cmd =
     (Cmd.info "vgdb" ~doc:"debug an ELFie")
     Term.(const main $ path $ sysstate $ script)
 
-let () = exit (Cmd.eval cmd)
+let () = Cli.eval cmd

@@ -112,4 +112,4 @@ let objdump_cmd =
 
 let () =
   let doc = "VX86 assembler and flat-image tools" in
-  exit (Cmd.eval (Cmd.group (Cmd.info "vx86asm" ~doc) [ build_cmd; run_cmd; objdump_cmd ]))
+  Cli.eval (Cmd.group (Cmd.info "vx86asm" ~doc) [ build_cmd; run_cmd; objdump_cmd ])
