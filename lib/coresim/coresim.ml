@@ -223,22 +223,6 @@ let simulate ?(mode = User_level) ?(from_marker = true) ?measure_after ?fs_init
     | K_alu | K_load | K_store | K_vector | K_other -> plain
   in
   let tool = { (Elfie_pin.Pintool.empty ~name:"coresim") with instrument = Some instrument } in
-  (* Instruction [n] of the model (from 1) is the [start + n]-th one the
-     machine executes: from the first instruction, or (with
-     [from_marker]) from the one after the ROI marker. The startup
-     before the marker runs on plain chained translations. *)
-  let start = ref (-1) in
-  let detach =
-    if from_marker then
-      Elfie_pin.Pintool.attach_from_marker machine [ tool ] ~at_start:(fun _ ->
-          start := Elfie_pin.Pintool.executed machine + 1;
-          Machine.request_stop machine)
-    else begin
-      start := Elfie_pin.Pintool.executed machine;
-      Elfie_pin.Pintool.attach machine [ tool ]
-    end
-  in
-  let count () = Elfie_pin.Pintool.executed machine - !start in
   (* What happens before model instruction [n] runs: the measured
      window opens, and in full-system mode every [timer_interval_ins]
      instructions a timer interrupt runs kernel code. *)
@@ -260,34 +244,40 @@ let simulate ?(mode = User_level) ?(from_marker = true) ?measure_after ?fs_init
     in
     if window_at > n && window_at < timer then window_at else timer
   in
-  (* Run in segments that end where an event falls, so each happens
-     between the same two instructions as in one run: [run ~max_ins]
-     resumes a cut scheduler quantum exactly, and a fault (which
-     retires nothing) stops a segment early. *)
-  let retired () = Machine.total_retired machine in
-  let rec segments () =
-    let n = count () in
-    event (n + 1);
-    let upto = Int64.add (retired ()) (Int64.of_int (next_event (n + 1) - 1 - n)) in
-    Machine.run ~max_ins:(if upto < max_ins then upto else max_ins) machine;
-    if
-      retired () < max_ins
-      && List.exists
-           (fun th -> th.Machine.state = Machine.Runnable)
-           (Machine.threads machine)
-    then begin
-      Machine.clear_stop machine;
-      if count () > n then segments ()
-    end
+  let user_ins =
+    match Elfie_pin.Pintool.start_roi ~from_marker ~max_ins machine [ tool ] with
+    | None -> 0
+    | Some start ->
+        (* Instruction [n] of the model (from 1) is the [start + n]-th
+           one the machine executes. The startup before the marker ran
+           on plain chained translations. *)
+        let count () = Elfie_pin.Pintool.executed machine - start in
+        (* Run in segments that end where an event falls, so each
+           happens between the same two instructions as in one run:
+           [run ~max_ins] resumes a cut scheduler quantum exactly, and a
+           fault (which retires nothing) stops a segment early. *)
+        let retired () = Machine.total_retired machine in
+        let rec segments () =
+          let n = count () in
+          event (n + 1);
+          let upto =
+            Int64.add (retired ()) (Int64.of_int (next_event (n + 1) - 1 - n))
+          in
+          Machine.run ~max_ins:(if upto < max_ins then upto else max_ins) machine;
+          if
+            retired () < max_ins
+            && List.exists
+                 (fun th -> th.Machine.state = Machine.Runnable)
+                 (Machine.threads machine)
+          then begin
+            Machine.clear_stop machine;
+            if count () > n then segments ()
+          end
+        in
+        Machine.set_stop_on_fault machine true;
+        segments ();
+        count ()
   in
-  if from_marker then Machine.run ~max_ins machine;
-  if !start >= 0 then begin
-    Machine.clear_stop machine;
-    Machine.set_stop_on_fault machine true;
-    segments ()
-  end;
-  detach ();
-  let user_ins = if !start >= 0 then count () else 0 in
   let cycles = clock.cycles +. (float_of_int user_ins *. ins_cycles) in
   let completed =
     List.for_all

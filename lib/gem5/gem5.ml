@@ -142,22 +142,12 @@ let simulate_se ?(from_marker = true) ?fs_init ?cwd
     | K_alu | K_load | K_store | K_other -> plain
   in
   let tool = { (Elfie_pin.Pintool.empty ~name:"gem5-se") with instrument = Some instrument } in
-  (* With [from_marker], timing starts after the ROI marker (see
-     [Coresim.simulate]). *)
-  let start = ref (-1) in
-  let detach =
-    if from_marker then
-      Elfie_pin.Pintool.attach_from_marker machine [ tool ] ~at_start:(fun _ ->
-          start := Elfie_pin.Pintool.executed machine + 1)
-    else begin
-      start := Elfie_pin.Pintool.executed machine;
-      Elfie_pin.Pintool.attach machine [ tool ]
-    end
-  in
-  Machine.run ~max_ins machine;
-  detach ();
   let instructions =
-    if !start >= 0 then Elfie_pin.Pintool.executed machine - !start else 0
+    match Elfie_pin.Pintool.start_roi ~from_marker ~max_ins machine [ tool ] with
+    | None -> 0
+    | Some start ->
+        Machine.run ~max_ins machine;
+        Elfie_pin.Pintool.executed machine - start
   in
   let cycles = clock.cycles +. (float_of_int instructions *. ins_cycles) in
   let r =

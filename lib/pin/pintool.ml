@@ -124,3 +124,21 @@ let executed machine =
     n := !n + thread_executed (Machine.thread machine tid)
   done;
   !n
+
+let start_roi ~from_marker ~max_ins machine tools =
+  if from_marker then begin
+    let start = ref None in
+    let (_ : unit -> unit) =
+      attach_from_marker machine tools ~at_start:(fun _ ->
+          (* The marker retires next, and the run stops right after it. *)
+          start := Some (executed machine + 1);
+          Machine.request_stop machine)
+    in
+    Machine.run ~max_ins machine;
+    if Option.is_some !start then Machine.clear_stop machine;
+    !start
+  end
+  else begin
+    let (_ : unit -> unit) = attach machine tools in
+    Some (executed machine)
+  end

@@ -45,6 +45,19 @@ val attach : Elfie_machine.Machine.t -> t list -> unit -> unit
 val attach_from_marker :
   at_start:(int -> unit) -> Elfie_machine.Machine.t -> t list -> unit -> unit
 
+(** [start_roi ~from_marker ~max_ins machine tools] starts the region of
+    interest, the one way a simulator or an analysis run begins. With
+    [from_marker], it runs [machine] until the first marker retires
+    (or until [max_ins] instructions have retired machine-wide), with
+    [tools] attached right after the marker ({!attach_from_marker});
+    without it, it attaches [tools] at once. It returns the {!executed}
+    count at which the region starts (its first instruction is the next
+    one the machine executes), or [None] if no marker was reached. The
+    tools stay attached; the caller runs the region with
+    {!Elfie_machine.Machine.run}, which resumes right after the marker. *)
+val start_roi :
+  from_marker:bool -> max_ins:int64 -> Elfie_machine.Machine.t -> t list -> int option
+
 (** Instructions a thread has executed: those retired, plus the one it
     faulted on (a fetch fault runs none). This is what a before-call on
     every instruction would have counted, so a timing model can count

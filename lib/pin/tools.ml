@@ -3,33 +3,21 @@ module Machine = Elfie_machine.Machine
 
 type 'a analysis = { tool : Pintool.t; result : unit -> 'a }
 
-(* Shared gating: enablement at the first marker, stop after [limit]
-   analysed instructions. [gate_tick] admits (and counts) an
-   instruction; [gate_active] tells its memory and branch events
-   whether it was admitted. *)
-type gate = {
-  mutable g_enabled : bool;
-  mutable g_count : int64;
-  g_limit : int64 option;
-  mutable g_admitted : bool;
-}
-
-let make_gate ~from_marker ~limit =
-  { g_enabled = not from_marker; g_count = 0L; g_limit = limit; g_admitted = false }
-
-let gate_tick g =
-  let admit =
-    g.g_enabled
-    && match g.g_limit with Some l -> g.g_count < l | None -> true
-  in
-  if admit then g.g_count <- Int64.add g.g_count 1L;
-  g.g_admitted <- admit;
-  admit
-
-let gate_active g = g.g_admitted
-
-(* A before-call on every instruction that only ticks the gate. *)
-let tick_gate gate = Some (fun _ -> ignore (gate_tick gate))
+let run ?(from_marker = false) ?limit ~max_ins machine tools =
+  match Pintool.start_roi ~from_marker ~max_ins machine tools with
+  | None -> ()
+  | Some _ ->
+      let max_ins =
+        match limit with
+        | None -> max_ins
+        | Some limit ->
+            (* [limit] past the instructions retired so far, without
+               overflowing past [max_ins]. *)
+            let retired = Machine.total_retired machine in
+            if limit < Int64.sub max_ins retired then Int64.add retired limit
+            else max_ins
+      in
+      Machine.run ~max_ins machine
 
 let klass_name = function
   | Insn.K_alu -> "alu"
@@ -45,8 +33,7 @@ let klass_name = function
 
 type mix = { mix_total : int64; mix_classes : (string * int64) list }
 
-let instruction_mix ?(from_marker = false) ?limit () =
-  let gate = make_gate ~from_marker ~limit in
+let instruction_mix () =
   let counts : (string, int64 ref) Hashtbl.t = Hashtbl.create 8 in
   (* The class's counter is found once per instruction, at translation. *)
   let instrument _ ins =
@@ -59,24 +46,18 @@ let instruction_mix ?(from_marker = false) ?limit () =
           Hashtbl.replace counts k r;
           r
     in
-    {
-      Machine.no_callouts with
-      before = Some (fun _ -> if gate_tick gate then r := Int64.add !r 1L);
-    }
+    { Machine.no_callouts with before = Some (fun _ -> r := Int64.add !r 1L) }
   in
-  let tool =
-    {
-      (Pintool.empty ~name:"insmix") with
-      instrument = Some instrument;
-      on_marker = Some (fun _ _ -> gate.g_enabled <- true);
-    }
-  in
+  let tool = { (Pintool.empty ~name:"insmix") with instrument = Some instrument } in
   let result () =
     let classes =
       Hashtbl.fold (fun k r acc -> if !r > 0L then (k, !r) :: acc else acc) counts []
       |> List.sort (fun (_, a) (_, b) -> Int64.compare b a)
     in
-    { mix_total = gate.g_count; mix_classes = classes }
+    {
+      mix_total = List.fold_left (fun acc (_, n) -> Int64.add acc n) 0L classes;
+      mix_classes = classes;
+    }
   in
   { tool; result }
 
@@ -96,8 +77,7 @@ type footprint = {
   fp_bytes_written : int64;
 }
 
-let memory_footprint ?(from_marker = false) ?limit () =
-  let gate = make_gate ~from_marker ~limit in
+let memory_footprint () =
   let pages = Hashtbl.create 256 in
   let lines = Hashtbl.create 1024 in
   let reads = ref 0L and writes = ref 0L in
@@ -111,33 +91,22 @@ let memory_footprint ?(from_marker = false) ?limit () =
   let instrument _ ins =
     let w = Int64.of_int (access_width ins) in
     {
-      Machine.before = tick_gate gate;
+      Machine.no_callouts with
       read =
         Some
           (fun _ key _ ->
-            if gate_active gate then begin
-              touch key;
-              reads := Int64.add !reads 1L;
-              bytes_read := Int64.add !bytes_read w
-            end);
+            touch key;
+            reads := Int64.add !reads 1L;
+            bytes_read := Int64.add !bytes_read w);
       write =
         Some
           (fun _ key _ ->
-            if gate_active gate then begin
-              touch key;
-              writes := Int64.add !writes 1L;
-              bytes_written := Int64.add !bytes_written w
-            end);
-      branch = None;
+            touch key;
+            writes := Int64.add !writes 1L;
+            bytes_written := Int64.add !bytes_written w);
     }
   in
-  let tool =
-    {
-      (Pintool.empty ~name:"footprint") with
-      instrument = Some instrument;
-      on_marker = Some (fun _ _ -> gate.g_enabled <- true);
-    }
-  in
+  let tool = { (Pintool.empty ~name:"footprint") with instrument = Some instrument } in
   let result () =
     {
       fp_pages = Hashtbl.length pages;
@@ -163,33 +132,23 @@ let top_n n tbl =
   |> List.sort (fun (_, a) (_, b) -> compare b a)
   |> List.filteri (fun i _ -> i < n)
 
-let branch_profile ?(from_marker = false) ?limit () =
-  let gate = make_gate ~from_marker ~limit in
+let branch_profile () =
   let executed = ref 0L and taken = ref 0L in
   let sites : (int64, int ref) Hashtbl.t = Hashtbl.create 256 in
   let instrument pc _ =
     {
       Machine.no_callouts with
-      before = tick_gate gate;
       branch =
         Some
           (fun _ was_taken ->
-            if gate_active gate then begin
-              executed := Int64.add !executed 1L;
-              if was_taken then taken := Int64.add !taken 1L;
-              match Hashtbl.find_opt sites pc with
-              | Some r -> incr r
-              | None -> Hashtbl.replace sites pc (ref 1)
-            end);
+            executed := Int64.add !executed 1L;
+            if was_taken then taken := Int64.add !taken 1L;
+            match Hashtbl.find_opt sites pc with
+            | Some r -> incr r
+            | None -> Hashtbl.replace sites pc (ref 1));
     }
   in
-  let tool =
-    {
-      (Pintool.empty ~name:"branchprof") with
-      instrument = Some instrument;
-      on_marker = Some (fun _ _ -> gate.g_enabled <- true);
-    }
-  in
+  let tool = { (Pintool.empty ~name:"branchprof") with instrument = Some instrument } in
   let result () =
     { br_executed = !executed; br_taken = !taken; br_hottest = top_n 10 sites }
   in
@@ -199,8 +158,7 @@ let branch_profile ?(from_marker = false) ?limit () =
 
 type block_profile = { bb_blocks : int; bb_hottest : (int64 * int) list }
 
-let block_profile ?(from_marker = false) ?limit () =
-  let gate = make_gate ~from_marker ~limit in
+let block_profile () =
   let heads : (int64, int ref) Hashtbl.t = Hashtbl.create 256 in
   (* Per thread: whether its next instruction starts a block. *)
   let at_boundary : (int, bool) Hashtbl.t = Hashtbl.create 8 in
@@ -215,24 +173,16 @@ let block_profile ?(from_marker = false) ?limit () =
       before =
         Some
           (fun tid ->
-            if gate_tick gate then begin
-              if Option.value ~default:true (Hashtbl.find_opt at_boundary tid)
-              then begin
-                match Hashtbl.find_opt heads pc with
-                | Some r -> incr r
-                | None -> Hashtbl.replace heads pc (ref 1)
-              end;
-              Hashtbl.replace at_boundary tid ends
-            end);
+            if Option.value ~default:true (Hashtbl.find_opt at_boundary tid)
+            then begin
+              match Hashtbl.find_opt heads pc with
+              | Some r -> incr r
+              | None -> Hashtbl.replace heads pc (ref 1)
+            end;
+            Hashtbl.replace at_boundary tid ends);
     }
   in
-  let tool =
-    {
-      (Pintool.empty ~name:"bbprof") with
-      on_marker = Some (fun _ _ -> gate.g_enabled <- true);
-      instrument = Some instrument;
-    }
-  in
+  let tool = { (Pintool.empty ~name:"bbprof") with instrument = Some instrument } in
   let result () =
     { bb_blocks = Hashtbl.length heads; bb_hottest = top_n 10 heads }
   in
