@@ -384,10 +384,15 @@ let validate ?jobs ?(params = Simpoint.default_params) ?(trials = 3)
   let rel_err whole pred =
     if whole = 0.0 then 0.0 else Float.abs (whole -. pred) /. whole
   in
+  (* A second sample whose trials all failed has no CPI (its mean is 0):
+     its region is left out, as the farm driver and ablation A do. *)
   let elfie_error2 =
     if second_base_seed = None then None
     else
-      weighted (fun ro -> Option.map (fun s -> s.Perf.mean_cpi) ro.elfie_sample2)
+      weighted (fun ro ->
+          match ro.elfie_sample2 with
+          | Some s when s.Perf.failures < s.Perf.trials -> Some s.Perf.mean_cpi
+          | Some _ | None -> None)
       |> Option.map (rel_err whole_cpi)
   in
   let sim_whole_cpi, sim_pred_cpi, sim_error =

@@ -51,7 +51,9 @@ type validation = {
   native_whole : Elfie_perf.Perf.sample;
   elfie_pred_cpi : float;
   elfie_error : float;  (** |whole - predicted| / whole, ELFie-based *)
-  elfie_error2 : float option;  (** second ELFie-based instance *)
+  elfie_error2 : float option;
+      (** second ELFie-based instance, over the regions whose second
+          sample has a graceful trial; [None] when none has *)
   sim_whole_cpi : float option;
   sim_pred_cpi : float option;
   sim_error : float option;  (** same, via whole-program simulation *)

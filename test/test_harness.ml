@@ -154,6 +154,37 @@ let test_recovery_stack_collision () =
          | Pipeline.Quarantined _ | Pipeline.Abandoned -> false)
        v.Pipeline.degradations)
 
+(* The second instance weights only regions whose second sample has a
+   graceful trial. Here every second sample collides (base seed 42L is
+   the capture seed, and each region's first sample only succeeded
+   after a reseed), so there is no second prediction: a failed sample's
+   CPI of 0 must not count as one. *)
+let test_second_instance_skips_failed_regions () =
+  let b =
+    { Elfie_workloads.Suite.bname = "tinystk"; spec = Tutil.tiny_spec "tinystk" }
+  in
+  let params =
+    { Elfie_simpoint.Simpoint.default_params with
+      slice_size = 10_000L; warmup = 20_000L; max_k = 6 }
+  in
+  let alloc_stacks _r options =
+    { options with Elfie_core.Pinball2elf.alloc_stack_sections = true }
+  in
+  let v =
+    Pipeline.validate ~params ~trials:1 ~base_seed:42L ~second_base_seed:42L
+      ~max_seed_retries:4 ~elfie_options:alloc_stacks b
+  in
+  Alcotest.(check bool) "first instance covered" true (v.Pipeline.coverage > 0.0);
+  Alcotest.(check bool) "every second sample failed" true
+    (List.for_all
+       (fun ro ->
+         match ro.Pipeline.elfie_sample2 with
+         | Some s -> s.Perf.failures = s.Perf.trials
+         | None -> true)
+       v.Pipeline.regions);
+  Alcotest.(check (option (float 0.0))) "no second prediction" None
+    v.Pipeline.elfie_error2
+
 let suite =
   [
     Alcotest.test_case "experiment smoke (table4, fig11)" `Slow test_experiment_smoke;
@@ -169,4 +200,6 @@ let suite =
     Alcotest.test_case "perf whole program" `Quick test_perf_whole_program;
     Alcotest.test_case "pipeline validate (small)" `Slow test_pipeline_validate_small;
     Alcotest.test_case "region past end" `Quick test_make_region_elfie_none_past_end;
+    Alcotest.test_case "second instance skips failed regions" `Slow
+      test_second_instance_skips_failed_regions;
   ]
