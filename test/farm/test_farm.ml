@@ -896,7 +896,12 @@ let test_manifest_parsing () =
   bad "unknown key" "job bench=541.leela_r nope=1\n";
   bad "bad integer" "job bench=541.leela_r slice=ten\n";
   bad "zero slice" "job bench=541.leela_r slice=0\n";
-  bad "negative slice" "job bench=541.leela_r slice=-5\n"
+  bad "negative slice" "job bench=541.leela_r slice=-5\n";
+  bad "zero max-k" "job bench=505.mcf_r max-k=0\n";
+  bad "negative max-k" "job bench=505.mcf_r max-k=-3\n";
+  bad "zero dims" "job bench=505.mcf_r dims=0\n";
+  bad "zero trials" "job bench=505.mcf_r trials=0\n";
+  bad "negative warmup" "job bench=505.mcf_r warmup=-50000\n"
 
 (* Two `elfied run --resume` processes race the same journal and
    store, and one of them is SIGKILLed mid-run — the abandoned locks and any torn trailing journal line must not stop
