@@ -29,15 +29,7 @@ let error_of_selection rs ~whole_cpi regions =
          (fun i (weight, _, _, warmup) ->
            match List.assoc_opt (string_of_int i) captured with
            | Some { Elfie_pin.Logger.pinball; reached_end = true } ->
-               let ss = Elfie_pin.Sysstate.analyze pinball in
-               let options =
-                 {
-                   Elfie_core.Pinball2elf.default_options with
-                   sysstate = Some ss;
-                   warmup_mark = (if warmup > 0L then Some warmup else None);
-                 }
-               in
-               let image = Elfie_core.Pinball2elf.convert ~options pinball in
+               let image, ss = Elfie_core.Pinball2elf.region ~warmup pinball in
                let sample =
                  Perf.elfie_region ~trials
                    ~fs_init:(fun fs -> Elfie_pin.Sysstate.install ss fs ~workdir)
