@@ -37,35 +37,6 @@ let sys_vperf_cycles = 4098  (* -> cycle count of calling thread *)
 let sys_thread_alive = 4099  (* rdi = tid; -> 1 if runnable, else 0 *)
 let sys_vperf_mark = 4100  (* rdi = instructions until a counter snapshot *)
 
-let syscall_name nr =
-  match nr with
-  | 0 -> "read"
-  | 1 -> "write"
-  | 2 -> "open"
-  | 3 -> "close"
-  | 8 -> "lseek"
-  | 9 -> "mmap"
-  | 10 -> "mprotect"
-  | 11 -> "munmap"
-  | 12 -> "brk"
-  | 32 -> "dup"
-  | 33 -> "dup2"
-  | 39 -> "getpid"
-  | 56 -> "clone"
-  | 60 -> "exit"
-  | 96 -> "gettimeofday"
-  | 158 -> "arch_prctl"
-  | 186 -> "gettid"
-  | 201 -> "time"
-  | 231 -> "exit_group"
-  | 318 -> "getrandom"
-  | 4096 -> "vperf_arm"
-  | 4097 -> "vperf_read"
-  | 4098 -> "vperf_cycles"
-  | 4099 -> "thread_alive"
-  | 4100 -> "vperf_mark"
-  | _ -> Printf.sprintf "sys_%d" nr
-
 (* open(2) flags. *)
 let o_rdonly = 0
 let o_wronly = 1

@@ -34,7 +34,6 @@ type t = {
   rng : Elfie_util.Rng.t;
   stack_offset : int64;
   mutable syscall_count : int;
-  histogram : (int, int) Hashtbl.t;
   mutable recorder : (syscall_record -> unit) option;
 }
 
@@ -60,7 +59,6 @@ let create ?(config = default_config) fs =
     rng;
     stack_offset;
     syscall_count = 0;
-    histogram = Hashtbl.create 16;
     recorder = None;
   }
 
@@ -91,10 +89,6 @@ let set_fd t fd state =
     | Fd_console -> Console
     | Fd_file { path; pos } -> File { path; pos })
 let syscall_count t = t.syscall_count
-
-let syscall_histogram t =
-  Hashtbl.fold (fun nr n acc -> (Abi.syscall_name nr, n) :: acc) t.histogram []
-  |> List.sort compare
 
 let set_recorder t r = t.recorder <- r
 let stack_random_offset t = t.stack_offset
@@ -129,16 +123,8 @@ let fork t =
     rng = Elfie_util.Rng.copy t.rng;
     stack_offset = t.stack_offset;
     syscall_count = t.syscall_count;
-    histogram = Hashtbl.copy t.histogram;
     recorder = None;
   }
-
-let preopen_fd t ~fd ~path =
-  if Fs.exists t.fs path then begin
-    Hashtbl.replace t.fds fd (File { path; pos = 0 });
-    true
-  end
-  else false
 
 let lowest_free_fd t =
   let rec go fd = if Hashtbl.mem t.fds fd then go (fd + 1) else fd in
@@ -195,8 +181,6 @@ let handle t m tid =
   let args = [| a0; a1; a2; _a3; get Reg.R8; get Reg.R9 |] in
   let path_arg = ref None in
   t.syscall_count <- t.syscall_count + 1;
-  Hashtbl.replace t.histogram nr
-    (1 + Option.value ~default:0 (Hashtbl.find_opt t.histogram nr));
   let writes = ref [] in
   let moved_bytes = ref 0 in
   (* Copy-out into user memory. It never maps a page: a call whose

@@ -53,10 +53,6 @@ val brk : t -> int64
 (** Force the break (used when materialising a checkpointed process). *)
 val force_brk : t -> int64 -> unit
 
-(** Pre-open a file at a specific descriptor — the Vkernel half of the
-    SYSSTATE [FD_n] mechanism. Returns [false] if the path is absent. *)
-val preopen_fd : t -> fd:int -> path:string -> bool
-
 (** Descriptor-table introspection and reconstruction, used by
     whole-process checkpointing (the CRIU-style baseline). *)
 type fd_state = Fd_console | Fd_file of { path : string; pos : int }
@@ -65,9 +61,6 @@ val fd_table : t -> (int * fd_state) list
 val set_fd : t -> int -> fd_state -> unit
 
 val syscall_count : t -> int
-
-(** [(name, count)] histogram of syscalls handled so far. *)
-val syscall_histogram : t -> (string * int) list
 
 type syscall_record = {
   rec_tid : int;

@@ -44,43 +44,6 @@ let emitted_count = ref 0
 let lock = Mutex.create ()
 let[@inline] locked f = Mutex.protect lock f
 
-(* --- correlation identifiers ------------------------------------------ *)
-
-(* The process trace ID, recorded in every Chrome export so files from
-   one run can be told apart. Derived lazily from pid and wall clock so
-   concurrent processes draw distinct IDs. *)
-let trace_id_cell = ref 0L
-
-let mix64 z =
-  let z =
-    Int64.mul
-      (Int64.logxor z (Int64.shift_right_logical z 30))
-      0xbf58476d1ce4e5b9L
-  in
-  let z =
-    Int64.mul
-      (Int64.logxor z (Int64.shift_right_logical z 27))
-      0x94d049bb133111ebL
-  in
-  Int64.logxor z (Int64.shift_right_logical z 31)
-
-let fresh_trace_id () =
-  let bits =
-    Int64.logxor
-      (Int64.of_float (Unix.gettimeofday () *. 1e6))
-      (Int64.shift_left (Int64.of_int (Unix.getpid ())) 40)
-  in
-  match mix64 bits with 0L -> 1L | id -> id
-
-let set_trace_id id = trace_id_cell := id
-
-let trace_id () =
-  locked (fun () ->
-      if !trace_id_cell = 0L then trace_id_cell := fresh_trace_id ();
-      !trace_id_cell)
-
-let hex_id id = Printf.sprintf "%016Lx" id
-
 let set_enabled b = enabled_flag := b
 let set_capacity n = locked (fun () -> capacity := max 1 n)
 
@@ -228,14 +191,7 @@ let to_chrome ?pid ?label () =
       if i > 0 then Buffer.add_char b ',';
       Buffer.add_string b (chrome_event ~pid ev))
     (events ());
-  (* The absolute epoch (us since the Unix epoch) lets a reader align
-     files whose ts fields are each relative to their own process
-     start. *)
-  Buffer.add_string b
-    (Printf.sprintf
-       "],\"displayTimeUnit\":\"ms\",\"epochUs\":%.3f,\"traceId\":\"%s\"}"
-       (!epoch *. 1e6)
-       (hex_id (trace_id ())));
+  Buffer.add_string b "],\"displayTimeUnit\":\"ms\"}";
   Buffer.contents b
 
 let write_chrome ?pid ?label path =
@@ -243,41 +199,3 @@ let write_chrome ?pid ?label path =
   output_string oc (to_chrome ?pid ?label ());
   output_char oc '\n';
   close_out oc
-
-(* --- Human-readable tree ---------------------------------------------- *)
-
-let string_of_value = function
-  | S s -> s
-  | I i -> Int64.to_string i
-  | F f -> Printf.sprintf "%.4g" f
-  | B b -> string_of_bool b
-
-let pp_attrs fmt attrs =
-  if attrs <> [] then
-    Format.fprintf fmt " (%s)"
-      (String.concat ", "
-         (List.map (fun (k, v) -> k ^ "=" ^ string_of_value v) attrs))
-
-let pp_tree fmt () =
-  let by_seq =
-    List.sort
-      (fun a b ->
-        let s = function Span { seq; _ } | Instant { seq; _ } -> seq in
-        compare (s a) (s b))
-      (events ())
-  in
-  List.iter
-    (fun ev ->
-      match ev with
-      | Span { name; dur; depth; attrs; _ } ->
-          Format.fprintf fmt "%s%s %.3fms%a@." (String.make (2 * depth) ' ')
-            name (dur /. 1000.0) pp_attrs attrs
-      | Instant { name; depth; attrs; _ } ->
-          Format.fprintf fmt "%s- %s%a@." (String.make (2 * depth) ' ') name
-            pp_attrs attrs)
-    by_seq;
-  if !dropped_count > 0 then
-    Format.fprintf fmt "(%d event(s) dropped past the %d-event buffer)@."
-      !dropped_count !capacity
-
-let tree () = Format.asprintf "%a" pp_tree ()

@@ -5,7 +5,7 @@
     events at well-known points — pipeline stages, supervisor attempts,
     runner phases, simulator runs, replays. The buffer can be exported
     as Chrome [trace_event] JSON (loadable in [about:tracing] or
-    Perfetto) or rendered as a human-readable tree.
+    Perfetto).
 
     Timestamps are microseconds relative to the tracer epoch (process
     start or the last {!reset}) and are paired with a monotonically
@@ -39,17 +39,6 @@ val event_attrs : event -> attrs
 
 (** An in-flight span handle, as returned by {!begin_span}. *)
 type span
-
-(** {1 Trace identifier} *)
-
-(** This process's trace ID — drawn lazily from the pid and wall clock
-    (never zero), stable until {!set_trace_id}. The Chrome export
-    records it as ["traceId"], rendered as 16 lowercase hex digits
-    ({!hex_id}). *)
-val trace_id : unit -> int64
-
-val set_trace_id : int64 -> unit
-val hex_id : int64 -> string
 
 (** Tracing is enabled by default; when disabled, every emission
     function is a no-op. *)
@@ -97,17 +86,8 @@ val reset : unit -> unit
     instants, preceded by ["ph":"M"] [process_name] / [thread_name]
     metadata so the trace shows named tracks. Every event carries this
     process's pid and the process is labelled with the executable
-    basename (override with [pid] / [label] for tests); the top-level
-    object records the absolute tracer epoch (["epochUs"]), so files
-    from several processes can be aligned onto one clock, and the
-    process ["traceId"]. *)
+    basename (override with [pid] / [label] for tests). *)
 val to_chrome : ?pid:int -> ?label:string -> unit -> string
 
 (** {!to_chrome} to a file. *)
 val write_chrome : ?pid:int -> ?label:string -> string -> unit
-
-(** Human-readable tree: spans indented by nesting depth, in begin-time
-    order, with durations and attributes. *)
-val pp_tree : Format.formatter -> unit -> unit
-
-val tree : unit -> string

@@ -106,7 +106,8 @@ let test_file_syscalls () =
   Alcotest.(check bool) "clean" true (Elfie_machine.Machine.all_exited_cleanly machine);
   Alcotest.(check string) "stdout" "abcdebc" (Vkernel.stdout_contents kernel);
   Alcotest.(check (option string)) "out.txt written" (Some "bc")
-    (Fs.read_file (Vkernel.fs kernel) "/out.txt")
+    (Fs.read_file (Vkernel.fs kernel) "/out.txt");
+  Alcotest.(check bool) "counted" true (Vkernel.syscall_count kernel >= 8)
 
 let test_enoent_and_ebadf () =
   let b = Builder.create () in
@@ -408,16 +409,6 @@ let test_getrandom_seeded () =
   Alcotest.(check int) "same seed, same bytes" (status 5L) (status 5L);
   Alcotest.(check bool) "exit code plausible" true (status 5L >= 0)
 
-let test_syscall_histogram () =
-  let image = Tutil.image_of ~data_section:(0x60_0000L, 4096) (file_program ()) in
-  let _, kernel =
-    Tutil.run_image ~fs_init:(fun fs -> Fs.add_file fs ~path:"/in.txt" "abcdefgh") image
-  in
-  let hist = Vkernel.syscall_histogram kernel in
-  Alcotest.(check (option int)) "two opens" (Some 2) (List.assoc_opt "open" hist);
-  Alcotest.(check (option int)) "two reads" (Some 2) (List.assoc_opt "read" hist);
-  Alcotest.(check bool) "counted" true (Vkernel.syscall_count kernel >= 8)
-
 (* --- loader ----------------------------------------------------------------- *)
 
 let test_loader_stack_contents () =
@@ -493,14 +484,6 @@ let test_loader_stack_collision () =
      Alcotest.(check bool) "fewer pages than needed" true (reserved < needed));
   ()
 
-let test_preopen_fd () =
-  let fs = Fs.create () in
-  Fs.add_file fs ~path:"/work/FD_5" "data";
-  let kernel = Vkernel.create fs in
-  Alcotest.(check bool) "preopen ok" true (Vkernel.preopen_fd kernel ~fd:5 ~path:"/work/FD_5");
-  Alcotest.(check bool) "missing path" false
-    (Vkernel.preopen_fd kernel ~fd:6 ~path:"/nope")
-
 let suite =
   [
     Alcotest.test_case "fs normalize" `Quick test_fs_normalize;
@@ -519,10 +502,8 @@ let suite =
     Alcotest.test_case "lseek whence" `Quick test_lseek_whence;
     Alcotest.test_case "open O_TRUNC" `Quick test_open_trunc;
     Alcotest.test_case "getrandom seeded" `Quick test_getrandom_seeded;
-    Alcotest.test_case "syscall histogram" `Quick test_syscall_histogram;
     Alcotest.test_case "loader stack argc" `Quick test_loader_stack_contents;
     Alcotest.test_case "loader randomization" `Quick test_loader_randomization_bounds;
     Alcotest.test_case "loader rejects object" `Quick test_loader_rejects_object;
     Alcotest.test_case "loader stack collision" `Quick test_loader_stack_collision;
-    Alcotest.test_case "preopen fd" `Quick test_preopen_fd;
   ]

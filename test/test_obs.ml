@@ -156,11 +156,7 @@ let test_span_nesting_and_ordering () =
         (List.assoc_opt "k" inner.attrs = Some (Trace.I 7L))
   | evs -> Alcotest.failf "unexpected event shape (%d events)" (List.length evs));
   Alcotest.(check (list string)) "span names in completion order"
-    [ "inner"; "outer" ] (Trace.span_names ());
-  (* The tree renders in begin order, nested spans indented. *)
-  let tree = Trace.tree () in
-  Alcotest.(check bool) "tree shows outer" true (contains tree "outer");
-  Alcotest.(check bool) "tree indents inner" true (contains tree "  inner")
+    [ "inner"; "outer" ] (Trace.span_names ())
 
 let test_span_error_attr_on_exception () =
   Trace.reset ();
@@ -317,26 +313,16 @@ let has_meta evs ~name ~pid ~track =
     evs
 
 let test_chrome_metadata () =
-  let id = 0x1122334455667788L in
   Trace.reset ();
-  Trace.set_trace_id id;
   Trace.with_span "chrome.a" (fun _ -> ());
   let file_a = Trace.to_chrome ~pid:101 ~label:"proc-a" () in
   Trace.reset ();
-  (* The export names its process and thread tracks and records the
-     absolute epoch and the trace ID. *)
+  (* The export names its process and thread tracks. *)
   let ja = parse_json file_a in
   Alcotest.(check bool) "process_name metadata" true
     (has_meta (trace_events ja) ~name:"process_name" ~pid:101 ~track:"proc-a");
   Alcotest.(check bool) "thread_name metadata" true
-    (has_meta (trace_events ja) ~name:"thread_name" ~pid:101 ~track:"main");
-  Alcotest.(check bool) "traceId exported as 16 hex digits" true
-    (obj_field ja "traceId" = Some (J_str (Trace.hex_id id)));
-  Alcotest.(check int) "hex id width" 16 (String.length (Trace.hex_id id));
-  Alcotest.(check bool) "absolute epochUs exported" true
-    (match obj_field ja "epochUs" with
-    | Some (J_num us) -> us > 0.0
-    | _ -> false)
+    (has_meta (trace_events ja) ~name:"thread_name" ~pid:101 ~track:"main")
 
 (* --- end to end: a pipeline validation traces every layer ------------------- *)
 
