@@ -72,6 +72,46 @@ let test_tool_order_and_detach () =
   Alcotest.(check bool) "detach restores no hooks" true
     (h.instrument = None && h.on_marker = None)
 
+(* [Pintool.start_roi]: without a marker the region starts where the
+   machine stands; from a marker it starts right after the first one
+   retires, with the tools attached there; a program without a marker
+   has no region. *)
+let test_start_roi () =
+  let machine, _ = Run.instantiate (Tutil.tiny_run_spec "roi") in
+  Elfie_machine.Machine.run ~max_ins:500L machine;
+  let t, c = instruction_counter () in
+  Alcotest.(check (option int)) "starts where the machine stands" (Some 500)
+    (Pintool.start_roi ~from_marker:false ~max_ins:2_000L machine [ t ]);
+  Elfie_machine.Machine.run ~max_ins:2_000L machine;
+  Alcotest.check Tutil.i64 "tools attached at once" 1_500L (c ());
+  let payload = 0x77L in
+  let rs =
+    Elfie_workloads.Programs.run_spec
+      (Elfie_workloads.Programs.spec
+         ~phases:[ { kernel = Elfie_workloads.Kernels.Alu; reps = 800 } ]
+         ~outer_reps:2 ~ws_bytes:16384 ~roi_marker:payload "roi")
+  in
+  let marker =
+    match Logger.icount_at_marker rs ~payload ~occurrence:1 with
+    | Some n -> Int64.to_int n
+    | None -> Alcotest.fail "marker never fired"
+  in
+  let machine, _ = Run.instantiate rs in
+  let t, c = instruction_counter () in
+  Alcotest.(check (option int)) "starts after the marker" (Some (marker + 1))
+    (Pintool.start_roi ~from_marker:true ~max_ins:Int64.max_int machine [ t ]);
+  Alcotest.check Tutil.i64 "stops right after the marker"
+    (Int64.of_int (marker + 1))
+    (Elfie_machine.Machine.total_retired machine);
+  Alcotest.check Tutil.i64 "tools see nothing before it" 0L (c ());
+  Elfie_machine.Machine.run ~max_ins:(Int64.of_int (marker + 1_001)) machine;
+  Alcotest.check Tutil.i64 "tools see the region" 1_000L (c ());
+  let machine, _ = Run.instantiate (Tutil.tiny_run_spec "noroi") in
+  let t, c = instruction_counter () in
+  Alcotest.(check (option int)) "no marker, no region" None
+    (Pintool.start_roi ~from_marker:true ~max_ins:10_000L machine [ t ]);
+  Alcotest.check Tutil.i64 "tools see nothing" 0L (c ())
+
 (* --- run -------------------------------------------------------------------- *)
 
 let test_native_run_clean () =
@@ -514,4 +554,5 @@ let suite =
       test_sysstate_in_region_open_with_lseek;
     Alcotest.test_case "sysstate files roundtrip" `Quick test_sysstate_files_roundtrip;
     Alcotest.test_case "sysstate install" `Quick test_sysstate_install;
+    Alcotest.test_case "start_roi from a marker or at once" `Quick test_start_roi;
   ]
