@@ -12,6 +12,14 @@ type params = {
 let default_params =
   { slice_size = 50_000L; warmup = 200_000L; max_k = 50; dims = 15; seed = 97L }
 
+let check_params p =
+  let fail fmt = Printf.ksprintf (fun msg -> Error msg) fmt in
+  if p.slice_size < 1L then fail "slice_size must be positive, got %Ld" p.slice_size
+  else if p.warmup < 0L then fail "warmup must be non-negative, got %Ld" p.warmup
+  else if p.max_k < 1 then fail "max_k must be positive, got %d" p.max_k
+  else if p.dims < 1 then fail "dims must be positive, got %d" p.dims
+  else Ok ()
+
 type region = {
   cluster : int;
   slice_index : int;

@@ -17,6 +17,11 @@ type params = {
 
 val default_params : params
 
+(** [check_params p] is [Error msg] when a parameter is out of range:
+    [slice_size], [max_k] and [dims] must be positive and [warmup]
+    non-negative. Front-ends check what they read with it. *)
+val check_params : params -> (unit, string) result
+
 (** One selected simulation region: the representative slice plus its
     warmup prefix. *)
 type region = {
