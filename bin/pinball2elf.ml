@@ -160,7 +160,7 @@ let check path fault_sweep =
     with
     | s -> Bytes.of_string s
     | exception Sys_error msg ->
-        prerr_endline (Diag.to_string (Diag.v ~artifact:path Diag.Io_error msg));
+        prerr_endline (Diag.to_string (Diag.io_error ~artifact:path msg));
         exit 1
   in
   match Elfie_elf.Image.read_result ~artifact:path bytes with

@@ -19,7 +19,7 @@ let which_conv =
     [ ("insmix", Insmix); ("footprint", Footprint); ("branchprof", Branchprof);
       ("bbprof", Bbprof) ]
 
-let run which bench elf sysstate limit =
+let analyse which bench elf sysstate limit =
   let machine, from_marker =
     match (bench, elf) with
     | Some name, None ->
@@ -78,6 +78,12 @@ let run which bench elf sysstate limit =
       attach_and_run a.tool (fun () ->
           Format.printf "%a@." Tools.pp_block_profile (a.result ()))
 
+let run which bench elf sysstate limit =
+  match limit with
+  | Some n when n < 1L ->
+      `Error (true, Printf.sprintf "limit must be positive, got %Ld" n)
+  | _ -> `Ok (analyse which bench elf sysstate limit)
+
 let cmd =
   let which =
     Arg.(
@@ -104,10 +110,11 @@ let cmd =
   let limit =
     Arg.(
       value & opt (some int64) None
-      & info [ "limit" ] ~docv:"N" ~doc:"Stop analysis after N instructions.")
+      & info [ "limit" ] ~docv:"N"
+          ~doc:"Stop analysis after N instructions (positive).")
   in
   Cmd.v
     (Cmd.info "vpin" ~doc:"run dynamic-analysis tools on binaries and ELFies")
-    Term.(const run $ which $ bench $ elf $ sysstate $ limit)
+    Term.(ret (const run $ which $ bench $ elf $ sysstate $ limit))
 
 let () = Cli.eval cmd

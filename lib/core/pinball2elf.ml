@@ -41,22 +41,20 @@ let stack_page_threshold = 0x7ff0_0000_0000L
    ELF section, as pinball2elf does for the .text memory image. *)
 let runs_of_pages pages =
   let flush addr chunks acc =
-    match chunks with
-    | [] -> acc
-    | _ -> (addr, Bytes.concat Bytes.empty (List.rev chunks)) :: acc
+    (addr, Bytes.concat Bytes.empty (List.rev chunks)) :: acc
   in
-  let rec go acc cur pages =
-    match (cur, pages) with
-    | None, [] -> List.rev acc
-    | Some (addr, chunks), [] -> List.rev (flush addr chunks acc)
-    | None, (a, b) :: rest -> go acc (Some (a, [ b ])) rest
-    | Some (addr, chunks), (a, b) :: rest ->
-        let run_len = List.fold_left (fun n c -> n + Bytes.length c) 0 chunks in
-        if Int64.add addr (Int64.of_int run_len) = a then
-          go acc (Some (addr, b :: chunks)) rest
-        else go (flush addr chunks acc) (Some (a, [ b ])) rest
+  let end_of a b = Int64.add a (Int64.of_int (Bytes.length b)) in
+  (* The open run starts at [addr], ends at [fin] and holds [chunks],
+     newest first. *)
+  let rec go acc addr fin chunks = function
+    | [] -> List.rev (flush addr chunks acc)
+    | (a, b) :: rest ->
+        if Int64.equal fin a then go acc addr (end_of a b) (b :: chunks) rest
+        else go (flush addr chunks acc) a (end_of a b) [ b ] rest
   in
-  go [] None pages
+  match pages with
+  | [] -> []
+  | (a, b) :: rest -> go [] a (end_of a b) [ b ] rest
 
 let is_stack_page addr = Int64.unsigned_compare addr stack_page_threshold >= 0
 

@@ -187,7 +187,7 @@ let simulate ?(mode = User_level) ?(from_marker = true) ?measure_after ?fs_init
   let machine, _kernel =
     Elfie_pin.Run.instantiate
       (Elfie_pin.Run.spec ~argv:[ "elfie" ] ~env:[] ?fs_init ?cwd ~seed:13L
-         ~kernel_cost:false image)
+         ~native:false image)
   in
   Elfie_pin.Tools.attach_global_profile machine;
   let model = fresh_model cfg mode in

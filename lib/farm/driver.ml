@@ -154,8 +154,7 @@ let load_manifest path =
       (fun () -> really_input_string ic (in_channel_length ic))
   with
   | contents -> manifest_of_string ~artifact:path contents
-  | exception Sys_error msg ->
-      Error (Diag.f ~artifact:path Diag.Io_error "%s" msg)
+  | exception Sys_error msg -> Error (Diag.io_error ~artifact:path msg)
 
 (* --- one job ---------------------------------------------------------------- *)
 

@@ -120,7 +120,7 @@ let simulate_se ?(from_marker = true) ?fs_init ?cwd
   let machine, _kernel =
     Elfie_pin.Run.instantiate
       (Elfie_pin.Run.spec ~argv:[ "elfie" ] ~env:[] ?fs_init ?cwd ~seed:13L
-         ~kernel_cost:false image)
+         ~native:false image)
   in
   Elfie_pin.Tools.attach_global_profile machine;
   let model = fresh cfg in

@@ -9,11 +9,11 @@ let config ~size_bytes ~ways ~line_bytes =
   if size_bytes mod (ways * line_bytes) <> 0 then invalid_arg "Cache: geometry";
   { size_bytes; ways; line_bytes }
 
-(* Tags, recency and per-set stamps live in flat bytes, eight per entry,
-   host-native order (they are never serialized): creating one is a
-   memset, copying one a memcpy, and the GC never scans them. An
-   [int array] of the same size is scanned on every major slice and
-   built or copied one element at a time. *)
+(* Tags, recency, per-set stamps and fill counts live in flat bytes,
+   eight per entry, host-native order (they are never serialized):
+   copying one is a memcpy, and the GC never scans them. An [int array]
+   of the same size is scanned on every major slice and built or copied
+   one element at a time. *)
 external get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
 external set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
 
@@ -26,16 +26,21 @@ type t = {
   set_mask : int;  (* sets - 1 when sets is a power of two (0 for one set), else -1 *)
   key_bits : int;  (* line = key lsr key_bits *)
   (* Line numbers fit an OCaml [int]: a 64-bit address shifted right by
-     the line bits (>= 1) is at most 63 bits. -1 = invalid (no line
-     number is negative), the all-ones fill. *)
+     the line bits (>= 1) is at most 63 bits. Only ways [0, fill) of a
+     set hold lines; the rest of [tags] and [lru] is never read, so it
+     starts uninitialised. *)
   tags : Bytes.t;  (* sets * ways *)
   (* Recency as per-set timestamps: larger = more recent, victim = the
      way with the smallest stamp. Exactly the LRU order an age vector
-     maintains (stamps are distinct within a set once filled, and the
-     fill-order tie-break matches), but a hit updates one slot instead
-     of re-aging the whole set. *)
+     maintains (stamps are distinct within a set), but a hit updates one
+     slot instead of re-aging the whole set. *)
   lru : Bytes.t;  (* stamp per way *)
   stamp : Bytes.t;  (* per-set monotone clock *)
+  (* Filled ways per set. A miss into a set that is not full takes way
+     [fill]; only a full set scans for its least recently used way.
+     Which physical way a line sits in never shows in a hit or a miss,
+     so this is the same LRU as choosing among empty ways by stamp. *)
+  fill : Bytes.t;
   mutable hits : int;
   mutable misses : int;
   (* Most-recently-accessed line. Every access leaves its line resident
@@ -59,9 +64,10 @@ let create cfg =
     sets;
     set_mask = (if sets land (sets - 1) = 0 then sets - 1 else -1);
     key_bits = line_bits - 1;
-    tags = Bytes.make (entries * 8) '\255';
-    lru = Bytes.make (entries * 8) '\000';
+    tags = Bytes.create (entries * 8);
+    lru = Bytes.create (entries * 8);
     stamp = Bytes.make (sets * 8) '\000';
+    fill = Bytes.make (sets * 8) '\000';
     hits = 0;
     misses = 0;
     mru_line = -1;
@@ -88,9 +94,10 @@ let access t key =
     in
     let ways = t.cfg.ways in
     let base = set * ways in
+    let fill = geti t.fill set in
     let hit_way = ref (-1) in
     let w = ref 0 in
-    while !hit_way < 0 && !w < ways do
+    while !hit_way < 0 && !w < fill do
       (* A line occupies at most one way (inserted only after a full-scan
          miss), so stopping at the first match is exact. *)
       if geti t.tags (base + !w) = line then hit_way := !w;
@@ -105,26 +112,37 @@ let access t key =
     end
     else begin
       t.misses <- t.misses + 1;
-      (* Evict the least recently used way. *)
-      let victim = ref 0 in
-      for w = 1 to ways - 1 do
-        if geti t.lru (base + w) < geti t.lru (base + !victim) then victim := w
-      done;
-      seti t.tags (base + !victim) line;
-      seti t.lru (base + !victim) now;
+      let victim =
+        if fill < ways then begin
+          seti t.fill set (fill + 1);
+          fill
+        end
+        else begin
+          (* Evict the least recently used way. *)
+          let victim = ref 0 in
+          for w = 1 to ways - 1 do
+            if geti t.lru (base + w) < geti t.lru (base + !victim) then victim := w
+          done;
+          !victim
+        end
+      in
+      seti t.tags (base + victim) line;
+      seti t.lru (base + victim) now;
       false
     end
   end
 
-(* Structural duplicate: tags, recency and stats all copied, so the
-   clone hits and misses exactly as the original would from here on.
-   Cost is proportional to the configured geometry, not to traffic. *)
+(* Structural duplicate: tags, recency, fill counts and stats all
+   copied, so the clone hits and misses exactly as the original would
+   from here on. Cost is proportional to the configured geometry, not
+   to traffic. *)
 let copy t =
   {
     t with
     tags = Bytes.copy t.tags;
     lru = Bytes.copy t.lru;
     stamp = Bytes.copy t.stamp;
+    fill = Bytes.copy t.fill;
   }
 
 let hits t = t.hits
@@ -132,4 +150,4 @@ let misses t = t.misses
 
 let flush t =
   t.mru_line <- -1;
-  Bytes.fill t.tags 0 (Bytes.length t.tags) '\255'
+  Bytes.fill t.fill 0 (Bytes.length t.fill) '\000'

@@ -2,8 +2,11 @@
 
     Shared by the machine's built-in "hardware" timing model and by the
     Sniper/CoreSim/gem5 simulator substrates. Purely a hit/miss model:
-    no data is stored, only tags, kept in flat bytes so that creating
-    and copying a cache is a memset and a memcpy the GC never scans. *)
+    no data is stored, only tags, kept in flat bytes the GC never scans.
+    A set counts its filled ways: a lookup scans only those, a miss into
+    a set that is not full takes the next empty way without a victim
+    scan, and creating or flushing a cache clears only the per-set
+    counts, not the ways. *)
 
 type config = {
   size_bytes : int;
@@ -38,5 +41,6 @@ val copy : t -> t
 val hits : t -> int
 val misses : t -> int
 
-(** Drop all lines (e.g. a TLB flush perturbation), keeping stats. *)
+(** Drop all lines (e.g. a TLB flush perturbation), keeping stats: every
+    set's fill count returns to 0. *)
 val flush : t -> unit

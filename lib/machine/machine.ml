@@ -142,7 +142,9 @@ and t = {
   mutable thread_list : thread list;  (* reversed *)
   mutable thread_arr : thread array;
   hooks : hooks;
-  timing : Timing.t;
+  (* The native hardware model; [None] on a simulator's machine, which
+     charges only the per-class costs in [bb_cost]. *)
+  timing : Timing.t option;
   sched : sched_state;
   mutable syscall_handler : t -> int -> unit;
   mutable syscall_filter : (t -> int -> syscall_action) option;
@@ -248,7 +250,7 @@ let fresh_hooks () =
     on_thread_exit = None;
   }
 
-let create scheduler =
+let create ?(native = true) scheduler =
   let sched =
     match scheduler with
     | Free { seed; quantum_min; quantum_max } ->
@@ -262,7 +264,7 @@ let create scheduler =
     thread_list = [];
     thread_arr = [||];
     hooks = fresh_hooks ();
-    timing = Timing.create ();
+    timing = (if native then Some (Timing.create ()) else None);
     sched;
     syscall_handler = (fun _ _ -> failwith "Machine: no syscall handler installed");
     syscall_filter = None;
@@ -294,7 +296,6 @@ let create scheduler =
 
 let mem t = t.mem
 let hooks t = t.hooks
-let timing t = t.timing
 let set_syscall_handler t h = t.syscall_handler <- h
 let set_syscall_filter t f = t.syscall_filter <- Some f
 
@@ -617,8 +618,12 @@ let[@inline] key addr = Int64.to_int (Int64.shift_right_logical addr 1)
    form follows: the cache or predictor is charged, then the access
    happens or RIP moves. [mem_cost] returns the access's cache cost for
    the caller to add to [dyn_cost] once nothing else in the instruction
-   can fault. *)
-let[@inline] mem_cost t addr = Timing.mem_cost t.timing (key addr)
+   can fault. A machine without the native model charges neither. *)
+let[@inline] mem_cost t addr =
+  match t.timing with Some tm -> Timing.mem_cost tm (key addr) | None -> 0
+
+let[@inline] branch_cost t pc taken =
+  match t.timing with Some tm -> Timing.branch_cost tm ~pc ~taken | None -> 0
 
 (* The memory call-outs of a form with several accesses: [rd] and [wr]
    fire in the micro-op body, before each access (see {!compile_ins});
@@ -716,12 +721,12 @@ let[@inline] pop64 t th =
 (* Predictor cost of a control transfer at [pc]; the caller moves RIP
    afterwards. *)
 let[@inline] note_branch t pc taken =
-  t.dyn_cost <- t.dyn_cost + Timing.branch_cost t.timing ~pc ~taken
+  t.dyn_cost <- t.dyn_cost + branch_cost t pc taken
 
 (* The end of a fused compare-and-branch: predictor cost, edge index
    and RIP. *)
 let[@inline] jcc_taken t (ctx : Context.t) pc tgts taken =
-  t.dyn_cost <- t.dyn_cost + Timing.branch_cost t.timing ~pc ~taken;
+  t.dyn_cost <- t.dyn_cost + branch_cost t pc taken;
   let ti = Bool.to_int taken in
   t.took <- ti;
   set_rip ctx (Array.unsafe_get tgts ti)
@@ -1627,7 +1632,7 @@ let build_block t pc =
       bb_pc.(i) <- Int64.add pc (Int64.of_int off);
       bb_ins.(i) <- ins;
       bb_next.(i) <- Int64.add pc (Int64.of_int end_off);
-      bb_cost.(i) <- Timing.ins_cost t.timing (Insn.classify ins))
+      bb_cost.(i) <- Timing.ins_cost (Insn.classify ins))
     items;
   let bb_prefix = Array.make (n + 1) 0 in
   for i = 0 to n - 1 do
@@ -2289,7 +2294,7 @@ type snap_sched =
 type snapshot = {
   snap_mem : Addr_space.frozen;
   snap_threads : snap_thread array;
-  snap_timing : Timing.t;  (* private copy; each fork copies it again *)
+  snap_timing : Timing.t option;  (* private copy; each fork copies it again *)
   snap_sched : snap_sched;
   snap_timer : (int * int * Elfie_util.Rng.t) option;
   snap_ring0 : int;
@@ -2323,7 +2328,7 @@ let snapshot t =
             sn_timer_left = th.timer_left;
           })
         t.thread_arr;
-    snap_timing = Timing.copy t.timing;
+    snap_timing = Option.map Timing.copy t.timing;
     snap_sched =
       (match t.sched with
       | S_free s ->
@@ -2409,7 +2414,7 @@ let fork ?reseed:seed snap =
       thread_list = List.rev (Array.to_list thread_arr);
       thread_arr;
       hooks = fresh_hooks ();
-      timing = Timing.copy snap.snap_timing;
+      timing = Option.map Timing.copy snap.snap_timing;
       sched;
       syscall_handler =
         (fun _ _ -> failwith "Machine: no syscall handler installed");

@@ -110,10 +110,19 @@ type t
 (** Decision taken by the syscall filter before the kernel runs. *)
 type syscall_action = Run_syscall | Skip_syscall
 
-val create : scheduler -> t
+(** [create ?native sched] builds an empty machine. A [native] machine
+    (the default) stands in for the real CPU: every instruction costs
+    its class's {!Timing.ins_cost} plus the penalties of the {!Timing}
+    model's caches and branch predictor. With [~native:false], for the
+    front-end of a simulator that models memory and branches itself, no
+    cache or predictor is built and only the per-class costs are
+    charged: thread [cycles], {!elapsed_cycles} and the guest's clock
+    still advance, but exclude memory and branch penalties. Retired
+    counts, registers and memory are the same either way. *)
+val create : ?native:bool -> scheduler -> t
+
 val mem : t -> Addr_space.t
 val hooks : t -> hooks
-val timing : t -> Timing.t
 
 (** Install the kernel's syscall handler. The handler runs with the
     thread's RIP already advanced past the [Syscall] instruction. *)
@@ -262,7 +271,8 @@ val run : ?max_ins:int64 -> t -> unit
 val total_retired : t -> int64
 
 (** Wall-clock proxy: maximum per-thread cycle count (threads execute in
-    parallel on distinct cores). *)
+    parallel on distinct cores). Without the native model (see
+    {!create}) it counts per-class costs only. *)
 val elapsed_cycles : t -> int64
 
 (** True when every thread exited with status 0 (no faults, no nonzero

@@ -55,7 +55,7 @@ let copy t =
     predictor = Predictor.copy t.predictor;
   }
 
-let ins_cost (_ : t) = function
+let ins_cost = function
   | Insn.K_alu -> 1
   | K_load -> 2
   | K_store -> 1

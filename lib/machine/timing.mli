@@ -7,7 +7,11 @@
     branch-predictor penalty. It is deliberately simple: experiments only
     rely on CPI *differences between program phases* being real, which
     cache and branch behaviour provide. Its parameters are
-    Gainestown-flavoured, the paper's native testbed stand-in. *)
+    Gainestown-flavoured, the paper's native testbed stand-in.
+
+    Only native machines hold one ({!Machine.create}'s [native]). A
+    simulator's machine charges {!ins_cost} alone, because the simulator
+    models memory and branches itself. *)
 
 (** The bimodal branch predictor of this model and of every simulator
     core: 4096 2-bit saturating counters, indexed by bits 1..12 of the
@@ -34,8 +38,9 @@ val create : unit -> t
     no shared mutable state. Used by machine snapshots. *)
 val copy : t -> t
 
-(** Base cost of executing one instruction of a class. *)
-val ins_cost : t -> Elfie_isa.Insn.klass -> int
+(** Base cost of executing one instruction of a class, charged by every
+    machine, native or not. *)
+val ins_cost : Elfie_isa.Insn.klass -> int
 
 (** [mem_cost t (Cache.key addr)]: penalty cycles for a data access at
     [addr]. The address arrives as an immediate so that compiled code

@@ -39,13 +39,13 @@ type result = {
   stdout : string;
 }
 
-let materialize ?(constrained = true) ?(seed = 7L) ?(fs_init = fun _ -> ())
-    (pb : Pinball.t) =
+let materialize ?(constrained = true) ?(native = true) ?(seed = 7L)
+    ?(fs_init = fun _ -> ()) (pb : Pinball.t) =
   let scheduler =
     if constrained then Machine.Recorded pb.schedule
     else Machine.Free { seed; quantum_min = 50; quantum_max = 200 }
   in
-  let machine = Machine.create scheduler in
+  let machine = Machine.create ~native scheduler in
   (* Initial memory image. *)
   List.iter (fun (addr, data) -> Addr_space.store (Machine.mem machine) addr data)
     pb.pages;

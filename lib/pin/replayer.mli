@@ -52,9 +52,13 @@ val replay : ?mode:mode -> ?max_ins:int64 -> Elfie_pinball.Pinball.t -> result
     running it — used by simulators that drive execution themselves.
     Returns the per-tid injection queues already wired when
     [constrained] is true; the closure reports the divergence count and
-    the first divergence seen so far. *)
+    the first divergence seen so far. [native] (default [true]) is
+    {!Elfie_machine.Machine.create}'s: a simulator passes [false], so
+    its machine charges no cache or branch penalties. {!replay} keeps
+    the native model, whose cycles its result reports. *)
 val materialize :
   ?constrained:bool ->
+  ?native:bool ->
   ?seed:int64 ->
   ?fs_init:(Elfie_kernel.Fs.t -> unit) ->
   Elfie_pinball.Pinball.t ->

@@ -8,12 +8,12 @@ type spec = {
   fs_init : Fs.t -> unit;
   cwd : string;
   seed : int64;
-  kernel_cost : bool;
+  native : bool;
 }
 
 let spec ?(argv = [ "a.out" ]) ?(env = [ "PATH=/bin" ]) ?(fs_init = fun _ -> ())
-    ?(cwd = "/") ?(seed = 42L) ?(kernel_cost = true) image =
-  { image; argv; env; fs_init; cwd; seed; kernel_cost }
+    ?(cwd = "/") ?(seed = 42L) ?(native = true) image =
+  { image; argv; env; fs_init; cwd; seed; native }
 
 let instantiate ?scheduler s =
   let scheduler =
@@ -21,13 +21,13 @@ let instantiate ?scheduler s =
     | Some sched -> sched
     | None -> Machine.Free { seed = s.seed; quantum_min = 50; quantum_max = 200 }
   in
-  let machine = Machine.create scheduler in
+  let machine = Machine.create ~native:s.native scheduler in
   let fs = Fs.create () in
   s.fs_init fs;
   let kcfg =
     {
       Vkernel.default_config with
-      kernel_cost = s.kernel_cost;
+      kernel_cost = s.native;
       seed = s.seed;
       initial_cwd = s.cwd;
     }
@@ -35,9 +35,9 @@ let instantiate ?scheduler s =
   let kernel = Vkernel.create ~config:kcfg fs in
   Vkernel.install kernel machine;
   (* Real hardware takes timer interrupts; they are also the source of
-     run-to-run variation across seeds. Simulators disable kernel_cost
-     and model their own timing instead. *)
-  if s.kernel_cost then
+     run-to-run variation across seeds. Simulators model their own
+     timing instead. *)
+  if s.native then
     Machine.set_timer machine ~interval:8192 ~cycles:250 ~seed:s.seed;
   let _tid, _layout = Loader.load kernel machine s.image ~argv:s.argv ~env:s.env in
   (machine, kernel)

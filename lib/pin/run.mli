@@ -3,8 +3,9 @@
     A {!spec} bundles everything that defines one execution: the ELF
     image, arguments, environment, input-file setup and the scheduler
     seed (the source of run-to-run variation for multi-threaded
-    programs). Used by native runs ("real hardware" measurements), the
-    PinPlay logger and the simulators. *)
+    programs), and whether the run is native. Used by native runs
+    ("real hardware" measurements), the PinPlay logger, the BBV profiler
+    and the simulators. *)
 
 type spec = {
   image : Elfie_elf.Image.t;
@@ -13,7 +14,13 @@ type spec = {
   fs_init : Elfie_kernel.Fs.t -> unit;  (** populate input files *)
   cwd : string;  (** the process's initial working directory *)
   seed : int64;
-  kernel_cost : bool;  (** charge ring-0 work to the timing model *)
+  native : bool;
+      (** [true] (the default): the machine stands in for the real CPU.
+          It charges the {!Elfie_machine.Timing} model's cache and branch
+          penalties, the kernel charges ring-0 work and timer interrupts
+          fire. [false] for a simulator's front-end, which models its own
+          timing: none of the three, and the machine builds no cache or
+          predictor (see {!Elfie_machine.Machine.create}). *)
 }
 
 val spec :
@@ -22,7 +29,7 @@ val spec :
   ?fs_init:(Elfie_kernel.Fs.t -> unit) ->
   ?cwd:string ->
   ?seed:int64 ->
-  ?kernel_cost:bool ->
+  ?native:bool ->
   Elfie_elf.Image.t ->
   spec
 

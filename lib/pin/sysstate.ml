@@ -166,10 +166,11 @@ let load_dir ~dir =
                with
                | s -> (decode_name f, s)
                | exception Sys_error msg ->
-                   Elfie_util.Diag.fail ~artifact:path Elfie_util.Diag.Io_error
-                     "%s" msg)
+                   raise
+                     (Elfie_util.Diag.Error
+                        (Elfie_util.Diag.io_error ~artifact:path msg)))
     | exception Sys_error msg ->
-        Elfie_util.Diag.fail ~artifact:dir Elfie_util.Diag.Io_error "%s" msg
+        raise (Elfie_util.Diag.Error (Elfie_util.Diag.io_error ~artifact:dir msg))
   in
   of_files ~artifact:dir files
 

@@ -304,8 +304,7 @@ let load_exn ~dir ~name =
           (fun () -> really_input_string ic (in_channel_length ic))
       with
       | s -> Some (suffix, s)
-      | exception Sys_error msg ->
-          Diag.fail ~artifact:path Diag.Io_error "%s" msg
+      | exception Sys_error msg -> raise (Diag.Error (Diag.io_error ~artifact:path msg))
     end
     else None
   in

@@ -68,7 +68,9 @@ let profile_end_condition ?(exclude = (0L, 0L)) pb =
   let counters : (int64, pc_count) Hashtbl.t = Hashtbl.create 1024 in
   let none = { at = 0L; n = 0 } in
   let last = ref none in
-  let machine, _kernel, _ = Elfie_pin.Replayer.materialize ~constrained:true pb in
+  let machine, _kernel, _ =
+    Elfie_pin.Replayer.materialize ~constrained:true ~native:false pb
+  in
   let instrument pc _ =
     if pc >= lo && pc < hi then Machine.no_callouts
     else
@@ -296,7 +298,7 @@ let simulate_elfie ?end_condition ?fs_init ?cwd ?(max_ins = 100_000_000L) cfg
   let machine, _kernel =
     Elfie_pin.Run.instantiate
       (Elfie_pin.Run.spec ~argv:[ "elfie" ] ~env:[] ?fs_init ?cwd ~seed:13L
-         ~kernel_cost:false image)
+         ~native:false image)
   in
   Elfie_pin.Tools.attach_global_profile machine;
   let model = fresh_model cfg ~enabled:false in
@@ -359,7 +361,9 @@ let simulate_pinball ?end_condition cfg (pb : Elfie_pinball.Pinball.t) =
           ("cores", Trace.I (Int64.of_int (cfg : config).cores));
         ]
   in
-  let machine, _kernel, _div = Elfie_pin.Replayer.materialize ~constrained:true pb in
+  let machine, _kernel, _div =
+    Elfie_pin.Replayer.materialize ~constrained:true ~native:false pb
+  in
   Elfie_pin.Tools.attach_global_profile machine;
   let model = fresh_model cfg ~enabled:true in
   let detach =

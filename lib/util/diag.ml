@@ -47,6 +47,17 @@ let fail ?offset ~artifact code fmt =
     (fun message -> raise (Error { code; artifact; offset; message }))
     fmt
 
+(* [Sys_error]'s text starts with the path it failed on, which the
+   artifact already names. *)
+let io_error ~artifact msg =
+  let prefix = artifact ^ ": " in
+  let n = String.length prefix in
+  let message =
+    if String.starts_with ~prefix msg then String.sub msg n (String.length msg - n)
+    else msg
+  in
+  v ~artifact Io_error message
+
 let to_string d =
   Printf.sprintf "[%s] %s%s: %s" (code_name d.code) d.artifact
     (match d.offset with

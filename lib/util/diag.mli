@@ -49,6 +49,11 @@ val f : ?offset:int -> artifact:string -> code -> ('a, unit, string, t) format4 
 val fail :
   ?offset:int -> artifact:string -> code -> ('a, unit, string, 'b) format4 -> 'a
 
+(** [io_error ~artifact msg] is the {!Io_error} of a [Sys_error msg]
+    raised on [artifact], without the leading ["artifact: "] that
+    [msg] repeats. *)
+val io_error : artifact:string -> string -> t
+
 val to_string : t -> string
 val pp : Format.formatter -> t -> unit
 

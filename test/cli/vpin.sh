@@ -5,7 +5,8 @@
 # pinball2elf with an SSC marker and the region's sysstate) and prints
 # what each vpin analysis reports on it, then vpin's instruction mix of
 # a benchmark run. Last, each tool is given an input that does not
-# exist: it prints the reader's message and exits 1.
+# exist: it prints the reader's message and exits 1; and vpin is given
+# a --limit below 1: a usage error, exit 124.
 set -e
 bin=$1
 work=vpin.work
@@ -24,15 +25,17 @@ for t in insmix footprint branchprof bbprof; do
 done
 echo "# vpin -t insmix -b 525.x264_r --limit 100000"
 "../$bin/vpin.exe" -t insmix -b 525.x264_r --limit 100000
-missing() {
+fails() {
   echo "# $*"
   tool=$1
   shift
   "../$bin/$tool.exe" "$@" 2>&1 && status=0 || status=$?
   echo "exit $status"
 }
-missing pinball2elf -d nope -n pinball -o x.elfie
-missing pinplay replay -d nope
-missing elfie_run nope.elfie
-missing vpin -t insmix --elf nope.elfie
-missing vpin -t insmix --elf r.elfie --sysstate nope
+fails pinball2elf -d nope -n pinball -o x.elfie
+fails pinplay replay -d nope
+fails elfie_run nope.elfie
+fails vpin -t insmix --elf nope.elfie
+fails vpin -t insmix --elf r.elfie --sysstate nope
+fails vpin -t insmix --elf r.elfie --sysstate pb/pinball.sysstate --limit=-5
+fails vpin -t insmix --elf r.elfie --sysstate pb/pinball.sysstate --limit=0

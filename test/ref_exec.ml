@@ -94,7 +94,7 @@ let lane_op op a b =
    at [pc] with access [Exec]) leaving any partial effect in place. *)
 let execute ~timing ~mem ~syscall ~hooks ctx ~pc ins =
   let flags = ctx.Context.flags in
-  let cost = ref (Timing.ins_cost timing (Insn.classify ins)) in
+  let cost = ref (Timing.ins_cost (Insn.classify ins)) in
   let read addr w =
     hooks.on_mem_read addr w;
     cost := !cost + Timing.mem_cost timing (Cache.key addr);

@@ -47,6 +47,34 @@ let test_structure () =
       end)
     image.Image.sections
 
+(* Contiguous pages merge into one section holding their bytes in
+   order; a page after a gap starts the next. *)
+let test_page_runs_merge () =
+  let page = Elfie_machine.Addr_space.page_size in
+  let pg n = Bytes.make page (Char.chr (0x41 + n)) in
+  let at n = Int64.add 0x60_0000L (Int64.of_int (n * page)) in
+  let pb =
+    { (Tutil.tiny_pinball "merge") with
+      Pinball.pages = [ (at 0, pg 0); (at 1, pg 1); (at 2, pg 2); (at 4, pg 4) ] }
+  in
+  let runs =
+    List.filter_map
+      (fun (s : Image.section) ->
+        if String.length s.name > 4 && String.sub s.name 0 4 = ".pb." then
+          Some (s.name, s.addr, Bytes.to_string s.data)
+        else None)
+      (convert pb).Image.sections
+  in
+  Alcotest.(check (list (triple string Tutil.i64 string)))
+    "two runs"
+    [
+      ( Printf.sprintf ".pb.0x%Lx" (at 0),
+        at 0,
+        Bytes.to_string (Bytes.concat Bytes.empty [ pg 0; pg 1; pg 2 ]) );
+      (Printf.sprintf ".pb.0x%Lx" (at 4), at 4, Bytes.to_string (pg 4));
+    ]
+    runs
+
 let test_register_symbols () =
   let pb = Tutil.tiny_pinball "symbols" in
   let image = convert pb in
@@ -373,4 +401,5 @@ let suite =
     Alcotest.test_case "extra thread-start code" `Quick
       test_extra_on_thread_start_callback;
     Alcotest.test_case "extra elfie_on_exit code" `Quick test_extra_on_exit_callback;
+    Alcotest.test_case "page runs merge" `Quick test_page_runs_merge;
   ]

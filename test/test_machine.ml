@@ -163,33 +163,63 @@ let test_cache_lru_eviction () =
 
 (* Hit and miss sequences equal a reference LRU (per set, lines in
    recency order) for every geometry shape: one set (fully associative,
-   like CoreSim's DTLB), power-of-two and other set counts, small
-   lines, with flushes (-1) in the stream. Addresses come from a small
-   range, so lines recur. *)
+   CoreSim's 64-entry DTLB among them), power-of-two and other set
+   counts, up to 16 ways, small lines. The stream holds flushes (-1)
+   and copies (-2): the run goes on with the copy while the original is
+   flushed and touched, so a copy must carry every set's lines and fill
+   count and share nothing with the original. Addresses span twice the
+   capacity, so sets fill, lines recur and full sets evict. *)
 let prop_cache_matches_reference_lru =
   let geometry =
     QCheck.Gen.(
-      triple (oneofl [ 1; 2; 3; 4; 8 ]) (int_range 1 8) (oneofl [ 2; 4; 64 ]))
+      frequency
+        [
+          ( 8,
+            triple
+              (oneofl [ 1; 2; 3; 4; 8 ])
+              (oneofl [ 1; 2; 3; 4; 5; 6; 7; 8; 16 ])
+              (oneofl [ 2; 4; 64 ]) );
+          (1, return (1, 64, Addr_space.page_size));
+        ])
   in
-  QCheck.Test.make ~name:"cache ≡ reference LRU (one set included)" ~count:300
+  let stream (sets, ways, line) =
+    QCheck.Gen.(
+      list_size (int_range 1 400)
+        (frequency
+           [
+             (1, return (-1));
+             (1, return (-2));
+             (40, int_bound ((2 * sets * ways * line) - 1));
+           ]))
+  in
+  QCheck.Test.make ~name:"cache ≡ reference LRU (one set included)"
+    ~count:300
     (QCheck.make
        ~print:(fun ((sets, ways, line), addrs) ->
          Printf.sprintf "sets=%d ways=%d line=%d addrs=%s" sets ways line
            (String.concat "," (List.map string_of_int addrs)))
-       QCheck.Gen.(
-         pair geometry
-           (list_size (int_range 1 300)
-              (frequency [ (1, return (-1)); (40, int_bound 2047) ]))))
+       QCheck.Gen.(geometry >>= fun g -> pair (return g) (stream g)))
     (fun ((sets, ways, line), addrs) ->
       let c =
-        Cache.create (Cache.config ~size_bytes:(sets * ways * line) ~ways ~line_bytes:line)
+        ref
+          (Cache.create
+             (Cache.config ~size_bytes:(sets * ways * line) ~ways ~line_bytes:line))
       in
       let lru = Array.make sets [] in
       List.for_all
         (fun a ->
-          if a < 0 then begin
-            Cache.flush c;
+          if a = -1 then begin
+            Cache.flush !c;
             Array.fill lru 0 sets [];
+            true
+          end
+          else if a = -2 then begin
+            let copy = Cache.copy !c in
+            Cache.flush !c;
+            for l = 0 to ways do
+              ignore (Cache.access !c (Cache.key (Int64.of_int (l * sets * line))))
+            done;
+            c := copy;
             true
           end
           else
@@ -198,9 +228,9 @@ let prop_cache_matches_reference_lru =
             let hit = List.mem l lru.(set) in
             let rest = List.filter (( <> ) l) lru.(set) in
             lru.(set) <- List.filteri (fun i _ -> i < ways) (l :: rest);
-            Cache.access c (Cache.key (Int64.of_int a)) = hit)
+            Cache.access !c (Cache.key (Int64.of_int a)) = hit)
         addrs
-      && Cache.hits c + Cache.misses c
+      && Cache.hits !c + Cache.misses !c
          = List.length (List.filter (fun a -> a >= 0) addrs))
 
 (* A zero or negative size, way count or line size is rejected up

@@ -125,6 +125,46 @@ let test_native_st_deterministic_retired () =
   let b = Run.native (Tutil.tiny_run_spec ~seed:2L "d2") in
   Alcotest.check Tutil.i64 "ST icount independent of seed" a.Run.retired b.Run.retired
 
+(* Run a booted single-thread machine to its end. Returns the thread
+   and the cycles it was charged beyond its instructions' per-class
+   costs and its ring-0 work: the cache and branch-predictor
+   penalties. *)
+let run_penalties machine =
+  let module Machine = Elfie_machine.Machine in
+  let base = ref 0 in
+  (Machine.hooks machine).instrument <-
+    Some
+      (fun _ ins ->
+        let c = Elfie_machine.Timing.ins_cost (Elfie_isa.Insn.classify ins) in
+        { Machine.no_callouts with before = Some (fun _ -> base := !base + c) });
+  Machine.run machine;
+  let th = Machine.thread machine 0 in
+  (th, th.Machine.cycles - !base - Int64.to_int (Machine.ring0_retired machine))
+
+(* A simulator's front-end machine ([native = false], as CoreSim, gem5
+   and Sniper boot theirs) retires the same instructions into the same
+   registers as a native one, and is charged no cache or predictor
+   penalty, while the native machine is. Both boots a front-end uses
+   are checked: an ELF through [Run.instantiate], a pinball through
+   [Replayer.materialize]. *)
+let test_front_end_machine_charges_no_penalties () =
+  let module Machine = Elfie_machine.Machine in
+  let check what boot =
+    let native, native_pen = run_penalties (boot true) in
+    let sim, sim_pen = run_penalties (boot false) in
+    Alcotest.(check int) (what ^ ": retired") native.Machine.retired sim.Machine.retired;
+    Alcotest.(check bool) (what ^ ": registers") true
+      (Elfie_machine.Context.equal native.Machine.ctx sim.Machine.ctx);
+    Alcotest.(check int) (what ^ ": front-end penalties") 0 sim_pen;
+    Alcotest.(check bool) (what ^ ": native penalties") true (native_pen > 0)
+  in
+  let rs = Tutil.tiny_run_spec "front-end" in
+  check "Run.instantiate" (fun native -> fst (Run.instantiate { rs with Run.native }));
+  let pb = Tutil.tiny_pinball "front-end" in
+  check "Replayer.materialize" (fun native ->
+      let m, _, _ = Replayer.materialize ~native pb in
+      m)
+
 (* --- logger ---------------------------------------------------------------- *)
 
 let test_capture_exact_region () =
@@ -555,4 +595,6 @@ let suite =
     Alcotest.test_case "sysstate files roundtrip" `Quick test_sysstate_files_roundtrip;
     Alcotest.test_case "sysstate install" `Quick test_sysstate_install;
     Alcotest.test_case "start_roi from a marker or at once" `Quick test_start_roi;
+    Alcotest.test_case "front-end machine charges no penalties" `Quick
+      test_front_end_machine_charges_no_penalties;
   ]
