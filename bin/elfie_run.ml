@@ -13,13 +13,7 @@ let run path sysstate_dir seed trials max_ins retries journal_path resume
   let ic = open_in_bin path in
   let bytes = Bytes.of_string (really_input_string ic (in_channel_length ic)) in
   close_in ic;
-  let image =
-    match Elfie_elf.Image.read_result ~artifact:path bytes with
-    | Ok image -> image
-    | Error d ->
-        Printf.eprintf "not a loadable ELFie: %s\n" (Elfie_util.Diag.to_string d);
-        exit 2
-  in
+  let image = Elfie_elf.Image.read ~artifact:path bytes in
   Format.printf "%a@." Elfie_elf.Image.pp image;
   if disasm then begin
     match Elfie_elf.Image.find_section image ".elfie.text" with

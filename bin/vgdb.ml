@@ -143,7 +143,8 @@ let execute dbg line =
 let main path sysstate_dir script =
   let ic = open_in_bin path in
   let image =
-    Elfie_elf.Image.read (Bytes.of_string (really_input_string ic (in_channel_length ic)))
+    Elfie_elf.Image.read ~artifact:path
+      (Bytes.of_string (really_input_string ic (in_channel_length ic)))
   in
   close_in ic;
   let fs_init fs =

@@ -37,7 +37,7 @@ let analyse which bench elf sysstate limit =
     | None, Some path ->
         let ic = open_in_bin path in
         let image =
-          Elfie_elf.Image.read
+          Elfie_elf.Image.read ~artifact:path
             (Bytes.of_string (really_input_string ic (in_channel_length ic)))
         in
         close_in ic;

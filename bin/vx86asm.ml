@@ -90,7 +90,7 @@ let run_cmd =
     Term.(const run $ src_arg $ base_arg $ max_ins)
 
 let objdump path =
-  let image = Elfie_elf.Image.read (Bytes.of_string (read_file path)) in
+  let image = Elfie_elf.Image.read ~artifact:path (Bytes.of_string (read_file path)) in
   Format.printf "%a@." Elfie_elf.Image.pp image;
   List.iter
     (fun (s : Elfie_elf.Image.section) ->

@@ -70,12 +70,12 @@ let () =
       sel.regions
   in
   let covered = List.fold_left (fun a (w, _) -> a +. w) 0.0 predictions in
-  let predicted =
-    List.fold_left (fun a (w, c) -> a +. (w *. c)) 0.0 predictions /. covered
-  in
-  let error =
-    Float.abs (whole.mean_cpi -. predicted) /. whole.mean_cpi
-  in
-  Printf.printf
-    "coverage %.1f%%  whole CPI %.3f  predicted CPI %.3f  error %.2f%%\n"
-    (100.0 *. covered) whole.mean_cpi predicted (100.0 *. error)
+  match Simpoint.predict predictions with
+  | None -> print_endline "no region ran gracefully: nothing to predict"
+  | Some predicted ->
+      let error =
+        Float.abs (whole.mean_cpi -. predicted) /. whole.mean_cpi
+      in
+      Printf.printf
+        "coverage %.1f%%  whole CPI %.3f  predicted CPI %.3f  error %.2f%%\n"
+        (100.0 *. covered) whole.mean_cpi predicted (100.0 *. error)

@@ -342,9 +342,4 @@ let assemble ~base source =
       try Ok (Builder.assemble st.b ~base)
       with Failure message -> Error { line = 0; message })
 
-let assemble_exn ~base source =
-  match assemble ~base source with
-  | Ok p -> p
-  | Error e -> failwith (Format.asprintf "%a" pp_error e)
-
 let print_instruction = Insn.to_string

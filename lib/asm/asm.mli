@@ -37,9 +37,6 @@ val pp_error : Format.formatter -> error -> unit
 val assemble :
   base:int64 -> string -> (Elfie_isa.Builder.program, error) result
 
-(** [assemble_exn] raises [Failure] with a formatted message. *)
-val assemble_exn : base:int64 -> string -> Elfie_isa.Builder.program
-
 (** Render one instruction back to parseable text (inverse of the
     instruction subset of the grammar, modulo label names). *)
 val print_instruction : Elfie_isa.Insn.t -> string

@@ -117,7 +117,9 @@ let classify_pinball ~name files =
   | Error d -> Diagnosed d
   | exception e -> Crashed (Printexc.to_string e)
 
-let run_pinball ?(iterations = 20) ?(seed = 0x600DF00DL) (pb : Pinball.t) =
+let seed = 0x600DF00DL
+
+let run_pinball ?(iterations = 20) (pb : Pinball.t) =
   let rng = Rng.create seed in
   let pristine = Pinball.to_files pb in
   let cases =
@@ -178,7 +180,7 @@ let classify_elf bytes =
   | Error d -> Diagnosed d
   | exception e -> Crashed (Printexc.to_string e)
 
-let run_elf ?(iterations = 20) ?(seed = 0x600DF00DL) (image : Image.t) =
+let run_elf ?(iterations = 20) (image : Image.t) =
   let rng = Rng.create seed in
   let pristine = Image.write image in
   let cases =

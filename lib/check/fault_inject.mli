@@ -19,7 +19,6 @@ type fault =
   | Swap_members  (** two members' contents exchanged *)
 
 val all_faults : fault list
-val fault_name : fault -> string
 
 type outcome =
   | Accepted  (** parsed and passed validation: corruption was benign *)
@@ -40,13 +39,12 @@ val crashes : report -> case list
 
 (** Serialize [pb] with [Pinball.to_files], corrupt the file set
     [iterations] times per fault class, and classify each attempt via
-    [Pinball.of_files_result] + {!Validate.pinball}. Deterministic for a
-    given [seed]. *)
-val run_pinball :
-  ?iterations:int -> ?seed:int64 -> Elfie_pinball.Pinball.t -> report
+    [Pinball.of_files_result] + {!Validate.pinball}. Deterministic: the
+    corruptions come from one fixed seed. *)
+val run_pinball : ?iterations:int -> Elfie_pinball.Pinball.t -> report
 
 (** Same sweep over a serialized ELF image, classified via
     [Image.read_result] + {!Validate.elf}. *)
-val run_elf : ?iterations:int -> ?seed:int64 -> Elfie_elf.Image.t -> report
+val run_elf : ?iterations:int -> Elfie_elf.Image.t -> report
 
 val pp_report : Format.formatter -> report -> unit

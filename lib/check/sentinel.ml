@@ -32,9 +32,10 @@ let constrained (pb : Pinball.t) =
           (Printexc.to_string e);
       ]
 
-let injectionless ?(seed = 7L) ?(fs_init = fun _ -> ()) (pb : Pinball.t) =
+let injectionless (pb : Pinball.t) =
   let artifact = "replay:" ^ pb.name in
-  match Replayer.replay ~mode:(Replayer.Injectionless { seed; fs_init }) pb with
+  let mode = Replayer.Injectionless { seed = 7L; fs_init = (fun _ -> ()) } in
+  match Replayer.replay ~mode pb with
   | r ->
       (* Injectionless replay schedules freely, so syscall-ordering noise
          is expected; only the icount contract matters — each thread must
@@ -47,7 +48,7 @@ let injectionless ?(seed = 7L) ?(fs_init = fun _ -> ()) (pb : Pinball.t) =
           (Printexc.to_string e);
       ]
 
-let cross_check ?seed ?fs_init (pb : Pinball.t) =
+let cross_check (pb : Pinball.t) =
   match constrained pb with
-  | [] -> injectionless ?seed ?fs_init pb
+  | [] -> injectionless pb
   | ds -> ds

@@ -6,24 +6,12 @@
     ["replay:<pinball-name>"]). An empty list means the replay was
     faithful.
 
-    Two passes:
-    - {!constrained}: schedule-enforced, syscall-injected replay — any
+    Two passes, the second only if the first is clean:
+    - constrained: schedule-enforced, syscall-injected replay — any
       divergence means the pinball's logs are internally inconsistent;
-    - {!injectionless}: the paper's [-replay:injection 0] cross-check —
-      free scheduling with native syscalls, mimicking ELFie execution;
-      only the per-thread retired-instruction contract is checked. *)
+    - injection-less: the paper's [-replay:injection 0] cross-check —
+      free scheduling (seed 7) with native syscalls on an empty file
+      system, mimicking ELFie execution; only the per-thread
+      retired-instruction contract is checked. *)
 
-val constrained : Elfie_pinball.Pinball.t -> Elfie_util.Diag.t list
-
-val injectionless :
-  ?seed:int64 ->
-  ?fs_init:(Elfie_kernel.Fs.t -> unit) ->
-  Elfie_pinball.Pinball.t ->
-  Elfie_util.Diag.t list
-
-(** {!constrained} first; if it is clean, {!injectionless}. *)
-val cross_check :
-  ?seed:int64 ->
-  ?fs_init:(Elfie_kernel.Fs.t -> unit) ->
-  Elfie_pinball.Pinball.t ->
-  Elfie_util.Diag.t list
+val cross_check : Elfie_pinball.Pinball.t -> Elfie_util.Diag.t list

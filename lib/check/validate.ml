@@ -181,77 +181,3 @@ let elf ?(artifact = "<elf-image>") (image : Image.t) =
                    "function symbol %S = 0x%Lx is not inside a loadable section"
                    sym.sym_name sym.value))
           image.symbols)
-
-(* --- Pinball vs. generated ELFie ----------------------------------------- *)
-
-let pinball_vs_elfie (pb : Pinball.t) ?(artifact = "<elfie>") (image : Image.t) =
-  collecting (fun emit ->
-      let n = Pinball.num_threads pb in
-      let entry_count =
-        List.length
-          (List.filter
-             (fun (s : Image.symbol) ->
-               String.length s.sym_name >= 18
-               && String.sub s.sym_name 0 18 = "elfie_thread_entry")
-             image.symbols)
-      in
-      if image.exec && entry_count <> n then
-        emit
-          (Diag.f ~artifact Diag.Thread_mismatch
-             "ELFie has %d thread entry point(s) for a %d-thread pinball"
-             entry_count n);
-      (* Every checkpointed page must be carried by some section (stack
-         pages ride along as sections too, allocatable or not). *)
-      List.iter
-        (fun (addr, data) ->
-          let fin = Int64.add addr (Int64.of_int (Bytes.length data)) in
-          let covered =
-            List.exists
-              (fun (s : Image.section) ->
-                Int64.unsigned_compare s.addr addr <= 0
-                && Int64.unsigned_compare fin
-                     (Int64.add s.addr (Int64.of_int (Bytes.length s.data)))
-                   <= 0)
-              image.sections
-          in
-          if not covered then
-            emit
-              (Diag.f ~artifact Diag.Malformed
-                 "checkpointed page 0x%Lx (%d bytes) is not carried by any \
-                  section"
-                 addr (Bytes.length data)))
-        pb.pages)
-
-(* --- Pinball file set ----------------------------------------------------- *)
-
-let file_set ?dir ~name files =
-  match Pinball.of_files_result ?dir ~name files with
-  | Error d -> [ d ]
-  | Ok pb ->
-      let n = Pinball.num_threads pb in
-      (* Register files beyond the declared thread count are orphans the
-         reader silently ignores — flag them. *)
-      let orphans =
-        List.filter_map
-          (fun (suffix, _) ->
-            match String.index_opt suffix '.' with
-            | Some i when String.sub suffix i (String.length suffix - i) = ".reg"
-              -> (
-                match int_of_string_opt (String.sub suffix 0 i) with
-                | Some tid when tid >= n ->
-                    Some
-                      (Diag.f
-                         ~artifact:
-                           (match dir with
-                           | Some d ->
-                               Filename.concat d (name ^ "." ^ suffix)
-                           | None -> name ^ "." ^ suffix)
-                         Diag.Thread_mismatch
-                         "register file for thread %d, but global.log records \
-                          %d thread(s)"
-                         tid n)
-                | _ -> None)
-            | _ -> None)
-          files
-      in
-      pinball pb @ orphans

@@ -1,6 +1,6 @@
 (** Consistency validation for pinballs and ELFies.
 
-    The readers ([Pinball.of_files], [Image.read]) reject structurally
+    The readers ([Pinball.of_files_result], [Image.read]) reject structurally
     malformed artifacts; these validators go further and check that a
     well-formed artifact is {e internally consistent} — the conditions a
     trustworthy ELFie conversion depends on. Each check failure is one
@@ -26,22 +26,3 @@
 val pinball : Elfie_pinball.Pinball.t -> Elfie_util.Diag.t list
 
 val elf : ?artifact:string -> Elfie_elf.Image.t -> Elfie_util.Diag.t list
-
-(** Cross-checks between a pinball and the ELFie generated from it:
-    one thread entry point per pinball thread, and every checkpointed
-    page carried by some section. *)
-val pinball_vs_elfie :
-  Elfie_pinball.Pinball.t ->
-  ?artifact:string ->
-  Elfie_elf.Image.t ->
-  Elfie_util.Diag.t list
-
-(** Validate a pinball file set end to end: parse (reporting the
-    reader's diagnostic on failure), then run {!pinball}, plus file-set
-    level checks (orphan [N.reg] files beyond the declared thread
-    count). *)
-val file_set :
-  ?dir:string ->
-  name:string ->
-  (string * string) list ->
-  Elfie_util.Diag.t list

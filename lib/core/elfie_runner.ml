@@ -71,19 +71,22 @@ let outcome_result o =
   else if o.machine_fault <> None then "fault"
   else "failed"
 
-(* Metrics + span epilogue shared by every path that produced a final
-   outcome. *)
-let finish sp o =
-  let result = outcome_result o in
-  Metrics.inc m_loader_runs ~labels:[ ("result", result) ];
+(* The loader and region metrics of one finished run. *)
+let record o =
+  Metrics.inc m_loader_runs ~labels:[ ("result", outcome_result o) ];
   if o.graceful then
     Metrics.observe m_region_instructions (Int64.to_float o.app_retired);
   Metrics.set m_region_cpi o.region_cpi;
-  Metrics.set m_region_threads (float_of_int o.threads);
+  Metrics.set m_region_threads (float_of_int o.threads)
+
+(* Metrics + span epilogue shared by every path that produced a final
+   outcome. *)
+let finish sp o =
+  record o;
   Trace.end_span sp
     ~attrs:
       [
-        ("result", Trace.S result);
+        ("result", Trace.S (outcome_result o));
         ("retired", Trace.I o.app_retired);
         ("cpi", Trace.F o.region_cpi);
       ];
@@ -247,6 +250,7 @@ let warm ?(seed = 11L) ?(fs_init = fun (_ : Fs.t) -> ()) ?(cwd = "/")
   let sp = Trace.begin_span "runner.warm" ~attrs:[ ("seed", Trace.I seed) ] in
   match boot ~seed ~fs_init ~cwd image with
   | Error (error, o) ->
+      record o;
       Trace.end_span sp ~attrs:[ ("error", Trace.S error) ];
       Error o
   | Ok (machine, kernel) ->
@@ -267,9 +271,11 @@ let warm ?(seed = 11L) ?(fs_init = fun (_ : Fs.t) -> ()) ?(cwd = "/")
       end
       else begin
         (* Ran to completion without a mark (no warmup boundary in the
-           image, or it faulted/exited first): report the full outcome
-           so the caller can fall back to one-shot runs. *)
+           image, or it faulted/exited first): the run was a full one,
+           so it is recorded as one, and its outcome lets the caller
+           fall back to one-shot runs. *)
         let o = collect_outcome machine kernel in
+        record o;
         Trace.end_span sp ~attrs:[ ("result", Trace.S (outcome_result o)) ];
         Error o
       end

@@ -51,9 +51,6 @@ type outcome = {
   threads : int;
 }
 
-(** The exact [fault] message reported when the [max_ins] cap trips. *)
-val runaway_fault_message : string
-
 (** [run image] executes an ELFie natively, charging ring-0 work to the
     machine's timing model as real hardware would.
     @param seed scheduler seed — vary it across trials for MT variation
@@ -90,8 +87,10 @@ val run :
 
     [warm] returns [Error outcome] when the run ended without a mark
     firing — image without a warmup boundary, a pre-mark fault, or a
-    load failure — with the one-shot outcome, so callers fall back to
-    per-trial [run]s. *)
+    load failure — with the outcome [run] gives at the same seed and
+    budget, recorded in the loader and region metrics as [run] records
+    it, so callers take it as that seed's trial and fall back to
+    per-trial [run]s for the others. *)
 
 type warmed
 

@@ -56,10 +56,6 @@ type options = {
 
 val default_options : options
 
-(** Virtual-address threshold above which checkpointed pages are
-    treated as stack pages. *)
-val stack_page_threshold : int64
-
 (** Convert. Raises [Failure] if no address window can be found for the
     startup code (pathological pinball covering all low memory). *)
 val convert : ?options:options -> Elfie_pinball.Pinball.t -> Elfie_elf.Image.t

@@ -33,25 +33,6 @@ let checkpoint machine kernel =
     cwd = Vkernel.cwd kernel;
   }
 
-let restore ?(seed = 23L) t fs =
-  let machine =
-    Machine.create (Machine.Free { seed; quantum_min = 50; quantum_max = 200 })
-  in
-  List.iter
-    (fun (addr, data) -> Addr_space.store (Machine.mem machine) addr data)
-    t.pages;
-  let kernel =
-    Vkernel.create
-      ~config:{ Vkernel.default_config with seed; initial_cwd = t.cwd }
-      fs
-  in
-  Vkernel.install kernel machine;
-  Vkernel.force_brk kernel t.brk;
-  List.iter (fun (fd, state) -> Vkernel.set_fd kernel fd state) t.fds;
-  Array.iter (fun ctx -> ignore (Machine.add_thread machine (Context.copy ctx)))
-    t.contexts;
-  (machine, kernel)
-
 (* --- serialization ---------------------------------------------------------- *)
 
 let magic = 0x56435249 (* "IRCV" *)
@@ -90,48 +71,5 @@ let to_files t =
   Byteio.Writer.string w t.cwd;
   [ ("image", Bytes.to_string (Byteio.Writer.contents w)) ]
 
-let of_files files =
-  let s =
-    match List.assoc_opt "image" files with
-    | Some s -> s
-    | None -> failwith "Criu: missing image file"
-  in
-  let r = Byteio.Reader.of_string s in
-  if Byteio.Reader.u32 r <> magic then failwith "Criu: bad magic";
-  let n_pages = Byteio.Reader.u32 r in
-  let pages =
-    List.init n_pages (fun _ ->
-        let addr = Byteio.Reader.u64 r in
-        let len = Byteio.Reader.u32 r in
-        (addr, Byteio.Reader.bytes r len))
-  in
-  let n_ctx = Byteio.Reader.u32 r in
-  let contexts =
-    Array.init n_ctx (fun _ ->
-        let len = Byteio.Reader.u32 r in
-        Context.of_bytes (Byteio.Reader.bytes r len))
-  in
-  let n_fds = Byteio.Reader.u32 r in
-  let fds =
-    List.init n_fds (fun _ ->
-        let fd = Byteio.Reader.u32 r in
-        match Byteio.Reader.u8 r with
-        | 0 -> (fd, Vkernel.Fd_console)
-        | _ ->
-            let len = Byteio.Reader.u32 r in
-            let path = Byteio.Reader.string_n r len in
-            let pos = Byteio.Reader.u32 r in
-            (fd, Vkernel.Fd_file { path; pos }))
-  in
-  let brk = Byteio.Reader.u64 r in
-  let cwd_len = Byteio.Reader.u32 r in
-  let cwd = Byteio.Reader.string_n r cwd_len in
-  { pages; contexts; fds; brk; cwd }
-
 let image_bytes t =
   match to_files t with [ (_, s) ] -> String.length s | _ -> assert false
-
-let equal a b =
-  List.equal (fun (x, p) (y, q) -> x = y && Bytes.equal p q) a.pages b.pages
-  && Array.for_all2 Context.equal a.contexts b.contexts
-  && a.fds = b.fds && a.brk = b.brk && a.cwd = b.cwd

@@ -4,14 +4,17 @@
     A checkpoint captures the complete process state at one instant:
     every mapped page, every live thread's registers, the descriptor
     table (paths and file offsets), the program break and working
-    directory. [restore] materialises the process on a fresh machine
-    "on the same or a similar machine" — the filesystem is supplied by
-    the caller, as CRIU relies on the host filesystem being present.
+    directory. Restoring it materialises the process on a fresh machine
+    "on the same or a similar machine", against a filesystem the caller
+    supplies, as CRIU relies on the host filesystem being present; the
+    pipeline never restores one (ablation E only measures its size), so
+    that restore lives in the tests, which use it to check that a
+    checkpoint is complete.
 
     The contrasts with ELFies that the paper draws are all observable
     here:
 
-    - a checkpoint is {e not} an executable: it needs this restore
+    - a checkpoint is {e not} an executable: it needs restore
       machinery (the analogue of CRIU needing a matching kernel), while
       an ELFie runs under any ELF-consuming tool;
     - it is a point-in-time snapshot with {e no specified end}, whereas
@@ -36,18 +39,9 @@ type t = {
     cannot restore. *)
 val checkpoint : Elfie_machine.Machine.t -> Elfie_kernel.Vkernel.t -> t
 
-(** Recreate the process, ready to continue, against the given
-    filesystem. *)
-val restore :
-  ?seed:int64 ->
-  t ->
-  Elfie_kernel.Fs.t ->
-  Elfie_machine.Machine.t * Elfie_kernel.Vkernel.t
-
 (** Serialized image size in bytes (for size comparisons with pinballs
     and ELFies). *)
 val image_bytes : t -> int
 
+(** The serialized checkpoint: one ["image"] member. *)
 val to_files : t -> (string * string) list
-val of_files : (string * string) list -> t
-val equal : t -> t -> bool

@@ -42,8 +42,9 @@ type t = {
 
 let max_waypoints = 64
 
-let launch ?(seed = 11L) ?(fs_init = fun (_ : Fs.t) -> ()) ?(cwd = "/")
+let launch ?(fs_init = fun (_ : Fs.t) -> ()) ?(cwd = "/")
     ?(snapshot_every = 1024) image =
+  let seed = 11L in
   let m =
     Machine.create (Machine.Free { seed; quantum_min = 1; quantum_max = 1 })
   in

@@ -32,12 +32,12 @@ val pp_stop : Format.formatter -> stop_reason -> unit
 
 type t
 
-(** Load an image under the debugger (process created but not started).
+(** Load an image under the debugger (process created but not started;
+    scheduler and kernel seeded with 11).
     [snapshot_every] sets the time-travel waypoint cadence in debugger
     steps (default 1024; waypoints are copy-on-write, so the cost per
     waypoint is O(mapped pages) pointer work, not a memory copy). *)
 val launch :
-  ?seed:int64 ->
   ?fs_init:(Elfie_kernel.Fs.t -> unit) ->
   ?cwd:string ->
   ?snapshot_every:int ->
@@ -73,9 +73,6 @@ val disassemble : t -> addr:int64 -> count:int -> (int64 * Elfie_isa.Insn.t) lis
 
 (** Nearest symbol at or below [addr], with the offset. *)
 val symbol_near : t -> int64 -> (string * int64) option
-
-(** All symbols, sorted by address. *)
-val symbols : t -> (string * int64) list
 
 (** Thread states, like gdb's [info threads]. *)
 val thread_summary : t -> (int * string * int64) list

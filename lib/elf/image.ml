@@ -1,13 +1,9 @@
 open Elfie_util
 
-exception Bad_elf of Diag.t
-
 (* The artifact name is patched in at the [read] boundary, where the
    caller-supplied path is known. *)
 let bad ?offset ?(code = Diag.Malformed) fmt =
-  Printf.ksprintf
-    (fun s -> raise (Bad_elf (Diag.v ?offset ~artifact:"<elf-image>" code s)))
-    fmt
+  Diag.fail ?offset ~artifact:"<elf-image>" code fmt
 
 type section_kind = Progbits | Nobits | Note
 
@@ -386,14 +382,11 @@ let read_exn buf =
    programming error. *)
 let read ?(artifact = "<elf-image>") buf =
   try read_exn buf with
-  | Bad_elf d -> raise (Bad_elf { d with Diag.artifact })
+  | Diag.Error d -> raise (Diag.Error { d with Diag.artifact })
   | Byteio.Truncated msg ->
-      raise (Bad_elf (Diag.v ~artifact Diag.Truncated msg))
+      raise (Diag.Error (Diag.v ~artifact Diag.Truncated msg))
 
-let read_result ?artifact buf =
-  match read ?artifact buf with
-  | image -> Ok image
-  | exception Bad_elf d -> Error d
+let read_result ?artifact buf = Diag.protect (fun () -> read ?artifact buf)
 
 let loadable t =
   List.filter_map

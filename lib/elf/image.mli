@@ -10,10 +10,6 @@
     [write] followed by [read] round-trips the typed view
     (property-tested). *)
 
-(** Raised by {!read} with a structured diagnostic: error code, artifact
-    name, byte offset of the offending field and a human message. *)
-exception Bad_elf of Elfie_util.Diag.t
-
 type section_kind = Progbits | Nobits | Note
 
 type section = {
@@ -52,10 +48,12 @@ type t = {
     there are symbols, and [.shstrtab]. *)
 val write : t -> bytes
 
-(** Parse and validate an ELF64 image; raises {!Bad_elf} on anything
-    malformed (bad magic, wrong class/endianness/machine, out-of-bounds
-    headers, truncated section data). [artifact] names the image in
-    diagnostics (e.g. its file path). *)
+(** Parse and validate an ELF64 image; raises [Elfie_util.Diag.Error]
+    on anything malformed (bad magic, wrong class/endianness/machine,
+    out-of-bounds headers, truncated section data), with the error
+    code, the byte offset of the offending field when known and a
+    message. [artifact] names the image in diagnostics (e.g. its file
+    path). *)
 val read : ?artifact:string -> bytes -> t
 
 (** Non-raising variant of {!read}. *)

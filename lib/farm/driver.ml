@@ -292,17 +292,12 @@ let compute_job ~store ~count j =
     }
   in
   let region_results = List.map measure regions in
-  let num, den =
-    List.fold_left
-      (fun (num, den) rr ->
-        match rr.rr_cpi with
-        | Some cpi -> (num +. (rr.rr_weight *. cpi), den +. rr.rr_weight)
-        | None -> (num, den))
-      (0.0, 0.0) region_results
-  in
   ( sel,
     region_results,
-    (if den > 0.0 then Some (num /. den) else None),
+    Simpoint.predict
+      (List.filter_map
+         (fun rr -> Option.map (fun cpi -> (rr.rr_weight, cpi)) rr.rr_cpi)
+         region_results),
     profile.Elfie_pin.Bbv.total_instructions )
 
 let run_job ~store ?journal ?(resume = true) j =

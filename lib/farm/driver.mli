@@ -91,16 +91,6 @@ type batch = {
       (** corrupt artifacts encountered (and survived) during the batch *)
 }
 
-(** Run one job (supervised, cache-backed). With [resume] and a
-    [journal], a job whose latest record is graceful for the same
-    inputs is skipped without running. *)
-val run_job :
-  store:Store.t ->
-  ?journal:Elfie_supervise.Journal.t ->
-  ?resume:bool ->
-  job ->
-  outcome
-
 (** Run a batch across up to [jobs] pool domains (default: the pool's
     process default). Job names must be unique; [Invalid_argument]
     otherwise. Worker exceptions are classified and quarantined by the
@@ -113,5 +103,4 @@ val run :
   job list ->
   batch
 
-val pp_outcome : Format.formatter -> outcome -> unit
 val pp_batch : Format.formatter -> batch -> unit

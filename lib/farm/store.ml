@@ -354,9 +354,6 @@ let get t k ~format =
       Metrics.inc m_misses ~labels:(kind_labels k);
       None
 
-(* Presence only — verification (and any quarantining) happens on read. *)
-let mem t k = Sys.file_exists (path_of t k)
-
 (* --- advisory per-key locks ------------------------------------------------- *)
 
 (* Seconds after which a lock held by a live process is presumed
@@ -466,7 +463,7 @@ let break_lock path =
         try Sys.remove path with Sys_error _ -> ()
       end
 
-(* --- get_or_compute --------------------------------------------------------- *)
+(* --- get_or_compute_v ------------------------------------------------------- *)
 
 let get_or_compute_v ?(on_result = fun _ -> ()) t k ~format ~encode ~decode
     compute =
@@ -548,11 +545,6 @@ let get_or_compute_v ?(on_result = fun _ -> ()) t k ~format ~encode ~decode
                   | Some v -> v
                   | None -> compute_and_put ())
               | `Miss | `Quarantined _ -> compute_and_put ()))
-
-let get_or_compute ?on_result t k ~format compute =
-  get_or_compute_v ?on_result t k ~format ~encode:Fun.id
-    ~decode:(fun s -> Ok s)
-    compute
 
 (* --- accounting and eviction ------------------------------------------------ *)
 

@@ -26,7 +26,7 @@
       quarantine log and the [elfie_store_quarantines_total] metric, and
       the read reports a miss so the caller recomputes. Corruption
       degrades to a cache miss, never to a wrong answer.
-    - {b Advisory per-key locks.} {!get_or_compute} takes a lock file
+    - {b Advisory per-key locks.} {!get_or_compute_v} takes a lock file
       next to the artifact so concurrent drivers (processes or domains)
       racing on one key perform exactly one computation; losers wait and
       then serve the winner's commit. Locks held by dead processes are
@@ -98,24 +98,15 @@ val put : t -> key -> format:int -> string -> unit
     quarantines the file and returns [None] (a miss). *)
 val get : t -> key -> format:int -> string option
 
-val mem : t -> key -> bool
-
-(** [get_or_compute t key ~format f] returns the cached payload or runs
-    [f] under the key's advisory lock, commits its result, and returns
-    it. Exactly one racing caller computes; others serve the commit.
-    Stale locks (dead owner pid, or older than 60 s) are broken.
-    [on_result] observes whether the value came from cache. *)
-val get_or_compute :
-  ?on_result:([ `Hit | `Miss ] -> unit) ->
-  t ->
-  key ->
-  format:int ->
-  (unit -> string) ->
-  string
-
-(** Typed variant: cached payloads are [decode]d; a payload that fails
+(** [get_or_compute_v t key ~format ~encode ~decode f] returns the
+    cached value or runs [f] under the key's advisory lock, commits its
+    [encode]d result, and returns it. Exactly one racing caller
+    computes; others serve the commit. Stale locks (dead owner pid, or
+    older than 60 s) are broken. [on_result] observes whether the value
+    came from cache. Cached payloads are [decode]d; a payload that fails
     to decode (codec bug, undetected skew) is quarantined with reason
-    ["undecodable"] and recomputed — same degrade-to-miss contract. *)
+    ["undecodable"] and recomputed — the same degrade-to-miss contract
+    as {!get}. *)
 val get_or_compute_v :
   ?on_result:([ `Hit | `Miss ] -> unit) ->
   t ->

@@ -41,14 +41,9 @@ let error_of_selection rs ~whole_cpi regions =
            | Some _ | None -> [])
          regions)
   in
-  let covered = List.fold_left (fun a (w, _) -> a +. w) 0.0 measured in
-  if covered <= 0.0 then None
-  else begin
-    let pred =
-      List.fold_left (fun a (w, c) -> a +. (w *. c)) 0.0 measured /. covered
-    in
-    Some (Float.abs (whole_cpi -. pred) /. whole_cpi)
-  end
+  Option.map
+    (fun pred -> Float.abs (whole_cpi -. pred) /. whole_cpi)
+    (Simpoint.predict measured)
 
 (* --- A: selection policy -------------------------------------------------- *)
 

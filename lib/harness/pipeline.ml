@@ -97,9 +97,9 @@ let measure_elfie ~trials ~base_seed (image, sysstate) =
 let measure_supervised ~trials ~base_seed ~max_seed_retries ~job
     (image, sysstate) =
   let policy = { Supervisor.retries = max_seed_retries; base_seed } in
-  Supervisor.supervise ~job ~policy (fun ~seed ~max_ins:_ ->
+  Supervisor.supervise ~job ~policy (fun ~seed ~max_ins ->
       let sample, outcomes =
-        Perf.elfie_region_detailed ~trials ~base_seed:seed
+        Perf.elfie_region_detailed ~trials ~base_seed:seed ?max_ins
           ~fs_init:(fun fs -> Elfie_pin.Sysstate.install sysstate fs ~workdir)
           ~cwd:workdir image
       in
@@ -365,15 +365,10 @@ let validate ?jobs ?(params = Simpoint.default_params) ?(trials = 3)
     List.fold_left (fun acc ro -> acc +. ro.region.Simpoint.weight) 0.0 covered
   in
   let weighted f =
-    let num, den =
-      List.fold_left
-        (fun (num, den) ro ->
-          match f ro with
-          | Some v -> (num +. (ro.region.Simpoint.weight *. v), den +. ro.region.Simpoint.weight)
-          | None -> (num, den))
-        (0.0, 0.0) covered
-    in
-    if den > 0.0 then Some (num /. den) else None
+    Simpoint.predict
+      (List.filter_map
+         (fun ro -> Option.map (fun v -> (ro.region.Simpoint.weight, v)) (f ro))
+         covered)
   in
   let elfie_pred_cpi =
     Option.value ~default:0.0

@@ -81,7 +81,4 @@ type t =
 type klass = K_alu | K_load | K_store | K_branch | K_call | K_syscall | K_vector | K_other
 
 val classify : t -> klass
-val pp_mem : Format.formatter -> mem -> unit
-val pp : Format.formatter -> t -> unit
 val to_string : t -> string
-val cond_name : cond -> string

@@ -22,8 +22,6 @@ let file_size t path = Option.map (fun f -> f.size) (find t path)
 let read_file t path =
   Option.map (fun f -> Bytes.sub_string f.data 0 f.size) (find t path)
 
-let remove t path = Hashtbl.remove t.files path
-
 let copy t =
   let files = Hashtbl.create (Hashtbl.length t.files) in
   Hashtbl.iter

@@ -18,7 +18,6 @@ val add_file : t -> path:string -> string -> unit
 val exists : t -> string -> bool
 val file_size : t -> string -> int option
 val read_file : t -> string -> string option
-val remove : t -> string -> unit
 
 val copy : t -> t
 

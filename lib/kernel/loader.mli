@@ -31,9 +31,6 @@ type layout = {
   stack_pages_reserved : int;
 }
 
-(** Full desired stack size, in pages. *)
-val stack_pages : int
-
 (** [load kernel machine image ~argv ~env] maps the image, builds the
     initial stack (argc/argv/envp/auxv), sets the program break, and
     creates thread 0 at the entry point. Returns the thread id and the

@@ -33,7 +33,6 @@ type t = {
   stdout_buf : Buffer.t;
   rng : Elfie_util.Rng.t;
   stack_offset : int64;
-  mutable syscall_count : int;
   mutable recorder : (syscall_record -> unit) option;
 }
 
@@ -58,11 +57,9 @@ let create ?(config = default_config) fs =
     stdout_buf = Buffer.create 256;
     rng;
     stack_offset;
-    syscall_count = 0;
     recorder = None;
   }
 
-let config t = t.cfg
 let fs t = t.fs
 let cwd t = t.cwd
 let stdout_contents t = Buffer.contents t.stdout_buf
@@ -88,7 +85,6 @@ let set_fd t fd state =
     (match state with
     | Fd_console -> Console
     | Fd_file { path; pos } -> File { path; pos })
-let syscall_count t = t.syscall_count
 
 let set_recorder t r = t.recorder <- r
 let stack_random_offset t = t.stack_offset
@@ -122,7 +118,6 @@ let fork t =
     stdout_buf;
     rng = Elfie_util.Rng.copy t.rng;
     stack_offset = t.stack_offset;
-    syscall_count = t.syscall_count;
     recorder = None;
   }
 
@@ -180,7 +175,6 @@ let handle t m tid =
   and _a3 = get Reg.R10 in
   let args = [| a0; a1; a2; _a3; get Reg.R8; get Reg.R9 |] in
   let path_arg = ref None in
-  t.syscall_count <- t.syscall_count + 1;
   let writes = ref [] in
   let moved_bytes = ref 0 in
   (* Copy-out into user memory. It never maps a page: a call whose

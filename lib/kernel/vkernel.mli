@@ -28,7 +28,6 @@ val default_config : config
 type t
 
 val create : ?config:config -> Fs.t -> t
-val config : t -> config
 val fs : t -> Fs.t
 
 (** Install this kernel as the machine's syscall handler. *)
@@ -59,8 +58,6 @@ type fd_state = Fd_console | Fd_file of { path : string; pos : int }
 
 val fd_table : t -> (int * fd_state) list
 val set_fd : t -> int -> fd_state -> unit
-
-val syscall_count : t -> int
 
 type syscall_record = {
   rec_tid : int;

@@ -5,7 +5,6 @@ exception Fault of { addr : int64; access : access }
 let page_bits = 12
 let page_size = 1 lsl page_bits
 let page_mask = Int64.of_int (page_size - 1)
-let page_base addr = Int64.logand addr (Int64.lognot page_mask)
 let page_number addr = Int64.shift_right_logical addr page_bits
 let offset_in_page addr = Int64.to_int (Int64.logand addr page_mask)
 

@@ -13,9 +13,6 @@ exception Fault of { addr : int64; access : access }
 val page_size : int
 val page_bits : int
 
-(** Base address of the page containing [addr]. *)
-val page_base : int64 -> int64
-
 type t
 
 val create : unit -> t
@@ -28,9 +25,6 @@ val map : t -> addr:int64 -> len:int -> unit
 val unmap : t -> addr:int64 -> len:int -> unit
 
 val is_mapped : t -> int64 -> bool
-
-val read_u8 : t -> int64 -> int
-val write_u8 : t -> int64 -> int -> unit
 
 (** [read t addr width] reads a [width]-byte little-endian value,
     zero-extended. [width] is 1, 2, 4 or 8. May cross pages. *)

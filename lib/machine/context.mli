@@ -27,11 +27,6 @@ val copy : t -> t
 val get : t -> Elfie_isa.Reg.gpr -> int64
 val set : t -> Elfie_isa.Reg.gpr -> int64 -> unit
 
-(** Index-based register access ([Reg.gpr_index] order). *)
-val geti : t -> int -> int64
-
-val seti : t -> int -> int64 -> unit
-
 (** {2 Slot primitives for compiled code}
 
     Unchecked accessors over the raw {!field-gprs} buffer by byte

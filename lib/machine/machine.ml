@@ -52,8 +52,6 @@ let no_callouts = { before = None; read = None; write = None; branch = None }
 type hooks = {
   mutable instrument : (int64 -> Insn.t -> callouts) option;
   mutable on_marker : (int -> Insn.t -> unit) option;
-  mutable on_thread_start : (int -> unit) option;
-  mutable on_thread_exit : (int -> int -> unit) option;
 }
 
 type syscall_action = Run_syscall | Skip_syscall
@@ -139,7 +137,6 @@ and core_stats = {
 
 and t = {
   mem : Addr_space.t;
-  mutable thread_list : thread list;  (* reversed *)
   mutable thread_arr : thread array;
   hooks : hooks;
   (* The native hardware model; [None] on a simulator's machine, which
@@ -160,7 +157,6 @@ and t = {
      with: [t.hooks.instrument] when the cache was last flushed. *)
   mutable decode_instr : (int64 -> Insn.t -> callouts) option;
   mutable timer : (int * int * Elfie_util.Rng.t) option;
-  mutable group_exit_status : int option;
   (* Dynamic (cache, branch, pause) cycle cost accumulated by micro-ops
      across one chain run or single instruction; static class
      costs come from [bb_cost]/[bb_prefix]. Zeroed at the start and
@@ -242,29 +238,14 @@ let fresh_stats () =
     st_ret_stepped = 0;
   }
 
-let fresh_hooks () =
+(* A machine with no threads, hooks or translations, which [create]
+   and [fork] fill in. *)
+let make mem timing sched =
   {
-    instrument = None;
-    on_marker = None;
-    on_thread_start = None;
-    on_thread_exit = None;
-  }
-
-let create ?(native = true) scheduler =
-  let sched =
-    match scheduler with
-    | Free { seed; quantum_min; quantum_max } ->
-        S_free
-          { rng = Elfie_util.Rng.create seed; quantum_min; quantum_max;
-            pending = None }
-    | Recorded slices -> S_recorded (ref slices)
-  in
-  {
-    mem = Addr_space.create ();
-    thread_list = [];
+    mem;
     thread_arr = [||];
-    hooks = fresh_hooks ();
-    timing = (if native then Some (Timing.create ()) else None);
+    hooks = { instrument = None; on_marker = None };
+    timing;
     sched;
     syscall_handler = (fun _ _ -> failwith "Machine: no syscall handler installed");
     syscall_filter = None;
@@ -278,7 +259,6 @@ let create ?(native = true) scheduler =
     decode_generation = -1;
     decode_instr = None;
     timer = None;
-    group_exit_status = None;
     dyn_cost = 0;
     block_memo_pc = Array.make block_memo_size (-1L);
     block_memo = Array.make block_memo_size dummy_bb;
@@ -293,6 +273,19 @@ let create ?(native = true) scheduler =
     stop_on_mark = false;
     stop_on_fault = false;
   }
+
+let create ?(native = true) scheduler =
+  let sched =
+    match scheduler with
+    | Free { seed; quantum_min; quantum_max } ->
+        S_free
+          { rng = Elfie_util.Rng.create seed; quantum_min; quantum_max;
+            pending = None }
+    | Recorded slices -> S_recorded (ref slices)
+  in
+  make (Addr_space.create ())
+    (if native then Some (Timing.create ()) else None)
+    sched
 
 let mem t = t.mem
 let hooks t = t.hooks
@@ -318,13 +311,11 @@ let add_thread t ctx =
       timer_left = max_int;
     }
   in
-  t.thread_list <- th :: t.thread_list;
-  t.thread_arr <- Array.of_list (List.rev t.thread_list);
+  t.thread_arr <- Array.append t.thread_arr [| th |];
   (match t.timer with
   | Some (interval, _, rng) ->
       th.timer_left <- (interval / 2) + Elfie_util.Rng.int rng interval
   | None -> ());
-  (match t.hooks.on_thread_start with Some f -> f tid | None -> ());
   tid
 
 let thread t tid =
@@ -336,17 +327,10 @@ let threads t = Array.to_list t.thread_arr
 
 let exit_thread t tid ~status =
   let th = thread t tid in
-  if th.state = Runnable then begin
-    th.state <- Exited status;
-    match t.hooks.on_thread_exit with Some f -> f tid status | None -> ()
-  end
+  if th.state = Runnable then th.state <- Exited status
 
 let exit_all t ~status =
-  t.group_exit_status <- Some status;
-  Array.iter (fun th -> if th.state = Runnable then exit_thread t th.tid ~status)
-    t.thread_arr
-
-let group_exit_status t = t.group_exit_status
+  Array.iter (fun th -> exit_thread t th.tid ~status) t.thread_arr
 
 (* Counters are [int]s and never negative; no run reaches [max_int]
    (2^62 - 1) of them. So a bound past [max_int] is one no counter
@@ -2259,95 +2243,49 @@ let run ?max_ins t =
 (* --- Copy-on-write machine snapshots ----------------------------------- *)
 
 (* Everything a forked machine needs, captured by value: the address
-   space is frozen (pointer work only), contexts and the timing model
-   are copied, RNGs are duplicated at their exact stream position.
+   space is frozen (pointer work only), threads (with their contexts),
+   the timing model and the scheduler are copied, RNGs are duplicated at
+   their exact stream position. The snapshot owns these copies and each
+   fork copies them again, so forks never share mutable state.
    Derived caches (block cache, memo, soft-TLB, chain links) are NOT
    captured — a fork re-translates lazily, which both keeps the capture
    O(pages + threads) and makes forks trivially safe to run on separate
    domains (translated [bb] records hold mutable link arrays that
    [resolve_links] writes; sharing them across forks would race). *)
-type snap_thread = {
-  sn_tid : int;
-  sn_ctx : Context.t;
-  sn_state : thread_state;
-  sn_retired : int;
-  sn_cycles : int;
-  sn_counter_target : int option;
-  sn_counter_fired : bool;
-  sn_arm_retired : int;
-  sn_arm_cycles : int;
-  sn_mark_target : int option;
-  sn_mark_retired : int option;
-  sn_mark_cycles : int;
-  sn_timer_left : int;
-}
-
-type snap_sched =
-  | Sn_free of {
-      rng : Elfie_util.Rng.t;
-      quantum_min : int;
-      quantum_max : int;
-      pending : (int * int) option;
-    }
-  | Sn_recorded of (int * int) list
-
 type snapshot = {
   snap_mem : Addr_space.frozen;
-  snap_threads : snap_thread array;
-  snap_timing : Timing.t option;  (* private copy; each fork copies it again *)
-  snap_sched : snap_sched;
+  snap_threads : thread array;
+  snap_timing : Timing.t option;
+  snap_sched : sched_state;
   snap_timer : (int * int * Elfie_util.Rng.t) option;
   snap_ring0 : int;
   snap_retired_total : int;
   snap_record_schedule : bool;
   snap_schedule_rev : (int * int) list;
   snap_schedule_cut : bool;
-  snap_group_exit : int option;
 }
+
+let copy_thread th = { th with ctx = Context.copy th.ctx }
+
+let copy_sched = function
+  | S_free s -> S_free { s with rng = Elfie_util.Rng.copy s.rng }
+  | S_recorded slices -> S_recorded (ref !slices)
+
+let copy_timer = Option.map (fun (i, c, rng) -> (i, c, Elfie_util.Rng.copy rng))
 
 let snapshot t =
   Metrics.inc m_snap_captures;
   {
     snap_mem = Addr_space.freeze t.mem;
-    snap_threads =
-      Array.map
-        (fun th ->
-          {
-            sn_tid = th.tid;
-            sn_ctx = Context.copy th.ctx;
-            sn_state = th.state;
-            sn_retired = th.retired;
-            sn_cycles = th.cycles;
-            sn_counter_target = th.counter_target;
-            sn_counter_fired = th.counter_fired;
-            sn_arm_retired = th.arm_retired;
-            sn_arm_cycles = th.arm_cycles;
-            sn_mark_target = th.mark_target;
-            sn_mark_retired = th.mark_retired;
-            sn_mark_cycles = th.mark_cycles;
-            sn_timer_left = th.timer_left;
-          })
-        t.thread_arr;
+    snap_threads = Array.map copy_thread t.thread_arr;
     snap_timing = Option.map Timing.copy t.timing;
-    snap_sched =
-      (match t.sched with
-      | S_free s ->
-          Sn_free
-            {
-              rng = Elfie_util.Rng.copy s.rng;
-              quantum_min = s.quantum_min;
-              quantum_max = s.quantum_max;
-              pending = s.pending;
-            }
-      | S_recorded slices -> Sn_recorded !slices);
-    snap_timer =
-      Option.map (fun (i, c, rng) -> (i, c, Elfie_util.Rng.copy rng)) t.timer;
+    snap_sched = copy_sched t.sched;
+    snap_timer = copy_timer t.timer;
     snap_ring0 = t.ring0;
     snap_retired_total = t.retired_total;
     snap_record_schedule = t.record_schedule;
     snap_schedule_rev = t.schedule_rev;
     snap_schedule_cut = t.schedule_cut;
-    snap_group_exit = t.group_exit_status;
   }
 
 let snapshot_page_count snap = Addr_space.frozen_page_count snap.snap_mem
@@ -2376,77 +2314,17 @@ let set_stop_on_fault t b = t.stop_on_fault <- b
 
 let fork ?reseed:seed snap =
   Metrics.inc m_snap_forks;
-  let thread_arr =
-    Array.map
-      (fun sn ->
-        {
-          tid = sn.sn_tid;
-          ctx = Context.copy sn.sn_ctx;
-          state = sn.sn_state;
-          retired = sn.sn_retired;
-          cycles = sn.sn_cycles;
-          counter_target = sn.sn_counter_target;
-          counter_fired = sn.sn_counter_fired;
-          arm_retired = sn.sn_arm_retired;
-          arm_cycles = sn.sn_arm_cycles;
-          mark_target = sn.sn_mark_target;
-          mark_retired = sn.sn_mark_retired;
-          mark_cycles = sn.sn_mark_cycles;
-          timer_left = sn.sn_timer_left;
-        })
-      snap.snap_threads
-  in
-  let sched =
-    match snap.snap_sched with
-    | Sn_free s ->
-        S_free
-          {
-            rng = Elfie_util.Rng.copy s.rng;
-            quantum_min = s.quantum_min;
-            quantum_max = s.quantum_max;
-            pending = s.pending;
-          }
-    | Sn_recorded slices -> S_recorded (ref slices)
-  in
   let m =
-    {
-      mem = Addr_space.fork snap.snap_mem;
-      thread_list = List.rev (Array.to_list thread_arr);
-      thread_arr;
-      hooks = fresh_hooks ();
-      timing = Option.map Timing.copy snap.snap_timing;
-      sched;
-      syscall_handler =
-        (fun _ _ -> failwith "Machine: no syscall handler installed");
-      syscall_filter = None;
-      stop_requested = false;
-      ring0 = snap.snap_ring0;
-      retired_total = snap.snap_retired_total;
-      record_schedule = snap.snap_record_schedule;
-      schedule_rev = snap.snap_schedule_rev;
-      schedule_cut = snap.snap_schedule_cut;
-      block_cache = Hashtbl.create 1024;
-      decode_generation = -1;
-      decode_instr = None;
-      timer =
-        Option.map
-          (fun (i, c, rng) -> (i, c, Elfie_util.Rng.copy rng))
-          snap.snap_timer;
-      group_exit_status = snap.snap_group_exit;
-      dyn_cost = 0;
-      block_memo_pc = Array.make block_memo_size (-1L);
-      block_memo = Array.make block_memo_size dummy_bb;
-      block_observer = None;
-      mega_idx = 0;
-      mega_cw = 0;
-      took = 0;
-      live_links = 0;
-      stats = fresh_stats ();
-      stats_flushed = fresh_stats ();
-      cow_flushed = 0;
-      stop_on_mark = false;
-    stop_on_fault = false;
-    }
+    make (Addr_space.fork snap.snap_mem)
+      (Option.map Timing.copy snap.snap_timing)
+      (copy_sched snap.snap_sched)
   in
+  m.thread_arr <- Array.map copy_thread snap.snap_threads;
+  m.timer <- copy_timer snap.snap_timer;
+  m.ring0 <- snap.snap_ring0;
+  m.retired_total <- snap.snap_retired_total;
+  m.record_schedule <- snap.snap_record_schedule;
+  m.schedule_rev <- snap.snap_schedule_rev;
+  m.schedule_cut <- snap.snap_schedule_cut;
   (match seed with Some s -> reseed m s | None -> ());
   m

@@ -93,16 +93,13 @@ val no_callouts : callouts
     its block is translated, and returns that instruction's
     {!callouts}. Installing, replacing or removing it applies at the
     next block fetch (the translation cache is rebuilt), and the new
-    translations chain like the old ones. The rare-event hooks are
-    looked up each time they fire:
-    - [on_marker]: tid and the [Cpuid]/[Ssc_marker]/[Magic]
-      instruction, with RIP already past it, before it retires;
-    - [on_thread_start] and [on_thread_exit] (tid, status). *)
+    translations chain like the old ones. [on_marker], the rare-event
+    hook, is looked up each time it fires, with the tid and the
+    [Cpuid]/[Ssc_marker]/[Magic] instruction, RIP already past it,
+    before it retires. *)
 type hooks = {
   mutable instrument : (int64 -> Elfie_isa.Insn.t -> callouts) option;
   mutable on_marker : (int -> Elfie_isa.Insn.t -> unit) option;
-  mutable on_thread_start : (int -> unit) option;
-  mutable on_thread_exit : (int -> int -> unit) option;  (** tid, status *)
 }
 
 type t
@@ -143,10 +140,6 @@ val threads : t -> thread list
 val exit_thread : t -> int -> status:int -> unit
 
 val exit_all : t -> status:int -> unit
-
-(** Status of the [exit_group]-style whole-process exit, if one
-    happened. Threads it killed did not fault or diverge. *)
-val group_exit_status : t -> int option
 
 (** [count_of_int64 n] is [n] as a bound on an [int] counter, saturated
     to [0 .. max_int]: a counter (never negative, never [max_int]) is
@@ -285,9 +278,9 @@ val all_exited_cleanly : t -> bool
     work: the address space is frozen copy-on-write
     ({!Addr_space.freeze} — no page contents are copied; the first
     write to a shared page, by the parent or any fork, privatises just
-    that page), contexts and the timing model are copied, and every RNG
-    is duplicated at its exact stream position. The parent stays fully
-    usable.
+    that page), threads, contexts, the scheduler and the timing model
+    are copied, and every RNG is duplicated at its exact stream
+    position. The parent stays fully usable.
 
     [fork snap] materialises an independent machine from the capture,
     again without copying page contents. Forks share only the immutable

@@ -21,9 +21,6 @@ module Predictor : sig
 
   val create : unit -> t
 
-  (** Independent clone. *)
-  val copy : t -> t
-
   (** [mispredicted t ~pc ~taken] predicts the branch at [pc] from its
       counter's high bit, updates the counter towards [taken] and says
       whether the prediction was wrong. *)

@@ -7,8 +7,6 @@ type family = {
   buckets : float array;  (* ascending upper bounds; empty unless histogram *)
 }
 
-let name_of f = f.name
-
 type series =
   | Value of float ref
   | Hist of {

@@ -19,8 +19,6 @@
     next mutation re-registers the family. *)
 type family
 
-val name_of : family -> string
-
 (** Get or create a counter family. *)
 val counter : ?help:string -> string -> family
 

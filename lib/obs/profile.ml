@@ -27,7 +27,6 @@ let create ?(interval = 97) () =
     lock = Mutex.create ();
   }
 
-let interval t = t.itv
 let[@inline] locked t f = Mutex.protect t.lock f
 
 let ensure_tid t tid =

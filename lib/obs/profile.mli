@@ -22,8 +22,6 @@ type t
     lengths). Raises [Invalid_argument] if [interval <= 0]. *)
 val create : ?interval:int -> unit -> t
 
-val interval : t -> int
-
 (** Feed [n] back-to-back instructions [pcs.(0 .. n-1)] of one
     straight-line run (the machine's block-observer shape;
     [ends_block] marks a run whose last instruction terminates its

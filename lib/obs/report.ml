@@ -2,7 +2,7 @@
    --trace/--metrics/--profile flags into exporter side effects that run
    even when the wrapped command fails. *)
 
-let with_reporting ?trace ?metrics ?profile ?(out = stdout) f =
+let with_reporting ?trace ?metrics ?profile f =
   (match profile with
   | Some interval -> Profile.set_global (Some (Profile.create ~interval ()))
   | None -> ());
@@ -10,7 +10,7 @@ let with_reporting ?trace ?metrics ?profile ?(out = stdout) f =
     (match trace with
     | Some path ->
         Trace.write_chrome path;
-        Printf.fprintf out "trace: %d event(s) written to %s\n"
+        Printf.printf "trace: %d event(s) written to %s\n"
           (List.length (Trace.events ()))
           path
     | None -> ());
@@ -19,11 +19,11 @@ let with_reporting ?trace ?metrics ?profile ?(out = stdout) f =
         let oc = open_out_bin path in
         output_string oc (Metrics.exposition ());
         close_out oc;
-        Printf.fprintf out "metrics: exposition written to %s\n%s" path
+        Printf.printf "metrics: exposition written to %s\n%s" path
           (Metrics.summary ())
     | None -> ());
     match (profile, Profile.global ()) with
-    | Some _, Some p -> output_string out (Profile.report p)
+    | Some _, Some p -> print_string (Profile.report p)
     | _ -> ()
   in
   Fun.protect ~finally:finish f

@@ -9,12 +9,11 @@
     - runs [f ()];
     - then — even if [f] raised — writes the Chrome trace to [trace],
       the Prometheus exposition to [metrics] (followed by the metric
-      summary table on [out]), and prints the profiler's top-K
+      summary table on stdout), and prints the profiler's top-K
       hot-region report. *)
 val with_reporting :
   ?trace:string ->
   ?metrics:string ->
   ?profile:int ->
-  ?out:out_channel ->
   (unit -> 'a) ->
   'a

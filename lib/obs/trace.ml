@@ -14,8 +14,6 @@ type event =
       name : string; ts : float; depth : int; seq : int; attrs : attrs;
     }
 
-let event_attrs = function Span { attrs; _ } | Instant { attrs; _ } -> attrs
-
 type span = {
   sp_name : string;
   sp_ts : float;
@@ -172,13 +170,9 @@ let chrome_metadata ~pid ~label =
       pid;
   ]
 
-let to_chrome ?pid ?label () =
-  let pid = match pid with Some p -> p | None -> Unix.getpid () in
-  let label =
-    match label with
-    | Some l -> l
-    | None -> Filename.basename Sys.executable_name
-  in
+let to_chrome () =
+  let pid = Unix.getpid () in
+  let label = Filename.basename Sys.executable_name in
   let b = Buffer.create 4096 in
   Buffer.add_string b "{\"traceEvents\":[";
   List.iter
@@ -194,8 +188,8 @@ let to_chrome ?pid ?label () =
   Buffer.add_string b "],\"displayTimeUnit\":\"ms\"}";
   Buffer.contents b
 
-let write_chrome ?pid ?label path =
+let write_chrome path =
   let oc = open_out_bin path in
-  output_string oc (to_chrome ?pid ?label ());
+  output_string oc (to_chrome ());
   output_char oc '\n';
   close_out oc

@@ -35,8 +35,6 @@ type event =
       name : string; ts : float; depth : int; seq : int; attrs : attrs;
     }
 
-val event_attrs : event -> attrs
-
 (** An in-flight span handle, as returned by {!begin_span}. *)
 type span
 
@@ -86,8 +84,8 @@ val reset : unit -> unit
     instants, preceded by ["ph":"M"] [process_name] / [thread_name]
     metadata so the trace shows named tracks. Every event carries this
     process's pid and the process is labelled with the executable
-    basename (override with [pid] / [label] for tests). *)
-val to_chrome : ?pid:int -> ?label:string -> unit -> string
+    basename. *)
+val to_chrome : unit -> string
 
 (** {!to_chrome} to a file. *)
-val write_chrome : ?pid:int -> ?label:string -> string -> unit
+val write_chrome : string -> unit

@@ -55,19 +55,26 @@ let elfie_region_detailed ?(trials = 3) ?(base_seed = 2000L) ?fs_init ?cwd
        trial seed. Forks are independent, so they fan out across pool
        domains with results identical at any [--jobs]. An image without
        a warmup mark (or one that fails before it) falls back to one
-       full run per trial. *)
-    match
-      Elfie_core.Elfie_runner.warm ~seed:base_seed ?fs_init ?cwd ?max_ins image
-    with
-    | Ok warmed ->
-        Elfie_util.Pool.map
-          (fun seed -> Elfie_core.Elfie_runner.resume ~seed ?max_ins warmed)
-          seeds
-    | Error _ ->
-        Elfie_util.Pool.map
-          (fun seed ->
-            Elfie_core.Elfie_runner.run ~seed ?fs_init ?cwd ?max_ins image)
-          seeds
+       full run per trial: the failed warm-up was the base seed's full
+       run, so it is trial 0 and only the later seeds run. *)
+    match seeds with
+    | [] -> []
+    | _ :: later -> (
+        match
+          Elfie_core.Elfie_runner.warm ~seed:base_seed ?fs_init ?cwd ?max_ins
+            image
+        with
+        | Ok warmed ->
+            Elfie_util.Pool.map
+              (fun seed -> Elfie_core.Elfie_runner.resume ~seed ?max_ins warmed)
+              seeds
+        | Error first ->
+            first
+            :: Elfie_util.Pool.map
+                 (fun seed ->
+                   Elfie_core.Elfie_runner.run ~seed ?fs_init ?cwd ?max_ins
+                     image)
+                 later)
   in
   let ok =
     List.filter (fun (o : Elfie_core.Elfie_runner.outcome) -> o.graceful) results
@@ -95,8 +102,8 @@ let elfie_region_detailed ?(trials = 3) ?(base_seed = 2000L) ?fs_init ?cwd
     },
     results )
 
-let elfie_region ?trials ?base_seed ?fs_init ?cwd ?max_ins image =
-  fst (elfie_region_detailed ?trials ?base_seed ?fs_init ?cwd ?max_ins image)
+let elfie_region ?trials ?base_seed ?fs_init ?cwd image =
+  fst (elfie_region_detailed ?trials ?base_seed ?fs_init ?cwd image)
 
 let pp_sample fmt s =
   Format.fprintf fmt "cpi %.4f +/- %.4f over %d trial(s) (%d failed, %Ld ins)"

@@ -36,19 +36,21 @@ val whole_program : ?trials:int -> ?base_seed:int64 -> Elfie_pin.Run.spec -> sam
     and re-derives its scheduler/timer streams from [base_seed + i] —
     bit-identical to warming every trial from scratch with those seeds,
     at a fraction of the cost, sequentially or across pool domains.
-    Images without a warmup mark fall back to one full run per trial. *)
+    Images without a warmup mark (or failing before it) fall back to one
+    full run per trial; the warm-up attempt, a full run at [base_seed],
+    is trial 0. Every run is capped by the runner's default budget. *)
 val elfie_region :
   ?trials:int ->
   ?base_seed:int64 ->
   ?fs_init:(Elfie_kernel.Fs.t -> unit) ->
   ?cwd:string ->
-  ?max_ins:int64 ->
   Elfie_elf.Image.t ->
   sample
 
 (** Like {!elfie_region}, but also returns every trial's raw outcome (in
     trial order) so supervision layers can classify {e why} trials
-    failed instead of only counting them. *)
+    failed instead of only counting them. [max_ins] caps each run
+    machine-wide, warm-up included (default: the runner's). *)
 val elfie_region_detailed :
   ?trials:int ->
   ?base_seed:int64 ->

@@ -216,32 +216,6 @@ let capture_many ?(fat = true) ?scheduler spec requests =
            (fun (pinball, reached_end) -> (name, { pinball; reached_end }))
            outcome)
 
-let icount_at_marker ?scheduler spec ~payload ~occurrence =
-  let machine, _kernel = Run.instantiate ?scheduler spec in
-  let hits = ref 0 in
-  let at = ref None in
-  let tool =
-    {
-      (Pintool.empty ~name:"marker-trigger") with
-      on_marker =
-        Some
-          (fun _ ins ->
-            match ins with
-            | Elfie_isa.Insn.Ssc_marker p when p = payload ->
-                incr hits;
-                if !hits = occurrence then begin
-                  (* The marker instruction itself has not retired yet. *)
-                  at := Some (Machine.total_retired machine);
-                  Machine.request_stop machine
-                end
-            | _ -> ());
-    }
-  in
-  let detach = Pintool.attach machine [ tool ] in
-  Machine.run machine;
-  detach ();
-  !at
-
 let capture ?fat ?scheduler spec ~name region =
   match capture_many ?fat ?scheduler spec [ (name, region) ] with
   | [ (_, result) ] -> result

@@ -51,17 +51,3 @@ val capture_many :
   Run.spec ->
   (string * region) list ->
   (string * result) list
-
-(** [icount_at_marker spec ~payload ~occurrence] runs the program until
-    the [occurrence]-th execution (1-based) of the SSC marker with
-    [payload] and returns the aggregate instruction count at that point
-    — a marker-delimited region trigger à la PinPlay's
-    [-log:start_address]. [None] if the marker never fires that often.
-    Deterministic for a given spec seed, so the returned count can be
-    fed straight to {!capture}. *)
-val icount_at_marker :
-  ?scheduler:Elfie_machine.Machine.scheduler ->
-  Run.spec ->
-  payload:int64 ->
-  occurrence:int ->
-  int64 option

@@ -4,18 +4,9 @@ type t = {
   name : string;
   instrument : (int64 -> Elfie_isa.Insn.t -> Machine.callouts) option;
   on_marker : (int -> Elfie_isa.Insn.t -> unit) option;
-  on_thread_start : (int -> unit) option;
-  on_thread_exit : (int -> int -> unit) option;
 }
 
-let empty ~name =
-  {
-    name;
-    instrument = None;
-    on_marker = None;
-    on_thread_start = None;
-    on_thread_exit = None;
-  }
+let empty ~name = { name; instrument = None; on_marker = None }
 
 (* Two tools' call-outs for one instruction, the first's before the
    second's; built once per instruction, at translation. *)
@@ -59,10 +50,7 @@ let chain seq prev fs =
 
 let attach machine tools =
   let h = Machine.hooks machine in
-  let saved_in = h.instrument
-  and saved_mk = h.on_marker
-  and saved_ts = h.on_thread_start
-  and saved_te = h.on_thread_exit in
+  let saved_in = h.instrument and saved_mk = h.on_marker in
   let pick f = List.filter_map f tools in
   h.instrument <-
     chain
@@ -76,25 +64,9 @@ let attach machine tools =
         f tid ins)
       saved_mk
       (pick (fun t -> t.on_marker));
-  h.on_thread_start <-
-    chain
-      (fun g f tid ->
-        g tid;
-        f tid)
-      saved_ts
-      (pick (fun t -> t.on_thread_start));
-  h.on_thread_exit <-
-    chain
-      (fun g f tid status ->
-        g tid status;
-        f tid status)
-      saved_te
-      (pick (fun t -> t.on_thread_exit));
   fun () ->
     h.instrument <- saved_in;
-    h.on_marker <- saved_mk;
-    h.on_thread_start <- saved_ts;
-    h.on_thread_exit <- saved_te
+    h.on_marker <- saved_mk
 
 let attach_from_marker ~at_start machine tools =
   let detach_tools = ref None in

@@ -4,8 +4,8 @@
     instrumentation routine, called once per instruction when its block
     is translated, which returns only the analysis calls that
     instruction needs (a before-call, memory call-outs, a branch
-    call-out: {!Elfie_machine.Machine.callouts}), plus rare-event
-    callbacks (markers, thread start and exit). [attach] multiplexes any
+    call-out: {!Elfie_machine.Machine.callouts}), plus a marker
+    callback. [attach] multiplexes any
     number of tools onto one machine's hooks: the logger, the BBV
     profiler, the simulators and user-written analysis tools can run
     simultaneously, like Pintools sharing one Pin process. The calls are
@@ -18,8 +18,6 @@ type t = {
   instrument : (int64 -> Elfie_isa.Insn.t -> Elfie_machine.Machine.callouts) option;
       (** pc, instruction — at translation *)
   on_marker : (int -> Elfie_isa.Insn.t -> unit) option;
-  on_thread_start : (int -> unit) option;
-  on_thread_exit : (int -> int -> unit) option;
 }
 
 (** A tool with no callbacks; override the fields you need. *)

@@ -118,7 +118,7 @@ let materialize ?(constrained = true) ?(native = true) ?(seed = 7L)
   end;
   (machine, kernel, fun () -> (!divergences, !first_div))
 
-let replay ?(mode = Constrained) ?max_ins (pb : Pinball.t) =
+let replay ?(mode = Constrained) (pb : Pinball.t) =
   let constrained, seed, fs_init =
     match mode with
     | Constrained -> (true, 7L, fun _ -> ())
@@ -133,15 +133,10 @@ let replay ?(mode = Constrained) ?max_ins (pb : Pinball.t) =
   let machine, kernel, div_state = materialize ~constrained ~seed ~fs_init pb in
   Tools.attach_global_profile machine;
   let cap =
-    (* Injection-less replay always needs a cap (free scheduling can
-       spin forever past a divergence); a caller-supplied cap also
-       bounds constrained replay, whose recorded schedule can wedge on
-       a divergent syscall log. *)
-    match max_ins with
-    | Some _ -> max_ins
-    | None ->
-        if constrained then None
-        else Some (Int64.mul 3L (max 1L (Pinball.total_icount pb)))
+    (* Injection-less replay needs a cap: free scheduling can spin
+       forever past a divergence. *)
+    if constrained then None
+    else Some (Int64.mul 3L (max 1L (Pinball.total_icount pb)))
   in
   if not constrained then
     (* Mimic the ELFie hardware-counter exit: stop each region-start

@@ -43,10 +43,10 @@ type result = {
 }
 
 (** Materialise the pinball into a fresh machine and run the region.
-    [max_ins] bounds the replay machine-wide; injection-less replay
-    defaults to 3x the recorded region icount (free scheduling can spin
-    forever past a divergence), constrained replay to unbounded. *)
-val replay : ?mode:mode -> ?max_ins:int64 -> Elfie_pinball.Pinball.t -> result
+    Injection-less replay stops machine-wide at 3x the recorded region
+    icount (free scheduling can spin forever past a divergence);
+    constrained replay is unbounded. *)
+val replay : ?mode:mode -> Elfie_pinball.Pinball.t -> result
 
 (** Build the machine/kernel pair positioned at region start without
     running it — used by simulators that drive execution themselves.

@@ -52,5 +52,3 @@ type stats = {
 
 (** Run a spec natively to completion (or [max_ins]) and report. *)
 val native : ?max_ins:int64 -> spec -> stats
-
-val stats_of_machine : Elfie_machine.Machine.t -> Elfie_kernel.Vkernel.t -> stats

@@ -33,12 +33,8 @@ val install : t -> Elfie_kernel.Fs.t -> workdir:string -> unit
     directory): proxy files plus [BRK.log]. *)
 val to_files : t -> (string * string) list
 
-(** Rebuild from a file set; raises [Elfie_util.Diag.Error] on a missing
-    or malformed [BRK.log]. [artifact] names the directory in
-    diagnostics. *)
-val of_files : ?artifact:string -> (string * string) list -> t
-
-(** Non-raising variant of {!of_files}. *)
+(** Rebuild from a file set; a missing or malformed [BRK.log] is an
+    [Error]. [artifact] names the directory in diagnostics. *)
 val of_files_result :
   ?artifact:string -> (string * string) list -> (t, Elfie_util.Diag.t) result
 

@@ -278,8 +278,6 @@ let of_files_exn ?dir ~name files =
     symbols;
   }
 
-let of_files ~name files = of_files_exn ~name files
-
 let of_files_result ?dir ~name files =
   Diag.protect (fun () -> of_files_exn ?dir ~name files)
 

@@ -55,13 +55,10 @@ val image_bytes : t -> int
     PinPlay naming. *)
 val to_files : t -> (string * string) list
 
-(** Rebuild from the file set. Malformed or missing members raise
-    [Elfie_util.Diag.Error] carrying the member name, the error code and
-    the byte offset of the offending field. *)
-val of_files : name:string -> (string * string) list -> t
-
-(** Non-raising variant of {!of_files}. [dir], when given, is only used
-    to report full artifact paths in diagnostics. *)
+(** Rebuild from the file set. A malformed or missing member is an
+    [Error] carrying the member name, the error code and the byte offset
+    of the offending field. [dir], when given, is only used to report
+    full artifact paths in diagnostics. *)
 val of_files_result :
   ?dir:string ->
   name:string ->

@@ -38,8 +38,5 @@ val best :
   float array array ->
   result
 
-(** Bayesian information criterion of a clustering (higher is better). *)
-val bic : result -> float array array -> float
-
 (** Squared Euclidean distance between equal-length vectors. *)
 val sq_dist : float array -> float array -> float

@@ -165,8 +165,13 @@ let select ?jobs ?(params = default_params) (profile : Elfie_pin.Bbv.profile) =
     params;
   }
 
-let predict sel f =
-  List.fold_left (fun acc r -> acc +. (r.weight *. f r)) 0.0 sel.regions
+let predict measured =
+  let num, den =
+    List.fold_left
+      (fun (num, den) (weight, value) -> (num +. (weight *. value), den +. weight))
+      (0.0, 0.0) measured
+  in
+  if den > 0.0 then Some (num /. den) else None
 
 let pp_selection fmt sel =
   Format.fprintf fmt "@[<v>simpoint: %d slices -> %d clusters (%Ld instructions)@,"

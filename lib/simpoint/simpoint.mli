@@ -58,9 +58,11 @@ val project_profile : dims:int -> Elfie_pin.Bbv.profile -> float array array
     are identical at any value. *)
 val select : ?jobs:int -> ?params:params -> Elfie_pin.Bbv.profile -> selection
 
-(** Weighted-sum projection of per-region metric values to a
-    whole-program estimate: [predict sel f] computes
-    [sum_i weight_i * f region_i]. *)
-val predict : selection -> (region -> float) -> float
+(** The whole-program estimate from the regions that were measured,
+    given as (weight, value) pairs: [sum_i weight_i * value_i / sum_i
+    weight_i], both sums taken left to right. [None] when no weight was
+    measured. The measured weights need not add up to 1 (a region that
+    could not be measured is left out, and its weight with it). *)
+val predict : (float * float) list -> float option
 
 val pp_selection : Format.formatter -> selection -> unit

@@ -49,9 +49,6 @@ module Reader : sig
   (** Current offset from the start of the buffer. *)
   val pos : t -> int
 
-  (** Total length of the underlying buffer. *)
-  val length : t -> int
-
   val remaining : t -> int
 
   (** [seek r off] moves the cursor to absolute offset [off]. *)

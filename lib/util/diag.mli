@@ -28,9 +28,6 @@ type code =
   | Divergence  (** replay did not reproduce the recorded execution *)
   | Io_error  (** the underlying filesystem operation failed *)
 
-(** Stable kebab-case name of a code (used in reports and docs). *)
-val code_name : code -> string
-
 type t = {
   code : code;
   artifact : string;  (** file path or logical artifact name *)

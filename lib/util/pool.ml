@@ -88,4 +88,3 @@ let map ?jobs ?label f xs =
       (Array.map (function Some v -> v | None -> assert false) results)
   end
 
-let run ?jobs ?label thunks = map ?jobs ?label (fun f -> f ()) thunks

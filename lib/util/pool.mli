@@ -31,9 +31,6 @@ exception
     {!Task_error} wrapping applies). *)
 val map : ?jobs:int -> ?label:(int -> string) -> ('a -> 'b) -> 'a list -> 'b list
 
-(** [run ?jobs thunks] is [map ?jobs (fun f -> f ()) thunks]. *)
-val run : ?jobs:int -> ?label:(int -> string) -> (unit -> 'a) list -> 'a list
-
 (** Process default for [?jobs], initially [1] (fully sequential).
     Wired to the [--jobs] CLI flag; values [< 1] clamp to [1]. *)
 val set_default_jobs : int -> unit

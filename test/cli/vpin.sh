@@ -5,8 +5,10 @@
 # pinball2elf with an SSC marker and the region's sysstate) and prints
 # what each vpin analysis reports on it, then vpin's instruction mix of
 # a benchmark run. Last, each tool is given an input that does not
-# exist: it prints the reader's message and exits 1; and vpin is given
-# a --limit below 1: a usage error, exit 124.
+# exist: it prints the reader's message and exits 1; vpin is given
+# a --limit below 1: a usage error, exit 124; and each tool that reads
+# an ELFie is given a malformed one (the first 200 bytes of the region
+# ELFie): it prints the ELF reader's diagnostic and exits 1.
 set -e
 bin=$1
 work=vpin.work
@@ -39,3 +41,9 @@ fails vpin -t insmix --elf nope.elfie
 fails vpin -t insmix --elf r.elfie --sysstate nope
 fails vpin -t insmix --elf r.elfie --sysstate pb/pinball.sysstate --limit=-5
 fails vpin -t insmix --elf r.elfie --sysstate pb/pinball.sysstate --limit=0
+head -c 200 r.elfie > bad.elfie
+fails vpin -t insmix --elf bad.elfie
+fails vgdb bad.elfie
+fails vx86asm objdump bad.elfie
+fails elfie_run bad.elfie
+fails pinball2elf check bad.elfie

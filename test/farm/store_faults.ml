@@ -110,9 +110,9 @@ let run_store ?(iterations = 20) ?(seed = 0x600DF00DL) ~root () =
   let case_id = ref 0 in
   (* Each case gets a fresh key and a fixed-length pseudo-random payload,
      seeds the store with it, corrupts the committed file, then re-reads
-     through [get_or_compute]. The served value must always equal the
-     payload; whether a quarantine + recompute is required depends on
-     what the corruption hit. *)
+     through [Store.get_or_compute_v]. The served value must always
+     equal the payload; whether a quarantine + recompute is required
+     depends on what the corruption hit. *)
   let seeded () =
     incr case_id;
     let payload =
@@ -123,7 +123,8 @@ let run_store ?(iterations = 20) ?(seed = 0x600DF00DL) ~root () =
         [ ("case", string_of_int !case_id) ]
     in
     let (_ : string) =
-      Store.get_or_compute store key ~format:1 (fun () -> payload)
+      Store.get_or_compute_v store key ~format:1 ~encode:Fun.id
+        ~decode:Result.ok (fun () -> payload)
     in
     (key, payload, Store.path_of store key)
   in
@@ -142,7 +143,8 @@ let run_store ?(iterations = 20) ?(seed = 0x600DF00DL) ~root () =
     let q0 = List.length (Store.quarantines store) in
     let result =
       match
-        Store.get_or_compute store key ~format:1 (fun () ->
+        Store.get_or_compute_v store key ~format:1 ~encode:Fun.id
+          ~decode:Result.ok (fun () ->
             recomputed := true;
             payload)
       with

@@ -67,10 +67,14 @@ let test_put_get_roundtrip () =
   let root = tmp_dir "elfie_store" in
   let store = Store.open_store root in
   let k = Store.key Store.Measurement ~program:"p" [ ("n", "1") ] in
-  Alcotest.(check bool) "absent before put" false (Store.mem store k);
+  Alcotest.(check bool)
+    "absent before put" false
+    (Sys.file_exists (Store.path_of store k));
   let payload = String.init 300 (fun i -> Char.chr (i mod 251)) in
   Store.put store k ~format:1 payload;
-  Alcotest.(check bool) "present after put" true (Store.mem store k);
+  Alcotest.(check bool)
+    "present after put" true
+    (Sys.file_exists (Store.path_of store k));
   (match Store.get store k ~format:1 with
   | Some p -> Alcotest.(check string) "payload roundtrips" payload p
   | None -> Alcotest.fail "verified read failed on a fresh artifact");
@@ -95,13 +99,14 @@ let test_commit_survives_reopen () =
   let seen = ref [] in
   let on_result r = seen := r :: !seen in
   let first =
-    Store.get_or_compute ~on_result (Store.open_store root) k ~format:1
-      (fun () -> "committed")
+    Store.get_or_compute_v ~on_result (Store.open_store root) k ~format:1
+      ~encode:Fun.id ~decode:Result.ok (fun () -> "committed")
   in
   Alcotest.(check string) "computed value returned" "committed" first;
   let again =
-    Store.get_or_compute ~on_result (Store.open_store root) k ~format:1
-      (fun () -> Alcotest.fail "recomputed after reopening the store")
+    Store.get_or_compute_v ~on_result (Store.open_store root) k ~format:1
+      ~encode:Fun.id ~decode:Result.ok (fun () ->
+        Alcotest.fail "recomputed after reopening the store")
   in
   Alcotest.(check string) "reopened handle serves the commit" first again;
   Alcotest.(check bool) "miss, then hit" true (List.rev !seen = [ `Miss; `Hit ]);
@@ -187,7 +192,7 @@ let test_eviction_plan_order () =
       Alcotest.(check int) "planned bytes" (bytes k) ev.Store.ev_bytes)
     (Store.eviction_plan store ~max_bytes:0L);
   Alcotest.(check bool) "planning touches nothing" true
-    (List.for_all (Store.mem store) order)
+    (List.for_all (fun k -> Sys.file_exists (Store.path_of store k)) order)
 
 let test_evict_matches_plan () =
   let store, order = aged_store "elfie_store_evict" in
@@ -213,7 +218,7 @@ let test_evict_matches_plan () =
     (fun i k ->
       Alcotest.(check bool)
         (Printf.sprintf "artifact %d %s" i (if i < 2 then "evicted" else "kept"))
-        (i >= 2) (Store.mem store k))
+        (i >= 2) (Sys.file_exists (Store.path_of store k)))
     order;
   Alcotest.(check bool) "store fits the budget" true
     (Store.size_bytes store <= budget);
@@ -597,7 +602,8 @@ let test_concurrent_single_computation () =
   let results =
     Pool.map ~jobs:4
       (fun _ ->
-        Store.get_or_compute store k ~format:1 (fun () ->
+        Store.get_or_compute_v store k ~format:1 ~encode:Fun.id
+          ~decode:Result.ok (fun () ->
             Atomic.incr computations;
             (* Widen the race window: losers must wait, not recompute. *)
             Unix.sleepf 0.05;
@@ -631,7 +637,8 @@ let test_concurrent_stale_lock_break () =
   let results =
     Pool.map ~jobs:4
       (fun _ ->
-        Store.get_or_compute store k ~format:1 (fun () ->
+        Store.get_or_compute_v store k ~format:1 ~encode:Fun.id
+          ~decode:Result.ok (fun () ->
             Atomic.incr computations;
             Unix.sleepf 0.05;
             payload))
@@ -660,7 +667,8 @@ let test_aged_and_torn_locks_broken () =
       let breaks0 = Metrics.total m_breaks in
       let computations = ref 0 in
       let got =
-        Store.get_or_compute store k ~format:1 (fun () ->
+        Store.get_or_compute_v store k ~format:1 ~encode:Fun.id
+          ~decode:Result.ok (fun () ->
             incr computations;
             what)
       in
@@ -691,7 +699,8 @@ let test_live_lock_waits_for_commit () =
         Store.put store k ~format:1 "owner's commit")
   in
   let got =
-    Store.get_or_compute store k ~format:1 (fun () ->
+    Store.get_or_compute_v store k ~format:1 ~encode:Fun.id
+      ~decode:Result.ok (fun () ->
         Alcotest.fail "waiter computed under a live lock")
   in
   Domain.join owner;
@@ -1045,7 +1054,7 @@ let test_elfied_gc () =
        [ (Store.Bbv, List.nth order 0); (Store.Measurement, List.nth order 1) ])
     would;
   Alcotest.(check bool) "dry run deletes nothing" true
-    (List.for_all (Store.mem store) order);
+    (List.for_all (fun k -> Sys.file_exists (Store.path_of store k)) order);
   let status, lines =
     run_elfied [ "gc"; "--store"; root; "--max-bytes"; string_of_int budget ]
   in
@@ -1059,7 +1068,7 @@ let test_elfied_gc () =
     (fun i k ->
       Alcotest.(check bool)
         (Printf.sprintf "artifact %d %s" i (if i < 2 then "evicted" else "kept"))
-        (i >= 2) (Store.mem store k))
+        (i >= 2) (Sys.file_exists (Store.path_of store k)))
     order
 
 let () =

@@ -56,7 +56,7 @@ let test_hang_runaway pb =
       if o.Elfie_core.Elfie_runner.graceful then
         failf "hung ELFie reported graceful";
       if not o.runaway then failf "hung ELFie not flagged runaway";
-      if o.fault <> Some Elfie_core.Elfie_runner.runaway_fault_message then
+      if o.fault <> Some "runaway: max_ins exceeded" then
         failf "hung ELFie fault is %s"
           (Option.value ~default:"<none>" o.fault)
   | None -> failf "hang produced no outcome");

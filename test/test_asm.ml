@@ -3,7 +3,10 @@
 open Elfie_isa
 module Asm = Elfie_asm.Asm
 
-let assemble src = Asm.assemble_exn ~base:0x40_0000L src
+let assemble src =
+  match Asm.assemble ~base:0x40_0000L src with
+  | Ok p -> p
+  | Error e -> Alcotest.failf "%a" Asm.pp_error e
 
 let decode_all prog =
   Codec.disassemble prog.Builder.code ~off:0 ~count:1000 |> List.map snd

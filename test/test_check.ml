@@ -51,6 +51,53 @@ let test_entry_out_of_bounds () =
     "rogue entry detected" true
     (has_code Diag.Entry_out_of_bounds (Validate.pinball { pb with contexts }))
 
+(* Cross-checks between a pinball and the ELFie generated from it: one
+   thread entry point per pinball thread, and every checkpointed page
+   carried by some section (stack pages ride along as sections too,
+   allocatable or not). *)
+let pinball_vs_elfie (pb : Pinball.t) (image : Elfie_elf.Image.t) =
+  let artifact = "<elfie>" in
+  let n = Pinball.num_threads pb in
+  let entry_count =
+    List.length
+      (List.filter
+         (fun (s : Elfie_elf.Image.symbol) ->
+           String.starts_with ~prefix:"elfie_thread_entry" s.sym_name)
+         image.symbols)
+  in
+  let threads =
+    if image.exec && entry_count <> n then
+      [
+        Diag.f ~artifact Diag.Thread_mismatch
+          "ELFie has %d thread entry point(s) for a %d-thread pinball"
+          entry_count n;
+      ]
+    else []
+  in
+  let carried (addr, data) =
+    let fin = Int64.add addr (Int64.of_int (Bytes.length data)) in
+    List.exists
+      (fun (s : Elfie_elf.Image.section) ->
+        Int64.unsigned_compare s.addr addr <= 0
+        && Int64.unsigned_compare fin
+             (Int64.add s.addr (Int64.of_int (Bytes.length s.data)))
+           <= 0)
+      image.sections
+  in
+  let pages =
+    List.filter_map
+      (fun (addr, data) ->
+        if carried (addr, data) then None
+        else
+          Some
+            (Diag.f ~artifact Diag.Malformed
+               "checkpointed page 0x%Lx (%d bytes) is not carried by any \
+                section"
+               addr (Bytes.length data)))
+      pb.pages
+  in
+  threads @ pages
+
 let convert pb =
   let sysstate = Elfie_pin.Sysstate.analyze pb in
   let options =
@@ -66,7 +113,7 @@ let test_clean_elfie () =
   Alcotest.(check (list string))
     "cross clean" []
     (List.map Diag.to_string
-       (Validate.pinball_vs_elfie (Lazy.force pinball) image))
+       (pinball_vs_elfie (Lazy.force pinball) image))
 
 let test_cross_thread_mismatch () =
   let pb = Lazy.force pinball in
@@ -83,14 +130,7 @@ let test_cross_thread_mismatch () =
   in
   Alcotest.(check bool)
     "missing entry point detected" true
-    (has_code Diag.Thread_mismatch (Validate.pinball_vs_elfie fake image))
-
-let test_file_set_orphan () =
-  let pb = Lazy.force pinball in
-  let files = Pinball.to_files pb @ [ ("9.reg", List.assoc "0.reg" (Pinball.to_files pb)) ] in
-  Alcotest.(check bool)
-    "orphan reg file detected" true
-    (has_code Diag.Thread_mismatch (Validate.file_set ~name:pb.Pinball.name files))
+    (has_code Diag.Thread_mismatch (pinball_vs_elfie fake image))
 
 (* --- Sentinel --------------------------------------------------------------- *)
 
@@ -107,10 +147,15 @@ let test_sentinel_divergence () =
   let icounts = Array.copy pb.Pinball.icounts in
   icounts.(0) <- Int64.add icounts.(0) 5L;
   let bad = { pb with Pinball.icounts } in
-  match Sentinel.constrained bad with
+  match Sentinel.cross_check bad with
   | [] -> Alcotest.fail "tampered icount replayed cleanly"
   | d :: _ ->
       Alcotest.(check bool) "divergence code" true (d.Diag.code = Diag.Divergence);
+      (* The schedule-enforced pass must catch it; the injection-less
+         pass only runs when that one is clean. *)
+      Alcotest.(check bool)
+        "constrained pass" true
+        (String.starts_with ~prefix:"constrained replay" d.Diag.message);
       Alcotest.(check bool)
         "mentions pc" true
         (Tutil.contains d.Diag.message "pc 0x")
@@ -131,6 +176,17 @@ let test_fault_elf_no_crashes () =
   Alcotest.(check int) "no crashes" 0 (List.length (Fault_inject.crashes report));
   Alcotest.(check bool) "some faults diagnosed" true (report.Fault_inject.diagnosed > 0)
 
+(* The sweep's corruptions come from one fixed seed: two sweeps of one
+   artifact try the same cases with the same outcomes. *)
+let test_fault_sweep_deterministic () =
+  let pb = Lazy.force pinball in
+  let cases () =
+    List.map
+      (fun (c : Fault_inject.case) -> (c.detail, c.outcome))
+      (Fault_inject.run_pinball ~iterations:3 pb).Fault_inject.cases
+  in
+  Alcotest.(check bool) "same cases, same outcomes" true (cases () = cases ())
+
 let suite =
   [
     Alcotest.test_case "clean pinball validates" `Quick test_clean_pinball;
@@ -140,9 +196,10 @@ let suite =
     Alcotest.test_case "entry out of bounds" `Quick test_entry_out_of_bounds;
     Alcotest.test_case "clean elfie validates" `Quick test_clean_elfie;
     Alcotest.test_case "cross thread mismatch" `Quick test_cross_thread_mismatch;
-    Alcotest.test_case "file-set orphan reg" `Quick test_file_set_orphan;
     Alcotest.test_case "sentinel clean" `Quick test_sentinel_clean;
     Alcotest.test_case "sentinel divergence" `Quick test_sentinel_divergence;
     Alcotest.test_case "fault sweep: pinball" `Quick test_fault_pinball_no_crashes;
     Alcotest.test_case "fault sweep: elf" `Quick test_fault_elf_no_crashes;
+    Alcotest.test_case "fault sweep: deterministic" `Quick
+      test_fault_sweep_deterministic;
   ]

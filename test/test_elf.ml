@@ -70,14 +70,14 @@ let check_bad name mutate =
   mutate b;
   Alcotest.test_case name `Quick (fun () ->
       match Image.read b with
-      | _ -> Alcotest.fail "expected Bad_elf"
-      | exception Image.Bad_elf _ -> ())
+      | _ -> Alcotest.fail "expected a diagnostic"
+      | exception Elfie_util.Diag.Error _ -> ())
 
 let test_truncated_file () =
   let b = Image.write (sample ()) in
   match Image.read (Bytes.sub b 0 40) with
-  | _ -> Alcotest.fail "expected Bad_elf"
-  | exception Image.Bad_elf _ -> ()
+  | _ -> Alcotest.fail "expected a diagnostic"
+  | exception Elfie_util.Diag.Error _ -> ()
 
 let test_object_mode () =
   let img = { (sample ()) with Image.exec = false } in
@@ -119,7 +119,7 @@ let prop_roundtrip =
       img' = img)
 
 (* Robustness: byte-level corruption of a valid image must either parse
-   or raise Bad_elf — never any other exception. *)
+   or raise a diagnostic — never any other exception. *)
 let prop_reader_total =
   let mutation_gen =
     QCheck.Gen.(list_size (int_range 1 8) (pair (int_range 0 10_000) (int_range 0 255)))
@@ -133,7 +133,7 @@ let prop_reader_total =
         mutations;
       match Image.read b with
       | _ -> true
-      | exception Image.Bad_elf _ -> true
+      | exception Elfie_util.Diag.Error _ -> true
       | exception _ -> false)
 
 let prop_reader_total_truncation =
@@ -143,7 +143,7 @@ let prop_reader_total_truncation =
       let b = Bytes.sub b 0 (min len (Bytes.length b)) in
       match Image.read b with
       | _ -> true
-      | exception Image.Bad_elf _ -> true
+      | exception Elfie_util.Diag.Error _ -> true
       | exception _ -> false)
 
 (* Rejections through the Result boundary carry a structured diagnostic:

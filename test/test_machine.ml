@@ -678,7 +678,9 @@ let show_ref_prog (items, trap) =
          | To_next `Jmp_m -> "jmp [slot] to next"
          | Skip (c, i) ->
              Printf.sprintf "%s over {%s}"
-               (match c with Some c -> "j" ^ Insn.cond_name c | None -> "jmp")
+               (match c with
+               | Some c -> Insn.to_string (Jcc (c, 0))
+               | None -> "jmp")
                (Insn.to_string i)
          | Cmpxchg_hit (m, r) ->
              Insn.to_string (Load (W64, Reg.RAX, m))

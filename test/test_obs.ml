@@ -315,14 +315,17 @@ let has_meta evs ~name ~pid ~track =
 let test_chrome_metadata () =
   Trace.reset ();
   Trace.with_span "chrome.a" (fun _ -> ());
-  let file_a = Trace.to_chrome ~pid:101 ~label:"proc-a" () in
+  let file_a = Trace.to_chrome () in
   Trace.reset ();
-  (* The export names its process and thread tracks. *)
+  (* The export names its process (by the executable's basename) and
+     thread tracks, under this process's id. *)
   let ja = parse_json file_a in
+  let pid = Unix.getpid () in
+  let exe = Filename.basename Sys.executable_name in
   Alcotest.(check bool) "process_name metadata" true
-    (has_meta (trace_events ja) ~name:"process_name" ~pid:101 ~track:"proc-a");
+    (has_meta (trace_events ja) ~name:"process_name" ~pid ~track:exe);
   Alcotest.(check bool) "thread_name metadata" true
-    (has_meta (trace_events ja) ~name:"thread_name" ~pid:101 ~track:"main")
+    (has_meta (trace_events ja) ~name:"thread_name" ~pid ~track:"main")
 
 (* --- end to end: a pipeline validation traces every layer ------------------- *)
 

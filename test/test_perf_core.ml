@@ -993,6 +993,43 @@ let prop_fork_equals_fresh_warmup =
          its own pages. *)
       && trial_eq (forked 101L) (List.hd forked_seq))
 
+(* A snapshot owns its copies of the threads, the scheduler (a recorded
+   schedule's cursor included), the timing model and the RNGs: running
+   one fork to the end changes nothing that a later fork of the same
+   snapshot starts from, and the parent goes on as its forks do. *)
+let test_forks_own_their_state () =
+  let prog = branchy_two_thread_prog () in
+  let check what scheduler =
+    let parent = mk_branchy_machine prog scheduler in
+    Machine.run ~max_ins:500L parent;
+    let snap = Machine.snapshot parent in
+    let first = Machine.fork snap in
+    let before = Machine.fork snap in
+    Machine.run first;
+    let after = Machine.fork snap in
+    Machine.run before;
+    Machine.run after;
+    Machine.run parent;
+    Alcotest.(check bool) (what ^ ": ran to the end") true
+      (Machine.total_retired first > 1_000L);
+    List.iter
+      (fun (name, m) ->
+        List.iter2
+          (check_same_thread (what ^ ": " ^ name))
+          (Machine.threads first) (Machine.threads m);
+        Alcotest.check Tutil.i64 (what ^ ": " ^ name ^ " total")
+          (Machine.total_retired first) (Machine.total_retired m))
+      [ ("fork taken before one ran", before);
+        ("fork taken after one ran", after);
+        ("parent", parent) ]
+  in
+  let free = Machine.Free { seed = 3L; quantum_min = 7; quantum_max = 29 } in
+  check "free" free;
+  let recorder = mk_branchy_machine prog free in
+  Machine.set_record_schedule recorder true;
+  Machine.run recorder;
+  check "recorded" (Machine.Recorded (Machine.recorded_schedule recorder))
+
 (* SMC across a fork: a fork patches a code page that the parent (and
    later forks) still execute. The write must unshare only the fork's
    copy — the parent and a fork taken afterwards keep running the
@@ -1100,6 +1137,37 @@ let test_perf_region_trials () =
     (List.map (fun seed -> Runner.run ~seed unmarked) seeds)
     unmarked
 
+(* A failed warm-up is a full run at the base seed, so it is trial 0: a
+   mark-less ELFie measured over three trials boots three times, one
+   runner.warm and two runner.region spans, and the loader metrics count
+   three runs. *)
+let test_perf_markless_trials_run_once () =
+  let module Perf = Elfie_perf.Perf in
+  let module Trace = Elfie_obs.Trace in
+  let module Metrics = Elfie_obs.Metrics in
+  let pb = Tutil.tiny_pinball ~threads:2 ~start:20_000L ~length:30_000L "trials" in
+  let unmarked = Elfie_core.Pinball2elf.convert pb in
+  Trace.set_enabled true;
+  Trace.reset ();
+  Metrics.reset ();
+  Fun.protect
+    ~finally:(fun () ->
+      Trace.reset ();
+      Metrics.reset ())
+    (fun () ->
+      let sample = Perf.elfie_region ~trials:3 ~base_seed:700L unmarked in
+      Alcotest.(check int) "all trials graceful" 0 sample.Perf.failures;
+      let count name =
+        List.length (List.filter (( = ) name) (Trace.span_names ()))
+      in
+      Alcotest.(check int) "one warm-up" 1 (count "runner.warm");
+      Alcotest.(check int) "two more runs" 2 (count "runner.region");
+      Alcotest.(check (float 0.0)) "three runs counted" 3.0
+        (Metrics.total (Metrics.counter "elfie_loader_runs_total")));
+  Alcotest.(check int) "no trials, no run" 0
+    (List.length
+       (snd (Perf.elfie_region_detailed ~trials:0 ~base_seed:700L unmarked)))
+
 (* --- work pool --------------------------------------------------------------- *)
 
 let test_pool_map_order () =
@@ -1171,7 +1239,7 @@ let test_metrics_parallel () =
   let c = Elfie_obs.Metrics.counter "pool_test_total" in
   let h = Elfie_obs.Metrics.histogram "pool_test_hist" in
   ignore
-    (Pool.run ~jobs:4
+    (Pool.map ~jobs:4 (fun f -> f ())
        (List.init 4 (fun d () ->
             for i = 1 to 5_000 do
               Elfie_obs.Metrics.inc c;
@@ -1195,7 +1263,7 @@ let test_trace_parallel () =
     (fun () ->
       Trace.set_capacity 100_000;
       ignore
-        (Pool.run ~jobs:4
+        (Pool.map ~jobs:4 (fun f -> f ())
            (List.init 4 (fun d () ->
                 for i = 1 to 2_000 do
                   Trace.with_span "pool-span" (fun _ ->
@@ -1211,7 +1279,7 @@ let test_trace_parallel () =
 let test_profile_parallel () =
   let p = Profile.create ~interval:3 () in
   ignore
-    (Pool.run ~jobs:4
+    (Pool.map ~jobs:4 (fun f -> f ())
        (List.init 4 (fun d () ->
             for i = 0 to 2_999 do
               Profile.note_block p ~tid:d
@@ -1227,7 +1295,7 @@ let test_journal_parallel () =
   let path = Filename.temp_file "elfie_journal_par" ".j" in
   let j = Journal.open_file path in
   ignore
-    (Pool.run ~jobs:4
+    (Pool.map ~jobs:4 (fun f -> f ())
        (List.init 4 (fun d () ->
             for i = 0 to 99 do
               Journal.record j
@@ -1416,6 +1484,10 @@ let suite =
     Alcotest.test_case "SMC across fork" `Quick test_smc_across_fork;
     Alcotest.test_case "perf: region trials ≡ warm+resume / run per seed" `Quick
       test_perf_region_trials;
+    Alcotest.test_case "snapshot: forks own their threads and scheduler" `Quick
+      test_forks_own_their_state;
+    Alcotest.test_case "perf: a failed warm-up is trial 0" `Quick
+      test_perf_markless_trials_run_once;
     Alcotest.test_case "pool: map order" `Quick test_pool_map_order;
     Alcotest.test_case "pool: exception propagation" `Quick test_pool_exception;
     Alcotest.test_case "pool: labelled exception context" `Quick

@@ -4,6 +4,36 @@
 
 open Elfie_pin
 
+(* The aggregate instruction count at the [occurrence]-th execution
+   (1-based) of the SSC marker with [payload], the marker itself not yet
+   retired: a marker-delimited region trigger à la PinPlay's
+   [-log:start_address], fed straight to [Logger.capture]. [None] if the
+   marker never fires that often. *)
+let icount_at_marker spec ~payload ~occurrence =
+  let machine, _kernel = Run.instantiate spec in
+  let hits = ref 0 in
+  let at = ref None in
+  let tool =
+    {
+      (Pintool.empty ~name:"marker-trigger") with
+      on_marker =
+        Some
+          (fun _ ins ->
+            match ins with
+            | Elfie_isa.Insn.Ssc_marker p when p = payload ->
+                incr hits;
+                if !hits = occurrence then begin
+                  at := Some (Elfie_machine.Machine.total_retired machine);
+                  Elfie_machine.Machine.request_stop machine
+                end
+            | _ -> ());
+    }
+  in
+  let detach = Pintool.attach machine [ tool ] in
+  Elfie_machine.Machine.run machine;
+  detach ();
+  !at
+
 (* --- pintool --------------------------------------------------------------- *)
 
 (* A tool with a before-call on every instruction, and its count. *)
@@ -92,7 +122,7 @@ let test_start_roi () =
          ~outer_reps:2 ~ws_bytes:16384 ~roi_marker:payload "roi")
   in
   let marker =
-    match Logger.icount_at_marker rs ~payload ~occurrence:1 with
+    match icount_at_marker rs ~payload ~occurrence:1 with
     | Some n -> Int64.to_int n
     | None -> Alcotest.fail "marker never fired"
   in
@@ -338,7 +368,7 @@ let test_marker_delimited_capture () =
   in
   let rs = Elfie_workloads.Programs.run_spec spec in
   let start =
-    match Logger.icount_at_marker rs ~payload ~occurrence:3 with
+    match icount_at_marker rs ~payload ~occurrence:3 with
     | Some n -> n
     | None -> Alcotest.fail "marker never fired"
   in
@@ -351,7 +381,7 @@ let test_marker_delimited_capture () =
     (Elfie_machine.Context.rip r.Logger.pinball.Elfie_pinball.Pinball.contexts.(0));
   (* Never-firing occurrence count. *)
   Alcotest.(check (option Tutil.i64)) "too many occurrences" None
-    (Logger.icount_at_marker rs ~payload ~occurrence:1000)
+    (icount_at_marker rs ~payload ~occurrence:1000)
 
 (* --- replayer ---------------------------------------------------------------- *)
 
@@ -536,7 +566,7 @@ let test_sysstate_in_region_open_with_lseek () =
 let test_sysstate_files_roundtrip () =
   let pb = Tutil.tiny_pinball ~file_io:true "ssround" in
   let ss = Sysstate.analyze pb in
-  let ss' = Sysstate.of_files (Sysstate.to_files ss) in
+  let ss' = Result.get_ok (Sysstate.of_files_result (Sysstate.to_files ss)) in
   Alcotest.(check bool) "roundtrip" true
     (ss.Sysstate.files = ss'.Sysstate.files
     && ss.Sysstate.fd_files = ss'.Sysstate.fd_files

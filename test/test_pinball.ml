@@ -2,6 +2,11 @@
 
 open Elfie_pinball
 
+let of_files files =
+  match Pinball.of_files_result ~name:"t" files with
+  | Ok pb -> pb
+  | Error d -> Alcotest.fail (Elfie_util.Diag.to_string d)
+
 let sample_entry =
   {
     Pinball.sys_nr = 0;
@@ -34,7 +39,7 @@ let sample () =
 
 let test_files_roundtrip () =
   let pb = sample () in
-  let pb' = Pinball.of_files ~name:"t" (Pinball.to_files pb) in
+  let pb' = of_files (Pinball.to_files pb) in
   Alcotest.(check bool) "equal" true (Pinball.equal pb pb')
 
 let test_file_set_names () =
@@ -105,7 +110,7 @@ let prop_injection_roundtrip =
     (QCheck.make QCheck.Gen.(list_size (int_range 0 10) entry_gen))
     (fun entries ->
       let pb = { (sample ()) with Pinball.injections = [| entries; [] |] } in
-      Pinball.equal pb (Pinball.of_files ~name:"t" (Pinball.to_files pb)))
+      Pinball.equal pb (of_files (Pinball.to_files pb)))
 
 (* Any single-member corruption must yield either a parsed pinball or a
    structured diagnostic — never another exception. *)

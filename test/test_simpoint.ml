@@ -386,8 +386,15 @@ let test_project_normalised_and_deterministic () =
 
 let test_predict_weighted_sum () =
   let sel = Simpoint.select ~params (profile ()) in
-  Alcotest.(check (float 1e-9)) "constant metric" 1.0
-    (Simpoint.predict sel (fun _ -> 1.0))
+  let f = Alcotest.(option (float 1e-9)) in
+  Alcotest.check f "constant metric" (Some 1.0)
+    (Simpoint.predict
+       (List.map (fun r -> (r.Simpoint.weight, 1.0)) sel.Simpoint.regions));
+  (* Normalised by the weight that was measured. *)
+  Alcotest.check f "partial coverage" (Some (2.5 /. 0.75))
+    (Simpoint.predict [ (0.25, 2.0); (0.5, 4.0) ]);
+  Alcotest.check f "nothing measured" None (Simpoint.predict []);
+  Alcotest.check f "no weight measured" None (Simpoint.predict [ (0.0, 3.0) ])
 
 let test_project_profile_matches_project () =
   let p = profile () in
