@@ -46,8 +46,9 @@ let rate_row ?minor_words name ins wall trials =
    instruction (instrumented translations), and simulated
    instructions/second of each timing model on a region of the same
    program, with the minor-heap words each run allocates per
-   instruction. Written to BENCH_core.json so future PRs have a perf
-   trajectory to compare against. *)
+   instruction, and the native timing model's data accesses/second
+   alone, for the best and the median trial. Written to BENCH_core.json
+   so future PRs have a perf trajectory to compare against. *)
 
 let core_kernels =
   ref
@@ -133,6 +134,50 @@ let sims =
         (Elfie_sniper.Sniper.simulate_pinball sniper pb)
           .Elfie_sniper.Sniper.instructions ) ]
 
+(* The native timing model alone: the data accesses of one
+   [core/chained] run (the first byte's {!Elfie_machine.Cache.key} of
+   every read and write, in order), recorded once through a pintool and
+   replayed through [Timing.mem_cost] on a fresh model in each trial.
+   The cycle sum pins what the model charged. *)
+let timing_keys =
+  lazy
+    (let rs = Elfie_workloads.Programs.run_spec ~seed:100L (core_spec ()) in
+     let machine, _kernel = Elfie_pin.Run.instantiate rs in
+     let keys = Buffer.create (1 lsl 20) in
+     let note _tid key _last = Buffer.add_int64_ne keys (Int64.of_int key) in
+     let access =
+       { Elfie_machine.Machine.no_callouts with read = Some note; write = Some note }
+     in
+     let tool =
+       {
+         (Elfie_pin.Pintool.empty ~name:"bench-keys") with
+         instrument = Some (fun _ _ -> access);
+       }
+     in
+     let (_ : unit -> unit) = Elfie_pin.Pintool.attach machine [ tool ] in
+     Elfie_machine.Machine.run ~max_ins:core_max_ins machine;
+     Buffer.contents keys)
+
+(* Penalty cycles of the recorded accesses on a fresh model. *)
+let replay_keys keys =
+  let tm = Elfie_machine.Timing.create () in
+  let cycles = ref 0 in
+  for i = 0 to (String.length keys / 8) - 1 do
+    cycles :=
+      !cycles
+      + Elfie_machine.Timing.mem_cost tm
+          (Int64.to_int (String.get_int64_ne keys (i * 8)))
+  done;
+  !cycles
+
+let run_timing () =
+  let keys = Lazy.force timing_keys in
+  let w0 = Gc.minor_words () in
+  let t0 = Unix.gettimeofday () in
+  ignore (replay_keys keys);
+  let wall = Unix.gettimeofday () -. t0 in
+  (Int64.of_int (String.length keys / 8), wall, Gc.minor_words () -. w0)
+
 let core_bench () =
   let trials = 5 in
   (* All phases measured interleaved (phase A trial 1, phase B trial 1,
@@ -142,28 +187,52 @@ let core_bench () =
     [ ("core/chained", fun seed -> run_core ~hooks:false ~seed);
       ("core/with-ins-hook", fun seed -> run_core ~hooks:true ~seed) ]
     @ List.map (fun (name, sim) -> (name, fun _ -> run_sim sim)) sims
+    @ [ ("timing/replay", fun _ -> run_timing ()) ]
   in
-  let best = Hashtbl.create 8 in
+  let runs = Hashtbl.create 8 in
   for i = 0 to trials - 1 do
     List.iter
       (fun (name, run) ->
-        let ins, w, words = run (Int64.of_int (100 + i)) in
-        match Hashtbl.find_opt best name with
-        | Some (_, bw, _) when bw <= w -> ()
-        | _ -> Hashtbl.replace best name (ins, w, words))
+        let r = run (Int64.of_int (100 + i)) in
+        Hashtbl.replace runs name
+          (r :: Option.value ~default:[] (Hashtbl.find_opt runs name)))
       phases
   done;
   print_endline "=== Machine-core microbenchmark ===";
   let rows =
     List.map
       (fun (name, _) ->
-        let ins, best_wall, words = Hashtbl.find best name in
-        let ips = Int64.to_float ins /. best_wall in
-        Printf.printf
-          "%-28s %12.0f ins/s  (%Ld ins, best of %d, %.3f s, %.2f words/ins)\n%!"
-          name ips ins trials best_wall
-          (words /. Int64.to_float ins);
-        rate_row ~minor_words:words name ins best_wall trials)
+        let by_wall =
+          List.sort (fun (_, a, _) (_, b, _) -> compare a b) (Hashtbl.find runs name)
+        in
+        let ins, best_wall, words = List.hd by_wall in
+        if name = "timing/replay" then begin
+          (* The median trial beside the best: the row's own spread. *)
+          let _, median_wall, _ = List.nth by_wall (trials / 2) in
+          let cycles = replay_keys (Lazy.force timing_keys) in
+          let rate wall = Float.round (Int64.to_float ins /. wall) in
+          Printf.printf
+            "%-28s %12.0f acc/s  (median %.0f; %Ld accesses, best of %d, %.3f s, \
+             %d cycles)\n%!"
+            name (rate best_wall) (rate median_wall) ins trials best_wall
+            cycles;
+          [ ("name", Json.Str name);
+            ("accesses_per_sec", Json.Num (rate best_wall));
+            ("median_accesses_per_sec", Json.Num (rate median_wall));
+            ("wall_s", secs best_wall);
+            ("median_wall_s", secs median_wall);
+            ("accesses", Json.Num (Int64.to_float ins));
+            ("cycles", int cycles);
+            ("trials", int trials) ]
+        end
+        else begin
+          let ips = Int64.to_float ins /. best_wall in
+          Printf.printf
+            "%-28s %12.0f ins/s  (%Ld ins, best of %d, %.3f s, %.2f words/ins)\n%!"
+            name ips ins trials best_wall
+            (words /. Int64.to_float ins);
+          rate_row ~minor_words:words name ins best_wall trials
+        end)
       phases
   in
   write_bench "BENCH_core.json" rows;

@@ -61,6 +61,10 @@ let m_region_threads =
   Metrics.gauge "elfie_region_threads"
     ~help:"Threads alive at the end of the most recent native run"
 
+let m_runaway_instructions =
+  Metrics.counter "elfie_runaway_instructions_total"
+    ~help:"Instructions retired by native runs that ended as runaways"
+
 (* One label value per way a native run can end; also used as the
    closing attr of the runner.region span. *)
 let outcome_result o =
@@ -71,18 +75,23 @@ let outcome_result o =
   else if o.machine_fault <> None then "fault"
   else "failed"
 
-(* The loader and region metrics of one finished run. *)
-let record o =
+(* The loader and region metrics of one finished run. [inherited] is
+   what a resumed fork's machine had retired at the fork: the warm-up
+   every trial shares, not this run's work. *)
+let record ?(inherited = 0L) o =
   Metrics.inc m_loader_runs ~labels:[ ("result", outcome_result o) ];
   if o.graceful then
     Metrics.observe m_region_instructions (Int64.to_float o.app_retired);
+  if o.runaway then
+    Metrics.inc m_runaway_instructions
+      ~by:(Int64.to_float (Int64.sub o.total_retired inherited));
   Metrics.set m_region_cpi o.region_cpi;
   Metrics.set m_region_threads (float_of_int o.threads)
 
 (* Metrics + span epilogue shared by every path that produced a final
    outcome. *)
-let finish sp o =
-  record o;
+let finish ?inherited sp o =
+  record ?inherited o;
   Trace.end_span sp
     ~attrs:
       [
@@ -282,6 +291,7 @@ let warm ?(seed = 11L) ?(fs_init = fun (_ : Fs.t) -> ()) ?(cwd = "/")
 
 let resume ?(max_ins = 100_000_000L) ~seed w =
   let machine = Machine.fork ~reseed:seed w.w_snapshot in
+  let inherited = Machine.total_retired machine in
   let kernel = Vkernel.fork w.w_kernel in
   Vkernel.install kernel machine;
   let sp =
@@ -290,4 +300,4 @@ let resume ?(max_ins = 100_000_000L) ~seed w =
   in
   Elfie_pin.Tools.attach_global_profile machine;
   Machine.run ~max_ins machine;
-  finish sp (collect_outcome machine kernel)
+  finish ~inherited sp (collect_outcome machine kernel)

@@ -9,11 +9,11 @@ let config ~size_bytes ~ways ~line_bytes =
   if size_bytes mod (ways * line_bytes) <> 0 then invalid_arg "Cache: geometry";
   { size_bytes; ways; line_bytes }
 
-(* Tags, recency, per-set stamps and fill counts live in flat bytes,
-   eight per entry, host-native order (they are never serialized):
-   copying one is a memcpy, and the GC never scans them. An [int array]
-   of the same size is scanned on every major slice and built or copied
-   one element at a time. *)
+(* Tags and fill counts live in flat bytes, eight per entry,
+   host-native order (they are never serialized): copying one is a
+   memcpy, and the GC never scans them. An [int array] of the same size
+   is scanned on every major slice and built or copied one element at a
+   time. *)
 external get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
 external set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
 
@@ -26,29 +26,17 @@ type t = {
   set_mask : int;  (* sets - 1 when sets is a power of two (0 for one set), else -1 *)
   key_bits : int;  (* line = key lsr key_bits *)
   (* Line numbers fit an OCaml [int]: a 64-bit address shifted right by
-     the line bits (>= 1) is at most 63 bits. Only ways [0, fill) of a
-     set hold lines; the rest of [tags] and [lru] is never read, so it
-     starts uninitialised. *)
+     the line bits (>= 1) is at most 63 bits. Ways [0, fill) of a set
+     hold its lines in recency order, most recent first, so the least
+     recently used line is the last; the rest of the set is never read,
+     so it starts uninitialised. *)
   tags : Bytes.t;  (* sets * ways *)
-  (* Recency as per-set timestamps: larger = more recent, victim = the
-     way with the smallest stamp. Exactly the LRU order an age vector
-     maintains (stamps are distinct within a set), but a hit updates one
-     slot instead of re-aging the whole set. *)
-  lru : Bytes.t;  (* stamp per way *)
-  stamp : Bytes.t;  (* per-set monotone clock *)
-  (* Filled ways per set. A miss into a set that is not full takes way
-     [fill]; only a full set scans for its least recently used way.
-     Which physical way a line sits in never shows in a hit or a miss,
-     so this is the same LRU as choosing among empty ways by stamp. *)
-  fill : Bytes.t;
+  fill : Bytes.t;  (* filled ways per set *)
   mutable hits : int;
   mutable misses : int;
-  (* Most-recently-accessed line. Every access leaves its line resident
-     (hit, or miss + fill), so a repeat of this line is a guaranteed hit
-     that can skip the tag scan. Skipping its stamp update is
-     order-preserving: back-to-back accesses to one line mean nothing
-     else in that set moved, so the line already holds the strictly
-     largest stamp and every future victim choice is unchanged. *)
+  (* Most-recently-accessed line. Every access leaves its line at the
+     front of its set (hit, or miss + fill), so a repeat of this line is
+     a hit that changes no set and can skip the scan. *)
   mutable mru_line : int;
 }
 
@@ -58,15 +46,12 @@ let create cfg =
     let rec go n b = if n = 1 then b else go (n lsr 1) (b + 1) in
     go cfg.line_bytes 0
   in
-  let entries = sets * cfg.ways in
   {
     cfg;
     sets;
     set_mask = (if sets land (sets - 1) = 0 then sets - 1 else -1);
     key_bits = line_bits - 1;
-    tags = Bytes.create (entries * 8);
-    lru = Bytes.create (entries * 8);
-    stamp = Bytes.make (sets * 8) '\000';
+    tags = Bytes.create (sets * cfg.ways * 8);
     fill = Bytes.make (sets * 8) '\000';
     hits = 0;
     misses = 0;
@@ -80,8 +65,6 @@ let access t key =
      shifted right by the line bits, bit 63 included. *)
   let line = key lsr t.key_bits in
   if line = t.mru_line then begin
-    (* Repeat of the last access: resident by construction and already
-       the most recent in its set. *)
     t.hits <- t.hits + 1;
     true
   end
@@ -92,58 +75,36 @@ let access t key =
          set counts (every default geometry, one set included). *)
       if t.set_mask >= 0 then line land t.set_mask else line mod t.sets
     in
-    let ways = t.cfg.ways in
-    let base = set * ways in
+    let base = set * t.cfg.ways in
     let fill = geti t.fill set in
-    let hit_way = ref (-1) in
-    let w = ref 0 in
-    while !hit_way < 0 && !w < fill do
-      (* A line occupies at most one way (inserted only after a full-scan
-         miss), so stopping at the first match is exact. *)
-      if geti t.tags (base + !w) = line then hit_way := !w;
+    (* Move to front in one pass: each scanned way takes the tag in
+       front of it and way 0 takes [line]. The pass stops at [line] (a
+       hit: a set holds a line at most once, and the ways behind it keep
+       their tags) or after the last filled way, whose tag is then left
+       over: it moves into way [fill], or falls off a full set as its
+       least recently used line. *)
+    let carry = ref line and w = ref 0 and hit = ref false in
+    while (not !hit) && !w < fill do
+      let tag = geti t.tags (base + !w) in
+      seti t.tags (base + !w) !carry;
+      if tag = line then hit := true else carry := tag;
       incr w
     done;
-    let now = geti t.stamp set + 1 in
-    seti t.stamp set now;
-    if !hit_way >= 0 then begin
-      t.hits <- t.hits + 1;
-      seti t.lru (base + !hit_way) now;
-      true
-    end
+    if !hit then t.hits <- t.hits + 1
     else begin
       t.misses <- t.misses + 1;
-      let victim =
-        if fill < ways then begin
-          seti t.fill set (fill + 1);
-          fill
-        end
-        else begin
-          (* Evict the least recently used way. *)
-          let victim = ref 0 in
-          for w = 1 to ways - 1 do
-            if geti t.lru (base + w) < geti t.lru (base + !victim) then victim := w
-          done;
-          !victim
-        end
-      in
-      seti t.tags (base + victim) line;
-      seti t.lru (base + victim) now;
-      false
-    end
+      if fill < t.cfg.ways then begin
+        seti t.tags (base + fill) !carry;
+        seti t.fill set (fill + 1)
+      end
+    end;
+    !hit
   end
 
-(* Structural duplicate: tags, recency, fill counts and stats all
-   copied, so the clone hits and misses exactly as the original would
-   from here on. Cost is proportional to the configured geometry, not
-   to traffic. *)
-let copy t =
-  {
-    t with
-    tags = Bytes.copy t.tags;
-    lru = Bytes.copy t.lru;
-    stamp = Bytes.copy t.stamp;
-    fill = Bytes.copy t.fill;
-  }
+(* Structural duplicate: tags, fill counts and stats all copied, so the
+   clone hits and misses exactly as the original would from here on.
+   Cost is proportional to the configured geometry, not to traffic. *)
+let copy t = { t with tags = Bytes.copy t.tags; fill = Bytes.copy t.fill }
 
 let hits t = t.hits
 let misses t = t.misses

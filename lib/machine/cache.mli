@@ -3,10 +3,12 @@
     Shared by the machine's built-in "hardware" timing model and by the
     Sniper/CoreSim/gem5 simulator substrates. Purely a hit/miss model:
     no data is stored, only tags, kept in flat bytes the GC never scans.
-    A set counts its filled ways: a lookup scans only those, a miss into
-    a set that is not full takes the next empty way without a victim
-    scan, and creating or flushing a cache clears only the per-set
-    counts, not the ways. *)
+    A set holds its filled ways' tags in recency order, most recent
+    first, and counts them: a lookup scans only those and moves its line
+    to the front, a miss into a full set drops the last tag (the least
+    recently used line) with no recency stamps and no victim scan, and
+    creating or flushing a cache clears only the per-set counts, not the
+    ways. *)
 
 type config = {
   size_bytes : int;

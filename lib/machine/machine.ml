@@ -2233,7 +2233,12 @@ let run ?max_ins t =
               slices := rest;
               let th = thread t tid in
               if th.state = Runnable then begin
-                ignore (run_slice t tid n max_ins)
+                let ran = run_slice t tid n max_ins in
+                (* A slice that [max_ins] or a stop cut short keeps its
+                   remainder for the next [run], as [Free] keeps a cut
+                   quantum in [pending]. *)
+                if ran < n && th.state = Runnable then
+                  slices := (tid, n - ran) :: rest
               end;
               loop ()
       in

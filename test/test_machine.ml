@@ -269,6 +269,15 @@ let test_cache_footprint_and_flush () =
   Cache.flush c;
   Alcotest.(check bool) "flushed" false (Cache.access c (Cache.key 0L))
 
+(* A native machine's model is one word per cache way plus one per set
+   (about 1.16 MB for the L1, L2 and LLC together): no recency stamps.
+   Every [Machine.snapshot] and [Machine.fork] of a native machine
+   copies all of it. *)
+let test_timing_model_footprint () =
+  let words = Obj.reachable_words (Obj.repr (Timing.create ())) in
+  if words > 150_000 then
+    Alcotest.failf "Timing.create () reaches %d words, more than 150000" words
+
 let test_timing_predictor_learns () =
   let t = Timing.create () in
   (* Always-taken branch: after training, no penalty. *)
@@ -1040,6 +1049,41 @@ let test_schedule_recording_roundtrip () =
   Alcotest.check Alcotest.int "t0 match" (Machine.thread m 0).Machine.retired
     (Machine.thread m2 0).Machine.retired
 
+(* A recorded schedule driven in segments replays what one run does: a
+   slice that [~max_ins] cuts short keeps its remainder for the next
+   [run], so the threads still get the recorded interleaving. *)
+let test_recorded_schedule_segmented () =
+  let b = Builder.create () in
+  Builder.ins b (Mov_ri (Reg.RCX, 4500L));
+  let loop = Builder.here b in
+  Builder.ins b (Alu_ri (Sub, Reg.RCX, 1L));
+  Builder.jcc b Ne loop;
+  Builder.ins b Hlt;
+  let prog = Builder.assemble b ~base:0x1000L in
+  let machine sched =
+    let m = Machine.create sched in
+    Addr_space.store (Machine.mem m) 0x1000L prog.Builder.code;
+    for _ = 1 to 2 do
+      let ctx = Context.create () in
+      Context.set_rip ctx 0x1000L;
+      ignore (Machine.add_thread m ctx)
+    done;
+    m
+  in
+  let counts m = List.map (fun th -> th.Machine.retired) (Machine.threads m) in
+  let m = machine (Machine.Free { seed = 3L; quantum_min = 50; quantum_max = 400 }) in
+  Machine.set_record_schedule m true;
+  Machine.run m;
+  let sched = Machine.recorded_schedule m in
+  let whole = machine (Machine.Recorded sched) in
+  Machine.run whole;
+  Alcotest.(check (list int)) "one run replays the recording" (counts m) (counts whole);
+  let cut = machine (Machine.Recorded sched) in
+  Machine.run ~max_ins:1000L cut;
+  Alcotest.check Tutil.i64 "first segment" 1000L (Machine.total_retired cut);
+  Machine.run cut;
+  Alcotest.(check (list int)) "two segments replay one run" (counts whole) (counts cut)
+
 let test_max_ins_stops_exactly () =
   let b = Builder.create () in
   let loop = Builder.here b in
@@ -1199,4 +1243,7 @@ let suite =
     Alcotest.test_case "ring0 accounting" `Quick test_ring0_accounting;
     Alcotest.test_case "elapsed cycles is per-core max" `Quick
       test_elapsed_cycles_is_max;
+    Alcotest.test_case "timing model footprint" `Quick test_timing_model_footprint;
+    Alcotest.test_case "recorded schedule survives segmented runs" `Quick
+      test_recorded_schedule_segmented;
   ]

@@ -1168,6 +1168,55 @@ let test_perf_markless_trials_run_once () =
     (List.length
        (snd (Perf.elfie_region_detailed ~trials:0 ~base_seed:700L unmarked)))
 
+(* elfie_runaway_instructions_total: a run the cap stops as a runaway
+   adds what it retired, a graceful run adds nothing, and a resumed fork
+   adds only what it retired past the warm-up it inherited (it stops
+   exactly at its cap, so two caps differ by exactly their difference). *)
+let test_runaway_instructions_counted () =
+  let module Runner = Elfie_core.Elfie_runner in
+  let module Metrics = Elfie_obs.Metrics in
+  let counter = Metrics.counter "elfie_runaway_instructions_total" in
+  let added f =
+    let before = Metrics.total counter in
+    let o = f () in
+    (o, Metrics.total counter -. before)
+  in
+  let pb = Tutil.tiny_pinball ~threads:2 ~start:20_000L ~length:30_000L "runaway" in
+  let image = Elfie_core.Pinball2elf.convert pb in
+  let full, graceful_added = added (fun () -> Runner.run ~seed:5L image) in
+  Alcotest.(check bool) "uncapped run graceful" true full.Runner.graceful;
+  Alcotest.(check (float 0.0)) "graceful adds nothing" 0.0 graceful_added;
+  let cap = Int64.div full.total_retired 2L in
+  let capped, capped_added = added (fun () -> Runner.run ~seed:5L ~max_ins:cap image) in
+  Alcotest.(check bool) "capped run is a runaway" true capped.Runner.runaway;
+  Alcotest.(check (float 0.0)) "runaway adds what it retired"
+    (Int64.to_float capped.total_retired) capped_added;
+  let marked =
+    Elfie_core.Pinball2elf.convert
+      ~options:
+        { Elfie_core.Pinball2elf.default_options with warmup_mark = Some 10_000L }
+      pb
+  in
+  let warmed =
+    match Runner.warm ~seed:5L marked with
+    | Ok w -> w
+    | Error _ -> Alcotest.fail "warmup mark never fired"
+  in
+  let resumed cap =
+    let o, n = added (fun () -> Runner.resume ~seed:6L ~max_ins:cap warmed) in
+    Alcotest.(check bool) "capped fork is a runaway" true o.Runner.runaway;
+    Alcotest.(check Tutil.i64) "fork stops at its cap" cap o.total_retired;
+    n
+  in
+  let near = Int64.sub full.total_retired 1_000L in
+  let far = Int64.sub full.total_retired 5_000L in
+  let near_added = resumed near and far_added = resumed far in
+  Alcotest.(check bool) "fork leaves out its warm-up" true
+    (far_added > 0.0 && far_added < Int64.to_float far);
+  Alcotest.(check (float 0.0)) "fork adds what it retired past the fork"
+    (Int64.to_float (Int64.sub near far))
+    (near_added -. far_added)
+
 (* --- work pool --------------------------------------------------------------- *)
 
 let test_pool_map_order () =
@@ -1500,4 +1549,6 @@ let suite =
     Alcotest.test_case "profile: parallel notes" `Quick test_profile_parallel;
     Alcotest.test_case "journal: parallel records" `Quick test_journal_parallel;
     Alcotest.test_case "pipeline: parallel ≡ sequential" `Slow
-      test_pipeline_parallel_equals_sequential ]
+      test_pipeline_parallel_equals_sequential;
+    Alcotest.test_case "runner: runaway instructions counted" `Quick
+      test_runaway_instructions_counted ]
